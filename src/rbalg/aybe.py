@@ -63,11 +63,6 @@ class TensorElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(max(m.degree() for m in key) for key in self.terms)
-
     def items(self):
         return sorted(
             self.terms.items(), key=lambda kv: tuple(m.sort_key() for m in kv[0])
@@ -185,15 +180,6 @@ class TensorElement:
             key = tuple(algebra.monomial(*e) for e in item["exps"])
             terms[key] = algebra.field.parse(item["coeff"])
         return TensorElement(algebra, int(data["arity"]), terms)
-
-
-def tensor_from_pairs(algebra: AlgebraSpec, pairs) -> TensorElement:
-    """Convenience builder: pairs of ((exps_a, exps_b), coeff)."""
-    terms = {}
-    for (ea, eb), coeff in pairs:
-        key = (algebra.monomial(*ea), algebra.monomial(*eb))
-        terms[key] = coeff
-    return TensorElement(algebra, 2, terms)
 
 
 def aybe_residual(r: TensorElement, weight: FieldElement) -> TensorElement:

@@ -24,6 +24,7 @@ the grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -175,12 +176,7 @@ def _respects_class_closure(t, sources: Sequence[int], D: int, unital: bool) -> 
     present = [(n, t[n]) for n in sources if t[n] >= 0]
     if not present:
         return True
-    m_star = 0
-    for _, target in present:
-        a, b = m_star, target
-        while b:
-            a, b = b, a % b
-        m_star = a
+    m_star = math.gcd(*(target for _, target in present))
     if m_star == 0:
         return True  # every image is the constant; no class structure
     min_target = 0 if unital else 1
@@ -282,17 +278,14 @@ def _nonzero_roots(a2: FieldElement, a1: FieldElement, a0: FieldElement):
             return []
         s = field.from_fraction(sqrt)
         roots = {(-a1 + s) / (2 * a2), (-a1 - s) / (2 * a2)}
-    else:
-        if field.p > _SOLVER_PRIME_CAP:
-            raise SearchBudgetExceeded(
-                f"quadratic root enumeration over GF({field.p}) is beyond desk scale"
-            )
-        roots = {
-            field.from_int(v)
-            for v in range(field.p)
-            if (a2 * field.from_int(v) ** 2 + a1 * field.from_int(v) + a0).is_zero()
-        }
-    return sorted((r for r in roots if not r.is_zero()), key=lambda r: r.sort_key())
+        return sorted((r for r in roots if not r.is_zero()), key=lambda r: r.sort_key())
+    p = field.p
+    if p > _SOLVER_PRIME_CAP:
+        raise SearchBudgetExceeded(
+            f"quadratic root enumeration over GF({p}) is beyond desk scale"
+        )
+    c2, c1, c0 = a2.value, a1.value, a0.value
+    return [field.from_int(v) for v in range(1, p) if (c2 * v * v + c1 * v + c0) % p == 0]
 
 
 def _solve_coefficients(
@@ -411,11 +404,7 @@ def _match_weight_zero(table: MonomialOperatorTable) -> Optional[FamilyMatch]:
     algebra = table.algebra
     D = table.degree_bound
     field = algebra.field
-    target_exps = [dst.exponents[0] for _, dst in table.entries.values()]
-    g = 0
-    for e in target_exps:
-        while e:
-            g, e = e, g % e
+    g = math.gcd(*(dst.exponents[0] for _, dst in table.entries.values()))
     if g == 0:
         return None
     for m in _divisors_desc(g):
@@ -698,12 +687,7 @@ def enumerate_monomial_rb(
         freedom, a seed anywhere else means the constraints at this
         bound did not determine the coefficient.
         """
-        m_star = 0
-        for n in defined:
-            a, b = m_star, t[n]
-            while b:
-                a, b = b, a % b
-            m_star = a
+        m_star = math.gcd(*(t[n] for n in defined))
         if m_star == 0:
             # every image is the constant: the family parameter sits on
             # the first positive-degree source (the unit image is forced)

@@ -10,6 +10,7 @@ found), 2 usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import List, Optional
@@ -190,9 +191,12 @@ def _cmd_classify(args) -> int:
     weight = field.from_int(args.weight)
     strategy = None
     if args.grid or args.budget or args.max_seeds:
-        base = classify_mod.default_strategy(field)
-        strategy = classify_mod.CoefficientStrategy(
-            grid=_parse_grid(field, args.grid) if args.grid else base.grid,
+        # default grids are refused over primes above 64; explicit ones are not
+        base = classify_mod.CoefficientStrategy(
+            _parse_grid(field, args.grid) if args.grid else classify_mod.default_strategy(field).grid
+        )
+        strategy = dataclasses.replace(
+            base,
             max_seeds=args.max_seeds or base.max_seeds,
             shape_budget=args.budget or base.shape_budget,
         )

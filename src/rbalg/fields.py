@@ -247,15 +247,3 @@ class FieldElement:
     def __repr__(self) -> str:
         return f"FieldElement({self.spec}, {self.value})"
 
-
-def field_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatch helper: op is one of 'add', 'sub', 'mul', 'div'."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")

@@ -11,7 +11,7 @@ matrix holds the image of the j-th basis vector.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import List, Optional
 
 from .fields import FieldElement, FieldSpec
@@ -199,7 +199,7 @@ def rational_roots(coeffs: List[FieldElement]) -> List[FieldElement]:
     if len(work) > 1:
         denom_lcm = 1
         for f in work:
-            denom_lcm = denom_lcm * f.denominator // _gcd(denom_lcm, f.denominator)
+            denom_lcm = lcm(denom_lcm, f.denominator)
         ints = [int(f * denom_lcm) for f in work]
         lead, const = ints[0], ints[-1]
         for p in _divisors(const):
@@ -213,12 +213,6 @@ def rational_roots(coeffs: List[FieldElement]) -> List[FieldElement]:
                     if total == 0:
                         roots.add(cand)
     return [spec.from_fraction(r) for r in sorted(roots)]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def exact_fraction_sqrt(value: Fraction) -> Optional[Fraction]:

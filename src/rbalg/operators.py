@@ -100,9 +100,6 @@ class MonomialOperatorTable:
 
     # -- inspection -----------------------------------------------------------
 
-    def domain(self):
-        return self.algebra.basis(self.degree_bound)
-
     def is_diagonal(self) -> bool:
         return all(src == dst for src, (_, dst) in self.entries.items())
 
@@ -213,9 +210,6 @@ class DenseOperator:
         for mono, coeff in f.terms():
             out = out + self.apply_monomial(mono).scale(coeff)
         return out
-
-    def domain(self):
-        return self.algebra.basis(self.degree_bound)
 
     def as_matrix(self, basis):
         index = {m: i for i, m in enumerate(basis)}

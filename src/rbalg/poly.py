@@ -35,9 +35,6 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
-    def __pow__(self, k: int) -> "Monomial":
-        return Monomial(tuple(e * k for e in self.exponents))
-
     def sort_key(self):
         return (self.degree(), self.exponents)
 
@@ -100,7 +97,7 @@ class AlgebraSpec:
     def admits(self, m: Monomial) -> bool:
         """True when m is a basis monomial (nonzero in this algebra)."""
         d = m.degree()
-        if d < self.min_degree():
+        if len(m.exponents) != self.nvars or d < self.min_degree():
             return False
         if self.truncation is not None and d > self.truncation:
             return False
@@ -188,9 +185,6 @@ class Polynomial:
     def terms(self):
         """Terms as (monomial, coefficient), canonically ordered."""
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def support(self):
-        return set(self._terms)
 
     def coeff(self, mono: Monomial) -> FieldElement:
         return self._terms.get(mono, self.algebra.field.zero())

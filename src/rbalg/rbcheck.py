@@ -20,8 +20,10 @@ algebras of nonzero weight round out the structural checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import NonzeroWeight
@@ -78,6 +80,52 @@ def rb_residual(
     return Ru * Rv - R.apply(inner)
 
 
+def _raw_pair_test(R: LinearOperator, weight: FieldElement):
+    """A test on raw values that a pair's residual vanishes, or None.
+
+    On a monomial table every piece of the identity is one term, so a
+    pair's residual has at most four; they are formed on exponent tuples
+    and ``FieldElement.value``s, truncated and cancelled exactly where
+    ``rb_residual`` does.  False means "ask ``rb_residual``": a nonzero
+    residual, or an inner term outside the operator's domain.
+    """
+    if not isinstance(R, MonomialOperatorTable) or weight.spec != R.algebra.field:
+        return None
+    algebra, bound, w = R.algebra, R.degree_bound, weight.value
+    table = {s.exponents: (c.value, d.exponents, d.degree()) for s, (c, d) in R.entries.items()}
+    trunc = algebra.truncation or math.inf
+    p = algebra.field.p
+    nonzero = bool if p is None else (lambda c: c % p)
+
+    def vanishes(u: Monomial, v: Monomial) -> bool:
+        eu, ev = u.exponents, v.exponents
+        du, dv = sum(eu), sum(ev)
+        if du > bound or dv > bound:
+            return False
+        hu, hv = table.get(eu), table.get(ev)
+        inner = {}  # R(u)v + uR(v) + w uv
+        for hit, e, d in ((hu, ev, dv), (hv, eu, du)):
+            if hit is not None and hit[2] + d <= trunc:
+                m = tuple(map(add, hit[1], e))
+                inner[m] = inner.get(m, 0) + hit[0]
+        if w and du + dv <= trunc:
+            m = tuple(map(add, eu, ev))
+            inner[m] = inner.get(m, 0) + w
+        residual = {}
+        if hu is not None and hv is not None and hu[2] + hv[2] <= trunc:
+            residual[tuple(map(add, hu[1], hv[1]))] = hu[0] * hv[0]
+        for m, c in inner.items():
+            if nonzero(c):
+                if sum(m) > bound:
+                    return False
+                hit = table.get(m)
+                if hit is not None:
+                    residual[hit[1]] = residual.get(hit[1], 0) - c * hit[0]
+        return not any(map(nonzero, residual.values()))
+
+    return vanishes
+
+
 def rb_check(R: LinearOperator, weight: FieldElement, degree: int) -> CheckReport:
     """Exhaustive pairwise verification within a degree budget.
 
@@ -86,17 +134,24 @@ def rb_check(R: LinearOperator, weight: FieldElement, degree: int) -> CheckRepor
     basis pairs up to min(degree, truncation) are (the identity is then
     verified in the quotient).  Pairs are visited in canonical order, so
     the reported first violation is deterministic.
+
+    A monomial table is checked on raw values (``_raw_pair_test``); a
+    violation, or a pair leaving the operator's domain, is reported by
+    ``rb_residual``, which remains the reference for every operator.
     """
     algebra = R.algebra
     truncated = algebra.truncation is not None
     top = min(degree, algebra.truncation) if truncated else degree
     basis = list(algebra.basis(top))
+    vanishes = _raw_pair_test(R, weight)
     checked = 0
     for i, u in enumerate(basis):
         for v in basis[i:]:
             if not truncated and u.degree() + v.degree() > top:
                 continue
             checked += 1
+            if vanishes is not None and vanishes(u, v):
+                continue
             residual = rb_residual(R, u, v, weight)
             if not residual.is_zero():
                 return CheckReport(checked, RBViolation(u, v, residual))

@@ -6,7 +6,15 @@ import random
 
 from hypothesis import strategies as st
 
-from rbalg import QQ, AlgebraSpec, MonomialOperatorTable, Polynomial, WeightZeroFamilyParams
+from rbalg import (
+    QQ,
+    AlgebraSpec,
+    MonomialOperatorTable,
+    Polynomial,
+    WeightZeroFamilyParams,
+    rb_residual,
+)
+from rbalg.rbcheck import CheckReport, RBViolation
 
 
 def rational_elements(max_abs=20, max_den=8):
@@ -83,3 +91,25 @@ def max_target_shift(params: WeightZeroFamilyParams) -> int:
         (params.m * p for p, q in params.classes.values() if not q.is_zero()),
         default=0,
     )
+
+
+def reference_rb_check(R, weight, degree):
+    """``rb_check`` evaluated pair by pair with ``rb_residual`` alone.
+
+    The same pairs in the same order, but no raw-value kernel: an oracle
+    that stays independent of the fast path it judges.
+    """
+    algebra = R.algebra
+    truncated = algebra.truncation is not None
+    top = min(degree, algebra.truncation) if truncated else degree
+    basis = list(algebra.basis(top))
+    checked = 0
+    for i, u in enumerate(basis):
+        for v in basis[i:]:
+            if not truncated and u.degree() + v.degree() > top:
+                continue
+            checked += 1
+            residual = rb_residual(R, u, v, weight)
+            if not residual.is_zero():
+                return CheckReport(checked, RBViolation(u, v, residual))
+    return CheckReport(checked, None)

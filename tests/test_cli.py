@@ -111,6 +111,26 @@ def test_classify_unital_flag(capsys):
     assert unit_sources  # searching the unital algebra covers R(1)
 
 
+def test_classify_explicit_grid_over_a_large_prime(capsys):
+    code, out, _ = run_cli(
+        capsys, "classify", "--field", "Fp:101", "--grid", "1,2,3", "--degree", "5",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["solutions"]
+    assert {s["table"]["algebra"]["field"] for s in data["solutions"]} == {"Fp:101"}
+
+
+def test_classify_default_grid_over_a_large_prime_is_refused(capsys):
+    code, out, err = run_cli(capsys, "classify", "--field", "Fp:101", "--degree", "5")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: default grids over GF(p) are desk-scale only (p <= 64); "
+        "pass an explicit strategy\n"
+    )
+
+
 def test_grade_quotient_table(tmp_path, capsys):
     path = tmp_path / "ex.json"
     code, _, _ = run_cli(

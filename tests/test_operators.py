@@ -6,6 +6,7 @@ from rbalg import (
     QQ,
     AlgebraSpec,
     AutomorphismSpec,
+    Monomial,
     MonomialOperatorTable,
     Polynomial,
     construct_integral,
@@ -103,6 +104,14 @@ def test_compose_requires_headroom():
     )
     with pytest.raises(DegreeBoundExceeded):
         op_compose(R, S)
+
+
+def test_table_rejects_monomials_of_the_wrong_arity():
+    wrong = Monomial((1, 1))
+    with pytest.raises(ValueError, match="not a basis monomial"):
+        MonomialOperatorTable(NONUNITAL, QQ.zero(), 4, {NONUNITAL.monomial(1): (QQ.one(), wrong)})
+    with pytest.raises(ValueError, match="outside the operator domain"):
+        MonomialOperatorTable(NONUNITAL, QQ.zero(), 4, {wrong: (QQ.one(), NONUNITAL.monomial(1))})
 
 
 def test_compose_mixed_algebras():

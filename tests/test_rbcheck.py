@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbalg import (
     QQ,
     AlgebraSpec,
+    DenseOperator,
     MonomialOperatorTable,
     Polynomial,
     WeightZeroFamilyParams,
@@ -14,17 +17,33 @@ from rbalg import (
     construct_weight_one_univariate,
     construct_weight_zero,
     op_kernel_image,
+    prime_field,
     rb_check,
     rb_multi_residual,
     rb_power_check,
     rb_residual,
     split_by_variables,
+    split_positive_degree,
 )
-from rbalg.errors import NonzeroWeight
+from rbalg import rbcheck as rbcheck_mod
+from rbalg.errors import (
+    CharacteristicObstruction,
+    DegreeBoundExceeded,
+    DenominatorVanishes,
+    InvalidParams,
+    NonzeroWeight,
+    NotASubalgebra,
+    RBAlgebraError,
+)
 from rbalg.grading import QuotientFamily, quotient_rb_from_family
-from rbalg.rbcheck import UnitImageKind
+from rbalg.rbcheck import UnitImageKind, _raw_pair_test
 
-from helpers import inverse_degree_table
+from helpers import (
+    field_elements,
+    inverse_degree_table,
+    random_weight_zero_params,
+    reference_rb_check,
+)
 
 NONUNITAL = AlgebraSpec(QQ, nvars=1, unital=False, truncation=None)
 UNITAL = AlgebraSpec(QQ, nvars=1, unital=True, truncation=None)
@@ -242,3 +261,148 @@ def test_unit_constraint_bad_scalar():
 def test_check_over_prime_field_quotient():
     R = quotient_rb_from_family(QuotientFamily.WEIGHT_ZERO_RECIPROCAL, 4, 7)
     assert rb_check(R, R.algebra.field.zero(), 4).passed
+
+
+# -- the raw-value kernel against the reference ---------------------------------
+
+SMALL_PRIMES = [prime_field(p) for p in (2, 3, 5, 7)]
+
+
+def _nonzero(field):
+    return field_elements(field).filter(lambda c: not c.is_zero())
+
+
+@st.composite
+def checked_tables(draw):
+    """(table, weight, degree): random or family tables, maybe perturbed."""
+    field = draw(st.just(QQ) | st.sampled_from(SMALL_PRIMES))
+    nvars = draw(st.integers(1, 2))
+    unital = draw(st.booleans())
+    top = 5 if nvars == 1 else 3
+    truncation = draw(st.one_of(st.none(), st.integers(1, top)))
+    algebra = AlgebraSpec(field, nvars=nvars, unital=unital, truncation=truncation)
+    bound = draw(st.integers(1, truncation or top))
+    weight = draw(
+        st.sampled_from([field.zero(), field.one()]) | _nonzero(field)
+    )
+    basis = list(algebra.basis(bound))
+    kind = draw(st.sampled_from(["random", "minus_weight", "splitting", "family"]))
+    entries = {}
+    if kind == "random":
+        # untruncated targets may leave the domain
+        targets = list(algebra.basis(truncation or bound + 2))
+        for src in basis:
+            if draw(st.booleans()):
+                entries[src] = (draw(_nonzero(field)), draw(st.sampled_from(targets)))
+    elif kind == "minus_weight":
+        entries = {m: (-weight, m) for m in basis}
+    elif kind == "splitting":
+        spec = split_by_variables([1]) if nvars == 2 else split_positive_degree()
+        try:
+            entries = dict(construct_splitting(spec, weight, algebra, bound).entries)
+        except NotASubalgebra:
+            pass
+    elif nvars == 1 and weight.is_zero():
+        params = random_weight_zero_params(
+            random.Random(draw(st.integers(0, 999))), field, m_max=3, p_max=2
+        )
+        try:
+            entries = dict(construct_weight_zero(params, algebra, bound).entries)
+        except (CharacteristicObstruction, InvalidParams):
+            pass
+    elif nvars == 1 and not unital and not weight.is_zero():
+        # weight * (the weight-one family) has weight `weight`
+        try:
+            family = construct_weight_one_univariate(draw(_nonzero(field)), algebra, bound)
+        except DenominatorVanishes:
+            family = None
+        if family is not None:
+            entries = {s: (weight * c, d) for s, (c, d) in family.entries.items()}
+    if entries and draw(st.booleans()):
+        src = draw(st.sampled_from(sorted(entries)))
+        coeff, dst = entries[src]
+        if draw(st.booleans()):
+            entries[src] = (coeff * draw(_nonzero(field)), dst)  # wrong coefficient
+        else:
+            entries[src] = (coeff, draw(st.sampled_from(basis)))  # wrong target
+    table = MonomialOperatorTable(algebra, weight, bound, entries)
+    # now and then a window above the bound, which the reference rejects
+    degree = bound + 1 if draw(st.integers(0, 4)) == 0 else draw(st.integers(1, bound))
+    return table, weight, degree
+
+
+def _outcome(check, R, weight, degree):
+    try:
+        report = check(R, weight, degree)
+    except (RBAlgebraError, ValueError) as exc:  # errors must match the reference's
+        return ("raised", type(exc), str(exc))
+    v = report.violation
+    return (report.checked_pairs, None if v is None else (v.u, v.v, v.residual))
+
+
+def _dense_twin(R):
+    images = {
+        src: Polynomial.monomial(R.algebra, dst, coeff)
+        for src, (coeff, dst) in R.entries.items()
+    }
+    return DenseOperator(R.algebra, R.weight, R.degree_bound, images)
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=checked_tables())
+def test_kernel_matches_reference(case):
+    R, weight, degree = case
+    got = _outcome(rb_check, R, weight, degree)
+    assert got == _outcome(reference_rb_check, R, weight, degree)
+    assert got == _outcome(rb_check, _dense_twin(R), weight, degree)
+
+
+def test_kernel_selection():
+    R = inverse_degree_table(6)
+    assert _raw_pair_test(R, QQ.zero()) is not None
+    assert _raw_pair_test(_dense_twin(R), QQ.zero()) is None
+    assert _raw_pair_test(R, prime_field(5).zero()) is None
+
+
+def test_passing_table_needs_no_reference_residual(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rb_residual(*args)
+
+    monkeypatch.setattr(rbcheck_mod, "rb_residual", counted)
+    gf101 = AlgebraSpec(prime_field(101), nvars=1, unital=False, truncation=8)
+    bivariate = AlgebraSpec(QQ, nvars=2, unital=False, truncation=4)
+    passing = [
+        (construct_weight_one_univariate(QQ.one(), NONUNITAL, 10), 10),
+        (construct_weight_one_univariate(gf101.field.from_int(3), gf101, 8), 8),
+        (quotient_rb_from_family(QuotientFamily.WEIGHT_ONE_ALPHA_ONE, 3, 5), 3),
+        (quotient_rb_from_family(QuotientFamily.WEIGHT_ZERO_RECIPROCAL, 4, 7), 4),
+        (construct_splitting(split_by_variables([1]), QQ.from_int(3), bivariate, 4), 4),
+    ]
+    for R, degree in passing:
+        assert rb_check(R, R.weight, degree).passed
+    assert calls == []
+    # a violation is reported by the reference, for that pair only
+    report = rb_check(identity_table(NONUNITAL, 4, QQ.zero()), QQ.zero(), 4)
+    assert [args[1:3] for args in calls] == [(report.violation.u, report.violation.v)]
+
+
+def test_weight_from_another_field_keeps_the_generic_loop():
+    R = inverse_degree_table(4)
+    weight = prime_field(5).one()
+    assert _outcome(rb_check, R, weight, 4) == _outcome(reference_rb_check, R, weight, 4)
+    assert _outcome(rb_check, R, weight, 4)[0] == "raised"
+
+
+def test_domain_errors_come_from_the_reference():
+    # untruncated operators that raise degree leave the window at degree 6
+    J = construct_integral(QQ.zero(), UNITAL, 6)
+    shift_two = construct_weight_zero(
+        WeightZeroFamilyParams(1, {1: (2, QQ.one())}), NONUNITAL, 6
+    )
+    for R in (J, shift_two):
+        got = _outcome(rb_check, R, QQ.zero(), 6)
+        assert got[:2] == ("raised", DegreeBoundExceeded)
+        assert got == _outcome(reference_rb_check, R, QQ.zero(), 6)
