@@ -191,38 +191,33 @@ def _matrix_decomposition(R: LinearOperator):
     basis = list(algebra.basis(algebra.truncation))
     n = len(basis)
     mat = R.as_matrix(basis)
+    coeffs = linalg.char_poly(mat, spec)
     if spec.kind is FieldKind.PRIME:
         if spec.p > _EIGEN_ENUM_CAP:
             raise SearchBudgetExceeded(
                 f"eigenvalue enumeration over GF({spec.p}) is beyond desk scale"
             )
-        candidates = [
-            spec.from_int(v)
-            for v in range(spec.p)
-            if linalg.det(linalg.mat_sub_scalar_identity(mat, spec.from_int(v)), spec).is_zero()
-        ]
+        roots = linalg.prime_field_roots(coeffs)
     else:
-        candidates = linalg.rational_roots(linalg.char_poly(mat, spec))
-    spaces: Dict[FieldElement, List[Polynomial]] = {}
-    covered = 0
-    for lam in candidates:
-        shifted = linalg.mat_sub_scalar_identity(mat, lam)
-        power = linalg.mat_pow(shifted, n, spec)
-        vectors = linalg.kernel_basis(power, spec)
-        if not vectors:
-            continue
-        polys = [
-            Polynomial(algebra, {m: c for m, c in zip(basis, vec) if not c.is_zero()})
-            for vec in vectors
-        ]
-        spaces[lam] = polys
-        covered += len(vectors)
+        roots = linalg.rational_roots(coeffs)
+    multiplicities = [linalg.root_multiplicity(coeffs, lam) for lam in roots]
+    covered = sum(multiplicities)
     if covered != n:
         raise NonSplitSpectrum(
             f"generalized eigenspaces cover {covered} of {n} dimensions"
         )
-    spectrum = sorted(spaces, key=lambda e: e.sort_key())
-    return spectrum, spaces
+    # ker (A - lam)^m is the whole generalized eigenspace when m is the
+    # root's multiplicity: that space has dimension m
+    spaces: Dict[FieldElement, List[Polynomial]] = {}
+    for lam, m in zip(roots, multiplicities):
+        shifted = linalg.mat_sub_scalar_identity(mat, lam)
+        if m > 1:
+            shifted = linalg.mat_pow(shifted, m, spec)
+        spaces[lam] = [
+            Polynomial(algebra, {b: c for b, c in zip(basis, vec) if not c.is_zero()})
+            for vec in linalg.kernel_basis(shifted, spec)
+        ]
+    return roots, spaces
 
 
 def grading_decompose(R: LinearOperator, weight: FieldElement) -> GradingDecomposition:
@@ -260,14 +255,14 @@ def grading_decompose(R: LinearOperator, weight: FieldElement) -> GradingDecompo
         return vec
 
     products: List[ProductCheck] = []
+    targets: Dict[FieldElement, linalg.SpanBasis] = {}
     nonzero = [lam for lam in spectrum if not lam.is_zero()]
     for i, lam in enumerate(nonzero):
         for mu in nonzero[i:]:
             nu = partial_product(kind, lam, mu)
             forced_zero = nu is None or nu not in spaces
-            target_vectors = None
-            if not forced_zero:
-                target_vectors = [coords(p) for p in spaces[nu]]
+            if not forced_zero and nu not in targets:
+                targets[nu] = linalg.span_basis([coords(p) for p in spaces[nu]], spec)
             status = ProductStatus.ZERO
             witness = None
             if lam == mu:
@@ -283,7 +278,7 @@ def grading_decompose(R: LinearOperator, weight: FieldElement) -> GradingDecompo
                     status = ProductStatus.VIOLATION
                     witness = (u, v, w)
                     break
-                if linalg.in_span(target_vectors, coords(w), spec):
+                if linalg.in_span(targets[nu], coords(w), spec):
                     any_contained = True
                 else:
                     status = ProductStatus.VIOLATION

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from helpers import scaled_inverse_degree_conjugate
 from rbalg.cli import main
 
 
@@ -148,6 +149,35 @@ def test_grade_quotient_table(tmp_path, capsys):
     assert products[("1", "2")]["product"] == "3"
     assert products[("1", "3")]["status"] == "zero"
     assert products[("1", "3")]["product"] is None
+
+
+def test_grade_dense_conjugate_over_q(tmp_path, capsys):
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(scaled_inverse_degree_conjugate(16).to_json_dict()))
+    code, out, _ = run_cli(capsys, "grade", "--operator", str(path), "--weight", "0")
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["spectrum"]) == 16
+    assert data["violations"] == 0
+
+
+def test_grade_non_split_spectrum_is_a_usage_error(tmp_path, capsys):
+    operator = {
+        "kind": "monomial",
+        "algebra": {"field": "Fp:3", "nvars": 1, "unital": False, "truncation": 2},
+        "weight": "0",
+        "degree_bound": 2,
+        "entries": [
+            {"src": [1], "coeff": "1", "dst": [2]},
+            {"src": [2], "coeff": "2", "dst": [1]},
+        ],
+    }
+    path = tmp_path / "rot.json"
+    path.write_text(json.dumps(operator))
+    code, out, err = run_cli(capsys, "grade", "--operator", str(path), "--weight", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: generalized eigenspaces cover 0 of 2 dimensions\n"
 
 
 def test_aybe_search_and_check(tmp_path, capsys):

@@ -25,6 +25,8 @@ from rbalg.errors import (
     ZeroArgument,
 )
 
+from helpers import scaled_inverse_degree_conjugate
+
 GF5 = prime_field(5)
 
 
@@ -169,6 +171,33 @@ def test_grading_non_split_spectrum_over_q():
     table = MonomialOperatorTable(algebra, QQ.zero(), 2, entries)
     with pytest.raises(NonSplitSpectrum):
         grading_decompose(table, QQ.zero())
+
+
+def test_grading_non_split_spectrum_over_gf3():
+    field = prime_field(3)
+    algebra = AlgebraSpec(field, nvars=1, unital=False, truncation=2)
+    # the same matrix mod 3: t^2 + 1 stays irreducible, as -1 is no square
+    entries = {
+        algebra.monomial(1): (field.one(), algebra.monomial(2)),
+        algebra.monomial(2): (-field.one(), algebra.monomial(1)),
+    }
+    table = MonomialOperatorTable(algebra, field.zero(), 2, entries)
+    with pytest.raises(NonSplitSpectrum, match="generalized eigenspaces cover 0 of 2 dimensions"):
+        grading_decompose(table, field.zero())
+
+
+@pytest.mark.parametrize("N", [12, 16, 24])
+def test_grading_dense_conjugate_with_large_spectrum_over_q(N):
+    # psi^-1 R psi for R(x^n) = (2/3) x^n / n and psi(x) = x + x^2; the
+    # characteristic polynomial's constant term has too many divisors
+    # for a search over divisor pairs
+    op = scaled_inverse_degree_conjugate(N)
+    g = grading_decompose(op, QQ.zero())
+    assert sorted(lam.value for lam in g.spectrum) == sorted(
+        Fraction(2, 3 * n) for n in range(1, N + 1)
+    )
+    assert all(len(g.spaces[lam]) == 1 for lam in g.spectrum)
+    assert not g.violations()
 
 
 def test_grading_dense_shift_style_operator_over_q():

@@ -1,0 +1,240 @@
+"""The spectral layer of rbalg.linalg against the code it replaced.
+
+The references in ``helpers`` are the trace-recurrence characteristic
+polynomial, one determinant per element of GF(p), divisor enumeration
+of rational roots and eigenspaces as kernels of (A - lam)^n.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    quadratic_shift_conjugate,
+    reference_char_poly,
+    reference_grading_decompose,
+    reference_in_span,
+    reference_kernel_basis,
+    reference_prime_field_roots,
+    reference_rational_roots,
+)
+from rbalg import (
+    QQ,
+    AlgebraSpec,
+    DenseOperator,
+    Polynomial,
+    WeightZeroFamilyParams,
+    construct_weight_one_univariate,
+    construct_weight_zero,
+    grading_decompose,
+    linalg,
+    prime_field,
+)
+from rbalg.errors import NonSplitSpectrum, RBAlgebraError
+
+PRIMES = (2, 3, 5, 7, 53)
+FIELDS = (QQ,) + tuple(prime_field(p) for p in PRIMES)
+
+
+def small_elements(field, low=0):
+    if field.p is None:
+        numerators = st.integers(low, 9) | st.integers(-9, -low)
+        return st.builds(QQ.element, numerators, st.integers(1, 4))
+    return st.integers(low, field.p - 1).map(field.from_int)
+
+
+@st.composite
+def matrices(draw, fields=FIELDS, max_n=6, rows=None):
+    field = draw(st.sampled_from(fields))
+    n = draw(st.integers(0, max_n))
+    m = n if rows is None else draw(rows)
+    entry = small_elements(field)
+    # zeros often, so that eliminations meet missing pivots
+    entry = st.one_of(st.just(field.zero()), entry)
+    mat = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    return field, mat
+
+
+def evaluate(coeffs, v):
+    acc = v.spec.zero()
+    for c in coeffs:
+        acc = acc * v + c
+    return acc
+
+
+def polymul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(matrices(fields=FIELDS[1:], max_n=7))
+def test_char_poly_over_prime_fields_is_det_of_t_minus_a(case):
+    # includes p <= n, where the trace recurrence divides by zero
+    field, mat = case
+    n = len(mat)
+    coeffs = linalg.char_poly(mat, field)
+    assert len(coeffs) == n + 1 and coeffs[0].is_one()
+    for v in range(field.p):
+        t = field.from_int(v)
+        t_minus_a = [
+            [(t if i == j else field.zero()) - mat[i][j] for j in range(n)] for i in range(n)
+        ]
+        assert evaluate(coeffs, t) == linalg.det(t_minus_a, field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(fields=(QQ,), max_n=6))
+def test_char_poly_over_q_matches_trace_recurrence(case):
+    field, mat = case
+    assert linalg.char_poly(mat, field) == reference_char_poly(mat, field)
+
+
+big = st.integers(-(10**15), 10**15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.builds(Fraction, big, st.integers(1, 10**15)) | st.integers(-3, 3).map(Fraction),
+            st.integers(1, 3),
+        ),
+        max_size=4,
+    ),
+    st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)),
+    st.builds(Fraction, st.integers(1, 10**15) | st.integers(-(10**15), -1), st.integers(1, 10**6)),
+)
+def test_rational_roots_finds_exactly_the_planted_roots(planted, a, scale):
+    # scale * prod (t - r_i)^e_i * (t^2 + a): t^2 + a has no rational root
+    poly = [scale]
+    for r, e in planted:
+        for _ in range(e):
+            poly = polymul(poly, [Fraction(1), -r])
+    poly = polymul(poly, [Fraction(1), Fraction(0), a])
+    roots = linalg.rational_roots([QQ.from_fraction(c) for c in poly])
+    assert [r.value for r in roots] == sorted({r for r, _ in planted})
+
+
+def test_rational_roots_of_linear_and_constant_polynomials():
+    assert linalg.rational_roots([QQ.from_int(3), QQ.from_int(-2)]) == [QQ.element(2, 3)]
+    assert linalg.rational_roots([QQ.one(), QQ.zero(), QQ.zero()]) == [QQ.zero()]
+    assert linalg.rational_roots([QQ.from_int(5)]) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(fields=(QQ,), max_n=5))
+def test_rational_roots_match_divisor_enumeration(case):
+    field, mat = case
+    coeffs = linalg.char_poly(mat, field)
+    assert linalg.rational_roots(coeffs) == reference_rational_roots(coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(fields=FIELDS, max_n=5))
+def test_roots_and_multiplicities_match_generalized_eigenspaces(case):
+    field, mat = case
+    n = len(mat)
+    coeffs = linalg.char_poly(mat, field)
+    if field.p is None:
+        roots = linalg.rational_roots(coeffs)
+        assert roots == reference_rational_roots(reference_char_poly(mat, field))
+    else:
+        roots = linalg.prime_field_roots(coeffs)
+        assert roots == reference_prime_field_roots(mat, field)
+    for lam in roots:
+        power = linalg.mat_pow(linalg.mat_sub_scalar_identity(mat, lam), n, field)
+        assert linalg.root_multiplicity(coeffs, lam) == len(linalg.kernel_basis(power, field))
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(fields=FIELDS, max_n=6, rows=st.integers(1, 6)))
+def test_kernel_basis_matches_reference(case):
+    field, mat = case
+    assert linalg.kernel_basis(mat, field) == reference_kernel_basis(mat, field)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(fields=FIELDS, max_n=5, rows=st.integers(1, 4)), st.data())
+def test_in_span_matches_rank_test(case, data):
+    field, vectors = case
+    n = len(vectors[0])
+    if n == 0:
+        return
+    coeffs = data.draw(st.lists(small_elements(field), min_size=len(vectors), max_size=len(vectors)))
+    inside = [sum((c * v[i] for c, v in zip(coeffs, vectors)), field.zero()) for i in range(n)]
+    anywhere = data.draw(st.lists(small_elements(field), min_size=n, max_size=n))
+    basis = linalg.span_basis(vectors, field)
+    assert linalg.in_span(basis, inside, field)
+    assert linalg.in_span(basis, anywhere, field) == reference_in_span(vectors, anywhere, field)
+
+
+def test_mat_pow_matches_repeated_products():
+    field = prime_field(7)
+    mat = [[field.from_int((3 * i + j * j) % 7) for j in range(4)] for i in range(4)]
+    product = linalg.identity_matrix(field, 4)
+    for k in range(6):
+        assert linalg.mat_pow(mat, k, field) == product
+        product = linalg.mat_mul(product, mat, field)
+
+
+@st.composite
+def operators(draw):
+    """Dense operators on k0[x]/(x^(N+1)): conjugates of family tables,
+    triangular ones with repeated eigenvalues, and unstructured ones."""
+    field = draw(st.sampled_from(FIELDS))
+    N = draw(st.integers(1, 5))
+    algebra = AlgebraSpec(field, nvars=1, unital=False, truncation=N)
+    kind = draw(st.sampled_from(["conjugate", "triangular", "dense"]))
+    weight = draw(st.sampled_from([field.zero(), field.one()]))
+    if kind == "conjugate":
+        c = draw(small_elements(field))
+        nonzero = small_elements(field, low=1)
+        try:
+            if weight.is_one():
+                table = construct_weight_one_univariate(draw(nonzero), algebra, N)
+            else:
+                params = WeightZeroFamilyParams(1, {1: (1, draw(nonzero))})
+                table = construct_weight_zero(params, algebra, N)
+        except RBAlgebraError:  # a family denominator vanishes mod p
+            assume(False)
+        return quadratic_shift_conjugate(table, c), weight
+    images = {}
+    for i in range(1, N + 1):
+        terms = {}
+        for j in range(1, N + 1):
+            if kind == "triangular" and j < i:
+                continue
+            if kind == "triangular" and j == i:
+                value = field.from_int(draw(st.integers(0, 2)))
+            else:
+                value = draw(st.one_of(st.just(field.zero()), small_elements(field)))
+            if not value.is_zero():
+                terms[algebra.monomial(j)] = value
+        images[algebra.monomial(i)] = Polynomial(algebra, terms)
+    return DenseOperator(algebra, weight, N, images), weight
+
+
+@settings(max_examples=80, deadline=None)
+@given(operators())
+def test_grading_decompose_matches_reference(case):
+    op, weight = case
+    try:
+        expected = reference_grading_decompose(op, weight)
+    except ValueError as err:  # the divisor enumeration gives up
+        assume("divisor enumeration" not in str(err))
+        raise
+    except NonSplitSpectrum as err:
+        with pytest.raises(NonSplitSpectrum) as got:
+            grading_decompose(op, weight)
+        assert str(got.value) == str(err)
+        return
+    got = grading_decompose(op, weight)
+    assert got.spectrum == expected.spectrum
+    assert got.spaces == expected.spaces
+    assert got.products == expected.products
