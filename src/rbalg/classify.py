@@ -6,8 +6,10 @@ The search enumerates shape functions (source exponent -> optional
 target exponent) depth-first with sound pruning: for every monomial
 pair the degree bookkeeping of the Rota-Baxter identity in the quotient
 must admit SOME nonzero coefficient assignment, using only the fact
-that stored coefficients are nonzero.  Surviving shapes get their
-coefficients from exact constraint propagation: substituting known
+that stored coefficients are nonzero.  Each pair is checked once per
+option of its last referenced source, from a table compiled once per
+(u, v, t[u], t[v]) and filed under that source.  Surviving shapes get
+their coefficients from exact constraint propagation: substituting known
 values turns per-degree constraints into polynomials of degree <= 2 in
 one unknown, solved exactly over the field; genuinely free coefficients
 (family parameters) are instantiated from a finite strategy grid; and
@@ -25,9 +27,10 @@ the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cache, partial
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .construct import (
     SplittingSpec,
@@ -54,7 +57,6 @@ from .operators import (
 from .poly import AlgebraSpec, Monomial
 from .rbcheck import rb_check
 
-UNASSIGNED = -2
 ABSENT = -1
 
 _SOLVER_PRIME_CAP = 4096
@@ -92,60 +94,46 @@ def default_strategy(field: FieldSpec) -> CoefficientStrategy:
 # -- shape-level pruning -------------------------------------------------------
 
 
-def _pair_max_ref(t, u: int, v: int, lam_one: bool, D: int) -> int:
-    refs = v
-    tu, tv = t[u], t[v]
-    if tu >= 0 and tu + v <= D and tu + v > refs:
-        refs = tu + v
-    if tv >= 0 and u + tv <= D and u + tv > refs:
-        refs = u + tv
-    if lam_one and u + v <= D and u + v > refs:
-        refs = u + v
-    return refs
+def _compile_pair(u: int, v: int, tu: int, tv: int, lam_one: bool, D: int):
+    """Degree bookkeeping of the identity for the pair (x^u, x^v), u <= v,
+    from its two targets: (last source read, (lhs degree or None, groups)).
 
-
-def _pair_consistent(t, u: int, v: int, lam_one: bool, D: int) -> bool:
-    """Degree bookkeeping of the identity for the pair (x^u, x^v).
-
-    Sound filter: returns False only when no nonzero coefficient
-    assignment can satisfy the pair, using certainty of single-term
-    groups (products of nonzero entries never vanish).
+    groups holds each inner term x^i, i <= D, as (i, certain, other
+    indices); it is certain when its coefficient cannot cancel, i.e. it
+    is one product of nonzero entries (for u == v, 2*a_u*a_i).
     """
-    tu, tv = t[u], t[v]
-    groups: Dict[int, List[str]] = {}
-    if tu >= 0:
-        ia = tu + v
-        if ia <= D:
-            groups.setdefault(ia, []).append("q")
-    if tv >= 0:
-        ib = u + tv
-        if ib <= D:
-            groups.setdefault(ib, []).append("q")
-    if lam_one:
-        ic = u + v
-        if ic <= D:
-            groups.setdefault(ic, []).append("l")
-    lhs_degree = tu + tv if (tu >= 0 and tv >= 0 and tu + tv <= D) else None
-    degs: Dict[int, List[bool]] = {}
-    for i, tags in groups.items():
-        ti = t[i]
-        if ti == ABSENT:
-            continue
-        if len(tags) == 1:
-            certain = True
-        elif u == v and tags == ["q", "q"]:
-            certain = True  # the two quadratic terms coincide: 2*a_u*a_i
-        else:
-            certain = False  # merged coefficients may cancel
-        degs.setdefault(ti, []).append(certain)
-    if lhs_degree is not None and lhs_degree not in degs:
-        return False
-    for d, flags in degs.items():
-        if d == lhs_degree:
-            continue
-        if len(flags) == 1 and flags[0]:
-            return False
-    return True
+    inner = []
+    if tu >= 0 and tu + v <= D:
+        inner.append(tu + v)
+    if tv >= 0 and u + tv <= D and u != v:  # for a square, the term above again
+        inner.append(u + tv)
+    if lam_one and u + v <= D:
+        inner.append(u + v)
+    idx = list(dict.fromkeys(inner))
+    groups = tuple(
+        (i, inner.count(i) == 1, tuple(j for j in idx if j != i)) for i in idx
+    )
+    lhs = tu + tv if tu >= 0 and tv >= 0 and tu + tv <= D else None
+    return max((v, *idx)), (lhs, groups)
+
+
+def _pair_holds(t, lhs, groups) -> bool:
+    """Sound filter on a compiled pair: False only when no nonzero
+    coefficients satisfy it, i.e. no inner image reaches the left-hand
+    degree, or another degree gets a lone certain term.
+    """
+    hit = lhs is None
+    for i, certain, others in groups:
+        d = t[i]
+        if d == lhs:
+            hit = True
+        elif certain and d != ABSENT:
+            for j in others:
+                if t[j] == d:
+                    break
+            else:
+                return False
+    return hit
 
 
 def _respects_kernel_image_structure(t, sources: Sequence[int], D: int) -> bool:
@@ -595,13 +583,7 @@ class SearchStats:
     candidates_rejected: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "nodes_visited": self.nodes_visited,
-            "shapes_enumerated": self.shapes_enumerated,
-            "shapes_pruned": self.shapes_pruned,
-            "systems_solved": self.systems_solved,
-            "candidates_rejected": self.candidates_rejected,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -642,6 +624,65 @@ class ClassificationReport:
         }
 
 
+def _surviving_shapes(
+    D: int, unital: bool, lam_one: bool, budget: int, stats: SearchStats
+) -> Iterator[Tuple[int, ...]]:
+    """Depth-first, the shapes (t[n] the target of source n, or ABSENT)
+    that pass pair pruning and the structure filter; fills the shape
+    counters of stats.  Each pair (x^u, x^v), u <= v, is compiled once per
+    (u, v, t[u], t[v]) when v is assigned and checked by every option of
+    its last referenced source: filed under that source until backtracking.
+    """
+    sources = list(range(0 if unital else 1, D + 1))
+    options = [ABSENT] + sources
+    t = [ABSENT] * (D + 1)  # entries above the current source are never read
+    filed: List[list] = [[] for _ in range(D + 1)]
+    compiled = cache(partial(_compile_pair, lam_one=lam_one, D=D))
+
+    def dfs(pos: int):
+        stats.nodes_visited += 1
+        if stats.nodes_visited > budget:
+            raise SearchBudgetExceeded(
+                f"shape budget of {budget} nodes exhausted", replace(stats)
+            )
+        if pos == len(sources):
+            stats.shapes_enumerated += 1
+            if lam_one:
+                structural_ok = _respects_kernel_image_structure(t, sources, D)
+            else:
+                structural_ok = _respects_class_closure(t, sources, D, unital)
+            if structural_ok:
+                yield tuple(t)
+            else:
+                stats.shapes_pruned += 1
+            return
+        k = sources[pos]
+        waiting = filed[k]
+        for option in options:
+            t[k] = option
+            for lhs, groups in waiting:
+                if not _pair_holds(t, lhs, groups):
+                    break
+            else:  # the filed pairs hold; now the pairs (u, k)
+                later = []
+                for u in sources[: pos + 1]:
+                    entry = compiled(u, k, t[u], option)
+                    if entry[0] != k:
+                        later.append(entry)
+                    elif not _pair_holds(t, *entry[1]):
+                        break
+                else:  # no pair closing at k fails: file the rest, descend
+                    for last, check in later:
+                        filed[last].append(check)
+                    yield from dfs(pos + 1)
+                    for last, _ in later:
+                        filed[last].pop()
+                    continue
+            stats.shapes_pruned += 1
+
+    yield from dfs(0)
+
+
 def enumerate_monomial_rb(
     algebra: AlgebraSpec,
     weight: FieldElement,
@@ -660,27 +701,23 @@ def enumerate_monomial_rb(
     field = algebra.field
     if not (weight.is_zero() or weight.is_one()):
         raise InvalidParams("search weights are 0 and 1 (rescale first)")
+    if degree_bound < 1:
+        raise InvalidParams("degree bound must be >= 1")
     if degree_bound > 10:
         raise InvalidParams("degree bound capped at 10 (cost guard)")
+    if algebra.truncation is not None and algebra.truncation < degree_bound:
+        raise InvalidParams("degree bound exceeds the algebra's truncation")
     if field.kind is FieldKind.PRIME and field.p <= degree_bound:
         raise InvalidParams("prime fields need p > degree bound")
     if strategy is None:
         strategy = default_strategy(field)
-    search_algebra = AlgebraSpec(
-        field, nvars=1, unital=algebra.unital, truncation=degree_bound
-    )
+    search_algebra = replace(algebra, truncation=degree_bound)
     D = degree_bound
     lam_one = weight.is_one()
-    min_src = 0 if algebra.unital else 1
-    sources = list(range(min_src, D + 1))
     stats = SearchStats()
-    t = [ABSENT] * (D + 1)
-    for s in sources:
-        t[s] = UNASSIGNED
-    options = [ABSENT] + list(range(min_src, D + 1))
     by_signature: Dict[tuple, Solution] = {}
 
-    def class_leaders(defined):
+    def class_leaders(t, defined):
         """First defined source of each residue class mod the target gcd.
 
         These carry the family parameters q_b; a seed there is expected
@@ -702,17 +739,10 @@ def enumerate_monomial_rb(
             first.setdefault(n % m_star, n)
         return set(first.values())
 
-    def handle_leaf():
-        stats.shapes_enumerated += 1
-        if lam_one:
-            structural_ok = _respects_kernel_image_structure(t, sources, D)
-        else:
-            structural_ok = _respects_class_closure(t, sources, D, algebra.unital)
-        if not structural_ok:
-            stats.shapes_pruned += 1
-            return
+    sources = range(algebra.min_degree(), D + 1)
+    for t in _surviving_shapes(D, algebra.unital, lam_one, strategy.shape_budget, stats):
         defined = [n for n in sources if t[n] >= 0]
-        leaders = class_leaders(defined)
+        leaders = class_leaders(t, defined)
         equations = _shape_equations(t, sources, lam_one, D)
         stats.systems_solved += 1
         for values, seeded, orphans in _solve_coefficients(
@@ -726,9 +756,7 @@ def enumerate_monomial_rb(
             if not rb_check(table, weight, D).passed:
                 stats.candidates_rejected += 1
                 continue
-            signature = tuple(
-                (n, values[n].sort_key(), t[n]) for n in defined
-            )
+            signature = tuple((n, values[n].sort_key(), t[n]) for n in defined)
             if signature in by_signature:
                 continue
             undetermined = tuple(
@@ -741,39 +769,6 @@ def enumerate_monomial_rb(
             else:
                 match = match_family(table)
             by_signature[signature] = Solution(table, match, seeded, undetermined)
-
-    def dfs(pos: int):
-        stats.nodes_visited += 1
-        if stats.nodes_visited > strategy.shape_budget:
-            raise SearchBudgetExceeded(
-                f"shape budget of {strategy.shape_budget} nodes exhausted"
-            )
-        if pos == len(sources):
-            handle_leaf()
-            return
-        k = sources[pos]
-        for option in options:
-            t[k] = option
-            ok = True
-            # check pairs newly decided by this assignment
-            for ui in range(pos + 1):
-                u = sources[ui]
-                for vi in range(ui, pos + 1):
-                    v = sources[vi]
-                    if _pair_max_ref(t, u, v, lam_one, D) != k:
-                        continue
-                    if not _pair_consistent(t, u, v, lam_one, D):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                dfs(pos + 1)
-            else:
-                stats.shapes_pruned += 1
-        t[k] = UNASSIGNED
-
-    dfs(0)
 
     def solution_key(s: Solution):
         entries = sorted(

@@ -77,7 +77,12 @@ class NotASubalgebra(RBAlgebraError):
 
 
 class SearchBudgetExceeded(RBAlgebraError):
-    pass
+    """A search hit its budget; ``stats`` is the shape search's state at
+    the abort (a copy of its ``SearchStats``), None for other searches."""
+
+    def __init__(self, message: str, stats=None):
+        super().__init__(message)
+        self.stats = stats
 
 
 class NonUnitalAlgebra(RBAlgebraError):

@@ -19,8 +19,9 @@ from rbalg import (
     construct_weight_zero,
     rb_residual,
 )
-from rbalg import grading, linalg
-from rbalg.errors import NonSplitSpectrum
+from rbalg import classify, grading, linalg
+from rbalg.classify import ABSENT, _respects_class_closure, _respects_kernel_image_structure
+from rbalg.errors import NonSplitSpectrum, SearchBudgetExceeded
 from rbalg.fields import FieldKind
 from rbalg.rbcheck import CheckReport, RBViolation
 
@@ -303,3 +304,121 @@ def reference_grading_decompose(R, weight):
         mock.patch.object(linalg, "in_span", reference_in_span),
     ):
         return grading.grading_decompose(R, weight)
+
+
+# -- the shape DFS before the pair schedule -------------------------------------
+
+UNASSIGNED = -2
+
+
+def _pair_max_ref(t, u: int, v: int, lam_one: bool, D: int) -> int:
+    refs = v
+    tu, tv = t[u], t[v]
+    if tu >= 0 and tu + v <= D and tu + v > refs:
+        refs = tu + v
+    if tv >= 0 and u + tv <= D and u + tv > refs:
+        refs = u + tv
+    if lam_one and u + v <= D and u + v > refs:
+        refs = u + v
+    return refs
+
+
+def _pair_consistent(t, u: int, v: int, lam_one: bool, D: int) -> bool:
+    """Degree bookkeeping of the identity for the pair (x^u, x^v).
+
+    Sound filter: returns False only when no nonzero coefficient
+    assignment can satisfy the pair, using certainty of single-term
+    groups (products of nonzero entries never vanish).
+    """
+    tu, tv = t[u], t[v]
+    groups = {}
+    if tu >= 0:
+        ia = tu + v
+        if ia <= D:
+            groups.setdefault(ia, []).append("q")
+    if tv >= 0:
+        ib = u + tv
+        if ib <= D:
+            groups.setdefault(ib, []).append("q")
+    if lam_one:
+        ic = u + v
+        if ic <= D:
+            groups.setdefault(ic, []).append("l")
+    lhs_degree = tu + tv if (tu >= 0 and tv >= 0 and tu + tv <= D) else None
+    degs = {}
+    for i, tags in groups.items():
+        ti = t[i]
+        if ti == ABSENT:
+            continue
+        if len(tags) == 1:
+            certain = True
+        elif u == v and tags == ["q", "q"]:
+            certain = True  # the two quadratic terms coincide: 2*a_u*a_i
+        else:
+            certain = False  # merged coefficients may cancel
+        degs.setdefault(ti, []).append(certain)
+    if lhs_degree is not None and lhs_degree not in degs:
+        return False
+    for d, flags in degs.items():
+        if d == lhs_degree:
+            continue
+        if len(flags) == 1 and flags[0]:
+            return False
+    return True
+
+
+def reference_shapes(D, unital, lam_one, budget, stats):
+    """``classify._surviving_shapes`` as the old loop: at every node and
+    option, rescan all earlier pairs for those whose last reference is the
+    current source and re-derive each one's bookkeeping from ``t``."""
+    min_src = 0 if unital else 1
+    sources = list(range(min_src, D + 1))
+    t = [ABSENT] * (D + 1)
+    for s in sources:
+        t[s] = UNASSIGNED
+    options = [ABSENT] + list(range(min_src, D + 1))
+
+    def dfs(pos: int):
+        stats.nodes_visited += 1
+        if stats.nodes_visited > budget:
+            raise SearchBudgetExceeded(f"shape budget of {budget} nodes exhausted")
+        if pos == len(sources):
+            stats.shapes_enumerated += 1
+            if lam_one:
+                structural_ok = _respects_kernel_image_structure(t, sources, D)
+            else:
+                structural_ok = _respects_class_closure(t, sources, D, unital)
+            if not structural_ok:
+                stats.shapes_pruned += 1
+                return
+            yield tuple(t)
+            return
+        k = sources[pos]
+        for option in options:
+            t[k] = option
+            ok = True
+            # check pairs newly decided by this assignment
+            for ui in range(pos + 1):
+                u = sources[ui]
+                for vi in range(ui, pos + 1):
+                    v = sources[vi]
+                    if _pair_max_ref(t, u, v, lam_one, D) != k:
+                        continue
+                    if not _pair_consistent(t, u, v, lam_one, D):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                yield from dfs(pos + 1)
+            else:
+                stats.shapes_pruned += 1
+        t[k] = UNASSIGNED
+
+    yield from dfs(0)
+
+
+def reference_enumerate_monomial_rb(algebra, weight, degree_bound, strategy=None):
+    """``enumerate_monomial_rb`` driven by ``reference_shapes``."""
+    with mock.patch.object(classify, "_surviving_shapes", reference_shapes):
+        return classify.enumerate_monomial_rb(algebra, weight, degree_bound, strategy)

@@ -17,7 +17,12 @@ from rbalg import (
 )
 from rbalg.errors import InvalidParams, SearchBudgetExceeded
 
-from helpers import inverse_degree_table, reference_rb_check
+from helpers import (
+    inverse_degree_table,
+    reference_enumerate_monomial_rb,
+    reference_rb_check,
+    reference_shapes,
+)
 
 NONUNITAL = AlgebraSpec(QQ, nvars=1, unital=False, truncation=None)
 UNITAL = AlgebraSpec(QQ, nvars=1, unital=True, truncation=None)
@@ -129,8 +134,9 @@ def test_search_over_prime_field():
 
 def test_search_budget():
     strategy = CoefficientStrategy(grid=(QQ.one(),), shape_budget=3)
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(SearchBudgetExceeded) as exc:
         enumerate_monomial_rb(NONUNITAL, QQ.zero(), 6, strategy)
+    assert exc.value.stats.nodes_visited == 4
 
 
 def test_search_validation():
@@ -142,6 +148,85 @@ def test_search_validation():
     algebra = AlgebraSpec(field, nvars=1, unital=False, truncation=None)
     with pytest.raises(InvalidParams):
         enumerate_monomial_rb(algebra, field.one(), 6)
+    with pytest.raises(InvalidParams):
+        enumerate_monomial_rb(NONUNITAL, QQ.one(), 0)
+    # the tables would hold monomials the caller's algebra does not have
+    truncated = AlgebraSpec(QQ, nvars=1, unital=False, truncation=3)
+    with pytest.raises(InvalidParams):
+        enumerate_monomial_rb(truncated, QQ.zero(), 5)
+    assert enumerate_monomial_rb(truncated, QQ.zero(), 3).solutions
+
+
+@pytest.mark.parametrize("degree", range(1, 8))
+@pytest.mark.parametrize("unital", [False, True])
+@pytest.mark.parametrize("lam_one", [False, True])
+def test_shape_search_matches_reference(lam_one, unital, degree):
+    """The pair-scheduled DFS against the old rescanning loop: the same
+    shapes in the same order and the same counters.  The shape DFS never
+    sees the field, so this covers the search over Q and every GF(p)."""
+    from rbalg.classify import SearchStats, _surviving_shapes
+
+    fast, slow = SearchStats(), SearchStats()
+    got = list(_surviving_shapes(degree, unital, lam_one, 10**7, fast))
+    assert got == list(reference_shapes(degree, unital, lam_one, 10**7, slow))
+    assert fast == slow
+
+
+@pytest.mark.parametrize("budget", [1, 3, 40, 700])
+def test_shape_search_budget_matches_reference(budget):
+    """Both searches abort at the same node, having yielded the same shapes,
+    and the exception carries the counters at the abort."""
+    from rbalg.classify import SearchStats, _surviving_shapes
+
+    fast, slow = SearchStats(), SearchStats()
+    got, want = [], []
+    with pytest.raises(SearchBudgetExceeded):
+        got.extend(_surviving_shapes(6, False, False, budget, fast))
+    with pytest.raises(SearchBudgetExceeded):
+        want.extend(reference_shapes(6, False, False, budget, slow))
+    assert got == want and fast == slow
+    assert fast.nodes_visited == budget + 1
+    strategy = CoefficientStrategy(grid=(QQ.one(),), shape_budget=budget)
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        enumerate_monomial_rb(NONUNITAL, QQ.zero(), 6, strategy)
+    aborted = exc.value.stats
+    assert (aborted.nodes_visited, aborted.shapes_enumerated, aborted.shapes_pruned) == (
+        fast.nodes_visited,
+        fast.shapes_enumerated,
+        fast.shapes_pruned,
+    )
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(11)], ids=str)
+def test_search_report_matches_reference(field):
+    """Whole reports, solutions and all five counters, at bounds 1..5."""
+    for degree in range(1, 6):
+        for unital in (False, True):
+            algebra = AlgebraSpec(field, nvars=1, unital=unital, truncation=None)
+            for weight in (field.zero(), field.one()):
+                got = enumerate_monomial_rb(algebra, weight, degree).to_json_dict()
+                want = reference_enumerate_monomial_rb(algebra, weight, degree)
+                assert got == want.to_json_dict(), (degree, unital, weight)
+
+
+@pytest.mark.parametrize(
+    "field,grid,weight,unital,degree,stats,count",
+    [
+        (QQ, None, 1, False, 8, (3471, 8, 27703, 2, 0), 7),
+        (QQ, None, 1, True, 8, (8971, 22, 80526, 16, 0), 4),
+        (QQ, None, 0, False, 6, (1573, 515, 6203, 146, 0), 771),
+        (prime_field(11), (1, 2, 3), 0, True, 5, (2077, 808, 7204, 411, 0), 89),
+    ],
+)
+def test_search_stats_pinned(field, grid, weight, unital, degree, stats, count):
+    """Counters of fixed searches, so a change in pruning shows."""
+    strategy = None
+    if grid is not None:
+        strategy = CoefficientStrategy(tuple(field.from_int(v) for v in grid))
+    algebra = AlgebraSpec(field, nvars=1, unital=unital, truncation=None)
+    report = enumerate_monomial_rb(algebra, field.from_int(weight), degree, strategy)
+    assert tuple(report.stats.to_json_dict().values()) == stats
+    assert len(report.solutions) == count
 
 
 def test_match_inverse_degree_family():
