@@ -226,6 +226,8 @@ def aybe_grid_search(
     key contributions of every cell pair are precomputed once and each
     grid assignment is evaluated on raw coefficient values.
     """
+    if not algebra.unital:
+        raise NonUnitalAlgebra("tensor computations require a unital algebra")
     basis = list(algebra.basis(support_degree))
     cells = [(a, b) for a in basis for b in basis]
     ncells = len(cells)

@@ -32,13 +32,13 @@ from enum import Enum
 from functools import cache, partial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from . import linalg
 from .construct import (
     SplittingSpec,
     WeightZeroFamilyParams,
     construct_splitting,
     construct_weight_one_univariate,
     construct_weight_zero,
-    split_constant_part,
 )
 from .errors import (
     DenominatorVanishes,
@@ -47,19 +47,11 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .fields import FieldElement, FieldKind, FieldSpec
-from .linalg import exact_fraction_sqrt
-from .operators import (
-    AutomorphismSpec,
-    MonomialOperatorTable,
-    op_conjugate,
-    operators_agree,
-)
+from .operators import MonomialOperatorTable
 from .poly import AlgebraSpec, Monomial
 from .rbcheck import rb_check
 
 ABSENT = -1
-
-_SOLVER_PRIME_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -223,14 +215,13 @@ def _shape_equations(t, sources: Sequence[int], lam_one: bool, D: int):
     return equations
 
 
-def _substitute(terms, values, field: FieldSpec):
-    """Split an equation into (constant, linear, quadratic) given values."""
-    const = field.zero()
-    linear: Dict[int, FieldElement] = {}
-    quad: Dict[Tuple[int, int], FieldElement] = {}
-    one = field.one()
-    for sign, variables in terms:
-        coeff = one if sign > 0 else -one
+def _substitute(terms, values, p):
+    """Split an equation into raw (constant, linear, quadratic) parts given
+    raw values: Fractions over Q (p None), ints reduced mod p over GF(p)."""
+    const = 0
+    linear: Dict[int, object] = {}
+    quad: Dict[Tuple[int, int], object] = {}
+    for coeff, variables in terms:
         unknown = []
         for var in variables:
             val = values.get(var)
@@ -239,41 +230,33 @@ def _substitute(terms, values, field: FieldSpec):
             else:
                 coeff = coeff * val
         if not unknown:
-            const = const + coeff
+            const += coeff
         elif len(unknown) == 1:
             x = unknown[0]
-            linear[x] = linear.get(x, field.zero()) + coeff
+            linear[x] = linear.get(x, 0) + coeff
         else:
             key = tuple(sorted(unknown))
-            quad[key] = quad.get(key, field.zero()) + coeff
-    linear = {x: c for x, c in linear.items() if not c.is_zero()}
-    quad = {k: c for k, c in quad.items() if not c.is_zero()}
+            quad[key] = quad.get(key, 0) + coeff
+    if p is not None:
+        const %= p
+        linear = {x: c % p for x, c in linear.items()}
+        quad = {k: c % p for k, c in quad.items()}
+    linear = {x: c for x, c in linear.items() if c}
+    quad = {k: c for k, c in quad.items() if c}
     return const, linear, quad
 
 
-def _nonzero_roots(a2: FieldElement, a1: FieldElement, a0: FieldElement):
-    """Roots of a2 x^2 + a1 x + a0 in the field, zero excluded."""
-    field = a2.spec
-    if a2.is_zero():
-        if a1.is_zero():
-            return [] if not a0.is_zero() else None  # None: vacuous, no info
-        root = -a0 / a1
-        return [] if root.is_zero() else [root]
-    if field.kind is FieldKind.RATIONALS:
-        disc = a1 * a1 - 4 * a2 * a0
-        sqrt = exact_fraction_sqrt(disc.value)
-        if sqrt is None:
+def _nonzero_roots(a2, a1, a0, field: FieldSpec):
+    """Raw roots of a2 x^2 + a1 x + a0 in the field, zero excluded."""
+    if not a2:
+        if not a1:
+            return [] if a0 else None  # None: vacuous, no info
+        if not a0:
             return []
-        s = field.from_fraction(sqrt)
-        roots = {(-a1 + s) / (2 * a2), (-a1 - s) / (2 * a2)}
-        return sorted((r for r in roots if not r.is_zero()), key=lambda r: r.sort_key())
-    p = field.p
-    if p > _SOLVER_PRIME_CAP:
-        raise SearchBudgetExceeded(
-            f"quadratic root enumeration over GF({p}) is beyond desk scale"
-        )
-    c2, c1, c0 = a2.value, a1.value, a0.value
-    return [field.from_int(v) for v in range(1, p) if (c2 * v * v + c1 * v + c0) % p == 0]
+        p = field.p
+        return [-a0 / a1 if p is None else -a0 * pow(a1, -1, p) % p]
+    coeffs = [FieldElement(field, c) for c in (a2, a1, a0)]
+    return [r.value for r in linalg.roots(coeffs) if r]
 
 
 def _solve_coefficients(
@@ -282,7 +265,14 @@ def _solve_coefficients(
     field: FieldSpec,
     strategy: CoefficientStrategy,
 ):
-    """All full nonzero assignments: (values, seeded, orphans) triples."""
+    """All full nonzero assignments: (values, seeded, orphans) triples.
+
+    Propagation and seeding run on raw values; each triple's values are
+    FieldElements.
+    """
+    p = field.p
+    one = field.one().value
+    grid = [g.value for g in strategy.grid if g]
     solutions = []
     unknown_order = list(unknowns)
 
@@ -292,19 +282,17 @@ def _solve_coefficients(
             progress = False
             active = []
             for terms in equations:
-                const, linear, quad = _substitute(terms, values, field)
+                const, linear, quad = _substitute(terms, values, p)
                 varset = set(linear)
                 for pair in quad:
                     varset.update(pair)
                 if not varset:
-                    if not const.is_zero():
+                    if const:
                         return
                     continue
                 if len(varset) == 1:
                     (x,) = varset
-                    a2 = quad.get((x, x), field.zero())
-                    a1 = linear.get(x, field.zero())
-                    roots = _nonzero_roots(a2, a1, const)
+                    roots = _nonzero_roots(quad.get((x, x), 0), linear.get(x, 0), const, field)
                     if roots is None:
                         continue
                     if not roots:
@@ -333,22 +321,23 @@ def _solve_coefficients(
             if not seedable:
                 # truncation artifacts: no constraint mentions them at all
                 for x in remaining:
-                    values[x] = field.one()
+                    values[x] = one
                 solutions.append((values, seeded, tuple(remaining)))
                 return
             if len(seeded) >= strategy.max_seeds:
                 return
             x = seedable[0]
-            for value in strategy.grid:
-                if value.is_zero():
-                    continue
+            for value in grid:
                 branched = dict(values)
                 branched[x] = value
                 recurse(branched, seeded + (x,))
             return
 
     recurse({}, ())
-    return solutions
+    return [
+        ({x: FieldElement(field, v) for x, v in values.items()}, seeded, orphans)
+        for values, seeded, orphans in solutions
+    ]
 
 
 # -- family matching ---------------------------------------------------------
@@ -455,8 +444,8 @@ def _match_splitting_conjugate(table: MonomialOperatorTable) -> Optional[FamilyM
     operator with parts <x> (killed) and the constants.
 
     Normalized to weight -1 the table must read R(x^n) = a^n * 1 with
-    R(1) = 1; scaling x -> x/a then shifting x -> x - 1 must then land
-    exactly on the splitting operator.
+    R(1) = 1, i.e. R f = f(a) * 1; scaling x -> x/a then shifting
+    x -> x - 1 turns that into f -> f(0) * 1, the splitting operator.
     """
     algebra = table.algebra
     field = algebra.field
@@ -466,25 +455,16 @@ def _match_splitting_conjugate(table: MonomialOperatorTable) -> Optional[FamilyM
     if any(dst != one_mono for _, dst in table.entries.values()):
         return None
     scale = -field.one() / table.weight
-    entries = {src: (scale * c, dst) for src, (c, dst) in table.entries.items()}
-    normalized = MonomialOperatorTable(algebra, -field.one(), table.degree_bound, entries)
-    hit1 = normalized.entries.get(algebra.monomial(1))
-    hit0 = normalized.entries.get(one_mono)
-    if hit1 is None or hit0 is None or not hit0[0].is_one():
+    hit1 = table.entries.get(algebra.monomial(1))
+    hit0 = table.entries.get(one_mono)
+    if hit1 is None or hit0 is None or not (scale * hit0[0]).is_one():
         return None
-    alpha = hit1[0]
+    alpha = scale * hit1[0]
     for n in range(0, table.degree_bound + 1):
-        hit = normalized.entries.get(algebra.monomial(n))
-        if hit is None or hit[0] != alpha**n:
+        hit = table.entries.get(algebra.monomial(n))
+        if hit is None or scale * hit[0] != alpha**n:
             return None
-    descaled = op_conjugate(normalized, AutomorphismSpec.scaling((alpha.inverse(),)))
-    shifted = op_conjugate(descaled, AutomorphismSpec.shift())
-    splitting = construct_splitting(
-        split_constant_part(), -field.one(), algebra, table.degree_bound
-    )
-    if operators_agree(shifted, splitting, table.degree_bound):
-        return FamilyMatch(MatchKind.SPLITTING_CONJUGATE, alpha=alpha)
-    return None
+    return FamilyMatch(MatchKind.SPLITTING_CONJUGATE, alpha=alpha)
 
 
 def match_family(table: MonomialOperatorTable) -> FamilyMatch:
@@ -796,6 +776,8 @@ def enumerate_injective_diagonal(
     only such operator is -id.
     """
     field = algebra.field
+    if not (weight.is_zero() or weight.is_one()):
+        raise InvalidParams("diagonal search supports weights 0 and 1")
     if strategy is None:
         strategy = default_strategy(field)
     basis = list(algebra.basis(degree_bound))
@@ -812,10 +794,7 @@ def enumerate_injective_diagonal(
                 continue  # outside the checked window
             iu, iv, iw = index[u], index[v], index[w]
             terms = [(1, (iu, iv)), (-1, (iu, iw)), (-1, (iv, iw))]
-            if not weight.is_zero():
-                # fold the weight into a linear term; weight 1 only here
-                if not weight.is_one():
-                    raise InvalidParams("diagonal search supports weights 0 and 1")
+            if weight.is_one():
                 terms.append((-1, (iw,)))
             equations.append(terms)
     tables = []

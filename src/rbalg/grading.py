@@ -32,14 +32,11 @@ from . import linalg
 from .errors import (
     CharacteristicObstruction,
     NonSplitSpectrum,
-    SearchBudgetExceeded,
     ZeroArgument,
 )
-from .fields import FieldElement, FieldKind, prime_field
+from .fields import FieldElement, prime_field
 from .operators import LinearOperator, MonomialOperatorTable
 from .poly import AlgebraSpec, Polynomial
-
-_EIGEN_ENUM_CAP = 65536
 
 
 class PartialProductKind(Enum):
@@ -192,14 +189,7 @@ def _matrix_decomposition(R: LinearOperator):
     n = len(basis)
     mat = R.as_matrix(basis)
     coeffs = linalg.char_poly(mat, spec)
-    if spec.kind is FieldKind.PRIME:
-        if spec.p > _EIGEN_ENUM_CAP:
-            raise SearchBudgetExceeded(
-                f"eigenvalue enumeration over GF({spec.p}) is beyond desk scale"
-            )
-        roots = linalg.prime_field_roots(coeffs)
-    else:
-        roots = linalg.rational_roots(coeffs)
+    roots = linalg.roots(coeffs)
     multiplicities = [linalg.root_multiplicity(coeffs, lam) for lam in roots]
     covered = sum(multiplicities)
     if covered != n:

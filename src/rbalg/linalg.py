@@ -8,9 +8,10 @@ reduced mod p over GF(p)), with ``p`` None standing for Q.
 
 Kernels and span membership come from the reduced row echelon form,
 determinants from Gaussian elimination, and the characteristic
-polynomial from a Hessenberg reduction, in every characteristic.  Its
-roots are found by Horner evaluation over GF(p) and by p-adic lifting
-plus rational reconstruction over Q.
+polynomial from a Hessenberg reduction, in every characteristic.
+Polynomial roots are found by Horner evaluation over GF(p) and by p-adic
+lifting plus rational reconstruction over Q; ``roots`` serves both the
+grading of spectra and the coefficient solver of the shape search.
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import List, Optional, Tuple
 
+from .errors import SearchBudgetExceeded
 from .fields import FieldElement, FieldSpec
+
+_ROOT_SCAN_CAP = 65536  # largest p whose elements ``roots`` tries one by one
 
 Matrix = List[List[FieldElement]]
 Vector = List[FieldElement]
@@ -287,13 +291,6 @@ def char_poly(mat: Matrix, spec: FieldSpec) -> List[FieldElement]:
     return [FieldElement(spec, c) for c in reversed(polys[n])]
 
 
-def prime_field_roots(coeffs: List[FieldElement]) -> List[FieldElement]:
-    """Roots in GF(p), ascending, by Horner evaluation at every element."""
-    spec = coeffs[0].spec
-    raw = [c.value for c in coeffs]
-    return [FieldElement(spec, v) for v in range(spec.p) if not _horner(raw, v, spec.p)]
-
-
 def root_multiplicity(coeffs: List[FieldElement], root: FieldElement) -> int:
     """How often t - root divides the polynomial, by synthetic division."""
     linear = [root.spec.one().value, (-root).value]
@@ -387,12 +384,14 @@ def rational_roots(coeffs: List[FieldElement]) -> List[FieldElement]:
     return [spec.from_fraction(r) for r in sorted(roots)]
 
 
-def exact_fraction_sqrt(value: Fraction) -> Optional[Fraction]:
-    """Square root of a non-negative rational if it is rational, else None."""
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+def roots(coeffs: List[FieldElement]) -> List[FieldElement]:
+    """All roots in the field, ascending: ``rational_roots`` over Q, and
+    Horner evaluation at every element over GF(p) for p up to the cap."""
+    spec = coeffs[0].spec
+    p = spec.p
+    if p is None:
+        return rational_roots(coeffs)
+    if p > _ROOT_SCAN_CAP:
+        raise SearchBudgetExceeded(f"root enumeration over GF({p}) is beyond desk scale")
+    raw = [c.value for c in coeffs]
+    return [FieldElement(spec, v) for v in range(p) if not _horner(raw, v, p)]

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
+from typing import Dict, Optional, Sequence, Tuple
 from unittest import mock
 
 from hypothesis import strategies as st
@@ -20,9 +21,14 @@ from rbalg import (
     rb_residual,
 )
 from rbalg import classify, grading, linalg
-from rbalg.classify import ABSENT, _respects_class_closure, _respects_kernel_image_structure
+from rbalg.classify import (
+    ABSENT,
+    CoefficientStrategy,
+    _respects_class_closure,
+    _respects_kernel_image_structure,
+)
 from rbalg.errors import NonSplitSpectrum, SearchBudgetExceeded
-from rbalg.fields import FieldKind
+from rbalg.fields import FieldElement, FieldKind, FieldSpec
 from rbalg.rbcheck import CheckReport, RBViolation
 
 
@@ -306,6 +312,150 @@ def reference_grading_decompose(R, weight):
         return grading.grading_decompose(R, weight)
 
 
+# -- the coefficient solver on FieldElements, before raw values and linalg.roots
+
+_REFERENCE_SOLVER_PRIME_CAP = 4096
+
+
+def _reference_fraction_sqrt(value: Fraction) -> Optional[Fraction]:
+    """Square root of a non-negative rational if it is rational, else None."""
+    if value < 0:
+        return None
+    num, den = value.numerator, value.denominator
+    rn, rd = isqrt(num), isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return Fraction(rn, rd)
+    return None
+
+
+def _reference_substitute(terms, values, field: FieldSpec):
+    """Split an equation into (constant, linear, quadratic) given values."""
+    const = field.zero()
+    linear: Dict[int, FieldElement] = {}
+    quad: Dict[Tuple[int, int], FieldElement] = {}
+    one = field.one()
+    for sign, variables in terms:
+        coeff = one if sign > 0 else -one
+        unknown = []
+        for var in variables:
+            val = values.get(var)
+            if val is None:
+                unknown.append(var)
+            else:
+                coeff = coeff * val
+        if not unknown:
+            const = const + coeff
+        elif len(unknown) == 1:
+            x = unknown[0]
+            linear[x] = linear.get(x, field.zero()) + coeff
+        else:
+            key = tuple(sorted(unknown))
+            quad[key] = quad.get(key, field.zero()) + coeff
+    linear = {x: c for x, c in linear.items() if not c.is_zero()}
+    quad = {k: c for k, c in quad.items() if not c.is_zero()}
+    return const, linear, quad
+
+
+def _reference_nonzero_roots(a2: FieldElement, a1: FieldElement, a0: FieldElement):
+    """Roots of a2 x^2 + a1 x + a0 in the field, zero excluded."""
+    field = a2.spec
+    if a2.is_zero():
+        if a1.is_zero():
+            return [] if not a0.is_zero() else None  # None: vacuous, no info
+        root = -a0 / a1
+        return [] if root.is_zero() else [root]
+    if field.kind is FieldKind.RATIONALS:
+        disc = a1 * a1 - 4 * a2 * a0
+        sqrt = _reference_fraction_sqrt(disc.value)
+        if sqrt is None:
+            return []
+        s = field.from_fraction(sqrt)
+        roots = {(-a1 + s) / (2 * a2), (-a1 - s) / (2 * a2)}
+        return sorted((r for r in roots if not r.is_zero()), key=lambda r: r.sort_key())
+    p = field.p
+    if p > _REFERENCE_SOLVER_PRIME_CAP:
+        raise SearchBudgetExceeded(
+            f"quadratic root enumeration over GF({p}) is beyond desk scale"
+        )
+    c2, c1, c0 = a2.value, a1.value, a0.value
+    return [field.from_int(v) for v in range(1, p) if (c2 * v * v + c1 * v + c0) % p == 0]
+
+
+def reference_solve_coefficients(
+    equations,
+    unknowns: Sequence,
+    field: FieldSpec,
+    strategy: CoefficientStrategy,
+):
+    """All full nonzero assignments: (values, seeded, orphans) triples."""
+    solutions = []
+    unknown_order = list(unknowns)
+
+    def recurse(values: dict, seeded: tuple):
+        values = dict(values)
+        while True:
+            progress = False
+            active = []
+            for terms in equations:
+                const, linear, quad = _reference_substitute(terms, values, field)
+                varset = set(linear)
+                for pair in quad:
+                    varset.update(pair)
+                if not varset:
+                    if not const.is_zero():
+                        return
+                    continue
+                if len(varset) == 1:
+                    (x,) = varset
+                    a2 = quad.get((x, x), field.zero())
+                    a1 = linear.get(x, field.zero())
+                    roots = _reference_nonzero_roots(a2, a1, const)
+                    if roots is None:
+                        continue
+                    if not roots:
+                        return
+                    if len(roots) == 1:
+                        values[x] = roots[0]
+                        progress = True
+                    else:
+                        for root in roots:
+                            branched = dict(values)
+                            branched[x] = root
+                            recurse(branched, seeded)
+                        return
+                else:
+                    active.append(varset)
+            if progress:
+                continue
+            remaining = [x for x in unknown_order if x not in values]
+            if not remaining:
+                solutions.append((values, seeded, ()))
+                return
+            mentioned = set()
+            for varset in active:
+                mentioned.update(varset)
+            seedable = [x for x in remaining if x in mentioned]
+            if not seedable:
+                # truncation artifacts: no constraint mentions them at all
+                for x in remaining:
+                    values[x] = field.one()
+                solutions.append((values, seeded, tuple(remaining)))
+                return
+            if len(seeded) >= strategy.max_seeds:
+                return
+            x = seedable[0]
+            for value in strategy.grid:
+                if value.is_zero():
+                    continue
+                branched = dict(values)
+                branched[x] = value
+                recurse(branched, seeded + (x,))
+            return
+
+    recurse({}, ())
+    return solutions
+
+
 # -- the shape DFS before the pair schedule -------------------------------------
 
 UNASSIGNED = -2
@@ -419,6 +569,10 @@ def reference_shapes(D, unital, lam_one, budget, stats):
 
 
 def reference_enumerate_monomial_rb(algebra, weight, degree_bound, strategy=None):
-    """``enumerate_monomial_rb`` driven by ``reference_shapes``."""
-    with mock.patch.object(classify, "_surviving_shapes", reference_shapes):
+    """``enumerate_monomial_rb`` driven by ``reference_shapes`` and
+    ``reference_solve_coefficients``."""
+    with (
+        mock.patch.object(classify, "_surviving_shapes", reference_shapes),
+        mock.patch.object(classify, "_solve_coefficients", reference_solve_coefficients),
+    ):
         return classify.enumerate_monomial_rb(algebra, weight, degree_bound, strategy)

@@ -151,6 +151,13 @@ def test_grid_search_budget_guards():
         aybe_grid_search(UNITAL, 2, grid, QQ.one(), budget=10)
 
 
+def test_grid_search_requires_a_unital_algebra():
+    non_unital = AlgebraSpec(QQ, nvars=1, unital=False, truncation=None)
+    for weight in (QQ.zero(), QQ.one()):
+        with pytest.raises(NonUnitalAlgebra, match="require a unital algebra"):
+            aybe_grid_search(non_unital, 1, [QQ.zero(), QQ.one()], weight)
+
+
 def test_tensor_requires_unital_untruncated():
     non_unital = AlgebraSpec(QQ, nvars=1, unital=False, truncation=None)
     with pytest.raises(NonUnitalAlgebra):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbalg import (
     QQ,
@@ -18,10 +20,12 @@ from rbalg import (
 from rbalg.errors import InvalidParams, SearchBudgetExceeded
 
 from helpers import (
+    field_elements,
     inverse_degree_table,
     reference_enumerate_monomial_rb,
     reference_rb_check,
     reference_shapes,
+    reference_solve_coefficients,
 )
 
 NONUNITAL = AlgebraSpec(QQ, nvars=1, unital=False, truncation=None)
@@ -209,6 +213,44 @@ def test_search_report_matches_reference(field):
                 assert got == want.to_json_dict(), (degree, unital, weight)
 
 
+@st.composite
+def coefficient_systems(draw):
+    """A random system for the coefficient solver: per-degree equations of
+    (sign, vars) terms, linear and quadratic, over Q or a small GF(p)."""
+    field = draw(st.sampled_from([QQ] + [prime_field(p) for p in (2, 3, 5, 7, 11, 13)]))
+    n = draw(st.integers(1, 4))
+    var = st.integers(0, n - 1)
+    term = st.tuples(st.sampled_from([1, -1]), st.tuples(var) | st.tuples(var, var))
+    equations = draw(st.lists(st.lists(term, min_size=1, max_size=4), max_size=5))
+    unknowns = draw(st.permutations(range(n)))
+    grid = draw(st.lists(field_elements(field), min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        grid = [field.zero()] + [g for g in grid if g]
+    strategy = CoefficientStrategy(tuple(grid), max_seeds=draw(st.integers(0, 3)))
+    return equations, unknowns, field, strategy
+
+
+@settings(max_examples=400, deadline=None)
+@given(coefficient_systems())
+def test_solver_matches_reference(system):
+    """The raw-value solver against the FieldElement solver it replaced:
+    the same triples in the same order, values inserted in the same order."""
+    from fractions import Fraction
+
+    from rbalg.classify import _solve_coefficients
+
+    def flat(triples):
+        return [
+            ([(x, v.spec, v.value, type(v.value)) for x, v in values.items()], seeded, orphans)
+            for values, seeded, orphans in triples
+        ]
+
+    got = flat(_solve_coefficients(*system))
+    assert got == flat(reference_solve_coefficients(*system))
+    if system[2].p is None:
+        assert all(kind is Fraction for values, _, _ in got for *_, kind in values)
+
+
 @pytest.mark.parametrize(
     "field,grid,weight,unital,degree,stats,count",
     [
@@ -256,15 +298,39 @@ def test_match_trivials():
 
 def test_match_splitting_conjugate():
     # all images constant: R(x^n) = a^n * 1 with R(1) = 1 at weight -1
-    alpha = QQ.from_int(2)
-    one_mono = UNITAL.one_monomial()
-    entries = {
-        UNITAL.monomial(n): (alpha**n, one_mono) for n in range(0, 7)
-    }
-    table = MonomialOperatorTable(UNITAL, -QQ.one(), 6, entries)
-    match = match_family(table)
-    assert match.kind is MatchKind.SPLITTING_CONJUGATE
-    assert match.alpha == alpha
+    from rbalg import (
+        AutomorphismSpec,
+        construct_splitting,
+        op_conjugate,
+        operators_agree,
+        split_constant_part,
+    )
+
+    for field in (QQ, prime_field(7)):
+        for truncation in (None, 6):
+            algebra = AlgebraSpec(field, nvars=1, unital=True, truncation=truncation)
+            alpha = field.from_int(2)
+            one_mono = algebra.one_monomial()
+            entries = {algebra.monomial(n): (alpha**n, one_mono) for n in range(0, 7)}
+            table = MonomialOperatorTable(algebra, -field.one(), 6, entries)
+            match = match_family(table)
+            assert match.kind is MatchKind.SPLITTING_CONJUGATE
+            assert match.alpha == alpha
+            # the conjugation chain the match stands for: scale x -> x/a, then
+            # shift x -> x - 1, and the table becomes the splitting operator
+            descaled = op_conjugate(table, AutomorphismSpec.scaling((alpha.inverse(),)))
+            shifted = op_conjugate(descaled, AutomorphismSpec.shift())
+            splitting = construct_splitting(split_constant_part(), -field.one(), algebra, 6)
+            assert operators_agree(shifted, splitting, 6)
+            # the same table at weight 2 normalizes to it
+            minus_two = field.from_int(-2)
+            doubled = {src: (c * minus_two, dst) for src, (c, dst) in entries.items()}
+            table = MonomialOperatorTable(algebra, field.from_int(2), 6, doubled)
+            assert match_family(table) == match
+            broken = dict(entries)
+            broken[algebra.monomial(4)] = (alpha**4 + field.one(), one_mono)
+            table = MonomialOperatorTable(algebra, -field.one(), 6, broken)
+            assert match_family(table).kind is MatchKind.UNMATCHED
 
 
 def test_match_unmatched():
@@ -316,6 +382,14 @@ def test_injective_diagonal_search_bivariate():
     for m in algebra.basis(2):
         coeff, dst = table.entries[m]
         assert coeff == -QQ.one() and dst == m
+
+
+def test_injective_diagonal_search_validates_the_weight_first():
+    # at bound 1 no pair has its product inside the window, so no equation
+    # is built; the weight is refused all the same
+    for bound in (1, 2):
+        with pytest.raises(InvalidParams):
+            enumerate_injective_diagonal(NONUNITAL, QQ.from_int(2), bound)
 
 
 def test_injective_diagonal_search_univariate_weight_one():

@@ -1,8 +1,12 @@
+import hashlib
 import json
 import subprocess
 import sys
 
+import pytest
+
 from helpers import scaled_inverse_degree_conjugate
+from rbalg import MonomialOperatorTable, prime_field, rb_check
 from rbalg.cli import main
 
 
@@ -130,6 +134,46 @@ def test_classify_default_grid_over_a_large_prime_is_refused(capsys):
         "error: default grids over GF(p) are desk-scale only (p <= 64); "
         "pass an explicit strategy\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            "--weight 1 --degree 8",
+            "cc6f0c3b05b287a43821d1855af2946d7386a782caa37529036fd86ceb2844d3",
+        ),
+        (
+            "--weight 0 --unital true --degree 6",
+            "2fa6eb54399869e568e384db18afb5b2a6c0cee11a6e29021735ab34ef369412",
+        ),
+        (
+            "--field Fp:11 --grid 1,2,3 --weight 0 --unital true --degree 5",
+            "d83f5a08eed54a7786f3d9a29c6c91664c38a82b7929843c7a27abc7449017a8",
+        ),
+    ],
+)
+def test_classify_output_is_pinned(capsys, argv, digest):
+    """sha256 of the canonical stdout, so any change to a report shows."""
+    code, out, _ = run_cli(capsys, "classify", *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_classify_over_a_prime_beyond_4096(capsys):
+    # weight-one shapes here give quadratics, whose roots are found by
+    # trying every element of GF(4099)
+    code, out, _ = run_cli(
+        capsys, "classify", "--field", "Fp:4099", "--grid", "1,2,3", "--unital", "true",
+        "--weight", "1", "--degree", "4",
+    )
+    assert code == 0
+    solutions = json.loads(out)["solutions"]
+    assert solutions
+    for s in solutions:
+        table = MonomialOperatorTable.from_json_dict(s["table"])
+        assert table.algebra.field == prime_field(4099)
+        assert rb_check(table, table.weight, 4).passed
 
 
 def test_grade_quotient_table(tmp_path, capsys):

@@ -32,7 +32,7 @@ from rbalg import (
     linalg,
     prime_field,
 )
-from rbalg.errors import NonSplitSpectrum, RBAlgebraError
+from rbalg.errors import NonSplitSpectrum, RBAlgebraError, SearchBudgetExceeded
 
 PRIMES = (2, 3, 5, 7, 53)
 FIELDS = (QQ,) + tuple(prime_field(p) for p in PRIMES)
@@ -127,6 +127,17 @@ def test_rational_roots_of_linear_and_constant_polynomials():
     assert linalg.rational_roots([QQ.from_int(5)]) == []
 
 
+def test_roots_scan_prime_fields_up_to_the_cap():
+    big = prime_field(65521)  # the largest prime below the cap of 65536
+    assert linalg.roots([big.one(), big.zero(), -big.from_int(4)]) == [
+        big.from_int(2),
+        big.from_int(65519),
+    ]
+    beyond = prime_field(65537)
+    with pytest.raises(SearchBudgetExceeded, match=r"GF\(65537\) is beyond desk scale"):
+        linalg.roots([beyond.one(), beyond.one()])
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrices(fields=(QQ,), max_n=5))
 def test_rational_roots_match_divisor_enumeration(case):
@@ -141,11 +152,10 @@ def test_roots_and_multiplicities_match_generalized_eigenspaces(case):
     field, mat = case
     n = len(mat)
     coeffs = linalg.char_poly(mat, field)
+    roots = linalg.roots(coeffs)
     if field.p is None:
-        roots = linalg.rational_roots(coeffs)
         assert roots == reference_rational_roots(reference_char_poly(mat, field))
     else:
-        roots = linalg.prime_field_roots(coeffs)
         assert roots == reference_prime_field_roots(mat, field)
     for lam in roots:
         power = linalg.mat_pow(linalg.mat_sub_scalar_identity(mat, lam), n, field)
