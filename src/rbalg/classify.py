@@ -246,17 +246,15 @@ def _substitute(terms, values, p):
     return const, linear, quad
 
 
-def _nonzero_roots(a2, a1, a0, field: FieldSpec):
+def _nonzero_roots(a2, a1, a0, p):
     """Raw roots of a2 x^2 + a1 x + a0 in the field, zero excluded."""
     if not a2:
         if not a1:
             return [] if a0 else None  # None: vacuous, no info
         if not a0:
             return []
-        p = field.p
         return [-a0 / a1 if p is None else -a0 * pow(a1, -1, p) % p]
-    coeffs = [FieldElement(field, c) for c in (a2, a1, a0)]
-    return [r.value for r in linalg.roots(coeffs) if r]
+    return [r for r in linalg.roots([a2, a1, a0], p) if r]
 
 
 def _solve_coefficients(
@@ -292,7 +290,7 @@ def _solve_coefficients(
                     continue
                 if len(varset) == 1:
                     (x,) = varset
-                    roots = _nonzero_roots(quad.get((x, x), 0), linear.get(x, 0), const, field)
+                    roots = _nonzero_roots(quad.get((x, x), 0), linear.get(x, 0), const, p)
                     if roots is None:
                         continue
                     if not roots:

@@ -131,14 +131,15 @@ def _cmd_construct(args) -> int:
             spec = split_positive_degree()
         weight = field.parse(args.weight) if args.weight is not None else field.one()
         op = construct_splitting(spec, weight, algebra, args.degree)
-    elif family == "quotient-one":
-        op = quotient_rb_from_family(
-            QuotientFamily.WEIGHT_ONE_ALPHA_ONE, args.truncation, algebra.field.p
+    elif family in ("quotient-one", "quotient-zero"):
+        if args.truncation is None:
+            raise RBAlgebraError(f"{family} needs --truncation")
+        source = (
+            QuotientFamily.WEIGHT_ONE_ALPHA_ONE
+            if family == "quotient-one"
+            else QuotientFamily.WEIGHT_ZERO_RECIPROCAL
         )
-    elif family == "quotient-zero":
-        op = quotient_rb_from_family(
-            QuotientFamily.WEIGHT_ZERO_RECIPROCAL, args.truncation, algebra.field.p
-        )
+        op = quotient_rb_from_family(source, args.truncation, field.p)
     else:
         raise RBAlgebraError(f"unknown family {family!r}")
     data = op.to_json_dict()
@@ -189,16 +190,19 @@ def _cmd_classify(args) -> int:
         field, nvars=1, unital=(args.unital == "true"), truncation=args.degree
     )
     weight = field.from_int(args.weight)
+    for flag, value in (("--max-seeds", args.max_seeds), ("--budget", args.budget)):
+        if value is not None and value < 0:
+            raise RBAlgebraError(f"{flag} must be >= 0, got {value}")
     strategy = None
-    if args.grid or args.budget or args.max_seeds:
+    if args.grid or args.budget is not None or args.max_seeds is not None:
         # default grids are refused over primes above 64; explicit ones are not
         base = classify_mod.CoefficientStrategy(
             _parse_grid(field, args.grid) if args.grid else classify_mod.default_strategy(field).grid
         )
         strategy = dataclasses.replace(
             base,
-            max_seeds=args.max_seeds or base.max_seeds,
-            shape_budget=args.budget or base.shape_budget,
+            max_seeds=base.max_seeds if args.max_seeds is None else args.max_seeds,
+            shape_budget=base.shape_budget if args.budget is None else args.budget,
         )
     report = classify_mod.enumerate_monomial_rb(algebra, weight, args.degree, strategy)
     lines = [

@@ -26,11 +26,14 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import (
     CharacteristicObstruction,
+    DegreeBoundExceeded,
+    MixedFieldSpecs,
     NonSplitSpectrum,
     ZeroArgument,
 )
@@ -44,19 +47,25 @@ class PartialProductKind(Enum):
     STAR = "star"  # weight-0 composition law
 
 
+def _raw_partial_product(kind: PartialProductKind, lam, mu, p):
+    """``partial_product`` on raw values (``p`` None for Q)."""
+    denom = lam + mu + 1 if kind is PartialProductKind.CIRC else lam + mu
+    if p is None:
+        return lam * mu / denom if denom else None
+    denom %= p
+    return lam * mu * pow(denom, -1, p) % p if denom else None
+
+
 def partial_product(
     kind: PartialProductKind, lam: FieldElement, mu: FieldElement
 ) -> Optional[FieldElement]:
     """lam o mu or lam * mu; None when the denominator vanishes."""
+    if lam.spec != mu.spec:
+        raise MixedFieldSpecs(f"cannot mix {lam.spec} with {mu.spec}")
     if lam.is_zero() or mu.is_zero():
         raise ZeroArgument("partial products take nonzero arguments")
-    if kind is PartialProductKind.CIRC:
-        denom = lam + mu + 1
-    else:
-        denom = lam + mu
-    if denom.is_zero():
-        return None
-    return lam * mu / denom
+    nu = _raw_partial_product(kind, lam.value, mu.value, lam.spec.p)
+    return None if nu is None else FieldElement(lam.spec, nu)
 
 
 @dataclass(frozen=True)
@@ -81,10 +90,7 @@ def semigroup_iso_check(
         raise ValueError("sample values must be positive")
 
     def prod(x: Fraction, y: Fraction) -> Optional[Fraction]:
-        denom = x + y + 1 if kind is PartialProductKind.CIRC else x + y
-        if denom == 0:
-            return None
-        return x * y / denom
+        return _raw_partial_product(kind, x, y, None)
 
     def phi(x: Fraction) -> Fraction:
         return 1 + Fraction(1, 1) / x if kind is PartialProductKind.CIRC else 1 / x
@@ -171,53 +177,42 @@ class GradingDecomposition:
         }
 
 
-def _diagonal_decomposition(R: MonomialOperatorTable):
-    algebra = R.algebra
-    spaces: Dict[FieldElement, List[Polynomial]] = {}
-    for m in algebra.basis(algebra.truncation):
-        hit = R.entries.get(m)
-        lam = algebra.field.zero() if hit is None else hit[0]
-        spaces.setdefault(lam, []).append(Polynomial.monomial(algebra, m))
-    spectrum = sorted(spaces, key=lambda e: e.sort_key())
-    return spectrum, spaces
-
-
-def _matrix_decomposition(R: LinearOperator):
-    algebra = R.algebra
-    spec = algebra.field
-    basis = list(algebra.basis(algebra.truncation))
-    n = len(basis)
-    mat = R.as_matrix(basis)
-    coeffs = linalg.char_poly(mat, spec)
-    roots = linalg.roots(coeffs)
-    multiplicities = [linalg.root_multiplicity(coeffs, lam) for lam in roots]
+def _matrix_decomposition(R: LinearOperator, basis):
+    """Raw spectrum and generalized eigenspaces, in ``kernel_basis`` form."""
+    p = R.algebra.field.p
+    mat = [[x.value for x in row] for row in R.as_matrix(basis)]
+    coeffs = linalg.char_poly(mat, p)
+    roots = linalg.roots(coeffs, p)
+    multiplicities = [linalg.root_multiplicity(coeffs, lam, p) for lam in roots]
     covered = sum(multiplicities)
-    if covered != n:
+    if covered != len(basis):
         raise NonSplitSpectrum(
-            f"generalized eigenspaces cover {covered} of {n} dimensions"
+            f"generalized eigenspaces cover {covered} of {len(basis)} dimensions"
         )
     # ker (A - lam)^m is the whole generalized eigenspace when m is the
     # root's multiplicity: that space has dimension m
-    spaces: Dict[FieldElement, List[Polynomial]] = {}
+    spaces = {}
     for lam, m in zip(roots, multiplicities):
-        shifted = linalg.mat_sub_scalar_identity(mat, lam)
+        shifted = [row[:] for row in mat]
+        for i, row in enumerate(shifted):
+            row[i] = row[i] - lam if p is None else (row[i] - lam) % p
         if m > 1:
-            shifted = linalg.mat_pow(shifted, m, spec)
-        spaces[lam] = [
-            Polynomial(algebra, {b: c for b, c in zip(basis, vec) if not c.is_zero()})
-            for vec in linalg.kernel_basis(shifted, spec)
-        ]
+            shifted = linalg.mat_pow(shifted, m, p)
+        spaces[lam] = linalg.kernel_basis(shifted, p)
     return roots, spaces
 
 
 def grading_decompose(R: LinearOperator, weight: FieldElement) -> GradingDecomposition:
     """Generalized eigenspace decomposition plus product classification.
 
-    The algebra must be truncated (finite-dimensional).  ``weight``
-    selects the composition law: weight one uses o, weight zero uses *.
-    For each unordered pair of nonzero eigenvalues, products of basis
-    elements must vanish when the law is undefined or leaves the
-    spectrum, and must land in the indicated eigenspace otherwise.
+    The algebra must be truncated (finite-dimensional) and R defined on
+    all of it.  ``weight`` selects the composition law: weight one uses
+    o, weight zero uses *.  For each unordered pair of nonzero
+    eigenvalues, products of basis elements must vanish when the law is
+    undefined or leaves the spectrum, and must land in the indicated
+    eigenspace otherwise.  Everything runs on raw values, eigenspace bases
+    in ``linalg.kernel_basis`` form; FieldElements and Polynomials are
+    built for the result only.
     """
     algebra = R.algebra
     if algebra.truncation is None:
@@ -228,56 +223,75 @@ def grading_decompose(R: LinearOperator, weight: FieldElement) -> GradingDecompo
         kind = PartialProductKind.STAR
     else:
         raise ValueError("grade at weight 0 or 1 (rescale other weights first)")
+    basis = list(algebra.basis(algebra.truncation))
+    beyond = [m for m in basis if m.degree() > R.degree_bound]
+    if beyond:
+        raise DegreeBoundExceeded(
+            f"operator defined up to degree {R.degree_bound}, got {beyond[0]!r}"
+        )
+    spec = algebra.field
+    p = spec.p
 
     if isinstance(R, MonomialOperatorTable) and R.is_diagonal():
-        spectrum, spaces = _diagonal_decomposition(R)
+        # every basis monomial is an eigenvector
+        zero, one = spec.zero().value, spec.one().value
+        spaces = {}
+        for i, m in enumerate(basis):
+            hit = R.entries.get(m)
+            spaces.setdefault(zero if hit is None else hit[0].value, []).append((i, {i: one}))
+        spectrum = sorted(spaces)
     else:
-        spectrum, spaces = _matrix_decomposition(R)
+        spectrum, spaces = _matrix_decomposition(R, basis)
 
-    basis_all = list(algebra.basis(algebra.truncation))
-    index = {m: i for i, m in enumerate(basis_all)}
-    spec = algebra.field
+    exponents = [m.exponents for m in basis]
+    index = {e: i for i, e in enumerate(exponents)}
+    # index of the product of two basis monomials; None above the truncation
+    mul = [[index.get(tuple(map(add, a, b))) for b in exponents] for a in exponents]
 
-    def coords(p: Polynomial):
-        vec = [spec.zero()] * len(basis_all)
-        for m, c in p.terms():
-            vec[index[m]] = c
-        return vec
+    def product(u, v):
+        w = {}
+        for i, a in u.items():
+            row = mul[i]
+            for j, b in v.items():
+                k = row[j]
+                if k is not None:
+                    w[k] = w.get(k, 0) + a * b if p is None else (w.get(k, 0) + a * b) % p
+        return {k: c for k, c in w.items() if c}
+
+    elements = {lam: FieldElement(spec, lam) for lam in spectrum}
+
+    def polynomial(vec):
+        return Polynomial(algebra, {basis[k]: FieldElement(spec, c) for k, c in vec.items()})
 
     products: List[ProductCheck] = []
-    targets: Dict[FieldElement, linalg.SpanBasis] = {}
-    nonzero = [lam for lam in spectrum if not lam.is_zero()]
+    nonzero = [lam for lam in spectrum if lam]
     for i, lam in enumerate(nonzero):
         for mu in nonzero[i:]:
-            nu = partial_product(kind, lam, mu)
-            forced_zero = nu is None or nu not in spaces
-            if not forced_zero and nu not in targets:
-                targets[nu] = linalg.span_basis([coords(p) for p in spaces[nu]], spec)
+            nu = _raw_partial_product(kind, lam, mu, p)
+            target = None if nu is None else spaces.get(nu)
             status = ProductStatus.ZERO
             witness = None
             if lam == mu:
                 pairs = itertools.combinations_with_replacement(spaces[lam], 2)
             else:
                 pairs = itertools.product(spaces[lam], spaces[mu])
-            any_contained = False
-            for u, v in pairs:
-                w = u * v
-                if w.is_zero():
+            for (_, u), (_, v) in pairs:
+                w = product(u, v)
+                if not w:
                     continue
-                if forced_zero:
-                    status = ProductStatus.VIOLATION
-                    witness = (u, v, w)
-                    break
-                if linalg.in_span(targets[nu], coords(w), spec):
-                    any_contained = True
+                if target is not None and linalg.in_span(target, w, p):
+                    status = ProductStatus.CONTAINED
                 else:
                     status = ProductStatus.VIOLATION
-                    witness = (u, v, w)
+                    witness = (polynomial(u), polynomial(v), polynomial(w))
                     break
-            if status is not ProductStatus.VIOLATION and any_contained:
-                status = ProductStatus.CONTAINED
-            products.append(ProductCheck(lam, mu, status, nu, witness))
-    return GradingDecomposition(spectrum, spaces, products)
+            nu = None if nu is None else FieldElement(spec, nu)
+            products.append(ProductCheck(elements[lam], elements[mu], status, nu, witness))
+    return GradingDecomposition(
+        [elements[lam] for lam in spectrum],
+        {elements[lam]: [polynomial(vec) for _, vec in spaces[lam]] for lam in spectrum},
+        products,
+    )
 
 
 class QuotientFamily(Enum):

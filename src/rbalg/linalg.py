@@ -1,78 +1,43 @@
-"""Exact dense linear algebra over a FieldSpec.
+"""Exact dense linear algebra on raw values.
 
-Small matrices only (desk scale).  Matrices are lists of rows of
-FieldElement; column j of an operator matrix holds the image of the j-th
-basis vector.  The public functions take and return FieldElements; the
-eliminations inside them run on raw values (Fractions over Q, ints
-reduced mod p over GF(p)), with ``p`` None standing for Q.
+Every function takes and returns raw values only: Fractions over Q and
+ints reduced mod p over GF(p), with ``p`` None standing for Q.  Callers
+build FieldElements, if they need them, from the results.  Small
+matrices only (desk scale).  Matrices are lists of rows; column j of an
+operator matrix holds the image of the j-th basis vector.  Polynomials
+are coefficient lists, leading coefficient first.
 
-Kernels and span membership come from the reduced row echelon form,
-determinants from Gaussian elimination, and the characteristic
-polynomial from a Hessenberg reduction, in every characteristic.
-Polynomial roots are found by Horner evaluation over GF(p) and by p-adic
-lifting plus rational reconstruction over Q; ``roots`` serves both the
-grading of spectra and the coefficient solver of the shape search.
+Kernels come from the reduced row echelon form, as sparse vectors in a
+form that makes span membership a matter of clearing leads; the
+characteristic polynomial from a Hessenberg reduction, in every
+characteristic; determinants, kept as an independent check of it, from
+Gaussian elimination.  Polynomial roots are found by Horner evaluation
+over GF(p) and by p-adic lifting plus rational reconstruction over Q;
+``roots`` serves both the grading of spectra and the coefficient solver
+of the shape search.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import SearchBudgetExceeded
-from .fields import FieldElement, FieldSpec
 
 _ROOT_SCAN_CAP = 65536  # largest p whose elements ``roots`` tries one by one
 
-Matrix = List[List[FieldElement]]
-Vector = List[FieldElement]
-SpanBasis = List[Tuple[int, List[tuple]]]
-
-
-def identity_matrix(spec: FieldSpec, n: int) -> Matrix:
-    zero, one = spec.zero(), spec.one()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix, spec: FieldSpec) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    zero = spec.zero()
-    out = [[zero for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        row = a[i]
-        acc = out[i]
-        for t in range(k):
-            c = row[t]
-            if c.is_zero():
-                continue
-            brow = b[t]
-            for j in range(m):
-                if not brow[j].is_zero():
-                    acc[j] = acc[j] + c * brow[j]
-    return out
-
-
-def mat_pow(a: Matrix, k: int, spec: FieldSpec) -> Matrix:
-    result = None
-    base = a
-    while k > 0:
-        if k & 1:
-            result = [row[:] for row in base] if result is None else mat_mul(result, base, spec)
-        k >>= 1
-        if k:
-            base = mat_mul(base, base, spec)
-    return identity_matrix(spec, len(a)) if result is None else result
-
-
-def mat_sub_scalar_identity(a: Matrix, lam: FieldElement) -> Matrix:
-    out = [row[:] for row in a]
-    for i in range(len(a)):
-        out[i][i] = out[i][i] - lam
-    return out
+Matrix = List[list]
+# kernel vectors as (lead, {column: raw value}), zero entries left out
+Basis = List[Tuple[int, Dict[int, object]]]
 
 
 # -- raw-value helpers ------------------------------------------------------------
+
+
+def _zero_one(p):
+    """The raw 0 and 1: Fractions over Q, ints mod p."""
+    return (Fraction(0), Fraction(1)) if p is None else (0, 1)
 
 
 def _inv(x, p):
@@ -158,87 +123,105 @@ def _rref(rows: List[list], p) -> Tuple[List[list], List[int]]:
     return rows, pivots
 
 
-# -- kernels, spans, determinants -------------------------------------------------
+# -- matrices, kernels, determinants ----------------------------------------------
 
 
-def kernel_basis(mat: Matrix, spec: FieldSpec) -> List[Vector]:
+def _mat_mul(a: Matrix, b: Matrix, p) -> Matrix:
+    zero = _zero_one(p)[0]
+    m = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [zero] * m
+        for c, brow in zip(row, b):
+            if c:
+                acc = _axpy(acc, -c, brow, p)
+        out.append(acc)
+    return out
+
+
+def mat_pow(a: Matrix, k: int, p) -> Matrix:
+    result = None
+    base = a
+    while k > 0:
+        if k & 1:
+            result = [row[:] for row in base] if result is None else _mat_mul(result, base, p)
+        k >>= 1
+        if k:
+            base = _mat_mul(base, base, p)
+    if result is None:
+        zero, one = _zero_one(p)
+        return [[one if i == j else zero for j in range(len(a))] for i in range(len(a))]
+    return result
+
+
+def kernel_basis(mat: Matrix, p) -> Basis:
     """Basis of the null space of mat, deterministic order.
 
-    One vector per free column of the reduced row echelon form, which
+    One vector per free column c of the reduced row echelon form, as the
+    pair (c, {column: raw value}) with zero entries left out.  Each
+    vector is 1 at its own lead c and 0 at the other leads, and the basis
     depends only on the null space, so equal kernels give equal bases.
     """
     if not mat:
         return []
-    p = spec.p
     ncols = len(mat[0])
-    rows, pivots = _rref([[x.value for x in row] for row in mat], p)
+    rows, pivots = _rref(list(mat), p)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    zero, one = spec.zero(), spec.one()
+    one = _zero_one(p)[1]
     basis = []
-    for free in free_cols:
-        vec = [zero] * ncols
-        vec[free] = one
+    for free in (c for c in range(ncols) if c not in pivot_set):
+        vec = {free: one}
         for r, pc in enumerate(pivots):
             x = rows[r][free]
             if x:
-                vec[pc] = FieldElement(spec, -x if p is None else -x % p)
-        basis.append(vec)
+                vec[pc] = -x if p is None else -x % p
+        basis.append((free, vec))
     return basis
 
 
-def span_basis(vectors: List[Vector], spec: FieldSpec) -> SpanBasis:
-    """The reduced row echelon basis of span(vectors), for repeated
-    membership tests with ``in_span``: one (pivot column, [(column, raw
-    value), ...]) pair per row, listing the row's nonzero entries."""
-    rows, pivots = _rref([[x.value for x in v] for v in vectors], spec.p)
-    return [(c, [(j, x) for j, x in enumerate(row) if x]) for c, row in zip(pivots, rows)]
+def in_span(basis: Basis, target: Dict[int, object], p) -> bool:
+    """True when the sparse vector target lies in the span of a basis in
+    ``kernel_basis`` form.
 
-
-def in_span(basis: SpanBasis, target: Vector, spec: FieldSpec) -> bool:
-    """True when target lies in the span described by ``span_basis``.
-
-    Each echelon row clears its pivot column of the target; the target
-    is in the span exactly when nothing is left.
+    A combination of the basis vectors has its coefficient on each vector
+    at that vector's lead, so subtracting target[lead] times every vector
+    leaves nothing exactly when target is in the span.
     """
-    p = spec.p
-    rest = [x.value for x in target]
-    for pivot, row in basis:
-        f = rest[pivot]
+    rest = dict(target)
+    for lead, vec in basis:
+        f = rest.get(lead)
         if f:
-            for j, x in row:
-                rest[j] = rest[j] - f * x if p is None else (rest[j] - f * x) % p
-    return not any(rest)
+            for j, x in vec.items():
+                y = rest.get(j, 0) - f * x
+                rest[j] = y if p is None else y % p
+    return not any(rest.values())
 
 
-def det(mat: Matrix, spec: FieldSpec) -> FieldElement:
+def det(mat: Matrix, p):
+    """Determinant by Gaussian elimination."""
     n = len(mat)
-    rows = [row[:] for row in mat]
-    result = spec.one()
+    rows = list(mat)
+    zero, result = _zero_one(p)
     for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(c, n) if rows[i][c]), None)
         if pivot_row is None:
-            return spec.zero()
+            return zero
         if pivot_row != c:
             rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
             result = -result
-        result = result * rows[c][c]
-        inv = rows[c][c].inverse()
+        pivot = rows[c][c]
+        result = result * pivot if p is None else result * pivot % p
+        inv = _inv(pivot, p)
         for i in range(c + 1, n):
-            if not rows[i][c].is_zero():
-                factor = rows[i][c] * inv
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[c])]
-    return result
+            if rows[i][c]:
+                rows[i] = _axpy(rows[i], rows[i][c] * inv, rows[c], p)
+    return result if p is None else result % p
 
 
 # -- characteristic polynomial and its roots ----------------------------------------
 
 
-def char_poly(mat: Matrix, spec: FieldSpec) -> List[FieldElement]:
+def char_poly(mat: Matrix, p) -> list:
     """Coefficients [1, c1, ..., cn] of det(tI - A), leading first.
 
     Valid in every characteristic, with O(n^3) field operations and no
@@ -249,9 +232,8 @@ def char_poly(mat: Matrix, spec: FieldSpec) -> List[FieldElement]:
 
         p_m = (t - h_mm) p_(m-1) - sum_(i<m) h_im (h_(i+1)i ... h_m(m-1)) p_(i-1).
     """
-    p = spec.p
     n = len(mat)
-    h = [[x.value for x in row] for row in mat]
+    h = [list(row) for row in mat]
     for m in range(1, n - 1):
         i = next((i for i in range(m, n) if h[i][m - 1]), None)
         if i is None:
@@ -269,7 +251,7 @@ def char_poly(mat: Matrix, spec: FieldSpec) -> List[FieldElement]:
             h[j] = _axpy(h[j], u, h[m], p)
             for row in h:
                 row[m] = row[m] + u * row[j] if p is None else (row[m] + u * row[j]) % p
-    zero, one = spec.zero().value, spec.one().value
+    zero, one = _zero_one(p)
     polys = [[one]]  # p_m, lowest coefficient first
     for m in range(n):
         prev = polys[m]
@@ -288,16 +270,16 @@ def char_poly(mat: Matrix, spec: FieldSpec) -> List[FieldElement]:
         if p is not None:
             new = [c % p for c in new]
         polys.append(new)
-    return [FieldElement(spec, c) for c in reversed(polys[n])]
+    return polys[n][::-1]
 
 
-def root_multiplicity(coeffs: List[FieldElement], root: FieldElement) -> int:
+def root_multiplicity(coeffs: list, root, p) -> int:
     """How often t - root divides the polynomial, by synthetic division."""
-    linear = [root.spec.one().value, (-root).value]
-    work = [c.value for c in coeffs]
+    linear = [1, -root if p is None else -root % p]
+    work = list(coeffs)
     m = 0
     while len(work) > 1:
-        quot, rem = _divmod_poly(work, linear, root.spec.p)
+        quot, rem = _divmod_poly(work, linear, p)
         if rem:
             break
         work, m = quot, m + 1
@@ -341,7 +323,7 @@ def _reconstruct(a: int, modulus: int, num_bound: int) -> Optional[Fraction]:
     return Fraction(r1, s1) if s1 else None
 
 
-def rational_roots(coeffs: List[FieldElement]) -> List[FieldElement]:
+def rational_roots(coeffs: list) -> List[Fraction]:
     """All rational roots of a polynomial over Q, ascending.
 
     The factor t^k gives the root 0.  The rest is replaced by g, its
@@ -359,8 +341,7 @@ def rational_roots(coeffs: List[FieldElement]) -> List[FieldElement]:
     p.  That root is simple, so it lifts uniquely, the lift is r/s mod
     p^k, and reconstruction returns r/s.
     """
-    spec = coeffs[0].spec
-    work = [c.value for c in coeffs]
+    work = list(coeffs)
     roots = []
     if len(work) > 1 and work[-1] == 0:
         roots.append(Fraction(0))
@@ -381,17 +362,14 @@ def rational_roots(coeffs: List[FieldElement]) -> List[FieldElement]:
             cand = _reconstruct(a, modulus, abs(g[-1]))
             if cand is not None and _horner(work, cand, None) == 0:
                 roots.append(cand)
-    return [spec.from_fraction(r) for r in sorted(roots)]
+    return sorted(roots)
 
 
-def roots(coeffs: List[FieldElement]) -> List[FieldElement]:
+def roots(coeffs: list, p) -> list:
     """All roots in the field, ascending: ``rational_roots`` over Q, and
     Horner evaluation at every element over GF(p) for p up to the cap."""
-    spec = coeffs[0].spec
-    p = spec.p
     if p is None:
         return rational_roots(coeffs)
     if p > _ROOT_SCAN_CAP:
         raise SearchBudgetExceeded(f"root enumeration over GF({p}) is beyond desk scale")
-    raw = [c.value for c in coeffs]
-    return [FieldElement(spec, v) for v in range(p) if not _horner(raw, v, p)]
+    return [v for v in range(p) if not _horner(coeffs, v, p)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import isqrt, lcm
@@ -20,7 +21,7 @@ from rbalg import (
     construct_weight_zero,
     rb_residual,
 )
-from rbalg import classify, grading, linalg
+from rbalg import classify, linalg
 from rbalg.classify import (
     ABSENT,
     CoefficientStrategy,
@@ -29,6 +30,13 @@ from rbalg.classify import (
 )
 from rbalg.errors import NonSplitSpectrum, SearchBudgetExceeded
 from rbalg.fields import FieldElement, FieldKind, FieldSpec
+from rbalg.grading import (
+    GradingDecomposition,
+    PartialProductKind,
+    ProductCheck,
+    ProductStatus,
+    partial_product,
+)
 from rbalg.rbcheck import CheckReport, RBViolation
 
 
@@ -168,7 +176,54 @@ def scaled_inverse_degree_conjugate(N):
 
 
 # -- the spectral code that linalg.char_poly and linalg.rational_roots replaced,
-# kept as oracles for the new routines
+# kept as oracles for the new routines, with the FieldElement matrix helpers
+# it runs on
+
+
+def identity_matrix(spec, n):
+    zero, one = spec.zero(), spec.one()
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b, spec):
+    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    zero = spec.zero()
+    out = [[zero for _ in range(m)] for _ in range(n)]
+    for i in range(n):
+        row = a[i]
+        acc = out[i]
+        for t in range(k):
+            c = row[t]
+            if c.is_zero():
+                continue
+            brow = b[t]
+            for j in range(m):
+                if not brow[j].is_zero():
+                    acc[j] = acc[j] + c * brow[j]
+    return out
+
+
+def mat_pow(a, k, spec):
+    result = None
+    base = a
+    while k > 0:
+        if k & 1:
+            result = [row[:] for row in base] if result is None else mat_mul(result, base, spec)
+        k >>= 1
+        if k:
+            base = mat_mul(base, base, spec)
+    return identity_matrix(spec, len(a)) if result is None else result
+
+
+def mat_sub_scalar_identity(a, lam):
+    out = [row[:] for row in a]
+    for i in range(len(a)):
+        out[i][i] = out[i][i] - lam
+    return out
+
+
+def raw_matrix(mat):
+    return [[x.value for x in row] for row in mat]
 
 
 def reference_char_poly(mat, spec):
@@ -178,9 +233,9 @@ def reference_char_poly(mat, spec):
     """
     n = len(mat)
     coeffs = [spec.one()]
-    m = linalg.identity_matrix(spec, n)
+    m = identity_matrix(spec, n)
     for k in range(1, n + 1):
-        m = linalg.mat_mul(mat, m, spec)
+        m = mat_mul(mat, m, spec)
         trace = spec.zero()
         for i in range(n):
             trace = trace + m[i][i]
@@ -196,7 +251,7 @@ def reference_prime_field_roots(mat, spec):
     return [
         spec.from_int(v)
         for v in range(spec.p)
-        if linalg.det(linalg.mat_sub_scalar_identity(mat, spec.from_int(v)), spec).is_zero()
+        if not linalg.det(raw_matrix(mat_sub_scalar_identity(mat, spec.from_int(v))), spec.p)
     ]
 
 
@@ -289,7 +344,7 @@ def reference_matrix_decomposition(R):
     spaces = {}
     covered = 0
     for lam in candidates:
-        power = linalg.mat_pow(linalg.mat_sub_scalar_identity(mat, lam), n, spec)
+        power = mat_pow(mat_sub_scalar_identity(mat, lam), n, spec)
         vectors = reference_kernel_basis(power, spec)
         if vectors:
             spaces[lam] = [
@@ -302,14 +357,81 @@ def reference_matrix_decomposition(R):
     return sorted(spaces, key=lambda e: e.sort_key()), spaces
 
 
+def reference_diagonal_decomposition(R):
+    """Eigenspaces of a diagonal table: each basis monomial spans a line."""
+    algebra = R.algebra
+    spaces = {}
+    for m in algebra.basis(algebra.truncation):
+        hit = R.entries.get(m)
+        lam = algebra.field.zero() if hit is None else hit[0]
+        spaces.setdefault(lam, []).append(Polynomial.monomial(algebra, m))
+    spectrum = sorted(spaces, key=lambda e: e.sort_key())
+    return spectrum, spaces
+
+
 def reference_grading_decompose(R, weight):
-    """``grading_decompose`` on the reference spectra and the rank test."""
-    with (
-        mock.patch.object(grading, "_matrix_decomposition", reference_matrix_decomposition),
-        mock.patch.object(linalg, "span_basis", lambda vectors, spec: vectors),
-        mock.patch.object(linalg, "in_span", reference_in_span),
-    ):
-        return grading.grading_decompose(R, weight)
+    """``grading_decompose`` as it was on Polynomials and FieldElements: the
+    reference spectra, products by ``Polynomial`` multiplication, expanded
+    into dense coordinates and tested with the rank test."""
+    algebra = R.algebra
+    if algebra.truncation is None:
+        raise ValueError("grading needs a finite-dimensional (truncated) algebra")
+    if weight.is_one():
+        kind = PartialProductKind.CIRC
+    elif weight.is_zero():
+        kind = PartialProductKind.STAR
+    else:
+        raise ValueError("grade at weight 0 or 1 (rescale other weights first)")
+
+    if isinstance(R, MonomialOperatorTable) and R.is_diagonal():
+        spectrum, spaces = reference_diagonal_decomposition(R)
+    else:
+        spectrum, spaces = reference_matrix_decomposition(R)
+
+    basis_all = list(algebra.basis(algebra.truncation))
+    index = {m: i for i, m in enumerate(basis_all)}
+    spec = algebra.field
+
+    def coords(p: Polynomial):
+        vec = [spec.zero()] * len(basis_all)
+        for m, c in p.terms():
+            vec[index[m]] = c
+        return vec
+
+    products = []
+    targets = {}
+    nonzero = [lam for lam in spectrum if not lam.is_zero()]
+    for i, lam in enumerate(nonzero):
+        for mu in nonzero[i:]:
+            nu = partial_product(kind, lam, mu)
+            forced_zero = nu is None or nu not in spaces
+            if not forced_zero and nu not in targets:
+                targets[nu] = [coords(p) for p in spaces[nu]]
+            status = ProductStatus.ZERO
+            witness = None
+            if lam == mu:
+                pairs = itertools.combinations_with_replacement(spaces[lam], 2)
+            else:
+                pairs = itertools.product(spaces[lam], spaces[mu])
+            any_contained = False
+            for u, v in pairs:
+                w = u * v
+                if w.is_zero():
+                    continue
+                if forced_zero:
+                    status = ProductStatus.VIOLATION
+                    witness = (u, v, w)
+                    break
+                if reference_in_span(targets[nu], coords(w), spec):
+                    any_contained = True
+                else:
+                    status = ProductStatus.VIOLATION
+                    witness = (u, v, w)
+                    break
+            if status is not ProductStatus.VIOLATION and any_contained:
+                status = ProductStatus.CONTAINED
+            products.append(ProductCheck(lam, mu, status, nu, witness))
+    return GradingDecomposition(spectrum, spaces, products)
 
 
 # -- the coefficient solver on FieldElements, before raw values and linalg.roots

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from helpers import scaled_inverse_degree_conjugate
-from rbalg import MonomialOperatorTable, prime_field, rb_check
+from rbalg import QQ, AlgebraSpec, MonomialOperatorTable, enumerate_monomial_rb, prime_field, rb_check
+from rbalg.classify import CoefficientStrategy, default_strategy
 from rbalg.cli import main
 
 
@@ -222,6 +223,125 @@ def test_grade_non_split_spectrum_is_a_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: generalized eigenspaces cover 0 of 2 dimensions\n"
+
+
+def _non_diagonal_gf5_table():
+    # R(x) = 2x^2, R(x^3) = x^3 on k0[x]/(x^5): spectrum {0, 1}, not diagonal
+    field = prime_field(5)
+    algebra = AlgebraSpec(field, nvars=1, unital=False, truncation=4)
+    entries = {
+        algebra.monomial(1): (field.from_int(2), algebra.monomial(2)),
+        algebra.monomial(3): (field.one(), algebra.monomial(3)),
+    }
+    return MonomialOperatorTable(algebra, field.zero(), 4, entries)
+
+
+def _doubled_weight_one_table():
+    # R(x^n) = x^n / (2^n - 1) on Q0[x]/(x^6) with the x^2 coefficient doubled
+    algebra = AlgebraSpec(QQ, nvars=1, unital=False, truncation=5)
+    entries = {
+        algebra.monomial(n): (QQ.element(2 if n == 2 else 1, 2**n - 1), algebra.monomial(n))
+        for n in range(1, 6)
+    }
+    return MonomialOperatorTable(algebra, QQ.one(), 5, entries)
+
+
+@pytest.mark.parametrize(
+    "build,weight,exit_code,digest",
+    [
+        (
+            lambda: None,  # ex7 of README.md: quotient-one over GF(5) at N = 3
+            "1",
+            0,
+            "593961d8bb94645c70a249a5b9f1eb568ae2291618da8341bbf0bfc53f6e9146",
+        ),
+        (
+            _non_diagonal_gf5_table,
+            "1",
+            0,
+            "5028c7266f6908f15160b1755c5c440cd89c1f2f4ec86184e35e534ffc72faba",
+        ),
+        (
+            lambda: scaled_inverse_degree_conjugate(6),
+            "0",
+            0,
+            "d566c11b6478f76d56ae9c2f8d60da0511a5467f082387b834c6316b310a856a",
+        ),
+        (
+            _doubled_weight_one_table,
+            "1",
+            1,
+            "ebc88f6978367a148e9c2300866695fb797aff35a892f3aad0b62166abe31f4c",
+        ),
+    ],
+    ids=["ex7-gf5", "non-diagonal-gf5", "dense-conjugate-q", "violating-table-q"],
+)
+def test_grade_output_is_pinned(tmp_path, capsys, build, weight, exit_code, digest):
+    """sha256 of the canonical stdout of ``rbalg grade``."""
+    path = tmp_path / "op.json"
+    op = build()
+    if op is None:
+        run_cli(
+            capsys, "construct", "--family", "quotient-one", "--field", "Fp:5",
+            "--truncation", "3", "--output", str(path),
+        )
+    else:
+        path.write_text(json.dumps(op.to_json_dict()))
+    code, out, _ = run_cli(capsys, "grade", "--operator", str(path), "--weight", weight)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "family,weight",
+    [
+        (["--family", "weight-one", "--alpha", "1"], "1"),
+        (["--family", "integral", "--unital", "--a", "1"], "0"),
+    ],
+    ids=["table", "dense"],
+)
+def test_grade_operator_defined_below_the_truncation(tmp_path, capsys, family, weight):
+    # above its degree bound an operator is undefined, not zero
+    path = tmp_path / "op.json"
+    code, _, _ = run_cli(
+        capsys, "construct", *family, "--truncation", "6", "--degree", "4", "--output", str(path),
+    )
+    assert code == 0
+    code, out, err = run_cli(capsys, "grade", "--operator", str(path), "--weight", weight)
+    assert code == 2
+    assert out == ""
+    assert err == "error: operator defined up to degree 4, got Monomial(5,)\n"
+
+
+@pytest.mark.parametrize("family", ["quotient-one", "quotient-zero"])
+def test_construct_quotient_family_needs_a_truncation(capsys, family):
+    code, out, err = run_cli(capsys, "construct", "--family", family, "--field", "Fp:5")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {family} needs --truncation\n"
+
+
+def test_classify_explicit_zeros_are_kept(capsys):
+    field = QQ
+    algebra = AlgebraSpec(field, nvars=1, unital=False, truncation=4)
+    strategy = CoefficientStrategy(default_strategy(field).grid, max_seeds=0)
+    report = enumerate_monomial_rb(algebra, field.zero(), 4, strategy)
+    assert len(report.solutions) == 24 and len(report.fully_determined()) == 1
+    code, out, _ = run_cli(capsys, "classify", "--weight", "0", "--degree", "4", "--max-seeds", "0")
+    assert code == 0
+    assert out == json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    code, out, err = run_cli(capsys, "classify", "--weight", "0", "--degree", "4", "--budget", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: shape budget of 0 nodes exhausted\n"
+
+
+@pytest.mark.parametrize("flag", ["--max-seeds", "--budget"])
+def test_classify_negative_limits_are_usage_errors(capsys, flag):
+    code, out, err = run_cli(capsys, "classify", "--weight", "0", "--degree", "4", flag, "-1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be >= 0, got -1\n"
 
 
 def test_aybe_search_and_check(tmp_path, capsys):

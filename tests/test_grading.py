@@ -5,8 +5,10 @@ import pytest
 from rbalg import (
     QQ,
     AlgebraSpec,
+    DenseOperator,
     MonomialOperatorTable,
     PartialProductKind,
+    Polynomial,
     ProductStatus,
     QuotientFamily,
     WeightZeroFamilyParams,
@@ -159,6 +161,24 @@ def test_grading_non_diagonal_table_over_gf5():
     g = grading_decompose(table, GF5.zero())
     assert sorted(x.value for x in g.spectrum) == [0, 1]
     assert g.dimension() == 2
+
+
+def test_grading_reduces_products_mod_p():
+    algebra = AlgebraSpec(GF5, nvars=1, unital=False, truncation=4)
+    x = [algebra.monomial(n) for n in range(1, 5)]
+    # R = 4 on x, x^2, x^3 and R(x^4) = 4x + x^2 + 3x^3 + 3x^4: spectrum {3, 4}
+    images = {m: Polynomial.monomial(algebra, m, GF5.from_int(4)) for m in x[:3]}
+    images[x[3]] = Polynomial(algebra, dict(zip(x, map(GF5.from_int, (4, 1, 3, 3)))))
+    g = grading_decompose(DenseOperator(algebra, GF5.zero(), 4, images), GF5.zero())
+    (u,) = g.spaces[GF5.from_int(3)]
+    assert u == Polynomial(algebra, dict(zip(x, map(GF5.from_int, (1, 4, 2, 1)))))
+    # 3 * 3 = 4, and u^2 = x^2 + 8x^3 + 20x^4 before reduction mod 5, so
+    # x^2 + 3x^3 after it, lies in A_4 = span{x, x^2, x^3}
+    assert [(c.left.value, c.right.value, c.status) for c in g.products] == [
+        (3, 3, ProductStatus.CONTAINED),
+        (3, 4, ProductStatus.VIOLATION),
+        (4, 4, ProductStatus.VIOLATION),
+    ]
 
 
 def test_grading_non_split_spectrum_over_q():

@@ -2,7 +2,9 @@
 
 The references in ``helpers`` are the trace-recurrence characteristic
 polynomial, one determinant per element of GF(p), divisor enumeration
-of rational roots and eigenspaces as kernels of (A - lam)^n.
+of rational roots and eigenspaces as kernels of (A - lam)^n, all on
+FieldElements; linalg works on raw values, so its inputs are converted
+to raw values and its results back to FieldElements.
 """
 
 from fractions import Fraction
@@ -12,7 +14,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    identity_matrix,
+    mat_mul,
+    mat_sub_scalar_identity,
     quadratic_shift_conjugate,
+    raw_matrix,
     reference_char_poly,
     reference_grading_decompose,
     reference_in_span,
@@ -33,6 +39,7 @@ from rbalg import (
     prime_field,
 )
 from rbalg.errors import NonSplitSpectrum, RBAlgebraError, SearchBudgetExceeded
+from rbalg.fields import FieldElement
 
 PRIMES = (2, 3, 5, 7, 53)
 FIELDS = (QQ,) + tuple(prime_field(p) for p in PRIMES)
@@ -57,6 +64,15 @@ def matrices(draw, fields=FIELDS, max_n=6, rows=None):
     return field, mat
 
 
+def elements(values, field):
+    return [FieldElement(field, x) for x in values]
+
+
+def dense(vec, n, field):
+    """A sparse raw vector of ``kernel_basis`` as n FieldElements."""
+    return [FieldElement(field, vec[j]) if j in vec else field.zero() for j in range(n)]
+
+
 def evaluate(coeffs, v):
     acc = v.spec.zero()
     for c in coeffs:
@@ -78,21 +94,21 @@ def test_char_poly_over_prime_fields_is_det_of_t_minus_a(case):
     # includes p <= n, where the trace recurrence divides by zero
     field, mat = case
     n = len(mat)
-    coeffs = linalg.char_poly(mat, field)
+    coeffs = elements(linalg.char_poly(raw_matrix(mat), field.p), field)
     assert len(coeffs) == n + 1 and coeffs[0].is_one()
     for v in range(field.p):
         t = field.from_int(v)
         t_minus_a = [
             [(t if i == j else field.zero()) - mat[i][j] for j in range(n)] for i in range(n)
         ]
-        assert evaluate(coeffs, t) == linalg.det(t_minus_a, field)
+        assert evaluate(coeffs, t) == FieldElement(field, linalg.det(raw_matrix(t_minus_a), field.p))
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices(fields=(QQ,), max_n=6))
 def test_char_poly_over_q_matches_trace_recurrence(case):
     field, mat = case
-    assert linalg.char_poly(mat, field) == reference_char_poly(mat, field)
+    assert elements(linalg.char_poly(raw_matrix(mat), None), field) == reference_char_poly(mat, field)
 
 
 big = st.integers(-(10**15), 10**15)
@@ -117,33 +133,31 @@ def test_rational_roots_finds_exactly_the_planted_roots(planted, a, scale):
         for _ in range(e):
             poly = polymul(poly, [Fraction(1), -r])
     poly = polymul(poly, [Fraction(1), Fraction(0), a])
-    roots = linalg.rational_roots([QQ.from_fraction(c) for c in poly])
-    assert [r.value for r in roots] == sorted({r for r, _ in planted})
+    roots = linalg.rational_roots(poly)
+    assert roots == sorted({r for r, _ in planted})
 
 
 def test_rational_roots_of_linear_and_constant_polynomials():
-    assert linalg.rational_roots([QQ.from_int(3), QQ.from_int(-2)]) == [QQ.element(2, 3)]
-    assert linalg.rational_roots([QQ.one(), QQ.zero(), QQ.zero()]) == [QQ.zero()]
-    assert linalg.rational_roots([QQ.from_int(5)]) == []
+    assert linalg.rational_roots([Fraction(3), Fraction(-2)]) == [Fraction(2, 3)]
+    assert linalg.rational_roots([Fraction(1), Fraction(0), Fraction(0)]) == [Fraction(0)]
+    assert linalg.rational_roots([Fraction(5)]) == []
 
 
 def test_roots_scan_prime_fields_up_to_the_cap():
-    big = prime_field(65521)  # the largest prime below the cap of 65536
-    assert linalg.roots([big.one(), big.zero(), -big.from_int(4)]) == [
-        big.from_int(2),
-        big.from_int(65519),
-    ]
-    beyond = prime_field(65537)
+    big = 65521  # the largest prime below the cap of 65536
+    assert linalg.roots([1, 0, big - 4], big) == [2, 65519]
     with pytest.raises(SearchBudgetExceeded, match=r"GF\(65537\) is beyond desk scale"):
-        linalg.roots([beyond.one(), beyond.one()])
+        linalg.roots([1, 1], 65537)
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices(fields=(QQ,), max_n=5))
 def test_rational_roots_match_divisor_enumeration(case):
     field, mat = case
-    coeffs = linalg.char_poly(mat, field)
-    assert linalg.rational_roots(coeffs) == reference_rational_roots(coeffs)
+    coeffs = linalg.char_poly(raw_matrix(mat), None)
+    assert elements(linalg.rational_roots(coeffs), field) == reference_rational_roots(
+        elements(coeffs, field)
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,46 +165,57 @@ def test_rational_roots_match_divisor_enumeration(case):
 def test_roots_and_multiplicities_match_generalized_eigenspaces(case):
     field, mat = case
     n = len(mat)
-    coeffs = linalg.char_poly(mat, field)
-    roots = linalg.roots(coeffs)
+    p = field.p
+    coeffs = linalg.char_poly(raw_matrix(mat), p)
+    roots = elements(linalg.roots(coeffs, p), field)
     if field.p is None:
         assert roots == reference_rational_roots(reference_char_poly(mat, field))
     else:
         assert roots == reference_prime_field_roots(mat, field)
     for lam in roots:
-        power = linalg.mat_pow(linalg.mat_sub_scalar_identity(mat, lam), n, field)
-        assert linalg.root_multiplicity(coeffs, lam) == len(linalg.kernel_basis(power, field))
+        power = linalg.mat_pow(raw_matrix(mat_sub_scalar_identity(mat, lam)), n, p)
+        assert linalg.root_multiplicity(coeffs, lam.value, p) == len(linalg.kernel_basis(power, p))
 
 
 @settings(max_examples=80, deadline=None)
 @given(matrices(fields=FIELDS, max_n=6, rows=st.integers(1, 6)))
 def test_kernel_basis_matches_reference(case):
     field, mat = case
-    assert linalg.kernel_basis(mat, field) == reference_kernel_basis(mat, field)
+    n = len(mat[0])
+    basis = linalg.kernel_basis(raw_matrix(mat), field.p)
+    assert [dense(vec, n, field) for _, vec in basis] == reference_kernel_basis(mat, field)
+    for lead, vec in basis:
+        assert vec[lead] == 1 and not any(vec.get(other) for other, _ in basis if other != lead)
 
 
 @settings(max_examples=80, deadline=None)
 @given(matrices(fields=FIELDS, max_n=5, rows=st.integers(1, 4)), st.data())
 def test_in_span_matches_rank_test(case, data):
-    field, vectors = case
-    n = len(vectors[0])
+    # the span is the kernel of the drawn matrix, in kernel_basis form
+    field, mat = case
+    n = len(mat[0])
     if n == 0:
         return
+    basis = linalg.kernel_basis(raw_matrix(mat), field.p)
+    vectors = [dense(vec, n, field) for _, vec in basis]
     coeffs = data.draw(st.lists(small_elements(field), min_size=len(vectors), max_size=len(vectors)))
     inside = [sum((c * v[i] for c, v in zip(coeffs, vectors)), field.zero()) for i in range(n)]
     anywhere = data.draw(st.lists(small_elements(field), min_size=n, max_size=n))
-    basis = linalg.span_basis(vectors, field)
-    assert linalg.in_span(basis, inside, field)
-    assert linalg.in_span(basis, anywhere, field) == reference_in_span(vectors, anywhere, field)
+
+    def sparse(vec):
+        return {j: x.value for j, x in enumerate(vec) if x}
+
+    assert linalg.in_span(basis, sparse(inside), field.p)
+    assert linalg.in_span(basis, sparse(anywhere), field.p) == reference_in_span(vectors, anywhere, field)
 
 
 def test_mat_pow_matches_repeated_products():
     field = prime_field(7)
     mat = [[field.from_int((3 * i + j * j) % 7) for j in range(4)] for i in range(4)]
-    product = linalg.identity_matrix(field, 4)
+    product = identity_matrix(field, 4)
     for k in range(6):
-        assert linalg.mat_pow(mat, k, field) == product
-        product = linalg.mat_mul(product, mat, field)
+        assert [elements(row, field) for row in linalg.mat_pow(raw_matrix(mat), k, 7)] == product
+        product = mat_mul(product, mat, field)
 
 
 @st.composite
@@ -248,3 +273,14 @@ def test_grading_decompose_matches_reference(case):
     assert got.spectrum == expected.spectrum
     assert got.spaces == expected.spaces
     assert got.products == expected.products
+    if op.algebra.field.p is None:
+        # equal FieldElements may still hold an int where a Fraction belongs
+        values = [lam.value for lam in got.spectrum]
+        polys = [u for basis in got.spaces.values() for u in basis]
+        for check in got.products:
+            values += [check.left.value, check.right.value]
+            if check.product_eigenvalue is not None:
+                values.append(check.product_eigenvalue.value)
+            polys += list(check.witness or ())
+        values += [c.value for u in polys for _, c in u.terms()]
+        assert all(type(v) is Fraction for v in values)
