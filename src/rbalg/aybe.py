@@ -13,7 +13,6 @@ of being truncated away.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NonUnitalAlgebra, SearchBudgetExceeded
@@ -222,9 +221,13 @@ def aybe_grid_search(
     solve the equation exactly.  A falsification-style witness over a
     finite grid, not a symbolic solution of the equation.
 
-    The residual is quadratic in the cell coefficients, so the arity-3
-    key contributions of every cell pair are precomputed once and each
-    grid assignment is evaluated on raw coefficient values.
+    The residual is quadratic in the cell coefficients.  Cells are
+    assigned depth first in their canonical order, trying grid values
+    in grid order, so solutions come out in the order of the full grid
+    product.  Each key of A x A x A is tested once the last cell that
+    touches it is assigned, and a partial assignment with a nonzero
+    closed key is abandoned.  ``budget`` caps the search nodes, one per
+    grid value tried at a cell.
     """
     if not algebra.unital:
         raise NonUnitalAlgebra("tensor computations require a unital algebra")
@@ -232,57 +235,70 @@ def aybe_grid_search(
     cells = [(a, b) for a in basis for b in basis]
     ncells = len(cells)
     if ncells > max_cells:
-        raise SearchBudgetExceeded(
-            f"{ncells} support cells exceed the cap of {max_cells}"
-        )
-    total = len(grid) ** ncells
-    if total > budget:
-        raise SearchBudgetExceeded(
-            f"{total} candidate tensors exceed the budget of {budget}"
-        )
-    # quadratic structure: contribution keys of each ordered cell pair
-    pair_keys = []
-    for a_i, b_i in cells:
-        row = []
-        for a_j, b_j in cells:
-            row.append(
-                (
-                    ((a_i * a_j).exponents, b_j.exponents, b_i.exponents),
-                    (a_i.exponents, (b_i * a_j).exponents, b_j.exponents),
-                    (a_j.exponents, a_i.exponents, (b_i * b_j).exponents),
-                )
-            )
-        pair_keys.append(row)
+        raise SearchBudgetExceeded(f"{ncells} support cells exceed the cap of {max_cells}")
+    # plans[k]: (key id, i, c) with c * raw[i] * raw[k] the share in that key
+    # of the ordered pairs with max(i, k) = k; raw[ncells] = -weight is the
+    # factor of cell k's linear term
+    key_ids: Dict[tuple, int] = {}
+    plans: List[List[Tuple[int, int, int]]] = []
     one_exps = algebra.one_monomial().exponents
-    linear_keys = [
-        (a.exponents, one_exps, b.exponents) for a, b in cells
-    ]
+    for k, (a_k, b_k) in enumerate(cells):
+        pieces = [((a_k.exponents, one_exps, b_k.exponents), ncells, 1)]
+        for i, cell in enumerate(cells[: k + 1]):
+            for (a_s, b_s), (a_t, b_t) in dict.fromkeys([(cell, cells[k]), (cells[k], cell)]):
+                pieces += [
+                    (((a_s * a_t).exponents, b_t.exponents, b_s.exponents), i, 1),
+                    ((a_s.exponents, (b_s * a_t).exponents, b_t.exponents), i, -1),
+                    ((a_t.exponents, a_s.exponents, (b_s * b_t).exponents), i, 1),
+                ]
+        terms: Dict[Tuple[int, int], int] = {}
+        for key, i, sign in pieces:
+            slot = (key_ids.setdefault(key, len(key_ids)), i)
+            terms[slot] = terms.get(slot, 0) + sign
+        plans.append([(kid, i, c) for (kid, i), c in terms.items() if c])
+    # closes[k]: the keys that no cell after k touches
+    last = [0] * len(key_ids)
+    for k, plan in enumerate(plans):
+        for kid, _, _ in plan:
+            last[kid] = k
+    closes: List[List[int]] = [[] for _ in cells]
+    for kid, k in enumerate(last):
+        closes[k].append(kid)
+
     p = algebra.field.p
     raw_grid = [g.value for g in grid]
-    solutions = []
-    raw_weight = weight.value
-    for indices in itertools.product(range(len(grid)), repeat=ncells):
-        live = [(i, raw_grid[g]) for i, g in enumerate(indices) if raw_grid[g] != 0]
-        acc: Dict[tuple, object] = {}
-        for i, ci in live:
-            row = pair_keys[i]
-            lin = linear_keys[i]
-            acc[lin] = acc.get(lin, 0) - raw_weight * ci
-            for j, cj in live:
-                prod = ci * cj
-                k1, k2, k3 = row[j]
-                acc[k1] = acc.get(k1, 0) + prod
-                acc[k2] = acc.get(k2, 0) - prod
-                acc[k3] = acc.get(k3, 0) + prod
-        if p is None:
-            ok = all(v == 0 for v in acc.values())
-        else:
-            ok = all(v % p == 0 for v in acc.values())
-        if ok:
-            terms = {
-                cells[i]: grid[g]
-                for i, g in enumerate(indices)
-                if not grid[g].is_zero()
-            }
+    raw = [0] * ncells + [-weight.value]
+    acc: List[object] = [0] * len(key_ids)
+    chosen = [0] * ncells
+    solutions: List[TensorElement] = []
+    nodes = 0
+
+    def place(k: int) -> None:
+        nonlocal nodes
+        if k == ncells:
+            terms = {cells[i]: grid[j] for i, j in enumerate(chosen) if raw_grid[j]}
             solutions.append(TensorElement(algebra, 2, terms))
+            return
+        for g, v in enumerate(raw_grid):
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(f"AYBE grid budget of {budget} nodes exhausted")
+            raw[k] = v
+            undo = []
+            if v:
+                for kid, i, c in plans[k]:
+                    if raw[i]:
+                        undo.append((kid, acc[kid]))
+                        acc[kid] += c * raw[i] * v
+            if p is None:
+                ok = not any(acc[kid] for kid in closes[k])
+            else:
+                ok = not any(acc[kid] % p for kid in closes[k])
+            if ok:
+                chosen[k] = g
+                place(k + 1)
+            for kid, old in reversed(undo):
+                acc[kid] = old
+
+    place(0)
     return solutions

@@ -134,6 +134,8 @@ def _cmd_construct(args) -> int:
     elif family in ("quotient-one", "quotient-zero"):
         if args.truncation is None:
             raise RBAlgebraError(f"{family} needs --truncation")
+        if args.nvars != 1 or args.unital:
+            raise RBAlgebraError(f"{family} is univariate and non-unital: drop --nvars and --unital")
         source = (
             QuotientFamily.WEIGHT_ONE_ALPHA_ONE
             if family == "quotient-one"

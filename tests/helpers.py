@@ -6,7 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 from unittest import mock
 
 from hypothesis import strategies as st
@@ -17,7 +17,9 @@ from rbalg import (
     DenseOperator,
     MonomialOperatorTable,
     Polynomial,
+    TensorElement,
     WeightZeroFamilyParams,
+    aybe_residual,
     construct_weight_zero,
     rb_residual,
 )
@@ -28,7 +30,7 @@ from rbalg.classify import (
     _respects_class_closure,
     _respects_kernel_image_structure,
 )
-from rbalg.errors import NonSplitSpectrum, SearchBudgetExceeded
+from rbalg.errors import NonSplitSpectrum, NonUnitalAlgebra, SearchBudgetExceeded
 from rbalg.fields import FieldElement, FieldKind, FieldSpec
 from rbalg.grading import (
     GradingDecomposition,
@@ -698,3 +700,124 @@ def reference_enumerate_monomial_rb(algebra, weight, degree_bound, strategy=None
         mock.patch.object(classify, "_solve_coefficients", reference_solve_coefficients),
     ):
         return classify.enumerate_monomial_rb(algebra, weight, degree_bound, strategy)
+
+
+def reference_aybe_grid_search(
+    algebra: AlgebraSpec,
+    support_degree: int,
+    grid: List[FieldElement],
+    weight: FieldElement,
+    max_cells: int = 16,
+    budget: int = 2_000_000,
+) -> List[TensorElement]:
+    """All tensors with the given support and grid coefficients that
+    solve the equation exactly.  A falsification-style witness over a
+    finite grid, not a symbolic solution of the equation.
+
+    The residual is quadratic in the cell coefficients, so the arity-3
+    key contributions of every cell pair are precomputed once and each
+    grid assignment is evaluated on raw coefficient values.
+    """
+    if not algebra.unital:
+        raise NonUnitalAlgebra("tensor computations require a unital algebra")
+    basis = list(algebra.basis(support_degree))
+    cells = [(a, b) for a in basis for b in basis]
+    ncells = len(cells)
+    if ncells > max_cells:
+        raise SearchBudgetExceeded(
+            f"{ncells} support cells exceed the cap of {max_cells}"
+        )
+    total = len(grid) ** ncells
+    if total > budget:
+        raise SearchBudgetExceeded(
+            f"{total} candidate tensors exceed the budget of {budget}"
+        )
+    # quadratic structure: contribution keys of each ordered cell pair
+    pair_keys = []
+    for a_i, b_i in cells:
+        row = []
+        for a_j, b_j in cells:
+            row.append(
+                (
+                    ((a_i * a_j).exponents, b_j.exponents, b_i.exponents),
+                    (a_i.exponents, (b_i * a_j).exponents, b_j.exponents),
+                    (a_j.exponents, a_i.exponents, (b_i * b_j).exponents),
+                )
+            )
+        pair_keys.append(row)
+    one_exps = algebra.one_monomial().exponents
+    linear_keys = [
+        (a.exponents, one_exps, b.exponents) for a, b in cells
+    ]
+    p = algebra.field.p
+    raw_grid = [g.value for g in grid]
+    solutions = []
+    raw_weight = weight.value
+    for indices in itertools.product(range(len(grid)), repeat=ncells):
+        live = [(i, raw_grid[g]) for i, g in enumerate(indices) if raw_grid[g] != 0]
+        acc: Dict[tuple, object] = {}
+        for i, ci in live:
+            row = pair_keys[i]
+            lin = linear_keys[i]
+            acc[lin] = acc.get(lin, 0) - raw_weight * ci
+            for j, cj in live:
+                prod = ci * cj
+                k1, k2, k3 = row[j]
+                acc[k1] = acc.get(k1, 0) + prod
+                acc[k2] = acc.get(k2, 0) - prod
+                acc[k3] = acc.get(k3, 0) + prod
+        if p is None:
+            ok = all(v == 0 for v in acc.values())
+        else:
+            ok = all(v % p == 0 for v in acc.values())
+        if ok:
+            terms = {
+                cells[i]: grid[g]
+                for i, g in enumerate(indices)
+                if not grid[g].is_zero()
+            }
+            solutions.append(TensorElement(algebra, 2, terms))
+    return solutions
+
+
+def reference_aybe_nodes(algebra, support_degree, grid, weight) -> int:
+    """Nodes of the pruned AYBE grid search, rebuilt from ``aybe_residual``.
+
+    Cell k touches a key of A x A x A when the key has a nonzero integer
+    coefficient in cell k's linear term, in its self-product, or in the
+    bilinear cross term with an earlier cell.  Assigning cell k is one
+    node; the search goes deeper only if the residual of the partial
+    tensor vanishes on every key that no later cell touches.
+    """
+    basis = list(algebra.basis(support_degree))
+    cells = [(a, b) for a in basis for b in basis]
+    over_q = AlgebraSpec(QQ, nvars=algebra.nvars, unital=True, truncation=None)
+
+    def quadratic(terms):
+        return aybe_residual(TensorElement(over_q, 2, terms), QQ.zero())
+
+    units = [quadratic({cell: QQ.one()}) for cell in cells]
+    last: Dict[tuple, int] = {}
+    for k, cell in enumerate(cells):
+        touched = set(units[k].terms)
+        touched.add((cell[0], over_q.one_monomial(), cell[1]))
+        for i in range(k):
+            cross = quadratic({cells[i]: QQ.one(), cell: QQ.one()}) - units[i] - units[k]
+            touched |= set(cross.terms)
+        for key in touched:
+            last[key] = k
+
+    def visit(prefix) -> int:
+        k = len(prefix)
+        if k == len(cells):
+            return 0
+        nodes = 0
+        for value in grid:
+            nodes += 1
+            terms = dict(zip(cells, prefix + [value]))
+            residual = aybe_residual(TensorElement(algebra, 2, terms), weight)
+            if all(last[key] > k for key in residual.terms):
+                nodes += visit(prefix + [value])
+        return nodes
+
+    return visit([])

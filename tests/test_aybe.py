@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import field_elements, reference_aybe_grid_search, reference_aybe_nodes
 from rbalg import (
     QQ,
     AlgebraSpec,
@@ -13,6 +16,7 @@ from rbalg import (
     rb_residual,
 )
 from rbalg.errors import NonUnitalAlgebra, SearchBudgetExceeded
+from rbalg.fields import FieldSpec
 
 UNITAL = AlgebraSpec(QQ, nvars=1, unital=True, truncation=None)
 ONE = UNITAL.one_monomial()
@@ -151,6 +155,84 @@ def test_grid_search_budget_guards():
         aybe_grid_search(UNITAL, 2, grid, QQ.one(), budget=10)
 
 
+def test_grid_search_budget_counts_nodes():
+    with pytest.raises(SearchBudgetExceeded, match="^AYBE grid budget of 1 nodes exhausted$"):
+        aybe_grid_search(UNITAL, 1, [QQ.zero(), QQ.one()], QQ.one(), budget=1)
+    # degree 2 on {0, 1} visits 34 nodes, not 2^9 candidates
+    assert reference_aybe_nodes(UNITAL, 2, [QQ.zero(), QQ.one()], QQ.one()) == 34
+
+
+# (field, nvars, degree, grid, weight): weight 0 and characteristics 2 and
+# 3 prune differently from weight 1 over Q
+NODE_CASES = [
+    ("Q", 1, 2, "0,1,-1", 1),
+    ("Q", 1, 3, "0,1,-1", 1),
+    ("Q", 1, 2, "0,1,-1", 0),
+    ("Fp:2", 1, 3, "1,0", 0),
+    ("Fp:3", 1, 2, "0,1,2", 0),
+    ("Fp:5", 2, 1, "0,1,-1", 0),
+    ("Fp:7", 1, 2, "-1,0,2", 1),
+]
+
+
+@pytest.mark.parametrize("field_name,nvars,degree,grid_text,w", NODE_CASES)
+def test_grid_search_nodes_match_reference(field_name, nvars, degree, grid_text, w):
+    field = FieldSpec.from_string(field_name)
+    algebra = AlgebraSpec(field, nvars=nvars, unital=True, truncation=None)
+    grid = [field.parse(g) for g in grid_text.split(",")]
+    weight = field.from_int(w)
+    nodes = reference_aybe_nodes(algebra, degree, grid, weight)
+    solutions = aybe_grid_search(algebra, degree, grid, weight, budget=nodes)
+    assert all(aybe_residual(s, weight).is_zero() for s in solutions)
+    with pytest.raises(SearchBudgetExceeded, match=f"budget of {nodes - 1} nodes"):
+        aybe_grid_search(algebra, degree, grid, weight, budget=nodes - 1)
+
+
+# grids of size 3 only where the reference evaluates 3^4 candidates; the
+# 9-cell cases (degree 2, or k[x, y] at degree 1) use grids of size 2
+CROSS_CHECK_CASES = [
+    (field, nvars, degree, grid)
+    for field in ("Q", "Fp:5", "Fp:7", "Fp:101")
+    for nvars, degree, grids in (
+        (1, 1, ("0,1", "-1,0,1", "1,0,2")),
+        (1, 2, ("1,0", "0,-1")),
+        (2, 1, ("1,0", "0,-1")),
+    )
+    for grid in grids
+    if nvars == 1 or field in ("Q", "Fp:5")
+]
+
+
+@pytest.mark.parametrize("field_name,nvars,degree,grid_text", CROSS_CHECK_CASES)
+def test_grid_search_matches_reference(field_name, nvars, degree, grid_text):
+    field = FieldSpec.from_string(field_name)
+    algebra = AlgebraSpec(field, nvars=nvars, unital=True, truncation=None)
+    grid = [field.parse(g) for g in grid_text.split(",")]
+    for w in (0, 1, -1):
+        weight = field.from_int(w)
+        expected = reference_aybe_grid_search(algebra, degree, grid, weight)
+        assert aybe_grid_search(algebra, degree, grid, weight) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_grid_search_matches_reference_on_drawn_grids(data):
+    field = FieldSpec.from_string(data.draw(st.sampled_from(["Q", "Fp:5", "Fp:7"])))
+    algebra = AlgebraSpec(field, nvars=1, unital=True, truncation=None)
+    elements = field_elements(field)
+    grid = data.draw(st.lists(elements, min_size=1, max_size=4))
+    weight = data.draw(st.one_of(elements, st.sampled_from(grid)))
+    expected = reference_aybe_grid_search(algebra, 1, grid, weight)
+    assert aybe_grid_search(algebra, 1, grid, weight) == expected
+
+
+def test_grid_search_degree_three():
+    grid = [QQ.zero(), QQ.one(), -QQ.one()]
+    solutions = aybe_grid_search(UNITAL, 3, grid, QQ.one())  # 16 cells
+    assert solutions == [TensorElement(UNITAL, 2, {}), unit_tensor(QQ.one())]
+    assert all(aybe_residual(s, QQ.one()).is_zero() for s in solutions)
+
+
 def test_grid_search_requires_a_unital_algebra():
     non_unital = AlgebraSpec(QQ, nvars=1, unital=False, truncation=None)
     for weight in (QQ.zero(), QQ.one()):
@@ -180,4 +262,4 @@ def test_multivariate_unit_solution():
     r = TensorElement(algebra, 2, {(one, one): lam})
     assert aybe_residual(r, lam).is_zero()
     solutions = aybe_grid_search(algebra, 1, [QQ.zero(), QQ.one(), -QQ.one()], lam)
-    assert solutions == [TensorElement(algebra, 2, {}), r] or r in solutions
+    assert solutions == [TensorElement(algebra, 2, {}), r]

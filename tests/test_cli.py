@@ -321,6 +321,17 @@ def test_construct_quotient_family_needs_a_truncation(capsys, family):
     assert err == f"error: {family} needs --truncation\n"
 
 
+@pytest.mark.parametrize("family", ["quotient-one", "quotient-zero"])
+@pytest.mark.parametrize("flags", [["--nvars", "2"], ["--unital"], ["--nvars", "2", "--unital"]])
+def test_construct_quotient_family_rejects_algebra_flags(capsys, family, flags):
+    code, out, err = run_cli(
+        capsys, "construct", "--family", family, "--field", "Fp:5", "--truncation", "3", *flags
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {family} is univariate and non-unital: drop --nvars and --unital\n"
+
+
 def test_classify_explicit_zeros_are_kept(capsys):
     field = QQ
     algebra = AlgebraSpec(field, nvars=1, unital=False, truncation=4)
