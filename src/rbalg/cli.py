@@ -161,8 +161,9 @@ def _cmd_check(args) -> int:
     weight = op.algebra.field.parse(args.weight)
     degree = args.degree if args.degree is not None else op.degree_bound
     report = rb_check(op, weight, degree)
+    skipped = f", {report.skipped_pairs} outside the domain" if report.skipped_pairs else ""
     text = (
-        f"pass ({report.checked_pairs} pairs)"
+        f"pass ({report.checked_pairs} pairs{skipped})"
         if report.passed
         else "violation at ({}, {}): residual {}".format(
             report.violation.u.to_text(),

@@ -39,6 +39,13 @@ def _effective_bound(algebra: AlgebraSpec, degree_bound: Optional[int]) -> int:
     return degree_bound
 
 
+def _accumulate(terms: Dict[Monomial, FieldElement], m: Monomial, c: FieldElement) -> None:
+    """terms[m] += c, keeping only nonzero coefficients."""
+    total = c + terms.pop(m) if m in terms else c
+    if not total.is_zero():
+        terms[m] = total
+
+
 class MonomialOperatorTable:
     """R(source) = coeff * target on every basis monomial of degree <= bound."""
 
@@ -84,19 +91,18 @@ class MonomialOperatorTable:
         if hit is None:
             return Polynomial.zero(self.algebra)
         coeff, dst = hit
-        return Polynomial.monomial(self.algebra, dst, coeff)
+        return Polynomial._trusted(self.algebra, {dst: coeff})
 
     def apply(self, f: Polynomial) -> Polynomial:
         if f.algebra != self.algebra:
             raise MixedAlgebras("polynomial from a different algebra")
-        out = Polynomial.zero(self.algebra)
+        out = {}
         for mono, coeff in f.terms():
             hit = self.entry(mono)
-            if hit is None:
-                continue
-            c, dst = hit
-            out = out + Polynomial.monomial(self.algebra, dst, coeff * c)
-        return out
+            if hit is not None:
+                c, dst = hit
+                _accumulate(out, dst, coeff * c)
+        return Polynomial._trusted(self.algebra, out)
 
     # -- inspection -----------------------------------------------------------
 
@@ -206,10 +212,11 @@ class DenseOperator:
     def apply(self, f: Polynomial) -> Polynomial:
         if f.algebra != self.algebra:
             raise MixedAlgebras("polynomial from a different algebra")
-        out = Polynomial.zero(self.algebra)
+        out = {}
         for mono, coeff in f.terms():
-            out = out + self.apply_monomial(mono).scale(coeff)
-        return out
+            for m, c in self.apply_monomial(mono)._terms.items():
+                _accumulate(out, m, coeff * c)
+        return Polynomial._trusted(self.algebra, out)
 
     def as_matrix(self, basis):
         index = {m: i for i, m in enumerate(basis)}

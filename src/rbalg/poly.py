@@ -33,7 +33,7 @@ class Monomial:
         return self.degree() == 0
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        return Monomial(tuple([a + b for a, b in zip(self.exponents, other.exponents)]))
 
     def sort_key(self):
         return (self.degree(), self.exponents)
@@ -155,17 +155,26 @@ class Polynomial:
                     raise ValueError("non-unital algebra has no constant term")
                 if len(mono.exponents) != algebra.nvars:
                     raise ValueError("monomial arity does not match the algebra")
-                clean[mono] = clean.get(mono, algebra.field.zero()) + coeff
+                clean[mono] = clean[mono] + coeff if mono in clean else coeff
                 if clean[mono].is_zero():
                     del clean[mono]
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "_terms", clean)
 
+    @classmethod
+    def _trusted(cls, algebra: AlgebraSpec, terms: Dict[Monomial, FieldElement]) -> "Polynomial":
+        """A polynomial on terms the library built canonical: nonzero
+        coefficients of the algebra's field on its basis monomials."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "algebra", algebra)
+        object.__setattr__(poly, "_terms", terms)
+        return poly
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(algebra: AlgebraSpec) -> "Polynomial":
-        return Polynomial(algebra)
+        return Polynomial._trusted(algebra, {})
 
     @staticmethod
     def monomial(algebra: AlgebraSpec, mono: Monomial, coeff: Optional[FieldElement] = None) -> "Polynomial":
@@ -214,10 +223,10 @@ class Polynomial:
                 terms.pop(mono, None)
             else:
                 terms[mono] = total
-        return Polynomial(self.algebra, terms)
+        return Polynomial._trusted(self.algebra, terms)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.algebra, {m: -c for m, c in self._terms.items()})
+        return Polynomial._trusted(self.algebra, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -225,7 +234,7 @@ class Polynomial:
     def scale(self, c: FieldElement) -> "Polynomial":
         if c.is_zero():
             return Polynomial.zero(self.algebra)
-        return Polynomial(self.algebra, {m: c * k for m, k in self._terms.items()})
+        return Polynomial._trusted(self.algebra, {m: c * k for m, k in self._terms.items()})
 
     def __rmul__(self, other):
         if isinstance(other, FieldElement):
@@ -253,7 +262,7 @@ class Polynomial:
                     out.pop(mono, None)
                 else:
                     out[mono] = total
-        return Polynomial(self.algebra, out)
+        return Polynomial._trusted(self.algebra, out)
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 1:

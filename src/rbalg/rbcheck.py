@@ -26,9 +26,9 @@ from enum import Enum
 from operator import add
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import NonzeroWeight
+from .errors import DegreeBoundExceeded, NonzeroWeight
 from .fields import FieldElement
-from .operators import LinearOperator, MonomialOperatorTable
+from .operators import DenseOperator, LinearOperator, MonomialOperatorTable
 from .poly import Monomial, Polynomial
 
 
@@ -52,6 +52,7 @@ class RBViolation:
 class CheckReport:
     checked_pairs: int
     violation: Optional[RBViolation]
+    skipped_pairs: int = 0  # pairs whose evaluation leaves the operator's domain
 
     @property
     def passed(self) -> bool:
@@ -62,6 +63,8 @@ class CheckReport:
             "status": "pass" if self.passed else "fail",
             "checked_pairs": self.checked_pairs,
         }
+        if self.skipped_pairs:
+            out["skipped_pairs"] = self.skipped_pairs
         if self.violation is not None:
             out["violation"] = self.violation.to_json_dict()
         return out
@@ -83,19 +86,21 @@ def rb_residual(
 def _raw_pair_test(R: LinearOperator, weight: FieldElement):
     """A test on raw values that a pair's residual vanishes, or None.
 
-    On a monomial table every piece of the identity is one term, so a
-    pair's residual has at most four; they are formed on exponent tuples
-    and ``FieldElement.value``s, truncated and cancelled exactly where
+    Images are compiled once to exponent tuples and ``FieldElement.value``s
+    (Fractions over Q, ints over GF(p) reduced only at zero tests), and a
+    pair's residual is formed on them, truncated and cancelled exactly where
     ``rb_residual`` does.  False means "ask ``rb_residual``": a nonzero
     residual, or an inner term outside the operator's domain.
     """
-    if not isinstance(R, MonomialOperatorTable) or weight.spec != R.algebra.field:
+    if not isinstance(R, (MonomialOperatorTable, DenseOperator)) or weight.spec != R.algebra.field:
         return None
     algebra, bound, w = R.algebra, R.degree_bound, weight.value
-    table = {s.exponents: (c.value, d.exponents, d.degree()) for s, (c, d) in R.entries.items()}
     trunc = algebra.truncation or math.inf
     p = algebra.field.p
     nonzero = bool if p is None else (lambda c: c % p)
+    if isinstance(R, DenseOperator):
+        return _dense_pair_test(R, bound, w, trunc, nonzero)
+    table = {s.exponents: (c.value, d.exponents, d.degree()) for s, (c, d) in R.entries.items()}
 
     def vanishes(u: Monomial, v: Monomial) -> bool:
         eu, ev = u.exponents, v.exponents
@@ -126,6 +131,44 @@ def _raw_pair_test(R: LinearOperator, weight: FieldElement):
     return vanishes
 
 
+def _dense_pair_test(R: DenseOperator, bound, w, trunc, nonzero):
+    """``_raw_pair_test`` for images of any number of terms."""
+    images = {
+        s.exponents: [(m.exponents, m.degree(), c.value) for m, c in f.terms()] for s, f in R.images.items()
+    }
+
+    def vanishes(u: Monomial, v: Monomial) -> bool:
+        eu, ev = u.exponents, v.exponents
+        du, dv = sum(eu), sum(ev)
+        if du > bound or dv > bound:
+            return False
+        Ru, Rv = images.get(eu, ()), images.get(ev, ())
+        inner = {}  # R(u)v + uR(v) + w uv
+        for image, e, d in ((Ru, ev, dv), (Rv, eu, du)):
+            for t, dt, c in image:
+                if dt + d <= trunc:
+                    m = tuple(map(add, t, e))
+                    inner[m] = inner.get(m, 0) + c
+        if w and du + dv <= trunc:
+            m = tuple(map(add, eu, ev))
+            inner[m] = inner.get(m, 0) + w
+        residual = {}
+        for m1, d1, c1 in Ru:
+            for m2, d2, c2 in Rv:
+                if d1 + d2 <= trunc:
+                    m = tuple(map(add, m1, m2))
+                    residual[m] = residual.get(m, 0) + c1 * c2
+        for m, c in inner.items():
+            if nonzero(c):
+                if sum(m) > bound:
+                    return False
+                for t, _, ct in images.get(m, ()):
+                    residual[t] = residual.get(t, 0) - c * ct
+        return not any(map(nonzero, residual.values()))
+
+    return vanishes
+
+
 def rb_check(R: LinearOperator, weight: FieldElement, degree: int) -> CheckReport:
     """Exhaustive pairwise verification within a degree budget.
 
@@ -135,27 +178,35 @@ def rb_check(R: LinearOperator, weight: FieldElement, degree: int) -> CheckRepor
     verified in the quotient).  Pairs are visited in canonical order, so
     the reported first violation is deterministic.
 
-    A monomial table is checked on raw values (``_raw_pair_test``); a
-    violation, or a pair leaving the operator's domain, is reported by
-    ``rb_residual``, which remains the reference for every operator.
+    Tables and dense operators are checked on raw values (``_raw_pair_test``).
+    ``rb_residual`` stays the reference: it reports a violation, and a pair
+    on which it would apply R above its bound is skipped (``skipped_pairs``);
+    arguments above the bound raise ``DegreeBoundExceeded``.
     """
     algebra = R.algebra
     truncated = algebra.truncation is not None
     top = min(degree, algebra.truncation) if truncated else degree
     basis = list(algebra.basis(top))
     vanishes = _raw_pair_test(R, weight)
-    checked = 0
+    checked = skipped = 0
     for i, u in enumerate(basis):
         for v in basis[i:]:
             if not truncated and u.degree() + v.degree() > top:
                 continue
-            checked += 1
             if vanishes is not None and vanishes(u, v):
+                checked += 1
                 continue
-            residual = rb_residual(R, u, v, weight)
+            try:
+                residual = rb_residual(R, u, v, weight)
+            except DegreeBoundExceeded:
+                if v.degree() > R.degree_bound:  # u <= v
+                    raise
+                skipped += 1
+                continue
+            checked += 1
             if not residual.is_zero():
-                return CheckReport(checked, RBViolation(u, v, residual))
-    return CheckReport(checked, None)
+                return CheckReport(checked, RBViolation(u, v, residual), skipped)
+    return CheckReport(checked, None, skipped)
 
 
 def rb_power_check(R: LinearOperator, w: Monomial, k: int) -> Polynomial:

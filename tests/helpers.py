@@ -30,7 +30,7 @@ from rbalg.classify import (
     _respects_class_closure,
     _respects_kernel_image_structure,
 )
-from rbalg.errors import NonSplitSpectrum, NonUnitalAlgebra, SearchBudgetExceeded
+from rbalg.errors import DegreeBoundExceeded, NonSplitSpectrum, NonUnitalAlgebra, SearchBudgetExceeded
 from rbalg.fields import FieldElement, FieldKind, FieldSpec
 from rbalg.grading import (
     GradingDecomposition,
@@ -122,50 +122,63 @@ def reference_rb_check(R, weight, degree):
     """``rb_check`` evaluated pair by pair with ``rb_residual`` alone.
 
     The same pairs in the same order, but no raw-value kernel: an oracle
-    that stays independent of the fast path it judges.
+    that stays independent of the fast path it judges.  A pair of
+    arguments within the bound whose residual applies R above it is
+    outside the domain and skipped.
     """
     algebra = R.algebra
     truncated = algebra.truncation is not None
     top = min(degree, algebra.truncation) if truncated else degree
     basis = list(algebra.basis(top))
-    checked = 0
+    checked = skipped = 0
     for i, u in enumerate(basis):
         for v in basis[i:]:
             if not truncated and u.degree() + v.degree() > top:
                 continue
+            try:
+                residual = rb_residual(R, u, v, weight)
+            except DegreeBoundExceeded:
+                if max(u.degree(), v.degree()) > R.degree_bound:
+                    raise
+                skipped += 1
+                continue
             checked += 1
-            residual = rb_residual(R, u, v, weight)
             if not residual.is_zero():
-                return CheckReport(checked, RBViolation(u, v, residual))
-    return CheckReport(checked, None)
+                return CheckReport(checked, RBViolation(u, v, residual), skipped)
+    return CheckReport(checked, None, skipped)
 
 
 def quadratic_shift_conjugate(R, c):
-    """psi^-1 R psi for the automorphism psi(x) = x + c x^2 of k0[x]/(x^(N+1)).
+    """psi^-1 R psi for the automorphism psi(x_i) = x_i + c x_i^2 of the
+    non-unital truncated algebra, for an operator defined up to the truncation.
 
     A dense operator with the spectrum of R whenever c is nonzero.
     """
     algebra = R.algebra
-    N = algebra.truncation
-    x = Polynomial.monomial(algebra, algebra.monomial(1))
-    psi_x = x + (x * x).scale(c)
-    psi = {1: psi_x}
-    for i in range(2, N + 1):
-        psi[i] = psi[i - 1] * psi_x
-    # psi is unitriangular; invert it by back substitution from the top degree
+    basis = list(algebra.basis(algebra.truncation))
+    psi = {}
+    for m in basis:
+        image = None
+        for i, e in enumerate(m.exponents):
+            x = Polynomial.monomial(algebra, algebra.monomial(*(int(j == i) for j in range(algebra.nvars))))
+            for _ in range(e):
+                factor = x + (x * x).scale(c)
+                image = factor if image is None else image * factor
+        psi[m] = image
+    # psi(m) is m plus terms of higher degree; invert by back substitution from the top
     inv = {}
-    for i in range(N, 0, -1):
-        acc = Polynomial.monomial(algebra, algebra.monomial(i))
-        for mono, coeff in psi[i].terms():
-            if mono.exponents[0] > i:
-                acc = acc - inv[mono.exponents[0]].scale(coeff)
-        inv[i] = acc
+    for m in reversed(basis):
+        acc = Polynomial.monomial(algebra, m)
+        for mono, coeff in psi[m].terms():
+            if mono != m:
+                acc = acc - inv[mono].scale(coeff)
+        inv[m] = acc
     images = {}
-    for i in range(1, N + 1):
+    for m in basis:
         image = Polynomial.zero(algebra)
-        for mono, coeff in R.apply(psi[i]).terms():
-            image = image + inv[mono.exponents[0]].scale(coeff)
-        images[algebra.monomial(i)] = image
+        for mono, coeff in R.apply(psi[m]).terms():
+            image = image + inv[mono].scale(coeff)
+        images[m] = image
     return DenseOperator(algebra, R.weight, R.degree_bound, images)
 
 

@@ -5,8 +5,18 @@ import sys
 
 import pytest
 
-from helpers import scaled_inverse_degree_conjugate
-from rbalg import QQ, AlgebraSpec, MonomialOperatorTable, enumerate_monomial_rb, prime_field, rb_check
+from helpers import quadratic_shift_conjugate, scaled_inverse_degree_conjugate
+from rbalg import (
+    QQ,
+    AlgebraSpec,
+    DenseOperator,
+    MonomialOperatorTable,
+    Polynomial,
+    construct_weight_one_univariate,
+    enumerate_monomial_rb,
+    prime_field,
+    rb_check,
+)
 from rbalg.classify import CoefficientStrategy, default_strategy
 from rbalg.cli import main
 
@@ -72,6 +82,77 @@ def test_check_identity_operator_fails(tmp_path, capsys):
     assert report["status"] == "fail"
     assert report["violation"]["u"] == [1]
     assert report["violation"]["v"] == [1]
+
+
+@pytest.mark.parametrize(
+    "family,checked,skipped",
+    [
+        (["--family", "integral", "--unital", "--a", "1"], 12, 4),
+        (["--family", "weight-zero", "--m", "1", "--pq", "2:1"], 6, 3),
+    ],
+    ids=["integral", "weight-zero"],
+)
+def test_check_skips_pairs_outside_the_domain(tmp_path, capsys, family, checked, skipped):
+    # R raises degree, so at the top of the window R(u)v leaves the domain
+    path = tmp_path / "op.json"
+    code, _, _ = run_cli(capsys, "construct", *family, "--degree", "6", "--output", str(path))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "check", "--operator", str(path), "--weight", "0")
+    assert code == 0
+    assert json.loads(out) == {"status": "pass", "checked_pairs": checked, "skipped_pairs": skipped}
+    code, out, _ = run_cli(capsys, "check", "--operator", str(path), "--weight", "0", "--pretty")
+    assert code == 0
+    assert out == f"pass ({checked} pairs, {skipped} outside the domain)\n"
+
+
+def _dense_weight_one_gf53():
+    # conjugate under x -> x + 2x^2 of the weight-one table (alpha = 3) on GF(53)0[x]/(x^7)
+    field = prime_field(53)
+    algebra = AlgebraSpec(field, nvars=1, unital=False, truncation=6)
+    table = construct_weight_one_univariate(field.from_int(3), algebra, 6)
+    return quadratic_shift_conjugate(table, field.from_int(2))
+
+
+def _perturbed_dense_gf53():
+    R = _dense_weight_one_gf53()
+    algebra = R.algebra
+    images = dict(R.images)
+    x2 = algebra.monomial(2)
+    images[x2] = images[x2] + Polynomial.monomial(algebra, algebra.monomial(3))
+    return DenseOperator(algebra, R.weight, R.degree_bound, images)
+
+
+@pytest.mark.parametrize(
+    "build,weight,exit_code,digest",
+    [
+        (
+            lambda: scaled_inverse_degree_conjugate(6),
+            "0",
+            0,
+            "515bb910d9641aa17740ae6ec3892b27c2ee9f9871d75bd8d8aa747e47c28ead",
+        ),
+        (
+            _dense_weight_one_gf53,
+            "1",
+            0,
+            "515bb910d9641aa17740ae6ec3892b27c2ee9f9871d75bd8d8aa747e47c28ead",
+        ),
+        (
+            _perturbed_dense_gf53,
+            "1",
+            1,
+            "73b7c4cc3c3e9c39b70a452b33a40aeb3fd2c334088062298b267aca9e289256",
+        ),
+    ],
+    ids=["dense-conjugate-q", "dense-conjugate-gf53", "perturbed-dense-gf53"],
+)
+def test_check_output_is_pinned(tmp_path, capsys, build, weight, exit_code, digest):
+    """sha256 of the canonical stdout of ``rbalg check`` on dense operators."""
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(build().to_json_dict()))
+    code, out, _ = run_cli(capsys, "check", "--operator", str(path), "--weight", weight)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_classify_match_only_recovers_parameters(tmp_path, capsys):
@@ -273,8 +354,14 @@ def _doubled_weight_one_table():
             1,
             "ebc88f6978367a148e9c2300866695fb797aff35a892f3aad0b62166abe31f4c",
         ),
+        (
+            _dense_weight_one_gf53,
+            "1",
+            0,
+            "5fc5d6fef86acb40477a0a49405c595999e9df027888868f679343ef2df0e70f",
+        ),
     ],
-    ids=["ex7-gf5", "non-diagonal-gf5", "dense-conjugate-q", "violating-table-q"],
+    ids=["ex7-gf5", "non-diagonal-gf5", "dense-conjugate-q", "violating-table-q", "dense-conjugate-gf53"],
 )
 def test_grade_output_is_pinned(tmp_path, capsys, build, weight, exit_code, digest):
     """sha256 of the canonical stdout of ``rbalg grade``."""

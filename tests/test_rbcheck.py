@@ -1,4 +1,7 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,16 +10,23 @@ from hypothesis import strategies as st
 from rbalg import (
     QQ,
     AlgebraSpec,
+    AutomorphismSpec,
     DenseOperator,
     MonomialOperatorTable,
+    MultivariateFamilyParams,
+    MultivariateKind,
     Polynomial,
+    TensorElement,
     WeightZeroFamilyParams,
     check_unit_constraint,
     construct_integral,
+    construct_multivariate,
     construct_splitting,
     construct_weight_one_univariate,
     construct_weight_zero,
+    op_conjugate,
     op_kernel_image,
+    operator_from_tensor,
     prime_field,
     rb_check,
     rb_multi_residual,
@@ -41,9 +51,23 @@ from rbalg.rbcheck import UnitImageKind, _raw_pair_test
 from helpers import (
     field_elements,
     inverse_degree_table,
+    quadratic_shift_conjugate,
     random_weight_zero_params,
     reference_rb_check,
+    scaled_inverse_degree_conjugate,
 )
+
+
+def _load_benchmark_reference():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+REF = _load_benchmark_reference()
 
 NONUNITAL = AlgebraSpec(QQ, nvars=1, unital=False, truncation=None)
 UNITAL = AlgebraSpec(QQ, nvars=1, unital=True, truncation=None)
@@ -272,19 +296,10 @@ def _nonzero(field):
     return field_elements(field).filter(lambda c: not c.is_zero())
 
 
-@st.composite
-def checked_tables(draw):
-    """(table, weight, degree): random or family tables, maybe perturbed."""
-    field = draw(st.just(QQ) | st.sampled_from(SMALL_PRIMES))
-    nvars = draw(st.integers(1, 2))
-    unital = draw(st.booleans())
-    top = 5 if nvars == 1 else 3
-    truncation = draw(st.one_of(st.none(), st.integers(1, top)))
-    algebra = AlgebraSpec(field, nvars=nvars, unital=unital, truncation=truncation)
-    bound = draw(st.integers(1, truncation or top))
-    weight = draw(
-        st.sampled_from([field.zero(), field.one()]) | _nonzero(field)
-    )
+def _table_entries(draw, algebra, bound, weight):
+    """Entries of a random table, of -weight * id, or of a family table of
+    weight ``weight`` (empty where the family does not exist)."""
+    field, nvars, truncation = algebra.field, algebra.nvars, algebra.truncation
     basis = list(algebra.basis(bound))
     kind = draw(st.sampled_from(["random", "minus_weight", "splitting", "family"]))
     entries = {}
@@ -310,7 +325,7 @@ def checked_tables(draw):
             entries = dict(construct_weight_zero(params, algebra, bound).entries)
         except (CharacteristicObstruction, InvalidParams):
             pass
-    elif nvars == 1 and not unital and not weight.is_zero():
+    elif nvars == 1 and not algebra.unital and not weight.is_zero():
         # weight * (the weight-one family) has weight `weight`
         try:
             family = construct_weight_one_univariate(draw(_nonzero(field)), algebra, bound)
@@ -318,6 +333,40 @@ def checked_tables(draw):
             family = None
         if family is not None:
             entries = {s: (weight * c, d) for s, (c, d) in family.entries.items()}
+    elif nvars == 2 and not algebra.unital:
+        # weight * (the weight-one family), or the weight-zero family
+        family_kind = MultivariateKind.WEIGHT_ZERO if weight.is_zero() else MultivariateKind.WEIGHT_ONE
+        params = MultivariateFamilyParams(family_kind, (draw(_nonzero(field)), draw(_nonzero(field))))
+        try:
+            family = construct_multivariate(params, algebra, bound)
+        except (DenominatorVanishes, InvalidParams):
+            family = None
+        if family is not None:
+            scale = field.one() if weight.is_zero() else weight
+            entries = {s: (scale * c, d) for s, (c, d) in family.entries.items()}
+    return entries
+
+
+def _window(draw, bound):
+    """A degree window, now and then one above the bound."""
+    return bound + 1 if draw(st.integers(0, 4)) == 0 else draw(st.integers(1, bound))
+
+
+@st.composite
+def checked_tables(draw):
+    """(table, weight, degree): random or family tables, maybe perturbed."""
+    field = draw(st.just(QQ) | st.sampled_from(SMALL_PRIMES))
+    nvars = draw(st.integers(1, 2))
+    unital = draw(st.booleans())
+    top = 5 if nvars == 1 else 3
+    truncation = draw(st.one_of(st.none(), st.integers(1, top)))
+    algebra = AlgebraSpec(field, nvars=nvars, unital=unital, truncation=truncation)
+    bound = draw(st.integers(1, truncation or top))
+    weight = draw(
+        st.sampled_from([field.zero(), field.one()]) | _nonzero(field)
+    )
+    basis = list(algebra.basis(bound))
+    entries = _table_entries(draw, algebra, bound, weight)
     if entries and draw(st.booleans()):
         src = draw(st.sampled_from(sorted(entries)))
         coeff, dst = entries[src]
@@ -325,10 +374,7 @@ def checked_tables(draw):
             entries[src] = (coeff * draw(_nonzero(field)), dst)  # wrong coefficient
         else:
             entries[src] = (coeff, draw(st.sampled_from(basis)))  # wrong target
-    table = MonomialOperatorTable(algebra, weight, bound, entries)
-    # now and then a window above the bound, which the reference rejects
-    degree = bound + 1 if draw(st.integers(0, 4)) == 0 else draw(st.integers(1, bound))
-    return table, weight, degree
+    return MonomialOperatorTable(algebra, weight, bound, entries), weight, _window(draw, bound)
 
 
 def _outcome(check, R, weight, degree):
@@ -337,7 +383,7 @@ def _outcome(check, R, weight, degree):
     except (RBAlgebraError, ValueError) as exc:  # errors must match the reference's
         return ("raised", type(exc), str(exc))
     v = report.violation
-    return (report.checked_pairs, None if v is None else (v.u, v.v, v.residual))
+    return (report.checked_pairs, report.skipped_pairs, None if v is None else (v.u, v.v, v.residual))
 
 
 def _dense_twin(R):
@@ -357,11 +403,116 @@ def test_kernel_matches_reference(case):
     assert got == _outcome(rb_check, _dense_twin(R), weight, degree)
 
 
+# -- the dense kernel against the reference -------------------------------------
+
+DENSE_FIELDS = [QQ] + [prime_field(p) for p in (2, 3, 5, 7, 101)]
+
+
+def _random_image(draw, algebra, targets):
+    field = algebra.field
+    terms = draw(st.lists(st.tuples(st.sampled_from(targets), _nonzero(field)), min_size=1, max_size=3))
+    return Polynomial(algebra, dict(terms))
+
+
+@st.composite
+def checked_dense_operators(draw):
+    """(dense operator, weight, degree) with images of several terms: conjugates
+    of tables by x_i -> x_i + c x_i^2 and by x -> x - 1, operators of tensors,
+    and random images, maybe with one coefficient perturbed."""
+    field = draw(st.sampled_from(DENSE_FIELDS))
+    weight = draw(st.sampled_from([field.zero(), field.one()]) | _nonzero(field))
+    kind = draw(st.sampled_from(["quadratic_shift", "shift", "tensor", "random"]))
+    if kind == "quadratic_shift":
+        nvars = draw(st.integers(1, 2))
+        N = draw(st.integers(1, 5 if nvars == 1 else 3))
+        algebra = AlgebraSpec(field, nvars=nvars, unital=False, truncation=N)
+        table = MonomialOperatorTable(algebra, weight, N, _table_entries(draw, algebra, N, weight))
+        R = quadratic_shift_conjugate(table, draw(_nonzero(field)))
+    elif kind == "shift":
+        truncation = draw(st.one_of(st.none(), st.integers(1, 5)))
+        algebra = AlgebraSpec(field, nvars=1, unital=True, truncation=truncation)
+        bound = draw(st.integers(1, truncation or 5))
+        if weight.is_zero() and draw(st.booleans()):
+            try:
+                table = construct_integral(field.zero(), algebra, bound)
+            except CharacteristicObstruction:
+                table = MonomialOperatorTable(algebra, weight, bound, {})
+        else:
+            entries = _table_entries(draw, algebra, bound, weight)
+            table = MonomialOperatorTable(algebra, weight, bound, entries)
+        R = op_conjugate(table, AutomorphismSpec.shift())
+    elif kind == "tensor":
+        nvars = draw(st.integers(1, 2))
+        algebra = AlgebraSpec(field, nvars=nvars, unital=True, truncation=None)
+        one = algebra.one_monomial()
+        if draw(st.booleans()):
+            # solves the equation at weight -w, so u -> -w u has weight w
+            terms = {(one, one): -weight}
+        else:
+            small = list(algebra.basis(1))
+            keys = st.tuples(st.sampled_from(small), st.sampled_from(small))
+            terms = dict(draw(st.lists(st.tuples(keys, _nonzero(field)), min_size=1, max_size=3)))
+        R = operator_from_tensor(TensorElement(algebra, 2, terms), draw(st.integers(1, 4 - nvars)), weight)
+    else:
+        nvars = draw(st.integers(1, 2))
+        top = 4 if nvars == 1 else 3
+        truncation = draw(st.one_of(st.none(), st.integers(1, top)))
+        algebra = AlgebraSpec(field, nvars=nvars, unital=draw(st.booleans()), truncation=truncation)
+        bound = draw(st.integers(1, truncation or top))
+        targets = list(algebra.basis(truncation or bound + 2))
+        sources = [src for src in algebra.basis(bound) if draw(st.booleans())]
+        images = {src: _random_image(draw, algebra, targets) for src in sources}
+        R = DenseOperator(algebra, weight, bound, images)
+    if R.images and draw(st.booleans()):
+        algebra = R.algebra
+        src = draw(st.sampled_from(sorted(R.images)))
+        extra = _random_image(draw, algebra, list(algebra.basis(algebra.truncation or R.degree_bound + 1)))
+        R = DenseOperator(algebra, R.weight, R.degree_bound, {**R.images, src: R.images[src] + extra})
+    return R, weight, _window(draw, R.degree_bound)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=checked_dense_operators())
+def test_dense_kernel_matches_reference(case):
+    R, weight, degree = case
+    assert _outcome(rb_check, R, weight, degree) == _outcome(reference_rb_check, R, weight, degree)
+
+
+def _raw_operator(R):
+    if isinstance(R, MonomialOperatorTable):
+        return {s.exponents: {d.exponents: c.value} for s, (c, d) in R.entries.items()}
+    return {s.exponents: {m.exponents: c.value for m, c in f.terms()} for s, f in R.images.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=checked_tables() | checked_dense_operators(), data=st.data())
+def test_residual_matches_the_benchmark_reference(case, data):
+    """``rb_residual`` against ``perfbench/reference.py``, which computes on
+    raw values and imports nothing from rbalg."""
+    R, weight, _ = case
+    algebra = R.algebra
+    alg = REF.Algebra(algebra.nvars, algebra.unital, algebra.truncation)
+    F = REF.Field(algebra.field.p)
+    raw = _raw_operator(R)
+    basis = list(algebra.basis(R.degree_bound + 1))
+    for u, v in data.draw(st.lists(st.tuples(st.sampled_from(basis), st.sampled_from(basis)), max_size=6)):
+        try:
+            got = {m.exponents: c.value for m, c in rb_residual(R, u, v, weight).terms()}
+        except DegreeBoundExceeded:
+            got = "outside"
+        try:
+            want = REF.rb_residual(raw, R.degree_bound, u.exponents, v.exponents, weight.value, alg, F)
+        except REF.OutsideDomain:
+            want = "outside"
+        assert got == want
+
+
 def test_kernel_selection():
     R = inverse_degree_table(6)
     assert _raw_pair_test(R, QQ.zero()) is not None
-    assert _raw_pair_test(_dense_twin(R), QQ.zero()) is None
+    assert _raw_pair_test(_dense_twin(R), QQ.zero()) is not None
     assert _raw_pair_test(R, prime_field(5).zero()) is None
+    assert _raw_pair_test(_dense_twin(R), prime_field(5).zero()) is None
 
 
 def test_passing_table_needs_no_reference_residual(monkeypatch):
@@ -373,13 +524,22 @@ def test_passing_table_needs_no_reference_residual(monkeypatch):
 
     monkeypatch.setattr(rbcheck_mod, "rb_residual", counted)
     gf101 = AlgebraSpec(prime_field(101), nvars=1, unital=False, truncation=8)
+    gf53 = AlgebraSpec(prime_field(53), nvars=1, unital=False, truncation=8)
+    gf53_family = construct_weight_one_univariate(gf53.field.from_int(3), gf53, 8)
     bivariate = AlgebraSpec(QQ, nvars=2, unital=False, truncation=4)
+    unit = TensorElement(UNITAL, 2, {(UNITAL.one_monomial(),) * 2: -QQ.one()})
     passing = [
         (construct_weight_one_univariate(QQ.one(), NONUNITAL, 10), 10),
         (construct_weight_one_univariate(gf101.field.from_int(3), gf101, 8), 8),
         (quotient_rb_from_family(QuotientFamily.WEIGHT_ONE_ALPHA_ONE, 3, 5), 3),
         (quotient_rb_from_family(QuotientFamily.WEIGHT_ZERO_RECIPROCAL, 4, 7), 4),
         (construct_splitting(split_by_variables([1]), QQ.from_int(3), bivariate, 4), 4),
+        # dense operators
+        (scaled_inverse_degree_conjugate(8), 8),
+        (quadratic_shift_conjugate(gf53_family, gf53.field.from_int(5)), 8),
+        (op_conjugate(construct_integral(QQ.zero(), UNITAL, 8), AutomorphismSpec.shift()), 7),
+        (construct_integral(QQ.from_int(2), UNITAL, 8), 7),
+        (operator_from_tensor(unit, 6, QQ.one()), 6),
     ]
     for R, degree in passing:
         assert rb_check(R, R.weight, degree).passed
@@ -397,12 +557,23 @@ def test_weight_from_another_field_keeps_the_generic_loop():
 
 
 def test_domain_errors_come_from_the_reference():
-    # untruncated operators that raise degree leave the window at degree 6
+    """Pairs whose residual would apply R above its bound are skipped, as
+    ``rb_residual`` and the benchmark's domain-only verdict decide."""
+    # untruncated operators that raise degree leave the domain at degree 6
+    F = REF.Field(None)
+    unital, plain = REF.Algebra(1, True, None), REF.Algebra(1, False, None)
+    shift_two = construct_weight_zero(WeightZeroFamilyParams(1, {1: (2, QQ.one())}), NONUNITAL, 6)
+    cases = [
+        (construct_integral(QQ.from_int(a), UNITAL, 6), unital, 12, 4) for a in (0, 1)
+    ] + [(shift_two, plain, 6, 3)]
+    for R, alg, checked, skipped in cases:
+        report = rb_check(R, QQ.zero(), 6)
+        assert (report.checked_pairs, report.skipped_pairs, report.passed) == (checked, skipped, True)
+        assert report.to_json_dict() == {"status": "pass", "checked_pairs": checked, "skipped_pairs": skipped}
+        assert _outcome(rb_check, R, QQ.zero(), 6) == _outcome(reference_rb_check, R, QQ.zero(), 6)
+        assert REF.rb_verdict(_raw_operator(R), 6, F.norm(0), alg, F, 6, domain_only=True) == (checked, None)
+    # a window whose arguments lie above the bound still raises
     J = construct_integral(QQ.zero(), UNITAL, 6)
-    shift_two = construct_weight_zero(
-        WeightZeroFamilyParams(1, {1: (2, QQ.one())}), NONUNITAL, 6
-    )
-    for R in (J, shift_two):
-        got = _outcome(rb_check, R, QQ.zero(), 6)
-        assert got[:2] == ("raised", DegreeBoundExceeded)
-        assert got == _outcome(reference_rb_check, R, QQ.zero(), 6)
+    got = _outcome(rb_check, J, QQ.zero(), 7)
+    assert got == ("raised", DegreeBoundExceeded, "operator defined up to degree 6, got Monomial(7,)")
+    assert got == _outcome(reference_rb_check, J, QQ.zero(), 7)
