@@ -6,15 +6,17 @@ The search enumerates shape functions (source exponent -> optional
 target exponent) depth-first with sound pruning: for every monomial
 pair the degree bookkeeping of the Rota-Baxter identity in the quotient
 must admit SOME nonzero coefficient assignment, using only the fact
-that stored coefficients are nonzero.  Each pair is checked once per
-option of its last referenced source, from a table compiled once per
-(u, v, t[u], t[v]) and filed under that source.  Surviving shapes get
-their coefficients from exact constraint propagation: substituting known
-values turns per-degree constraints into polynomials of degree <= 2 in
-one unknown, solved exactly over the field; genuinely free coefficients
-(family parameters) are instantiated from a finite strategy grid; and
-coefficients constrained by nothing at all -- truncation artifacts that
-need not extend to the full algebra -- are set to 1 and flagged as
+that stored coefficients are nonzero.  Each pair is compiled once per
+(u, v, t[u], t[v]) and forward checked: as soon as every source it reads
+but the last is assigned, it narrows the targets still admissible for
+that last source, and an option that leaves some later source no target
+is pruned at once.  Surviving shapes get their coefficients from exact
+constraint propagation: substituting known values turns per-degree
+constraints into polynomials of degree <= 2 in one unknown, solved
+exactly over the field; genuinely free coefficients (family parameters)
+are instantiated from a finite strategy grid; and coefficients
+constrained by nothing at all -- truncation artifacts that need not
+extend to the full algebra -- are set to 1 and flagged as
 under-constrained.
 
 Every candidate table is re-verified by the exhaustive pairwise
@@ -88,11 +90,16 @@ def default_strategy(field: FieldSpec) -> CoefficientStrategy:
 
 def _compile_pair(u: int, v: int, tu: int, tv: int, lam_one: bool, D: int):
     """Degree bookkeeping of the identity for the pair (x^u, x^v), u <= v,
-    from its two targets: (last source read, (lhs degree or None, groups)).
+    from its two targets: (last, ready, check), where last is the largest
+    source the pair reads and ready the largest other one.
 
     groups holds each inner term x^i, i <= D, as (i, certain, other
     indices); it is certain when its coefficient cannot cancel, i.e. it
-    is one product of nonzero entries (for u == v, 2*a_u*a_i).
+    is one product of nonzero entries (for u == v, 2*a_u*a_i).  When last
+    is v the check is (lhs degree or None, groups), for ``_pair_holds``.
+    Otherwise it is (lhs, own, rest), for ``_domain``: own tells whether
+    the term at last is certain, rest holds the other groups with last
+    dropped from their partners.
     """
     inner = []
     if tu >= 0 and tu + v <= D:
@@ -102,11 +109,19 @@ def _compile_pair(u: int, v: int, tu: int, tv: int, lam_one: bool, D: int):
     if lam_one and u + v <= D:
         inner.append(u + v)
     idx = list(dict.fromkeys(inner))
-    groups = tuple(
-        (i, inner.count(i) == 1, tuple(j for j in idx if j != i)) for i in idx
-    )
     lhs = tu + tv if tu >= 0 and tv >= 0 and tu + tv <= D else None
-    return max((v, *idx)), (lhs, groups)
+    reads = sorted({u, v, *idx})
+    last = reads[-1]
+    ready = reads[-2] if len(reads) > 1 else last
+    if last == v:
+        groups = [(i, inner.count(i) == 1, tuple([j for j in idx if j != i])) for i in idx]
+        return last, ready, (lhs, tuple(groups))
+    rest = [
+        (i, inner.count(i) == 1, tuple([j for j in idx if j != i and j != last]))
+        for i in idx
+        if i != last
+    ]
+    return last, ready, (lhs, inner.count(last) == 1, tuple(rest))
 
 
 def _pair_holds(t, lhs, groups) -> bool:
@@ -126,6 +141,38 @@ def _pair_holds(t, lhs, groups) -> bool:
             else:
                 return False
     return hit
+
+
+def _domain(t, lhs, own, rest) -> int:
+    """The targets x of a pair's last read for which ``_pair_holds`` would
+    pass with t[last] = x, as a bitmask (bit x + 1, so ABSENT is bit 0).
+    Reads t only at the indices of rest, all at most the pair's ready.
+
+    Every other group holds its partners, last included, so a lone
+    certain term at degree d asks x = d; the term at last, when certain,
+    must land on ABSENT, the left-hand degree or a partner's degree; and
+    if no other term reaches the left-hand degree, x must.
+    """
+    mask = -1
+    hit = lhs is None
+    for i, certain, others in rest:
+        d = t[i]
+        if d == lhs:
+            hit = True
+        elif certain and d != ABSENT:
+            for j in others:
+                if t[j] == d:
+                    break
+            else:
+                mask &= 1 << (d + 1)
+    if own:
+        landing = 1 if lhs is None else 1 | 1 << (lhs + 1)
+        for i, _, _ in rest:
+            landing |= 1 << (t[i] + 1)
+        mask &= landing
+    if not hit:
+        mask &= 1 << (lhs + 1)
+    return mask
 
 
 def _respects_kernel_image_structure(t, sources: Sequence[int], D: int) -> bool:
@@ -607,15 +654,37 @@ def _surviving_shapes(
 ) -> Iterator[Tuple[int, ...]]:
     """Depth-first, the shapes (t[n] the target of source n, or ABSENT)
     that pass pair pruning and the structure filter; fills the shape
-    counters of stats.  Each pair (x^u, x^v), u <= v, is compiled once per
-    (u, v, t[u], t[v]) when v is assigned and checked by every option of
-    its last referenced source: filed under that source until backtracking.
+    counters of stats.
+
+    Forward checking: dom[s] is the bitmask of targets still admissible
+    for source s (bit x + 1 for target x).  Each pair (x^u, x^v), u <= v,
+    is compiled once per (u, v, t[u], t[v]) when v is assigned.  A pair
+    whose last read is v is checked at once; any other pair narrows the
+    mask of its last read as soon as its ready read is assigned (at once
+    if that is v, else filed under ready), so an option is pruned the
+    moment some later source has no target left.  Options outside dom[k]
+    count as pruned where the plain check would have failed them.
+    Narrowings are undone through a log and filings popped on backtrack.
     """
     sources = list(range(0 if unital else 1, D + 1))
     options = [ABSENT] + sources
     t = [ABSENT] * (D + 1)  # entries above the current source are never read
+    dom = [sum(1 << (x + 1) for x in options)] * (D + 1)
     filed: List[list] = [[] for _ in range(D + 1)]
     compiled = cache(partial(_compile_pair, lam_one=lam_one, D=D))
+
+    def narrow(last: int, check, undo: list) -> bool:
+        """Intersect the check's domain into dom[last]; False if empty."""
+        old = dom[last]
+        new = old & _domain(t, *check)
+        if new != old:
+            undo.append((last, old))
+            dom[last] = new
+        return new != 0
+
+    def restore(undo: list) -> None:
+        for last, old in reversed(undo):
+            dom[last] = old
 
     def dfs(pos: int):
         stats.nodes_visited += 1
@@ -635,27 +704,41 @@ def _surviving_shapes(
                 stats.shapes_pruned += 1
             return
         k = sources[pos]
+        allowed = dom[k]
         waiting = filed[k]
         for option in options:
+            if not allowed >> (option + 1) & 1:
+                stats.shapes_pruned += 1
+                continue
             t[k] = option
-            for lhs, groups in waiting:
-                if not _pair_holds(t, lhs, groups):
+            undo: List[Tuple[int, int]] = []
+            for last, _, check in waiting:
+                if not narrow(last, check, undo):
                     break
-            else:  # the filed pairs hold; now the pairs (u, k)
+            else:  # the filed pairs leave targets; now the pairs (u, k)
                 later = []
                 for u in sources[: pos + 1]:
                     entry = compiled(u, k, t[u], option)
-                    if entry[0] != k:
+                    last, ready, check = entry
+                    if last == k:
+                        if not _pair_holds(t, *check):
+                            break
+                    elif ready == k:
+                        if not narrow(last, check, undo):
+                            break
+                    else:
                         later.append(entry)
-                    elif not _pair_holds(t, *entry[1]):
-                        break
-                else:  # no pair closing at k fails: file the rest, descend
-                    for last, check in later:
-                        filed[last].append(check)
+                else:  # no pair fails or empties a domain: file the rest, descend
+                    for entry in later:
+                        filed[entry[1]].append(entry)
                     yield from dfs(pos + 1)
-                    for last, _ in later:
-                        filed[last].pop()
+                    for entry in later:
+                        filed[entry[1]].pop()
+                    if undo:
+                        restore(undo)
                     continue
+            if undo:
+                restore(undo)
             stats.shapes_pruned += 1
 
     yield from dfs(0)

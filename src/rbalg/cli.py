@@ -30,7 +30,7 @@ from .construct import (
     split_constant_part,
     split_positive_degree,
 )
-from .errors import RBAlgebraError
+from .errors import RBAlgebraError, SearchBudgetExceeded
 from .fields import FieldSpec
 from .grading import (
     ProductStatus,
@@ -494,6 +494,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except RBAlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, SearchBudgetExceeded) and exc.stats is not None:
+            stats = exc.stats
+            print(
+                f"search stopped at: nodes {stats.nodes_visited}, "
+                f"shapes {stats.shapes_enumerated}, pruned {stats.shapes_pruned}",
+                file=sys.stderr,
+            )
         return EXIT_USAGE
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -593,21 +593,23 @@ def reference_solve_coefficients(
     return solutions
 
 
-# -- the shape DFS before the pair schedule -------------------------------------
+# -- the shape DFS as rescanning loops -----------------------------------------
 
 UNASSIGNED = -2
 
 
-def _pair_max_ref(t, u: int, v: int, lam_one: bool, D: int) -> int:
-    refs = v
+def _pair_reads(t, u: int, v: int, lam_one: bool, D: int) -> set:
+    """The sources whose targets the check of the pair (x^u, x^v) reads:
+    v and the inner indices."""
     tu, tv = t[u], t[v]
-    if tu >= 0 and tu + v <= D and tu + v > refs:
-        refs = tu + v
-    if tv >= 0 and u + tv <= D and u + tv > refs:
-        refs = u + tv
-    if lam_one and u + v <= D and u + v > refs:
-        refs = u + v
-    return refs
+    reads = {v}
+    if tu >= 0 and tu + v <= D:
+        reads.add(tu + v)
+    if tv >= 0 and u + tv <= D:
+        reads.add(u + tv)
+    if lam_one and u + v <= D:
+        reads.add(u + v)
+    return reads
 
 
 def _pair_consistent(t, u: int, v: int, lam_one: bool, D: int) -> bool:
@@ -654,10 +656,37 @@ def _pair_consistent(t, u: int, v: int, lam_one: bool, D: int) -> bool:
     return True
 
 
-def reference_shapes(D, unital, lam_one, budget, stats):
+def _starved(t, sources, pos: int, options, lam_one: bool, D: int) -> bool:
+    """Whether some source after sources[pos] has no target x for which
+    every pair whose only unassigned read it is holds with t[s] = x."""
+    k = sources[pos]
+    watching: Dict[int, list] = {}
+    for ui in range(pos + 1):
+        for vi in range(ui, pos + 1):
+            u, v = sources[ui], sources[vi]
+            unassigned = [r for r in _pair_reads(t, u, v, lam_one, D) if r > k]
+            if len(unassigned) == 1:
+                watching.setdefault(unassigned[0], []).append((u, v))
+    for s, pairs in watching.items():
+        before = t[s]
+        admissible = False
+        for x in options:
+            t[s] = x
+            if all(_pair_consistent(t, u, v, lam_one, D) for u, v in pairs):
+                admissible = True
+                break
+        t[s] = before
+        if not admissible:
+            return True
+    return False
+
+
+def reference_shapes(D, unital, lam_one, budget, stats, forward=False):
     """``classify._surviving_shapes`` as the old loop: at every node and
     option, rescan all earlier pairs for those whose last reference is the
-    current source and re-derive each one's bookkeeping from ``t``."""
+    current source and re-derive each one's bookkeeping from ``t``.  With
+    forward, an option is pruned too when ``_starved`` finds a later
+    source with no admissible target."""
     min_src = 0 if unital else 1
     sources = list(range(min_src, D + 1))
     t = [ABSENT] * (D + 1)
@@ -689,13 +718,15 @@ def reference_shapes(D, unital, lam_one, budget, stats):
                 u = sources[ui]
                 for vi in range(ui, pos + 1):
                     v = sources[vi]
-                    if _pair_max_ref(t, u, v, lam_one, D) != k:
+                    if max(_pair_reads(t, u, v, lam_one, D)) != k:
                         continue
                     if not _pair_consistent(t, u, v, lam_one, D):
                         ok = False
                         break
                 if not ok:
                     break
+            if ok and forward:
+                ok = not _starved(t, sources, pos, options, lam_one, D)
             if ok:
                 yield from dfs(pos + 1)
             else:
@@ -705,11 +736,18 @@ def reference_shapes(D, unital, lam_one, budget, stats):
     yield from dfs(0)
 
 
+def reference_forward_shapes(D, unital, lam_one, budget, stats):
+    """``classify._surviving_shapes`` as a rescanning loop with forward
+    checking: ``reference_shapes`` that also prunes an option leaving some
+    later source no target."""
+    return reference_shapes(D, unital, lam_one, budget, stats, forward=True)
+
+
 def reference_enumerate_monomial_rb(algebra, weight, degree_bound, strategy=None):
-    """``enumerate_monomial_rb`` driven by ``reference_shapes`` and
+    """``enumerate_monomial_rb`` driven by ``reference_forward_shapes`` and
     ``reference_solve_coefficients``."""
     with (
-        mock.patch.object(classify, "_surviving_shapes", reference_shapes),
+        mock.patch.object(classify, "_surviving_shapes", reference_forward_shapes),
         mock.patch.object(classify, "_solve_coefficients", reference_solve_coefficients),
     ):
         return classify.enumerate_monomial_rb(algebra, weight, degree_bound, strategy)

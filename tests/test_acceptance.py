@@ -226,6 +226,43 @@ def test_criterion_4_weight_one_rediscovery():
     report(4, "weight-one search rediscovers only the known families", timer.check("criterion 4"))
 
 
+def test_criterion_4_weight_one_at_the_cost_guard():
+    """Criterion 4 at the largest bound the search allows, unital or not."""
+    timer = Timer(10.0)
+    D = 10
+    report_obj = enumerate_monomial_rb(NONUNITAL_Q, QQ.one(), D)
+    allowed = {
+        MatchKind.WEIGHT_ONE_FAMILY,
+        MatchKind.TRIVIAL_ZERO,
+        MatchKind.TRIVIAL_MINUS_LAMBDA,
+    }
+    determined = report_obj.fully_determined()
+    assert {s.match.kind for s in determined} <= allowed
+    truncated = AlgebraSpec(QQ, nvars=1, unital=False, truncation=D)
+    for num, den in WEIGHT_ONE_ALPHAS:
+        member = construct_weight_one_univariate(QQ.element(num, den), truncated, D)
+        assert any(
+            s.table.entries == member.entries for s in determined
+        ), f"family member alpha={num}/{den} missing from the search output"
+    # unital: the zero operator, -id, and -id on either part of k0 + <x>
+    report_obj = enumerate_monomial_rb(UNITAL_Q, QQ.one(), D)
+    minus_one = str(-QQ.one())
+    found = sorted(
+        sorted((src.exponents, str(c), dst.exponents) for src, (c, dst) in s.table.entries.items())
+        for s in report_obj.fully_determined()
+    )
+    assert len(found) == len(report_obj.solutions)
+    constants = [((0,), minus_one, (0,))]
+    ideal = [((n,), minus_one, (n,)) for n in range(1, D + 1)]
+    assert found == sorted([[], constants + ideal, constants, ideal])
+    assert {s.match.kind for s in report_obj.solutions} == {
+        MatchKind.TRIVIAL_ZERO,
+        MatchKind.TRIVIAL_MINUS_LAMBDA,
+        MatchKind.SPLITTING_CONJUGATE,
+    }
+    report(4, f"weight-one searches at the cost guard D={D}", timer.check("criterion 4 at D=10"))
+
+
 def test_criterion_5_weight_zero_rediscovery():
     timer = Timer(120.0)
     allowed = {MatchKind.WEIGHT_ZERO_FAMILY, MatchKind.TRIVIAL_ZERO}

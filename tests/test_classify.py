@@ -20,9 +20,12 @@ from rbalg import (
 from rbalg.errors import InvalidParams, SearchBudgetExceeded
 
 from helpers import (
+    _pair_consistent,
+    _pair_reads,
     field_elements,
     inverse_degree_table,
     reference_enumerate_monomial_rb,
+    reference_forward_shapes,
     reference_rb_check,
     reference_shapes,
     reference_solve_coefficients,
@@ -165,15 +168,20 @@ def test_search_validation():
 @pytest.mark.parametrize("unital", [False, True])
 @pytest.mark.parametrize("lam_one", [False, True])
 def test_shape_search_matches_reference(lam_one, unital, degree):
-    """The pair-scheduled DFS against the old rescanning loop: the same
-    shapes in the same order and the same counters.  The shape DFS never
-    sees the field, so this covers the search over Q and every GF(p)."""
+    """The forward-checked DFS against the rescanning loop that forward
+    checks: the same shapes in the same order and the same counters; and
+    against the loop without forward checking: the same shapes, no more
+    nodes.  The shape DFS never sees the field, so this covers the search
+    over Q and every GF(p)."""
     from rbalg.classify import SearchStats, _surviving_shapes
 
-    fast, slow = SearchStats(), SearchStats()
+    fast, forward, plain = SearchStats(), SearchStats(), SearchStats()
     got = list(_surviving_shapes(degree, unital, lam_one, 10**7, fast))
-    assert got == list(reference_shapes(degree, unital, lam_one, 10**7, slow))
-    assert fast == slow
+    assert got == list(reference_forward_shapes(degree, unital, lam_one, 10**7, forward))
+    assert fast == forward
+    assert got == list(reference_shapes(degree, unital, lam_one, 10**7, plain))
+    assert fast.shapes_enumerated == plain.shapes_enumerated
+    assert fast.nodes_visited <= plain.nodes_visited
 
 
 @pytest.mark.parametrize("budget", [1, 3, 40, 700])
@@ -187,7 +195,7 @@ def test_shape_search_budget_matches_reference(budget):
     with pytest.raises(SearchBudgetExceeded):
         got.extend(_surviving_shapes(6, False, False, budget, fast))
     with pytest.raises(SearchBudgetExceeded):
-        want.extend(reference_shapes(6, False, False, budget, slow))
+        want.extend(reference_forward_shapes(6, False, False, budget, slow))
     assert got == want and fast == slow
     assert fast.nodes_visited == budget + 1
     strategy = CoefficientStrategy(grid=(QQ.one(),), shape_budget=budget)
@@ -199,6 +207,48 @@ def test_shape_search_budget_matches_reference(budget):
         fast.shapes_enumerated,
         fast.shapes_pruned,
     )
+
+
+@st.composite
+def compiled_pairs(draw):
+    """A pair (x^u, x^v), u <= v, in a search at a bound D <= 10, and a
+    full target vector (index 0 stays ABSENT when it is not a source)."""
+    from rbalg.classify import ABSENT
+
+    D = draw(st.integers(1, 10))
+    unital = draw(st.booleans())
+    lam_one = draw(st.booleans())
+    sources = list(range(0 if unital else 1, D + 1))
+    options = [ABSENT] + sources
+    t = [ABSENT] * (D + 1)
+    for s in sources:
+        t[s] = draw(st.sampled_from(options))
+    u = draw(st.sampled_from(sources))
+    v = draw(st.sampled_from([s for s in sources if s >= u]))
+    return D, lam_one, options, t, u, v
+
+
+@settings(max_examples=2000, deadline=None)
+@given(compiled_pairs())
+def test_pair_domain_is_exact(case):
+    """_compile_pair reads the pair where the reference does; ready is its
+    largest read but the last; and bit x of _domain, reading only t up to
+    ready, is the reference verdict with t[last] = x."""
+    from rbalg.classify import _compile_pair, _domain, _pair_holds
+
+    D, lam_one, options, t, u, v = case
+    last, ready, check = _compile_pair(u, v, t[u], t[v], lam_one, D)
+    reads = _pair_reads(t, u, v, lam_one, D) | {u}
+    assert last == max(reads)
+    assert ready == max(reads - {last}, default=last)
+    if last == v:
+        assert _pair_holds(t, *check) == _pair_consistent(t, u, v, lam_one, D)
+        return
+    mask = _domain(t[: ready + 1], *check)
+    for x in options:
+        trial = list(t)
+        trial[last] = x
+        assert (mask >> (x + 1) & 1) == _pair_consistent(trial, u, v, lam_one, D), x
 
 
 @pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(11)], ids=str)
@@ -254,10 +304,10 @@ def test_solver_matches_reference(system):
 @pytest.mark.parametrize(
     "field,grid,weight,unital,degree,stats,count",
     [
-        (QQ, None, 1, False, 8, (3471, 8, 27703, 2, 0), 7),
-        (QQ, None, 1, True, 8, (8971, 22, 80526, 16, 0), 4),
-        (QQ, None, 0, False, 6, (1573, 515, 6203, 146, 0), 771),
-        (prime_field(11), (1, 2, 3), 0, True, 5, (2077, 808, 7204, 411, 0), 89),
+        (QQ, None, 1, False, 8, (254, 8, 1967, 2, 0), 7),
+        (QQ, None, 1, True, 8, (671, 22, 5826, 16, 0), 4),
+        (QQ, None, 0, False, 6, (1458, 515, 5513, 146, 0), 771),
+        (prime_field(11), (1, 2, 3), 0, True, 5, (1995, 808, 6712, 411, 0), 89),
     ],
 )
 def test_search_stats_pinned(field, grid, weight, unital, degree, stats, count):

@@ -219,27 +219,37 @@ def test_classify_default_grid_over_a_large_prime_is_refused(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,digest",
+    "argv,digest,solutions_digest",
     [
-        (
+        pytest.param(
             "--weight 1 --degree 8",
-            "cc6f0c3b05b287a43821d1855af2946d7386a782caa37529036fd86ceb2844d3",
+            "a706198e9fc716516673142ffd51404fdd29d90e95a04a0ac19accc3baf07967",
+            "4fd9e122cb022b93c41336afb16c9b8a1383f8653d1fcbf23093575082d307c9",
+            id="--weight 1 --degree 8",
         ),
-        (
+        pytest.param(
             "--weight 0 --unital true --degree 6",
-            "2fa6eb54399869e568e384db18afb5b2a6c0cee11a6e29021735ab34ef369412",
+            "f87b072caeacb484f3bf10cf5408528d12cba87d59e8fa076f4576a4368f40fe",
+            "6a9e6ace97ece8b5249b2691d766f74e40dd6b332dcac2e5aceb7b299fc9ea95",
+            id="--weight 0 --unital true --degree 6",
         ),
-        (
+        pytest.param(
             "--field Fp:11 --grid 1,2,3 --weight 0 --unital true --degree 5",
-            "d83f5a08eed54a7786f3d9a29c6c91664c38a82b7929843c7a27abc7449017a8",
+            "9371bbbfc5399e0049cd931947d69785777478a89ac944e52af5436c17d0e94b",
+            "533dc0bc630f62e694b5f48186249378def9e49394040b33bcae778723155b56",
+            id="--field Fp:11 --grid 1,2,3 --weight 0 --unital true --degree 5",
         ),
     ],
 )
-def test_classify_output_is_pinned(capsys, argv, digest):
-    """sha256 of the canonical stdout, so any change to a report shows."""
+def test_classify_output_is_pinned(capsys, argv, digest, solutions_digest):
+    """sha256 of the canonical stdout, so any change to a report shows; and
+    of its solutions array alone (``json.dumps`` with sorted keys), which a
+    change to the shape search's counters leaves as it is."""
     code, out, _ = run_cli(capsys, "classify", *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    solutions = json.dumps(json.loads(out)["solutions"], sort_keys=True)
+    assert hashlib.sha256(solutions.encode()).hexdigest() == solutions_digest
 
 
 def test_classify_over_a_prime_beyond_4096(capsys):
@@ -431,7 +441,10 @@ def test_classify_explicit_zeros_are_kept(capsys):
     code, out, err = run_cli(capsys, "classify", "--weight", "0", "--degree", "4", "--budget", "0")
     assert code == 2
     assert out == ""
-    assert err == "error: shape budget of 0 nodes exhausted\n"
+    assert err == (
+        "error: shape budget of 0 nodes exhausted\n"
+        "search stopped at: nodes 1, shapes 0, pruned 0\n"
+    )
 
 
 @pytest.mark.parametrize("flag", ["--max-seeds", "--budget"])
@@ -490,12 +503,22 @@ def test_pretty_rendering(capsys):
     assert "R(x1^3) = 1/7*x1^3" in out
 
 
-def test_module_entry_point():
-    result = subprocess.run(
-        [sys.executable, "-m", "rbalg.cli", "selftest"],
+def run_module(module, *argv):
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def test_module_entry_point():
+    result = run_module("rbalg.cli", "selftest")
     assert result.returncode == 0
+    assert json.loads(result.stdout)["status"] == "pass"
+
+
+def test_package_entry_point():
+    result = run_module("rbalg", "selftest")
+    assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["status"] == "pass"
