@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .errors import NonUnitalAlgebra, SearchBudgetExceeded
+from .errors import InvalidParams, MixedFieldSpecs, NonUnitalAlgebra, SearchBudgetExceeded
 from .fields import FieldElement
 from .operators import DenseOperator
 from .poly import AlgebraSpec, Monomial, Polynomial
 
 TensorKey = Tuple[Monomial, ...]
+MAX_CELLS = 16  # support cells aybe_grid_search takes: degree 3 in one variable
 
 
 class TensorElement:
@@ -214,7 +215,6 @@ def aybe_grid_search(
     support_degree: int,
     grid: List[FieldElement],
     weight: FieldElement,
-    max_cells: int = 16,
     budget: int = 2_000_000,
 ) -> List[TensorElement]:
     """All tensors with the given support and grid coefficients that
@@ -227,15 +227,19 @@ def aybe_grid_search(
     product.  Each key of A x A x A is tested once the last cell that
     touches it is assigned, and a partial assignment with a nonzero
     closed key is abandoned.  ``budget`` caps the search nodes, one per
-    grid value tried at a cell.
+    grid value tried at a cell, and ``MAX_CELLS`` the support cells.
     """
     if not algebra.unital:
         raise NonUnitalAlgebra("tensor computations require a unital algebra")
+    if support_degree < 0:
+        raise InvalidParams(f"support degree must be >= 0, got {support_degree}")
+    if any(c.spec != algebra.field for c in [weight, *grid]):
+        raise MixedFieldSpecs("grid values and weight must lie in the algebra's field")
     basis = list(algebra.basis(support_degree))
     cells = [(a, b) for a in basis for b in basis]
     ncells = len(cells)
-    if ncells > max_cells:
-        raise SearchBudgetExceeded(f"{ncells} support cells exceed the cap of {max_cells}")
+    if ncells > MAX_CELLS:
+        raise SearchBudgetExceeded(f"{ncells} support cells exceed the cap of {MAX_CELLS}")
     # plans[k]: (key id, i, c) with c * raw[i] * raw[k] the share in that key
     # of the ordered pairs with max(i, k) = k; raw[ncells] = -weight is the
     # factor of cell k's linear term

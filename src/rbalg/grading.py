@@ -180,7 +180,11 @@ class GradingDecomposition:
 def _matrix_decomposition(R: LinearOperator, basis):
     """Raw spectrum and generalized eigenspaces, in ``kernel_basis`` form."""
     p = R.algebra.field.p
-    mat = [[x.value for x in row] for row in R.as_matrix(basis)]
+    index = {m.exponents: i for i, m in enumerate(basis)}
+    mat = [[R.algebra.field.zero().value] * len(basis) for _ in basis]
+    for src, image in R.raw_images().items():
+        for dst, _, c in image:
+            mat[index[dst]][index[src]] = c
     coeffs = linalg.char_poly(mat, p)
     roots = linalg.roots(coeffs, p)
     multiplicities = [linalg.root_multiplicity(coeffs, lam, p) for lam in roots]
@@ -217,6 +221,8 @@ def grading_decompose(R: LinearOperator, weight: FieldElement) -> GradingDecompo
     algebra = R.algebra
     if algebra.truncation is None:
         raise ValueError("grading needs a finite-dimensional (truncated) algebra")
+    if weight.spec != algebra.field:
+        raise MixedFieldSpecs(f"cannot mix {algebra.field} with {weight.spec}")
     if weight.is_one():
         kind = PartialProductKind.CIRC
     elif weight.is_zero():

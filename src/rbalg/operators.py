@@ -128,20 +128,10 @@ class MonomialOperatorTable:
             f"{len(self.entries)} entries)"
         )
 
-    def as_matrix(self, basis):
-        """Column j holds the image of basis[j] in coordinates over basis."""
-        index = {m: i for i, m in enumerate(basis)}
-        zero = self.algebra.field.zero()
-        n = len(basis)
-        mat = [[zero for _ in range(n)] for _ in range(n)]
-        for j, m in enumerate(basis):
-            hit = self.entries.get(m)
-            if hit is None:
-                continue
-            coeff, dst = hit
-            if dst in index:
-                mat[index[dst]][j] = coeff
-        return mat
+    def raw_images(self) -> Dict[tuple, list]:
+        """{source exponents: [(target exponents, degree, raw value)]}: one
+        term per entry, the value a ``Fraction`` over Q or an int mod p."""
+        return {s.exponents: [(d.exponents, d.degree(), c.value)] for s, (c, d) in self.entries.items()}
 
     # -- serialization ----------------------------------------------------------
 
@@ -188,6 +178,8 @@ class DenseOperator:
         degree_bound: Optional[int],
         images: Dict[Monomial, Polynomial],
     ):
+        if weight.spec != algebra.field:
+            raise MixedAlgebras("weight from a different field")
         bound = _effective_bound(algebra, degree_bound)
         clean: Dict[Monomial, Polynomial] = {}
         for src, poly in images.items():
@@ -218,16 +210,12 @@ class DenseOperator:
                 _accumulate(out, m, coeff * c)
         return Polynomial._trusted(self.algebra, out)
 
-    def as_matrix(self, basis):
-        index = {m: i for i, m in enumerate(basis)}
-        zero = self.algebra.field.zero()
-        n = len(basis)
-        mat = [[zero for _ in range(n)] for _ in range(n)]
-        for j, m in enumerate(basis):
-            for mono, coeff in self.apply_monomial(m).terms():
-                if mono in index:
-                    mat[index[mono]][j] = coeff
-        return mat
+    def raw_images(self) -> Dict[tuple, list]:
+        """``MonomialOperatorTable.raw_images``, one term per image term."""
+        return {
+            s.exponents: [(m.exponents, m.degree(), c.value) for m, c in f.terms()]
+            for s, f in self.images.items()
+        }
 
     def to_table(self) -> Optional[MonomialOperatorTable]:
         """Monomial form of this operator, or None if any image has >1 term."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
-from .errors import MixedAlgebras
+from .errors import MixedAlgebras, MixedFieldSpecs
 from .fields import FieldElement, FieldSpec
 
 
@@ -232,6 +232,8 @@ class Polynomial:
         return self + (-other)
 
     def scale(self, c: FieldElement) -> "Polynomial":
+        if c.spec != self.algebra.field:
+            raise MixedFieldSpecs(f"cannot mix {self.algebra.field} with {c.spec}")
         if c.is_zero():
             return Polynomial.zero(self.algebra)
         return Polynomial._trusted(self.algebra, {m: c * k for m, k in self._terms.items()})

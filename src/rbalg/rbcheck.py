@@ -7,9 +7,9 @@ of weight w when
 
 holds for all u, v.  Everything here evaluates that identity exactly:
 ``rb_residual`` computes the left-minus-right polynomial for one pair
-of monomials, ``rb_check`` sweeps all pairs within a degree budget, and
-``rb_power_check`` / ``rb_multi_residual`` evaluate the iterated
-weight-zero consequences
+of monomials, ``rb_check`` sweeps all pairs within a degree budget with
+one raw-value kernel for every operator, and ``rb_power_check`` /
+``rb_multi_residual`` evaluate the iterated weight-zero consequences
 
     (R(u))^k = k R(u (R(u))^{k-1})
     R(u_1)...R(u_k) = R( sum_i R(u_1)...u_i...R(u_k) ).
@@ -26,9 +26,9 @@ from enum import Enum
 from operator import add
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import DegreeBoundExceeded, NonzeroWeight
+from .errors import MixedFieldSpecs, NonzeroWeight
 from .fields import FieldElement
-from .operators import DenseOperator, LinearOperator, MonomialOperatorTable
+from .operators import LinearOperator, MonomialOperatorTable
 from .poly import Monomial, Polynomial
 
 
@@ -83,65 +83,26 @@ def rb_residual(
     return Ru * Rv - R.apply(inner)
 
 
-def _raw_pair_test(R: LinearOperator, weight: FieldElement):
-    """A test on raw values that a pair's residual vanishes, or None.
+def _pair_test(R: LinearOperator, weight: FieldElement):
+    """A raw-value test of one pair's residual, read from ``R.raw_images()``.
 
-    Images are compiled once to exponent tuples and ``FieldElement.value``s
-    (Fractions over Q, ints over GF(p) reduced only at zero tests), and a
-    pair's residual is formed on them, truncated and cancelled exactly where
-    ``rb_residual`` does.  False means "ask ``rb_residual``": a nonzero
-    residual, or an inner term outside the operator's domain.
+    The residual is formed on Fractions over Q and ints over GF(p) (reduced
+    only at zero tests), truncated and cancelled where ``rb_residual`` does.
+    The test returns True if it vanishes, False if not, and None if an inner
+    term lies above the bound, outside R's domain; arguments above the bound
+    raise ``DegreeBoundExceeded``, as in ``rb_residual``.
     """
-    if not isinstance(R, (MonomialOperatorTable, DenseOperator)) or weight.spec != R.algebra.field:
-        return None
     algebra, bound, w = R.algebra, R.degree_bound, weight.value
     trunc = algebra.truncation or math.inf
     p = algebra.field.p
     nonzero = bool if p is None else (lambda c: c % p)
-    if isinstance(R, DenseOperator):
-        return _dense_pair_test(R, bound, w, trunc, nonzero)
-    table = {s.exponents: (c.value, d.exponents, d.degree()) for s, (c, d) in R.entries.items()}
+    images = R.raw_images()
 
-    def vanishes(u: Monomial, v: Monomial) -> bool:
+    def vanishes(u: Monomial, v: Monomial) -> Optional[bool]:
         eu, ev = u.exponents, v.exponents
         du, dv = sum(eu), sum(ev)
         if du > bound or dv > bound:
-            return False
-        hu, hv = table.get(eu), table.get(ev)
-        inner = {}  # R(u)v + uR(v) + w uv
-        for hit, e, d in ((hu, ev, dv), (hv, eu, du)):
-            if hit is not None and hit[2] + d <= trunc:
-                m = tuple(map(add, hit[1], e))
-                inner[m] = inner.get(m, 0) + hit[0]
-        if w and du + dv <= trunc:
-            m = tuple(map(add, eu, ev))
-            inner[m] = inner.get(m, 0) + w
-        residual = {}
-        if hu is not None and hv is not None and hu[2] + hv[2] <= trunc:
-            residual[tuple(map(add, hu[1], hv[1]))] = hu[0] * hv[0]
-        for m, c in inner.items():
-            if nonzero(c):
-                if sum(m) > bound:
-                    return False
-                hit = table.get(m)
-                if hit is not None:
-                    residual[hit[1]] = residual.get(hit[1], 0) - c * hit[0]
-        return not any(map(nonzero, residual.values()))
-
-    return vanishes
-
-
-def _dense_pair_test(R: DenseOperator, bound, w, trunc, nonzero):
-    """``_raw_pair_test`` for images of any number of terms."""
-    images = {
-        s.exponents: [(m.exponents, m.degree(), c.value) for m, c in f.terms()] for s, f in R.images.items()
-    }
-
-    def vanishes(u: Monomial, v: Monomial) -> bool:
-        eu, ev = u.exponents, v.exponents
-        du, dv = sum(eu), sum(ev)
-        if du > bound or dv > bound:
-            return False
+            R.apply_monomial(u if du > bound else v)  # raises DegreeBoundExceeded
         Ru, Rv = images.get(eu, ()), images.get(ev, ())
         inner = {}  # R(u)v + uR(v) + w uv
         for image, e, d in ((Ru, ev, dv), (Rv, eu, du)):
@@ -161,7 +122,7 @@ def _dense_pair_test(R: DenseOperator, bound, w, trunc, nonzero):
         for m, c in inner.items():
             if nonzero(c):
                 if sum(m) > bound:
-                    return False
+                    return None
                 for t, _, ct in images.get(m, ()):
                     residual[t] = residual.get(t, 0) - c * ct
         return not any(map(nonzero, residual.values()))
@@ -178,34 +139,32 @@ def rb_check(R: LinearOperator, weight: FieldElement, degree: int) -> CheckRepor
     verified in the quotient).  Pairs are visited in canonical order, so
     the reported first violation is deterministic.
 
-    Tables and dense operators are checked on raw values (``_raw_pair_test``).
-    ``rb_residual`` stays the reference: it reports a violation, and a pair
-    on which it would apply R above its bound is skipped (``skipped_pairs``);
-    arguments above the bound raise ``DegreeBoundExceeded``.
+    Every operator is checked on raw values by one kernel (``_pair_test``).
+    A pair on which ``rb_residual`` would apply R above its bound is skipped
+    (``skipped_pairs``); arguments above the bound raise
+    ``DegreeBoundExceeded``, and a weight from another field raises
+    ``MixedFieldSpecs``.  ``rb_residual`` stays the reference: it reports
+    the violation.
     """
     algebra = R.algebra
+    if weight.spec != algebra.field:
+        raise MixedFieldSpecs(f"cannot mix {algebra.field} with {weight.spec}")
     truncated = algebra.truncation is not None
     top = min(degree, algebra.truncation) if truncated else degree
     basis = list(algebra.basis(top))
-    vanishes = _raw_pair_test(R, weight)
+    vanishes = _pair_test(R, weight)
     checked = skipped = 0
     for i, u in enumerate(basis):
         for v in basis[i:]:
             if not truncated and u.degree() + v.degree() > top:
                 continue
-            if vanishes is not None and vanishes(u, v):
-                checked += 1
-                continue
-            try:
-                residual = rb_residual(R, u, v, weight)
-            except DegreeBoundExceeded:
-                if v.degree() > R.degree_bound:  # u <= v
-                    raise
+            verdict = vanishes(u, v)
+            if verdict is None:
                 skipped += 1
                 continue
             checked += 1
-            if not residual.is_zero():
-                return CheckReport(checked, RBViolation(u, v, residual), skipped)
+            if not verdict:
+                return CheckReport(checked, RBViolation(u, v, rb_residual(R, u, v, weight)), skipped)
     return CheckReport(checked, None, skipped)
 
 

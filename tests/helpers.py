@@ -351,7 +351,11 @@ def reference_matrix_decomposition(R):
     spec = algebra.field
     basis = list(algebra.basis(algebra.truncation))
     n = len(basis)
-    mat = R.as_matrix(basis)
+    index = {m: i for i, m in enumerate(basis)}
+    mat = [[spec.zero()] * n for _ in basis]
+    for j, m in enumerate(basis):
+        for mono, coeff in R.apply_monomial(m).terms():
+            mat[index[mono]][j] = coeff
     if spec.kind is FieldKind.PRIME:
         candidates = reference_prime_field_roots(mat, spec)
     else:

@@ -15,7 +15,7 @@ from rbalg import (
     rb_check,
     rb_residual,
 )
-from rbalg.errors import NonUnitalAlgebra, SearchBudgetExceeded
+from rbalg.errors import InvalidParams, MixedFieldSpecs, NonUnitalAlgebra, SearchBudgetExceeded
 from rbalg.fields import FieldSpec
 
 UNITAL = AlgebraSpec(QQ, nvars=1, unital=True, truncation=None)
@@ -153,6 +153,17 @@ def test_grid_search_budget_guards():
         aybe_grid_search(UNITAL, 4, grid, QQ.one())  # 25 cells > 16
     with pytest.raises(SearchBudgetExceeded):
         aybe_grid_search(UNITAL, 2, grid, QQ.one(), budget=10)
+
+
+def test_grid_search_rejects_a_negative_degree_and_foreign_values():
+    # a negative degree used to search an empty support and return the zero tensor
+    with pytest.raises(InvalidParams, match="^support degree must be >= 0, got -1$"):
+        aybe_grid_search(UNITAL, -1, [QQ.zero(), QQ.one()], QQ.one())
+    gf5 = FieldSpec.from_string("Fp:5")
+    with pytest.raises(MixedFieldSpecs):
+        aybe_grid_search(UNITAL, 1, [QQ.zero(), QQ.one()], gf5.zero())
+    with pytest.raises(MixedFieldSpecs):
+        aybe_grid_search(UNITAL, 1, [gf5.one()], QQ.one())
 
 
 def test_grid_search_budget_counts_nodes():

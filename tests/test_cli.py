@@ -478,6 +478,12 @@ def test_aybe_search_and_check(tmp_path, capsys):
     assert code == 1
 
 
+def test_aybe_search_negative_degree_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "aybe", "search", "--degree", "-1", "--weight", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: support degree must be >= 0, got -1\n"
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0

@@ -23,6 +23,7 @@ from rbalg import (
 )
 from rbalg.errors import (
     CharacteristicObstruction,
+    MixedFieldSpecs,
     NonSplitSpectrum,
     ZeroArgument,
 )
@@ -148,6 +149,15 @@ def test_grading_requires_truncation():
     table = MonomialOperatorTable(algebra, QQ.one(), 4, {})
     with pytest.raises(ValueError):
         grading_decompose(table, QQ.one())
+
+
+def test_grading_rejects_a_weight_from_another_field():
+    # a GF(5) one used to select the weight-one law for a Q operator
+    algebra = AlgebraSpec(QQ, nvars=1, unital=False, truncation=3)
+    table = construct_weight_one_univariate(QQ.one(), algebra, 3)
+    for weight in (GF5.one(), GF5.zero()):
+        with pytest.raises(MixedFieldSpecs):
+            grading_decompose(table, weight)
 
 
 def test_grading_non_diagonal_table_over_gf5():

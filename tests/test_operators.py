@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from rbalg import (
     QQ,
     AlgebraSpec,
     AutomorphismSpec,
+    DenseOperator,
     Monomial,
     MonomialOperatorTable,
     Polynomial,
@@ -112,6 +115,25 @@ def test_table_rejects_monomials_of_the_wrong_arity():
         MonomialOperatorTable(NONUNITAL, QQ.zero(), 4, {NONUNITAL.monomial(1): (QQ.one(), wrong)})
     with pytest.raises(ValueError, match="outside the operator domain"):
         MonomialOperatorTable(NONUNITAL, QQ.zero(), 4, {wrong: (QQ.one(), NONUNITAL.monomial(1))})
+
+
+def test_weight_from_another_field_is_rejected_by_both_operator_kinds():
+    image = {NONUNITAL.monomial(1): Polynomial.monomial(NONUNITAL, NONUNITAL.monomial(2))}
+    with pytest.raises(MixedAlgebras):
+        MonomialOperatorTable(NONUNITAL, prime_field(5).one(), 4, {})
+    with pytest.raises(MixedAlgebras):
+        DenseOperator(NONUNITAL, prime_field(5).one(), 4, image)
+
+
+def test_raw_images_hold_one_term_per_table_entry():
+    R = inverse_degree_table(3)
+    assert R.raw_images() == {(n,): [((n,), n, Fraction(1, n))] for n in (1, 2, 3)}
+    # the shifted integral: R(1) = x + 1, R(x) = (x^2 - 1)/2
+    dense = op_conjugate(construct_integral(QQ.zero(), UNITAL, 1), AutomorphismSpec.shift())
+    assert dense.raw_images() == {
+        (0,): [((0,), 0, 1), ((1,), 1, 1)],
+        (1,): [((0,), 0, Fraction(-1, 2)), ((2,), 2, Fraction(1, 2))],
+    }
 
 
 def test_compose_mixed_algebras():

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbalg import QQ, AlgebraSpec, Polynomial, linear_combination, prime_field
-from rbalg.errors import MixedAlgebras
+from rbalg.errors import MixedAlgebras, MixedFieldSpecs
 
 from helpers import polynomials
 
@@ -58,6 +58,16 @@ def test_non_unital_rejects_constant():
 def test_mixed_algebras_rejected():
     with pytest.raises(MixedAlgebras):
         mono_poly(NONUNITAL, 1) * mono_poly(TRUNC3, 1)
+
+
+def test_scale_rejects_a_scalar_from_another_field():
+    # a foreign zero used to return 0 while a foreign nonzero raised
+    x = mono_poly(NONUNITAL, 1)
+    for c in (prime_field(5).zero(), prime_field(5).one()):
+        with pytest.raises(MixedFieldSpecs):
+            x.scale(c)
+        with pytest.raises(MixedFieldSpecs):
+            Polynomial.zero(NONUNITAL).scale(c)
 
 
 def test_zero_coefficients_dropped():

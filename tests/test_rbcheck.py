@@ -41,12 +41,13 @@ from rbalg.errors import (
     DegreeBoundExceeded,
     DenominatorVanishes,
     InvalidParams,
+    MixedFieldSpecs,
     NonzeroWeight,
     NotASubalgebra,
     RBAlgebraError,
 )
 from rbalg.grading import QuotientFamily, quotient_rb_from_family
-from rbalg.rbcheck import UnitImageKind, _raw_pair_test
+from rbalg.rbcheck import UnitImageKind
 
 from helpers import (
     field_elements,
@@ -507,14 +508,6 @@ def test_residual_matches_the_benchmark_reference(case, data):
         assert got == want
 
 
-def test_kernel_selection():
-    R = inverse_degree_table(6)
-    assert _raw_pair_test(R, QQ.zero()) is not None
-    assert _raw_pair_test(_dense_twin(R), QQ.zero()) is not None
-    assert _raw_pair_test(R, prime_field(5).zero()) is None
-    assert _raw_pair_test(_dense_twin(R), prime_field(5).zero()) is None
-
-
 def test_passing_table_needs_no_reference_residual(monkeypatch):
     calls = []
 
@@ -549,11 +542,15 @@ def test_passing_table_needs_no_reference_residual(monkeypatch):
     assert [args[1:3] for args in calls] == [(report.violation.u, report.violation.v)]
 
 
-def test_weight_from_another_field_keeps_the_generic_loop():
-    R = inverse_degree_table(4)
-    weight = prime_field(5).one()
-    assert _outcome(rb_check, R, weight, 4) == _outcome(reference_rb_check, R, weight, 4)
-    assert _outcome(rb_check, R, weight, 4)[0] == "raised"
+def test_weight_from_another_field_raises():
+    """A GF(5) weight on a Q operator raises, zero or not: a foreign zero
+    used to be checked as weight zero and report a false violation."""
+    R = construct_weight_one_univariate(QQ.one(), NONUNITAL, 6)
+    for op in (R, _dense_twin(R)):
+        for weight in (prime_field(5).zero(), prime_field(5).one()):
+            with pytest.raises(MixedFieldSpecs):
+                rb_check(op, weight, 6)
+            assert _outcome(reference_rb_check, op, weight, 6)[:2] == ("raised", MixedFieldSpecs)
 
 
 def test_domain_errors_come_from_the_reference():
