@@ -46,6 +46,8 @@ class TensorElement:
             for key, coeff in terms.items():
                 if len(key) != arity:
                     raise ValueError("tensor key arity mismatch")
+                if coeff.spec != algebra.field:
+                    raise MixedFieldSpecs(f"cannot mix {algebra.field} with {coeff.spec}")
                 if coeff.is_zero():
                     continue
                 acc = clean.get(key)
@@ -186,6 +188,8 @@ def aybe_residual(r: TensorElement, weight: FieldElement) -> TensorElement:
     """r13 r12 - r12 r23 + r23 r13 - weight * r13, exact in A x A x A."""
     if r.arity != 2:
         raise ValueError("the equation takes an arity-2 tensor")
+    if weight.spec != r.algebra.field:
+        raise MixedFieldSpecs(f"cannot mix {r.algebra.field} with {weight.spec}")
     r12 = r.embed((0, 1))
     r13 = r.embed((0, 2))
     r23 = r.embed((1, 2))

@@ -6,17 +6,20 @@ The search enumerates shape functions (source exponent -> optional
 target exponent) depth-first with sound pruning: for every monomial
 pair the degree bookkeeping of the Rota-Baxter identity in the quotient
 must admit SOME nonzero coefficient assignment, using only the fact
-that stored coefficients are nonzero.  Each pair is compiled once per
-(u, v, t[u], t[v]) and forward checked: as soon as every source it reads
-but the last is assigned, it narrows the targets still admissible for
-that last source, and an option that leaves some later source no target
-is pruned at once.  Surviving shapes get their coefficients from exact
-constraint propagation: substituting known values turns per-degree
-constraints into polynomials of degree <= 2 in one unknown, solved
-exactly over the field; genuinely free coefficients (family parameters)
-are instantiated from a finite strategy grid; and coefficients
-constrained by nothing at all -- truncation artifacts that need not
-extend to the full algebra -- are set to 1 and flagged as
+that stored coefficients are nonzero.  Monomials are basis indices, and
+every product is read from one product table (``poly.product_table``).
+Each pair is compiled once per (u, v, t[u], t[v]) and forward checked by
+one check: as soon as every source it reads but the last is assigned, it
+narrows the targets still admissible for that last source, and an option
+that leaves some later source no target is pruned at once; a pair whose
+last read is v is decided when v is assigned.  Surviving shapes get
+their coefficients from exact constraint propagation, on equations from
+the builder the injective diagonal search shares: substituting known
+values turns per-degree constraints into polynomials of degree <= 2 in
+one unknown, solved exactly over the field; genuinely free coefficients
+(family parameters) are instantiated from a finite strategy grid; and
+coefficients constrained by nothing at all -- truncation artifacts that
+need not extend to the full algebra -- are set to 1 and flagged as
 under-constrained.
 
 Every candidate table is re-verified by the exhaustive pairwise
@@ -43,6 +46,7 @@ from .construct import (
     construct_weight_zero,
 )
 from .errors import (
+    CharacteristicObstruction,
     DenominatorVanishes,
     InvalidParams,
     NotASubalgebra,
@@ -50,7 +54,7 @@ from .errors import (
 )
 from .fields import FieldElement, FieldKind, FieldSpec
 from .operators import MonomialOperatorTable
-from .poly import AlgebraSpec, Monomial
+from .poly import AlgebraSpec, Monomial, product_table
 from .rbcheck import rb_check
 
 ABSENT = -1
@@ -88,70 +92,52 @@ def default_strategy(field: FieldSpec) -> CoefficientStrategy:
 # -- shape-level pruning -------------------------------------------------------
 
 
-def _compile_pair(u: int, v: int, tu: int, tv: int, lam_one: bool, D: int):
+def _compile_pair(u: int, v: int, tu: int, tv: int, lam_one: bool, mul):
     """Degree bookkeeping of the identity for the pair (x^u, x^v), u <= v,
-    from its two targets: (last, ready, check), where last is the largest
-    source the pair reads and ready the largest other one.
+    from its two targets: (last, ready, (lhs, own, rest)), where last is
+    the largest source the pair reads and ready the largest other one.
+    mul is the product table of the basis indices; a product outside it
+    vanishes.
 
-    groups holds each inner term x^i, i <= D, as (i, certain, other
-    indices); it is certain when its coefficient cannot cancel, i.e. it
-    is one product of nonzero entries (for u == v, 2*a_u*a_i).  When last
-    is v the check is (lhs degree or None, groups), for ``_pair_holds``.
-    Otherwise it is (lhs, own, rest), for ``_domain``: own tells whether
-    the term at last is certain, rest holds the other groups with last
-    dropped from their partners.
+    The inner terms x^i are grouped by i; a group is certain when its
+    coefficient cannot cancel, i.e. it is one product of nonzero entries
+    (for u == v, 2*a_u*a_i).  When last is v no read is left free: own is
+    False and rest holds every group as (i, certain, other indices).
+    Otherwise last is free: own tells whether its term is certain, and
+    rest holds the other groups with last dropped from their partners.
     """
     inner = []
-    if tu >= 0 and tu + v <= D:
-        inner.append(tu + v)
-    if tv >= 0 and u + tv <= D and u != v:  # for a square, the term above again
-        inner.append(u + tv)
-    if lam_one and u + v <= D:
-        inner.append(u + v)
+    if tu >= 0 and mul[tu][v] is not None:
+        inner.append(mul[tu][v])
+    if tv >= 0 and u != v and mul[u][tv] is not None:  # for a square, the term above again
+        inner.append(mul[u][tv])
+    if lam_one and mul[u][v] is not None:
+        inner.append(mul[u][v])
     idx = list(dict.fromkeys(inner))
-    lhs = tu + tv if tu >= 0 and tv >= 0 and tu + tv <= D else None
+    lhs = mul[tu][tv] if tu >= 0 and tv >= 0 else None
     reads = sorted({u, v, *idx})
     last = reads[-1]
     ready = reads[-2] if len(reads) > 1 else last
-    if last == v:
-        groups = [(i, inner.count(i) == 1, tuple([j for j in idx if j != i])) for i in idx]
-        return last, ready, (lhs, tuple(groups))
+    free = last if last != v else None
     rest = [
-        (i, inner.count(i) == 1, tuple([j for j in idx if j != i and j != last]))
+        (i, inner.count(i) == 1, tuple([j for j in idx if j != i and j != free]))
         for i in idx
-        if i != last
+        if i != free
     ]
-    return last, ready, (lhs, inner.count(last) == 1, tuple(rest))
-
-
-def _pair_holds(t, lhs, groups) -> bool:
-    """Sound filter on a compiled pair: False only when no nonzero
-    coefficients satisfy it, i.e. no inner image reaches the left-hand
-    degree, or another degree gets a lone certain term.
-    """
-    hit = lhs is None
-    for i, certain, others in groups:
-        d = t[i]
-        if d == lhs:
-            hit = True
-        elif certain and d != ABSENT:
-            for j in others:
-                if t[j] == d:
-                    break
-            else:
-                return False
-    return hit
+    return last, ready, (lhs, free is not None and inner.count(free) == 1, tuple(rest))
 
 
 def _domain(t, lhs, own, rest) -> int:
-    """The targets x of a pair's last read for which ``_pair_holds`` would
-    pass with t[last] = x, as a bitmask (bit x + 1, so ABSENT is bit 0).
-    Reads t only at the indices of rest, all at most the pair's ready.
+    """The targets x of a compiled pair's free read for which the pair's
+    degree bookkeeping admits nonzero coefficients with t[last] = x, as a
+    bitmask (bit x + 1, so ABSENT is bit 0).  Reads t only at the indices
+    of rest, all at most the pair's ready when a read is free.  With no
+    free read the mask is -1 exactly when the pair holds (it has at most
+    one bit set when the pair fails).
 
-    Every other group holds its partners, last included, so a lone
-    certain term at degree d asks x = d; the term at last, when certain,
-    must land on ABSENT, the left-hand degree or a partner's degree; and
-    if no other term reaches the left-hand degree, x must.
+    A lone certain term at degree d asks x = d; the term at last, when
+    certain, must land on ABSENT, the left-hand degree or a partner's
+    degree; and if no other term reaches the left-hand degree, x must.
     """
     mask = -1
     hit = lhs is None
@@ -175,7 +161,7 @@ def _domain(t, lhs, own, rest) -> int:
     return mask
 
 
-def _respects_kernel_image_structure(t, sources: Sequence[int], D: int) -> bool:
+def _respects_kernel_image_structure(t, sources: Sequence[int]) -> bool:
     """Weight-one structure filter for a complete shape: no present
     target may be an absent source.  Nonzero-weight operators on the
     full algebra have disjoint kernel and image (both subalgebras), so a
@@ -229,8 +215,9 @@ def _respects_class_closure(t, sources: Sequence[int], D: int, unital: bool) -> 
 # -- coefficient solving ---------------------------------------------------------
 
 
-def _shape_equations(t, sources: Sequence[int], lam_one: bool, D: int):
-    """Per-degree constraints as lists of (sign, vars) terms.
+def _shape_equations(t, sources: Sequence[int], lam_one: bool, mul):
+    """Per-degree constraints as lists of (sign, vars) terms, with mul the
+    product table of the basis indices.
 
     vars is a 1-tuple (linear, from the weight term) or a 2-tuple
     (product of two coefficients); the identity contributes the pair
@@ -243,19 +230,19 @@ def _shape_equations(t, sources: Sequence[int], lam_one: bool, D: int):
             v = sources[vi]
             tu, tv = t[u], t[v]
             per_degree: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
-            if tu >= 0 and tv >= 0 and tu + tv <= D:
-                per_degree.setdefault(tu + tv, []).append((1, (u, v)))
+            if tu >= 0 and tv >= 0 and mul[tu][tv] is not None:
+                per_degree.setdefault(mul[tu][tv], []).append((1, (u, v)))
             if tu >= 0:
-                ia = tu + v
-                if ia <= D and t[ia] >= 0:
+                ia = mul[tu][v]
+                if ia is not None and t[ia] >= 0:
                     per_degree.setdefault(t[ia], []).append((-1, (u, ia)))
             if tv >= 0:
-                ib = u + tv
-                if ib <= D and t[ib] >= 0:
+                ib = mul[u][tv]
+                if ib is not None and t[ib] >= 0:
                     per_degree.setdefault(t[ib], []).append((-1, (v, ib)))
             if lam_one:
-                ic = u + v
-                if ic <= D and t[ic] >= 0:
+                ic = mul[u][v]
+                if ic is not None and t[ic] >= 0:
                     per_degree.setdefault(t[ic], []).append((-1, (ic,)))
             for terms in per_degree.values():
                 equations.append(terms)
@@ -460,8 +447,8 @@ def _match_weight_zero(table: MonomialOperatorTable) -> Optional[FamilyMatch]:
         try:
             params = WeightZeroFamilyParams(m, classes)
             rebuilt = construct_weight_zero(params, algebra, D)
-        except (InvalidParams, DenominatorVanishes):
-            continue
+        except (InvalidParams, CharacteristicObstruction):
+            continue  # no family member with this m: a denominator vanishes
         if rebuilt.entries == table.entries:
             return FamilyMatch(MatchKind.WEIGHT_ZERO_FAMILY, params=params)
     return None
@@ -671,7 +658,8 @@ def _surviving_shapes(
     t = [ABSENT] * (D + 1)  # entries above the current source are never read
     dom = [sum(1 << (x + 1) for x in options)] * (D + 1)
     filed: List[list] = [[] for _ in range(D + 1)]
-    compiled = cache(partial(_compile_pair, lam_one=lam_one, D=D))
+    mul = product_table([(n,) for n in range(D + 1)])  # index n is x^n
+    compiled = cache(partial(_compile_pair, lam_one=lam_one, mul=mul))
 
     def narrow(last: int, check, undo: list) -> bool:
         """Intersect the check's domain into dom[last]; False if empty."""
@@ -695,7 +683,7 @@ def _surviving_shapes(
         if pos == len(sources):
             stats.shapes_enumerated += 1
             if lam_one:
-                structural_ok = _respects_kernel_image_structure(t, sources, D)
+                structural_ok = _respects_kernel_image_structure(t, sources)
             else:
                 structural_ok = _respects_class_closure(t, sources, D, unital)
             if structural_ok:
@@ -721,7 +709,7 @@ def _surviving_shapes(
                     entry = compiled(u, k, t[u], option)
                     last, ready, check = entry
                     if last == k:
-                        if not _pair_holds(t, *check):
+                        if _domain(t, *check) != -1:
                             break
                     elif ready == k:
                         if not narrow(last, check, undo):
@@ -801,10 +789,11 @@ def enumerate_monomial_rb(
         return set(first.values())
 
     sources = range(algebra.min_degree(), D + 1)
+    mul = product_table([(n,) for n in range(D + 1)])
     for t in _surviving_shapes(D, algebra.unital, lam_one, strategy.shape_budget, stats):
         defined = [n for n in sources if t[n] >= 0]
         leaders = class_leaders(t, defined)
-        equations = _shape_equations(t, sources, lam_one, D)
+        equations = _shape_equations(t, sources, lam_one, mul)
         stats.systems_solved += 1
         for values, seeded, orphans in _solve_coefficients(
             equations, defined, field, strategy
@@ -862,29 +851,15 @@ def enumerate_injective_diagonal(
     if strategy is None:
         strategy = default_strategy(field)
     basis = list(algebra.basis(degree_bound))
-    index = {m: i for i, m in enumerate(basis)}
-    equations = []
-    truncated = algebra.truncation is not None
-    for i, u in enumerate(basis):
-        for v in basis[i:]:
-            w = u * v
-            d = w.degree()
-            if truncated and d > algebra.truncation:
-                continue  # product vanishes; constraint is vacuous
-            if d > degree_bound:
-                continue  # outside the checked window
-            iu, iv, iw = index[u], index[v], index[w]
-            terms = [(1, (iu, iv)), (-1, (iu, iw)), (-1, (iv, iw))]
-            if weight.is_one():
-                terms.append((-1, (iw,)))
-            equations.append(terms)
+    # the identity shape: each basis index is its own target
+    diagonal = range(len(basis))
+    mul = product_table([m.exponents for m in basis])
+    equations = _shape_equations(diagonal, diagonal, weight.is_one(), mul)
     tables = []
-    for values, _seeded, orphans in _solve_coefficients(
-        equations, list(range(len(basis))), field, strategy
-    ):
+    for values, _seeded, orphans in _solve_coefficients(equations, diagonal, field, strategy):
         if orphans:
             continue  # not pinned by the identity; not a witness
-        entries = {m: (values[index[m]], m) for m in basis}
+        entries = {m: (values[i], m) for i, m in enumerate(basis)}
         table = MonomialOperatorTable(algebra, weight, degree_bound, entries)
         if rb_check(table, weight, degree_bound).passed:
             tables.append(table)

@@ -94,13 +94,17 @@ def _cmd_construct(args) -> int:
     if family == "weight-zero":
         if args.pq is None or args.m is None:
             raise RBAlgebraError("weight-zero needs --m and --pq 'p:q;p:q;...'")
+        if args.m < 1:
+            raise RBAlgebraError(f"--m must be >= 1, got {args.m}")
         residues = range(0, args.m) if algebra.unital else range(1, args.m + 1)
         chunks = [c for c in args.pq.split(";") if c.strip()]
         if len(chunks) != args.m:
             raise RBAlgebraError(f"--pq needs {args.m} 'p:q' chunks")
         classes = {}
         for b, chunk in zip(residues, chunks):
-            p_text, q_text = chunk.split(":")
+            p_text, colon, q_text = chunk.partition(":")
+            if not colon:
+                raise RBAlgebraError(f"--pq chunk {chunk.strip()!r} is not 'p:q'")
             classes[b] = (int(p_text), field.parse(q_text))
         params = WeightZeroFamilyParams(args.m, classes)
         op = construct_weight_zero(params, algebra, args.degree)
@@ -123,8 +127,11 @@ def _cmd_construct(args) -> int:
         op = construct_integral(base, algebra, args.degree)
     elif family == "splitting":
         if args.second_vars:
-            indices = [int(i) - 1 for i in args.second_vars.split(",")]
-            spec = split_by_variables(indices)
+            indices = [int(i) for i in args.second_vars.split(",")]
+            for i in indices:
+                if not 1 <= i <= algebra.nvars:
+                    raise RBAlgebraError(f"--second-vars takes 1..{algebra.nvars}, got {i}")
+            spec = split_by_variables([i - 1 for i in indices])
         elif args.second == "constants":
             spec = split_constant_part()
         else:

@@ -26,7 +26,6 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from fractions import Fraction
-from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -39,7 +38,7 @@ from .errors import (
 )
 from .fields import FieldElement, prime_field
 from .operators import LinearOperator, MonomialOperatorTable
-from .poly import AlgebraSpec, Polynomial
+from .poly import AlgebraSpec, Polynomial, product_table
 
 
 class PartialProductKind(Enum):
@@ -249,10 +248,8 @@ def grading_decompose(R: LinearOperator, weight: FieldElement) -> GradingDecompo
     else:
         spectrum, spaces = _matrix_decomposition(R, basis)
 
-    exponents = [m.exponents for m in basis]
-    index = {e: i for i, e in enumerate(exponents)}
     # index of the product of two basis monomials; None above the truncation
-    mul = [[index.get(tuple(map(add, a, b))) for b in exponents] for a in exponents]
+    mul = product_table([m.exponents for m in basis])
 
     def product(u, v):
         w = {}

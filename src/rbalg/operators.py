@@ -34,6 +34,8 @@ def _effective_bound(algebra: AlgebraSpec, degree_bound: Optional[int]) -> int:
         if algebra.truncation is None:
             raise ValueError("degree bound required on an untruncated algebra")
         return algebra.truncation
+    if degree_bound < 0:
+        raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
     if algebra.truncation is not None and degree_bound > algebra.truncation:
         raise ValueError("degree bound exceeds the truncation bound")
     return degree_bound

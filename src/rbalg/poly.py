@@ -14,7 +14,8 @@ order used everywhere is (total degree, lexicographic exponents).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from operator import add
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import MixedAlgebras, MixedFieldSpecs
 from .fields import FieldElement, FieldSpec
@@ -51,6 +52,13 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial{self.exponents}"
+
+
+def product_table(exponents: Sequence[Tuple[int, ...]]) -> List[List[Optional[int]]]:
+    """mul[i][j]: the position in exponents of the product of monomials i
+    and j, or None when that product is not in the list."""
+    index = {e: i for i, e in enumerate(exponents)}
+    return [[index.get(tuple(map(add, a, b))) for b in exponents] for a in exponents]
 
 
 def _exponent_tuples(total: int, nvars: int) -> Iterator[Tuple[int, ...]]:

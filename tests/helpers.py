@@ -597,6 +597,30 @@ def reference_solve_coefficients(
     return solutions
 
 
+def reference_diagonal_equations(algebra, weight, degree_bound):
+    """The pair constraints a_u a_v = (a_u + a_v + weight) a_uv of an
+    injective diagonal table, built from monomial products: basis indices
+    as unknowns, one equation per pair whose product lies in the window."""
+    basis = list(algebra.basis(degree_bound))
+    index = {m: i for i, m in enumerate(basis)}
+    equations = []
+    truncated = algebra.truncation is not None
+    for i, u in enumerate(basis):
+        for v in basis[i:]:
+            w = u * v
+            d = w.degree()
+            if truncated and d > algebra.truncation:
+                continue  # product vanishes; constraint is vacuous
+            if d > degree_bound:
+                continue  # outside the checked window
+            iu, iv, iw = index[u], index[v], index[w]
+            terms = [(1, (iu, iv)), (-1, (iu, iw)), (-1, (iv, iw))]
+            if weight.is_one():
+                terms.append((-1, (iw,)))
+            equations.append(terms)
+    return equations
+
+
 # -- the shape DFS as rescanning loops -----------------------------------------
 
 UNASSIGNED = -2
@@ -705,7 +729,7 @@ def reference_shapes(D, unital, lam_one, budget, stats, forward=False):
         if pos == len(sources):
             stats.shapes_enumerated += 1
             if lam_one:
-                structural_ok = _respects_kernel_image_structure(t, sources, D)
+                structural_ok = _respects_kernel_image_structure(t, sources)
             else:
                 structural_ok = _respects_class_closure(t, sources, D, unital)
             if not structural_ok:

@@ -37,6 +37,17 @@ def test_zero_tensor_solves_everything():
     assert aybe_residual(zero, QQ.zero()).is_zero()
 
 
+def test_tensors_refuse_another_field():
+    gf5 = FieldSpec.from_string("Fp:5")
+    with pytest.raises(MixedFieldSpecs):
+        TensorElement(UNITAL, 2, {(ONE, ONE): gf5.one()})
+    with pytest.raises(MixedFieldSpecs):
+        TensorElement(UNITAL, 2, {(ONE, ONE): gf5.zero()})
+    for tensor in (TensorElement(UNITAL, 2, {}), unit_tensor(QQ.one())):
+        with pytest.raises(MixedFieldSpecs):
+            aybe_residual(tensor, gf5.one())
+
+
 def test_x_tensor_x_leading_term():
     x = UNITAL.monomial(1)
     r = TensorElement(UNITAL, 2, {(x, x): QQ.one()})

@@ -24,6 +24,7 @@ from helpers import (
     _pair_reads,
     field_elements,
     inverse_degree_table,
+    reference_diagonal_equations,
     reference_enumerate_monomial_rb,
     reference_forward_shapes,
     reference_rb_check,
@@ -233,16 +234,19 @@ def compiled_pairs(draw):
 def test_pair_domain_is_exact(case):
     """_compile_pair reads the pair where the reference does; ready is its
     largest read but the last; and bit x of _domain, reading only t up to
-    ready, is the reference verdict with t[last] = x."""
-    from rbalg.classify import _compile_pair, _domain, _pair_holds
+    ready, is the reference verdict with t[last] = x.  When last is v no
+    read is free, and _domain is -1 exactly when the reference passes."""
+    from rbalg.classify import _compile_pair, _domain
+    from rbalg.poly import product_table
 
     D, lam_one, options, t, u, v = case
-    last, ready, check = _compile_pair(u, v, t[u], t[v], lam_one, D)
+    mul = product_table([(n,) for n in range(D + 1)])
+    last, ready, check = _compile_pair(u, v, t[u], t[v], lam_one, mul)
     reads = _pair_reads(t, u, v, lam_one, D) | {u}
     assert last == max(reads)
     assert ready == max(reads - {last}, default=last)
     if last == v:
-        assert _pair_holds(t, *check) == _pair_consistent(t, u, v, lam_one, D)
+        assert (_domain(t, *check) == -1) == _pair_consistent(t, u, v, lam_one, D)
         return
     mask = _domain(t[: ready + 1], *check)
     for x in options:
@@ -392,6 +396,46 @@ def test_match_unmatched():
     assert match_family(table).kind is MatchKind.UNMATCHED
 
 
+def test_match_weight_zero_with_a_vanishing_family_denominator():
+    """Over GF(2) the m = 1 member through R(x) = x^3 needs 1/4 at x^2, so
+    the table below is no family member; it is reported unmatched."""
+    field = prime_field(2)
+    algebra = AlgebraSpec(field, nvars=1, unital=False, truncation=4)
+    entries = {
+        algebra.monomial(1): (field.one(), algebra.monomial(3)),
+        algebra.monomial(2): (field.one(), algebra.monomial(4)),
+    }
+    table = MonomialOperatorTable(algebra, field.zero(), 4, entries)
+    assert reference_rb_check(table, field.zero(), 4).passed
+    assert match_family(table).kind is MatchKind.UNMATCHED
+
+
+def test_match_never_raises_on_verified_weight_zero_tables():
+    """Every weight-0 table over GF(2) and GF(3) on a shape the search keeps,
+    with at most three entries, that passes the check gets a match."""
+    import itertools
+
+    from rbalg import rb_check
+    from rbalg.classify import SearchStats, _surviving_shapes
+
+    for field, D, unital in itertools.product(
+        [prime_field(2), prime_field(3)], (3, 4, 5), (False, True)
+    ):
+        algebra = AlgebraSpec(field, nvars=1, unital=unital, truncation=D)
+        for t in _surviving_shapes(D, unital, False, 10**6, SearchStats()):
+            defined = [n for n in range(algebra.min_degree(), D + 1) if t[n] >= 0]
+            if len(defined) > 3:
+                continue
+            for coeffs in itertools.product(range(1, field.p), repeat=len(defined)):
+                entries = {
+                    algebra.monomial(n): (field.from_int(c), algebra.monomial(t[n]))
+                    for n, c in zip(defined, coeffs)
+                }
+                table = MonomialOperatorTable(algebra, field.zero(), D, entries)
+                if rb_check(table, field.zero(), D).passed:
+                    match_family(table)
+
+
 def test_kernel_obstructions():
     table = construct_weight_one_univariate(QQ.one(), NONUNITAL, 8)
     assert check_kernel_obstructions(table) is None
@@ -432,6 +476,48 @@ def test_injective_diagonal_search_bivariate():
     for m in algebra.basis(2):
         coeff, dst = table.entries[m]
         assert coeff == -QQ.one() and dst == m
+
+
+def test_injective_diagonal_matches_the_reference_equations():
+    """enumerate_injective_diagonal hands the solver exactly the equations
+    the monomial-product builder makes, and keeps exactly the solutions
+    without orphans that the reference pair loop passes.  Over Q and GF(7),
+    at weights 0 and 1, unital or not, truncated at the bound or not, in
+    1-3 variables at bounds 1-4; the seed grid shrinks in 3 variables to
+    keep the tables few."""
+    import itertools
+    from unittest import mock
+
+    from rbalg import classify
+
+    solve = classify._solve_coefficients
+    cases = itertools.product(
+        [QQ, prime_field(7)], (0, 1), (False, True), (False, True), (1, 2, 3), range(1, 5)
+    )
+    for field, w, unital, truncated, nvars, bound in cases:
+        algebra = AlgebraSpec(field, nvars, unital, bound if truncated else None)
+        weight = field.from_int(w)
+        grid = (2,) if nvars == 3 else (1, 2)
+        strategy = CoefficientStrategy(tuple(field.from_int(g) for g in grid))
+        calls = []
+
+        def spy(equations, *rest):
+            calls.append((equations, solve(equations, *rest)))
+            return calls[-1][1]
+
+        with mock.patch.object(classify, "_solve_coefficients", spy):
+            tables = enumerate_injective_diagonal(algebra, weight, bound, strategy)
+        ((equations, solutions),) = calls
+        case = (field, w, unital, truncated, nvars, bound)
+        assert equations == reference_diagonal_equations(algebra, weight, bound), case
+        basis = list(algebra.basis(bound))
+        want = []
+        for values, _, orphans in solutions:
+            entries = {m: (values[i], m) for i, m in enumerate(basis)}
+            table = MonomialOperatorTable(algebra, weight, bound, entries)
+            if not orphans and reference_rb_check(table, weight, bound).passed:
+                want.append(table)
+        assert tables == want, case
 
 
 def test_injective_diagonal_search_validates_the_weight_first():
@@ -562,7 +648,7 @@ def test_search_against_exhaustive_ground_truth_gf5(weight_value, unital):
         if weight_value == 0:
             structural = _respects_class_closure(t, sources, D, unital=unital)
         else:
-            structural = _respects_kernel_image_structure(t, sources, D)
+            structural = _respects_kernel_image_structure(t, sources)
         if structural:
             assert any(covers(s, sig) for s in report.solutions), (
                 f"missing structure-respecting solution {sorted(sig)}"

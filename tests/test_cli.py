@@ -170,6 +170,21 @@ def test_classify_match_only_recovers_parameters(tmp_path, capsys):
     assert data["alpha"] == "2"
 
 
+def test_classify_match_only_with_a_vanishing_family_denominator(tmp_path, capsys):
+    field = prime_field(2)
+    algebra = AlgebraSpec(field, nvars=1, unital=False, truncation=4)
+    entries = {
+        algebra.monomial(1): (field.one(), algebra.monomial(3)),
+        algebra.monomial(2): (field.one(), algebra.monomial(4)),
+    }
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(MonomialOperatorTable(algebra, field.zero(), 4, entries).to_json_dict()))
+    code, out, _ = run_cli(capsys, "check", "--operator", str(path), "--weight", "0")
+    assert (code, json.loads(out)) == (0, {"checked_pairs": 10, "status": "pass"})
+    code, out, err = run_cli(capsys, "classify", "--match-only", "--operator", str(path))
+    assert (code, json.loads(out), err) == (0, {"kind": "unmatched"}, "")
+
+
 def test_classify_search_reports_solutions(capsys):
     code, out, _ = run_cli(
         capsys, "classify", "--weight", "1", "--degree", "5", "--field", "Q",
@@ -482,6 +497,38 @@ def test_aybe_search_negative_degree_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "aybe", "search", "--degree", "-1", "--weight", "1")
     assert (code, out) == (2, "")
     assert err == "error: support degree must be >= 0, got -1\n"
+
+
+def test_construct_splitting_takes_1_based_variables(capsys):
+    code, out, _ = run_cli(
+        capsys, "construct", "--family", "splitting", "--nvars", "2", "--degree", "2",
+        "--second-vars", "2",
+    )
+    assert code == 0
+    # -weight = -1 on exactly the monomials that involve x2
+    minus = {tuple(e["src"]) for e in json.loads(out)["entries"] if e["coeff"] == "-1"}
+    assert minus == {(0, 1), (1, 1), (0, 2)}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--family", "splitting", "--nvars", "2", "--degree", "2", "--second-vars", "0"],
+        ["construct", "--family", "splitting", "--nvars", "2", "--degree", "2", "--second-vars", "3"],
+        ["construct", "--family", "weight-zero", "--m", "0", "--pq", "1:1", "--degree", "3"],
+        ["construct", "--family", "weight-zero", "--m", "1", "--pq", "1", "--degree", "3"],
+        ["construct", "--family", "weight-one", "--alpha", "1", "--degree", "-1"],
+        ["classify", "--weight", "0", "--degree", "-1"],
+        ["aybe", "search", "--weight", "1", "--degree", "-1"],
+    ],
+    ids=["vars-0", "vars-nvars+1", "m-0", "pq-no-colon", "construct-degree", "classify-degree", "aybe-degree"],
+)
+def test_bad_arguments_are_usage_errors(argv):
+    """Out-of-range or malformed arguments exit 2 with one error line."""
+    result = run_module("rbalg", *argv)
+    assert (result.returncode, result.stdout) == (2, "")
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
 
 
 def test_selftest_passes(capsys):

@@ -239,3 +239,11 @@ def test_splitting_closure_validation():
     with pytest.raises(NotASubalgebra) as err:
         construct_splitting(spec, QQ.one(), algebra, 4)
     assert err.value.part == 2
+
+
+def test_a_negative_degree_bound_is_refused():
+    with pytest.raises(ValueError, match="degree bound must be >= 0, got -1"):
+        construct_weight_one_univariate(QQ.one(), NONUNITAL, -1)
+    with pytest.raises(ValueError, match="degree bound must be >= 0, got -1"):
+        MonomialOperatorTable(NONUNITAL, QQ.one(), -1, {})
+    assert MonomialOperatorTable(UNITAL, QQ.one(), 0, {}).degree_bound == 0
