@@ -13,20 +13,21 @@ one check: as soon as every source it reads but the last is assigned, it
 narrows the targets still admissible for that last source, and an option
 that leaves some later source no target is pruned at once; a pair whose
 last read is v is decided when v is assigned.  Surviving shapes get
-their coefficients from exact constraint propagation, on equations from
-the builder the injective diagonal search shares: substituting known
+their coefficients from exact constraint propagation: substituting known
 values turns per-degree constraints into polynomials of degree <= 2 in
 one unknown, solved exactly over the field; genuinely free coefficients
-(family parameters) are instantiated from a finite strategy grid; and
-coefficients constrained by nothing at all -- truncation artifacts that
-need not extend to the full algebra -- are set to 1 and flagged as
-under-constrained.
+(family parameters) are instantiated from a finite strategy grid, each
+distinct value once; and coefficients constrained by nothing at all --
+truncation artifacts that need not extend to the full algebra -- are
+set to 1 and flagged as under-constrained.
 
-Every candidate table is re-verified by the exhaustive pairwise
-identity check before being reported, so the output is sound by
-construction.  Completeness is relative to the seeding grid: a family
-member appears in the output exactly when its free parameters lie on
-the grid.
+The shape search and the injective diagonal search (the identity shape
+on k0[x1..xn]) share one pipeline: ``_check_search`` validates, and
+``_verified_tables`` builds a shape's equations, solves them, builds
+each candidate table and re-verifies it by the exhaustive pairwise
+identity check, so the output is sound by construction.  Completeness
+is relative to the seeding grid: a family member appears in the output
+exactly when its free parameters lie on the grid.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ from .construct import (
     construct_splitting,
     construct_weight_one_univariate,
     construct_weight_zero,
+    residue_class,
+    residues,
 )
 from .errors import (
     CharacteristicObstruction,
@@ -304,7 +307,7 @@ def _solve_coefficients(
     """
     p = field.p
     one = field.one().value
-    grid = [g.value for g in strategy.grid if g]
+    grid = list(dict.fromkeys(g.value for g in strategy.grid if g))  # each value seeds once
     solutions = []
     unknown_order = list(unknowns)
 
@@ -410,45 +413,25 @@ def _divisors_desc(n: int) -> List[int]:
 
 
 def _match_weight_zero(table: MonomialOperatorTable) -> Optional[FamilyMatch]:
+    """For each m dividing the target gcd, largest first, each class takes
+    (p, q) from its least defined source, and the member they build must
+    reproduce the table (a class with p <= 0 never does)."""
     algebra = table.algebra
-    D = table.degree_bound
     field = algebra.field
     g = math.gcd(*(dst.exponents[0] for _, dst in table.entries.values()))
     if g == 0:
         return None
+    entries = sorted(table.entries.items(), reverse=True)  # the least source of a class writes last
     for m in _divisors_desc(g):
-        residues = range(0, m) if algebra.unital else range(1, m + 1)
-        classes = {}
-        ok = True
-        for b in residues:
-            members = [
-                n
-                for n in range(algebra.min_degree(), D + 1)
-                if (n % m if algebra.unital else (n - 1) % m + 1) == b
-            ]
-            defined = [n for n in members if table.entries.get(algebra.monomial(n))]
-            if not defined:
-                classes[b] = (0, field.zero())
-                continue
-            n0 = defined[0]
-            a0 = n0 // m if algebra.unital else (n0 - b) // m
-            coeff, dst = table.entries[algebra.monomial(n0)]
-            T0 = dst.exponents[0]
-            if T0 % m != 0:
-                ok = False
-                break
-            p = T0 // m - a0
-            if p < 1:
-                ok = False
-                break
-            classes[b] = (p, coeff * field.from_int(m * (a0 + p)))
-        if not ok:
-            continue
+        classes = {b: (0, field.zero()) for b in residues(m, algebra.unital)}
+        for src, (coeff, dst) in entries:  # x^(m*a+b) -> x^T gives p = T/m - a, q = coeff*T
+            b, a = residue_class(src.exponents[0], m, algebra.unital)
+            classes[b] = (dst.exponents[0] // m - a, coeff * field.from_int(dst.exponents[0]))
         try:
             params = WeightZeroFamilyParams(m, classes)
-            rebuilt = construct_weight_zero(params, algebra, D)
+            rebuilt = construct_weight_zero(params, algebra, table.degree_bound)
         except (InvalidParams, CharacteristicObstruction):
-            continue  # no family member with this m: a denominator vanishes
+            continue  # no family member with this m: some p_b <= 0, or a denominator vanishes
         if rebuilt.entries == table.entries:
             return FamilyMatch(MatchKind.WEIGHT_ZERO_FAMILY, params=params)
     return None
@@ -732,6 +715,34 @@ def _surviving_shapes(
     yield from dfs(0)
 
 
+def _check_search(algebra: AlgebraSpec, weight: FieldElement, degree_bound: int) -> None:
+    """The parameters both searches need before any equation is built."""
+    if not (weight.is_zero() or weight.is_one()):
+        raise InvalidParams("search weights are 0 and 1 (rescale first)")
+    if degree_bound < 0:
+        raise InvalidParams("degree bound must be >= 0")
+    if algebra.truncation is not None and algebra.truncation < degree_bound:
+        raise InvalidParams("degree bound exceeds the algebra's truncation")
+
+
+def _verified_tables(t, sources, monos, mul, algebra, weight, D, strategy, stats):
+    """The tables of shape t that pass ``rb_check``, as (table, seeded,
+    orphans): the shape's equations are solved, and each solution becomes
+    a table on algebra up to D, with monos[i] the basis monomial of index i
+    and mul their product table.  Counts systems solved and candidates
+    rejected into stats."""
+    defined = [n for n in sources if t[n] >= 0]
+    equations = _shape_equations(t, sources, weight.is_one(), mul)
+    stats.systems_solved += 1
+    for values, seeded, orphans in _solve_coefficients(equations, defined, algebra.field, strategy):
+        entries = {monos[n]: (values[n], monos[t[n]]) for n in defined}
+        table = MonomialOperatorTable(algebra, weight, D, entries)
+        if rb_check(table, weight, D).passed:
+            yield table, seeded, orphans
+        else:
+            stats.candidates_rejected += 1
+
+
 def enumerate_monomial_rb(
     algebra: AlgebraSpec,
     weight: FieldElement,
@@ -747,24 +758,19 @@ def enumerate_monomial_rb(
     """
     if algebra.nvars != 1:
         raise InvalidParams("the shape search is univariate")
-    field = algebra.field
-    if not (weight.is_zero() or weight.is_one()):
-        raise InvalidParams("search weights are 0 and 1 (rescale first)")
     if degree_bound < 1:
         raise InvalidParams("degree bound must be >= 1")
     if degree_bound > 10:
         raise InvalidParams("degree bound capped at 10 (cost guard)")
-    if algebra.truncation is not None and algebra.truncation < degree_bound:
-        raise InvalidParams("degree bound exceeds the algebra's truncation")
+    _check_search(algebra, weight, degree_bound)
+    field = algebra.field
     if field.kind is FieldKind.PRIME and field.p <= degree_bound:
         raise InvalidParams("prime fields need p > degree bound")
     if strategy is None:
         strategy = default_strategy(field)
     search_algebra = replace(algebra, truncation=degree_bound)
     D = degree_bound
-    lam_one = weight.is_one()
     stats = SearchStats()
-    by_signature: Dict[tuple, Solution] = {}
 
     def class_leaders(t, defined):
         """First defined source of each residue class mod the target gcd.
@@ -789,26 +795,14 @@ def enumerate_monomial_rb(
         return set(first.values())
 
     sources = range(algebra.min_degree(), D + 1)
-    mul = product_table([(n,) for n in range(D + 1)])
-    for t in _surviving_shapes(D, algebra.unital, lam_one, strategy.shape_budget, stats):
-        defined = [n for n in sources if t[n] >= 0]
-        leaders = class_leaders(t, defined)
-        equations = _shape_equations(t, sources, lam_one, mul)
-        stats.systems_solved += 1
-        for values, seeded, orphans in _solve_coefficients(
-            equations, defined, field, strategy
+    monos = [Monomial((n,)) for n in range(D + 1)]  # index n is x^n
+    mul = product_table([m.exponents for m in monos])
+    solutions = []
+    for t in _surviving_shapes(D, algebra.unital, weight.is_one(), strategy.shape_budget, stats):
+        leaders = class_leaders(t, [n for n in sources if t[n] >= 0])
+        for table, seeded, orphans in _verified_tables(
+            t, sources, monos, mul, search_algebra, weight, D, strategy, stats
         ):
-            entries = {
-                search_algebra.monomial(n): (values[n], search_algebra.monomial(t[n]))
-                for n in defined
-            }
-            table = MonomialOperatorTable(search_algebra, weight, D, entries)
-            if not rb_check(table, weight, D).passed:
-                stats.candidates_rejected += 1
-                continue
-            signature = tuple((n, values[n].sort_key(), t[n]) for n in defined)
-            if signature in by_signature:
-                continue
             undetermined = tuple(
                 sorted(set(orphans) | {x for x in seeded if x not in leaders})
             )
@@ -818,7 +812,7 @@ def enumerate_monomial_rb(
                 )
             else:
                 match = match_family(table)
-            by_signature[signature] = Solution(table, match, seeded, undetermined)
+            solutions.append(Solution(table, match, seeded, undetermined))
 
     def solution_key(s: Solution):
         entries = sorted(
@@ -827,7 +821,7 @@ def enumerate_monomial_rb(
         )
         return (len(entries), repr(entries))
 
-    solutions = sorted(by_signature.values(), key=solution_key)
+    solutions.sort(key=solution_key)
     return ClassificationReport(solutions, stats)
 
 
@@ -843,24 +837,17 @@ def enumerate_injective_diagonal(
     coefficient a_w; the pair constraints a_u a_v = (a_u + a_v + weight)
     a_{uv} are solved by exact propagation.  Works in any number of
     variables; used to witness that on unital algebras at weight one the
-    only such operator is -id.
+    only such operator is -id.  This is the shape search's pipeline run
+    on one shape, the identity.
     """
-    field = algebra.field
-    if not (weight.is_zero() or weight.is_one()):
-        raise InvalidParams("diagonal search supports weights 0 and 1")
+    _check_search(algebra, weight, degree_bound)
     if strategy is None:
-        strategy = default_strategy(field)
+        strategy = default_strategy(algebra.field)
     basis = list(algebra.basis(degree_bound))
-    # the identity shape: each basis index is its own target
-    diagonal = range(len(basis))
+    diagonal = range(len(basis))  # each basis index is its own target
     mul = product_table([m.exponents for m in basis])
-    equations = _shape_equations(diagonal, diagonal, weight.is_one(), mul)
-    tables = []
-    for values, _seeded, orphans in _solve_coefficients(equations, diagonal, field, strategy):
-        if orphans:
-            continue  # not pinned by the identity; not a witness
-        entries = {m: (values[i], m) for i, m in enumerate(basis)}
-        table = MonomialOperatorTable(algebra, weight, degree_bound, entries)
-        if rb_check(table, weight, degree_bound).passed:
-            tables.append(table)
-    return tables
+    found = _verified_tables(
+        diagonal, diagonal, basis, mul, algebra, weight, degree_bound, strategy, SearchStats()
+    )
+    # a coefficient no equation mentions is not pinned by the identity
+    return [table for table, _, orphans in found if not orphans]

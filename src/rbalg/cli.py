@@ -26,6 +26,7 @@ from .construct import (
     construct_splitting,
     construct_weight_one_univariate,
     construct_weight_zero,
+    residues,
     split_by_variables,
     split_constant_part,
     split_positive_degree,
@@ -75,9 +76,15 @@ def _algebra_from_args(args) -> AlgebraSpec:
     )
 
 
-def _load_operator(path: str):
+def _load_document(path: str, parse=operator_from_json):
+    """parse (by default, of an operator) applied to the JSON in the file;
+    a document of the wrong form is a usage error that names the file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return operator_from_json(json.load(handle))
+        document = json.load(handle)
+    try:
+        return parse(document)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise RBAlgebraError(f"{path} is malformed: {type(exc).__name__}: {exc}") from exc
 
 
 def _parse_grid(field: FieldSpec, text: str):
@@ -96,12 +103,11 @@ def _cmd_construct(args) -> int:
             raise RBAlgebraError("weight-zero needs --m and --pq 'p:q;p:q;...'")
         if args.m < 1:
             raise RBAlgebraError(f"--m must be >= 1, got {args.m}")
-        residues = range(0, args.m) if algebra.unital else range(1, args.m + 1)
         chunks = [c for c in args.pq.split(";") if c.strip()]
         if len(chunks) != args.m:
             raise RBAlgebraError(f"--pq needs {args.m} 'p:q' chunks")
         classes = {}
-        for b, chunk in zip(residues, chunks):
+        for b, chunk in zip(residues(args.m, algebra.unital), chunks):
             p_text, colon, q_text = chunk.partition(":")
             if not colon:
                 raise RBAlgebraError(f"--pq chunk {chunk.strip()!r} is not 'p:q'")
@@ -164,7 +170,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    op = _load_operator(args.operator)
+    op = _load_document(args.operator)
     weight = op.algebra.field.parse(args.weight)
     degree = args.degree if args.degree is not None else op.degree_bound
     report = rb_check(op, weight, degree)
@@ -190,7 +196,7 @@ def _cmd_classify(args) -> int:
     if args.match_only:
         if not args.operator:
             raise RBAlgebraError("--match-only needs --operator")
-        op = _load_operator(args.operator)
+        op = _load_document(args.operator)
         if not isinstance(op, MonomialOperatorTable):
             raise RBAlgebraError("--match-only works on monomial tables")
         match = classify_mod.match_family(op)
@@ -235,7 +241,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_grade(args) -> int:
-    op = _load_operator(args.operator)
+    op = _load_document(args.operator)
     weight = op.algebra.field.from_int(args.weight)
     decomposition = grading_decompose(op, weight)
     lines = ["spectrum: " + ", ".join(x.short_str() for x in decomposition.spectrum)]
@@ -262,8 +268,7 @@ def _cmd_grade(args) -> int:
 
 
 def _cmd_aybe_check(args) -> int:
-    with open(args.r, "r", encoding="utf-8") as handle:
-        tensor = TensorElement.from_json_dict(json.load(handle))
+    tensor = _load_document(args.r, TensorElement.from_json_dict)
     weight = tensor.algebra.field.parse(args.weight)
     residual = aybe_residual(tensor, weight)
     data = {

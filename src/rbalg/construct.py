@@ -5,7 +5,8 @@ Univariate weight zero (residue classes mod m):
     R(x^(m*a+b)) = q_b * x^(m*(a+p_b)) / (m*(a+p_b)),
 
 with residues 1..m on the non-unital algebra and 0..m-1 on the unital
-one, and q_b = 0 exactly when p_b = 0 (those classes are killed).
+one (``residues``, ``residue_class``), and q_b = 0 exactly when p_b = 0
+(those classes are killed).
 
 Univariate weight one, and its multivariate counterpart:
 
@@ -36,6 +37,18 @@ from .operators import DenseOperator, MonomialOperatorTable, _effective_bound
 from .poly import AlgebraSpec, Monomial, Polynomial
 
 
+def residues(m: int, unital: bool) -> range:
+    """The labels of the residue classes mod m: 0..m-1 on the unital
+    algebra, 1..m on the non-unital one."""
+    return range(0, m) if unital else range(1, m + 1)
+
+
+def residue_class(n: int, m: int, unital: bool) -> Tuple[int, int]:
+    """(b, a) with n = m*a + b and b one of ``residues(m, unital)``."""
+    b = n % m if unital else (n - 1) % m + 1
+    return b, (n - b) // m
+
+
 @dataclass(frozen=True)
 class WeightZeroFamilyParams:
     """Residue data b -> (p_b, q_b); q_b = 0 iff p_b = 0."""
@@ -44,7 +57,7 @@ class WeightZeroFamilyParams:
     classes: Mapping[int, Tuple[int, FieldElement]]
 
     def residues(self, unital: bool) -> range:
-        return range(0, self.m) if unital else range(1, self.m + 1)
+        return residues(self.m, unital)
 
     def validate(self, unital: bool) -> None:
         if self.m < 1:
@@ -76,12 +89,7 @@ def construct_weight_zero(
     entries = {}
     for src in algebra.basis(bound):
         n = src.exponents[0]
-        if algebra.unital:
-            b = n % m
-            a = n // m
-        else:
-            b = (n - 1) % m + 1
-            a = (n - b) // m
+        b, a = residue_class(n, m, algebra.unital)
         p, q = params.classes[b]
         if q.is_zero():
             continue

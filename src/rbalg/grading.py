@@ -29,9 +29,15 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
+from .construct import (
+    WeightZeroFamilyParams,
+    construct_weight_one_univariate,
+    construct_weight_zero,
+)
 from .errors import (
     CharacteristicObstruction,
     DegreeBoundExceeded,
+    DenominatorVanishes,
     MixedFieldSpecs,
     NonSplitSpectrum,
     ZeroArgument,
@@ -305,32 +311,22 @@ class QuotientFamily(Enum):
 def quotient_rb_from_family(
     source: QuotientFamily, N: int, p: int
 ) -> MonomialOperatorTable:
-    """Monomial tables on k0[x]/(x^(N+1)) over GF(p).
+    """Family members on k0[x]/(x^(N+1)) over GF(p), from the constructors.
 
-    WEIGHT_ONE_ALPHA_ONE: R(x^i) = x^i / (2^i - 1), weight 1; requires
-    that no 2^i - 1 (2 <= i <= N) is divisible by p.
-    WEIGHT_ZERO_RECIPROCAL: R(x^i) = x^i / i, weight 0; requires N < p.
+    WEIGHT_ONE_ALPHA_ONE: R(x^i) = x^i / (2^i - 1), weight 1, the weight-one
+    family at alpha = 1; WEIGHT_ZERO_RECIPROCAL: R(x^i) = x^i / i, weight 0,
+    the weight-zero family with m = 1 and class 1 = (1, 1).  A denominator
+    divisible by p raises ``CharacteristicObstruction`` at the first such i.
     """
     field = prime_field(p)
     algebra = AlgebraSpec(field, nvars=1, unital=False, truncation=N)
-    entries = {}
-    for i in range(1, N + 1):
-        if source is QuotientFamily.WEIGHT_ONE_ALPHA_ONE:
-            raw = 2**i - 1
-            if raw % p == 0:
-                raise CharacteristicObstruction(
-                    f"2^{i} - 1 = {raw} is divisible by {p}", index=i
-                )
-        else:
-            if i % p == 0:
-                raise CharacteristicObstruction(f"{i} is divisible by {p}", index=i)
-            raw = i
-        coeff = field.from_int(raw).inverse()
-        mono = algebra.monomial(i)
-        entries[mono] = (coeff, mono)
-    weight = (
-        field.one()
-        if source is QuotientFamily.WEIGHT_ONE_ALPHA_ONE
-        else field.zero()
-    )
-    return MonomialOperatorTable(algebra, weight, N, entries)
+    if source is QuotientFamily.WEIGHT_ZERO_RECIPROCAL:
+        params = WeightZeroFamilyParams(1, {1: (1, field.one())})
+        return construct_weight_zero(params, algebra, N)
+    try:
+        return construct_weight_one_univariate(field.one(), algebra, N)
+    except DenominatorVanishes as exc:
+        i = exc.where
+        raise CharacteristicObstruction(
+            f"2^{i} - 1 = {2**i - 1} is divisible by {p}", index=i
+        ) from exc

@@ -265,6 +265,23 @@ def test_search_report_matches_reference(field):
                 got = enumerate_monomial_rb(algebra, weight, degree).to_json_dict()
                 want = reference_enumerate_monomial_rb(algebra, weight, degree)
                 assert got == want.to_json_dict(), (degree, unital, weight)
+                tables = {repr(s["table"]) for s in got["solutions"]}
+                assert len(tables) == len(got["solutions"]), (degree, unital, weight)
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(7)], ids=str)
+def test_repeated_grid_values_change_nothing(field):
+    """A value repeated in the seed grid seeds once: the report, solutions
+    and all five counters, is the one of the grid without repeats."""
+    once = CoefficientStrategy(tuple(field.from_int(v) for v in (1, 2, -1)))
+    twice = CoefficientStrategy(tuple(field.from_int(v) for v in (1, 1, 2, -1, 2, 1)))
+    for degree in (3, 4):
+        for unital in (False, True):
+            algebra = AlgebraSpec(field, nvars=1, unital=unital, truncation=None)
+            for weight in (field.zero(), field.one()):
+                got = enumerate_monomial_rb(algebra, weight, degree, twice)
+                want = enumerate_monomial_rb(algebra, weight, degree, once)
+                assert got.to_json_dict() == want.to_json_dict(), (degree, unital, weight)
 
 
 @st.composite
@@ -526,6 +543,30 @@ def test_injective_diagonal_search_validates_the_weight_first():
     for bound in (1, 2):
         with pytest.raises(InvalidParams):
             enumerate_injective_diagonal(NONUNITAL, QQ.from_int(2), bound)
+
+
+def test_injective_diagonal_search_refuses_a_bound_past_the_truncation():
+    truncated = AlgebraSpec(QQ, nvars=1, unital=True, truncation=3)
+    for weight in (QQ.zero(), QQ.one()):
+        with pytest.raises(InvalidParams):
+            enumerate_injective_diagonal(truncated, weight, 5)
+
+
+def test_injective_diagonal_search_refuses_a_negative_bound():
+    with pytest.raises(InvalidParams):
+        enumerate_injective_diagonal(NONUNITAL, QQ.one(), -1)
+
+
+def test_injective_diagonal_search_at_bound_zero():
+    """Bound 0 is allowed: on the unital algebra it solves for R(1) alone,
+    and the non-unital basis is empty, so the zero table is all there is."""
+    minus_one = MonomialOperatorTable(
+        UNITAL, QQ.one(), 0, {UNITAL.monomial(0): (-QQ.one(), UNITAL.monomial(0))}
+    )
+    assert enumerate_injective_diagonal(UNITAL, QQ.one(), 0) == [minus_one]
+    assert enumerate_injective_diagonal(UNITAL, QQ.zero(), 0) == []
+    zero = MonomialOperatorTable(NONUNITAL, QQ.one(), 0, {})
+    assert enumerate_injective_diagonal(NONUNITAL, QQ.one(), 0) == [zero]
 
 
 def test_injective_diagonal_search_univariate_weight_one():

@@ -462,6 +462,51 @@ def test_classify_explicit_zeros_are_kept(capsys):
     )
 
 
+def test_classify_repeated_grid_values_print_the_same_report(capsys):
+    code, once, _ = run_cli(capsys, "classify", "--weight", "0", "--degree", "4", "--grid", "1,2")
+    assert code == 0
+    code, twice, _ = run_cli(capsys, "classify", "--weight", "0", "--degree", "4", "--grid", "1,1,2")
+    assert code == 0
+    assert twice == once
+
+
+def _weight_one_table_json():
+    algebra = AlgebraSpec(QQ, nvars=1, unital=False, truncation=None)
+    return construct_weight_one_univariate(QQ.one(), algebra, 3).to_json_dict()
+
+
+def _without_dst(data):
+    return dict(data, entries=[{k: v for k, v in e.items() if k != "dst"} for e in data["entries"]])
+
+
+@pytest.mark.parametrize(
+    "document,commands",
+    [
+        ({"kind": "monomial"}, ["check", "grade", "match"]),
+        ([1, 2], ["check", "grade"]),
+        (_without_dst(_weight_one_table_json()), ["check", "grade"]),
+        (dict(_weight_one_table_json(), degree_bound="x"), ["check", "grade"]),
+        ([1, 2], ["aybe"]),
+    ],
+    ids=["no-algebra", "list", "no-dst", "string-bound", "tensor-list"],
+)
+def test_malformed_documents_are_usage_errors(tmp_path, capsys, document, commands):
+    """A JSON file of the wrong form exits 2 with one error line naming it."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    argvs = {
+        "check": ["check", "--operator", str(path), "--weight", "1"],
+        "grade": ["grade", "--operator", str(path), "--weight", "1"],
+        "match": ["classify", "--match-only", "--operator", str(path)],
+        "aybe": ["aybe", "check", "--r", str(path), "--weight", "1"],
+    }
+    for command in commands:
+        code, out, err = run_cli(capsys, *argvs[command])
+        assert (code, out) == (2, ""), command
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path} "), (command, err)
+
+
 @pytest.mark.parametrize("flag", ["--max-seeds", "--budget"])
 def test_classify_negative_limits_are_usage_errors(capsys, flag):
     code, out, err = run_cli(capsys, "classify", "--weight", "0", "--degree", "4", flag, "-1")
