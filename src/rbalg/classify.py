@@ -13,13 +13,13 @@ one check: as soon as every source it reads but the last is assigned, it
 narrows the targets still admissible for that last source, and an option
 that leaves some later source no target is pruned at once; a pair whose
 last read is v is decided when v is assigned.  Surviving shapes get
-their coefficients from exact constraint propagation: substituting known
-values turns per-degree constraints into polynomials of degree <= 2 in
-one unknown, solved exactly over the field; genuinely free coefficients
-(family parameters) are instantiated from a finite strategy grid, each
-distinct value once; and coefficients constrained by nothing at all --
-truncation artifacts that need not extend to the full algebra -- are
-set to 1 and flagged as under-constrained.
+their coefficients from exact propagation on watched equations: each
+per-degree constraint keeps a running split on raw values, fixing a
+coefficient marks only the constraints that mention it, and a marked one
+left with one unknown is solved exactly over the field (degree <= 2);
+genuinely free coefficients (family parameters) are seeded from a finite
+strategy grid, each distinct value once; coefficients no constraint
+mentions -- truncation artifacts -- are set to 1, flagged under-constrained.
 
 The shape search and the injective diagonal search (the identity shape
 on k0[x1..xn]) share one pipeline: ``_check_search`` validates, and
@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
+from fractions import Fraction
 from functools import cache, partial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -43,15 +44,12 @@ from .construct import (
     SplittingSpec,
     WeightZeroFamilyParams,
     construct_splitting,
-    construct_weight_one_univariate,
-    construct_weight_zero,
     residue_class,
     residues,
 )
 from .errors import (
-    CharacteristicObstruction,
-    DenominatorVanishes,
     InvalidParams,
+    MixedFieldSpecs,
     NotASubalgebra,
     SearchBudgetExceeded,
 )
@@ -252,123 +250,121 @@ def _shape_equations(t, sources: Sequence[int], lam_one: bool, mul):
     return equations
 
 
-def _substitute(terms, values, p):
-    """Split an equation into raw (constant, linear, quadratic) parts given
-    raw values: Fractions over Q (p None), ints reduced mod p over GF(p)."""
-    const = 0
-    linear: Dict[int, object] = {}
-    quad: Dict[Tuple[int, int], object] = {}
-    for coeff, variables in terms:
-        unknown = []
-        for var in variables:
-            val = values.get(var)
-            if val is None:
-                unknown.append(var)
+def _settled(terms, values: dict, p) -> dict:
+    """An equation's split {vars: coeff} from (vars, coeff) terms, with the
+    known unknowns substituted: a term drops each known factor and takes
+    its value, so the constant collects under ().  Coefficients are
+    reduced mod p over GF(p), and the zero ones dropped."""
+    out: dict = {}
+    for key, c in terms:
+        rest = ()
+        for y in key:
+            if y in values:
+                c = c * values[y]
             else:
-                coeff = coeff * val
-        if not unknown:
-            const += coeff
-        elif len(unknown) == 1:
-            x = unknown[0]
-            linear[x] = linear.get(x, 0) + coeff
-        else:
-            key = tuple(sorted(unknown))
-            quad[key] = quad.get(key, 0) + coeff
-    if p is not None:
-        const %= p
-        linear = {x: c % p for x, c in linear.items()}
-        quad = {k: c % p for k, c in quad.items()}
-    linear = {x: c for x, c in linear.items() if c}
-    quad = {k: c for k, c in quad.items() if c}
-    return const, linear, quad
+                rest += (y,)
+        out[rest] = out.get(rest, 0) + c
+    if p is None:
+        return {key: c for key, c in out.items() if c}
+    return {key: r for key, c in out.items() if (r := c % p)}
 
 
 def _nonzero_roots(a2, a1, a0, p):
-    """Raw roots of a2 x^2 + a1 x + a0 in the field, zero excluded."""
-    if not a2:
-        if not a1:
-            return [] if a0 else None  # None: vacuous, no info
-        if not a0:
-            return []
-        return [-a0 / a1 if p is None else -a0 * pow(a1, -1, p) % p]
-    return [r for r in linalg.roots([a2, a1, a0], p) if r]
+    """Raw roots of a2 x^2 + a1 x + a0 in the field, a2 or a1 nonzero, zero
+    excluded."""
+    if a2:
+        return [r for r in linalg.roots([a2, a1, a0], p) if r]
+    return [-a0 / a1 if p is None else -a0 * pow(a1, -1, p) % p] if a0 else []
 
 
-def _solve_coefficients(
-    equations,
-    unknowns: Sequence,
-    field: FieldSpec,
-    strategy: CoefficientStrategy,
-):
+def _raw_grid(strategy: CoefficientStrategy) -> list:
+    """The strategy's seed values, raw, zero dropped, each value once."""
+    return list(dict.fromkeys(g.value for g in strategy.grid if g))
+
+
+def _solve_coefficients(equations, unknowns: Sequence, field: FieldSpec, strategy, grid=None):
     """All full nonzero assignments: (values, seeded, orphans) triples.
 
-    Propagation and seeding run on raw values; each triple's values are
-    FieldElements.
+    equations are lists of (coeff, vars) terms, vars one or two unknowns;
+    grid is ``_raw_grid(strategy)``, derived here when None.  Propagation
+    and seeding run on raw values; each triple's values are FieldElements.
+
+    A pass reads the marked equations in index order (at first, all) and
+    acts on one left with at most one unknown: it fails, fixes that
+    unknown or branches on its roots.  Each equation keeps a running
+    split (``_settled``), compiled when it is first read and brought up
+    to date when it is read again.  Fixing an unknown marks only the
+    equations on its watch list: those ahead are read in the same pass,
+    those behind in the next.  With nothing marked, the first unknown an
+    equation still mentions is seeded from the grid.
     """
     p = field.p
-    one = field.one().value
-    grid = list(dict.fromkeys(g.value for g in strategy.grid if g))  # each value seeds once
+    one = Fraction(1) if p is None else 1
+    if grid is None:
+        grid = _raw_grid(strategy)
+    watch: Dict[int, set] = {}  # unknown -> the equations read so far that mention it
     solutions = []
-    unknown_order = list(unknowns)
 
-    def recurse(values: dict, seeded: tuple):
-        values = dict(values)
-        while True:
-            progress = False
-            active = []
-            for terms in equations:
-                const, linear, quad = _substitute(terms, values, p)
-                varset = set(linear)
-                for pair in quad:
-                    varset.update(pair)
+    def fix(values: dict, splits: list, marked: list, x, v) -> tuple:  # and mark x's watch list
+        values[x] = v
+        for i in watch[x]:
+            marked[i] = True
+        return values, splits, marked
+
+    def recurse(values: dict, splits: list, marked: list, seeded: tuple):
+        """Propagate from the marked equations, then record or seed; the
+        arguments belong to this call."""
+        while any(marked):  # one pass
+            for i, dirty in enumerate(marked):
+                if not dirty:
+                    continue
+                marked[i] = False
+                split = splits[i]
+                if split is None:  # first read: sort each pair and watch its unknowns
+                    split = [(v if v[0] <= v[-1] else v[::-1], c) for c, v in equations[i]]
+                    for key, _ in split:
+                        for x in key:
+                            watch.setdefault(x, set()).add(i)
+                else:
+                    split = split.items()
+                split = splits[i] = _settled(split, values, p)
+                varset = {x for key in split for x in key}
+                if len(varset) > 1:
+                    continue
                 if not varset:
-                    if const:
+                    if split:  # a nonzero constant
                         return
                     continue
-                if len(varset) == 1:
-                    (x,) = varset
-                    roots = _nonzero_roots(quad.get((x, x), 0), linear.get(x, 0), const, p)
-                    if roots is None:
-                        continue
-                    if not roots:
-                        return
-                    if len(roots) == 1:
-                        values[x] = roots[0]
-                        progress = True
-                    else:
-                        for root in roots:
-                            branched = dict(values)
-                            branched[x] = root
-                            recurse(branched, seeded)
-                        return
-                else:
-                    active.append(varset)
-            if progress:
-                continue
-            remaining = [x for x in unknown_order if x not in values]
-            if not remaining:
-                solutions.append((values, seeded, ()))
-                return
-            mentioned = set()
-            for varset in active:
-                mentioned.update(varset)
-            seedable = [x for x in remaining if x in mentioned]
-            if not seedable:
-                # truncation artifacts: no constraint mentions them at all
-                for x in remaining:
-                    values[x] = one
-                solutions.append((values, seeded, tuple(remaining)))
-                return
-            if len(seeded) >= strategy.max_seeds:
-                return
-            x = seedable[0]
-            for value in grid:
-                branched = dict(values)
-                branched[x] = value
-                recurse(branched, seeded + (x,))
+                (x,) = varset
+                a2, a1, a0 = (split.get(key, 0) for key in ((x, x), (x,), ()))
+                roots = _nonzero_roots(a2, a1, a0, p)
+                if not roots:
+                    return
+                if len(roots) > 1:
+                    for root in roots:
+                        recurse(*fix(dict(values), list(splits), list(marked), x, root), seeded)
+                    return
+                fix(values, splits, marked, x, roots[0])
+                splits[i], marked[i] = {}, False  # it holds at its root
+        remaining = [x for x in unknowns if x not in values]
+        if not remaining:
+            solutions.append((values, seeded, ()))
             return
+        mentioned = {x for split in splits for key in split for x in key}
+        seedable = [x for x in remaining if x in mentioned]
+        if not seedable:
+            # truncation artifacts: no constraint mentions them at all
+            for x in remaining:
+                values[x] = one
+            solutions.append((values, seeded, tuple(remaining)))
+            return
+        if len(seeded) >= strategy.max_seeds:
+            return
+        x = seedable[0]
+        for value in grid:
+            recurse(*fix(dict(values), list(splits), list(marked), x, value), seeded + (x,))
 
-    recurse({}, ())
+    recurse({}, [None] * len(equations), [True] * len(equations), ())
     return [
         ({x: FieldElement(field, v) for x, v in values.items()}, seeded, orphans)
         for values, seeded, orphans in solutions
@@ -408,50 +404,60 @@ class FamilyMatch:
         return out
 
 
-def _divisors_desc(n: int) -> List[int]:
-    return [d for d in range(n, 0, -1) if n % d == 0]
-
-
 def _match_weight_zero(table: MonomialOperatorTable) -> Optional[FamilyMatch]:
-    """For each m dividing the target gcd, largest first, each class takes
-    (p, q) from its least defined source, and the member they build must
-    reproduce the table (a class with p <= 0 never does)."""
+    """The table read on raw values as x^n -> (T, coeff * T) for each entry
+    coeff x^T.  For each m dividing the target gcd, largest first, each
+    residue class takes (p_b, q_b) from its least defined source, and the
+    member's entries must be the table's: (T, q_b) at each x^(m*a+b) of a
+    class the table defines, T = m(a + p_b), unless T overflows the
+    truncation.  A class with p_b <= 0 or q_b = 0 has no member; as
+    q_b != 0, a T that vanishes in the field fails the comparison."""
     algebra = table.algebra
-    field = algebra.field
-    g = math.gcd(*(dst.exponents[0] for _, dst in table.entries.values()))
-    if g == 0:
-        return None
-    entries = sorted(table.entries.items(), reverse=True)  # the least source of a class writes last
-    for m in _divisors_desc(g):
-        classes = {b: (0, field.zero()) for b in residues(m, algebra.unital)}
-        for src, (coeff, dst) in entries:  # x^(m*a+b) -> x^T gives p = T/m - a, q = coeff*T
-            b, a = residue_class(src.exponents[0], m, algebra.unital)
-            classes[b] = (dst.exponents[0] // m - a, coeff * field.from_int(dst.exponents[0]))
-        try:
+    field, unital, top = algebra.field, algebra.unital, algebra.truncation
+    p = field.p
+    raw = {}  # x^n -> (T, coeff * T) for each entry coeff x^T
+    for src, (c, dst) in table.entries.items():
+        raw[src.exponents[0]] = (dst.exponents[0], c.value * dst.exponents[0])
+    if p is not None:
+        raw = {n: (T, q % p) for n, (T, q) in raw.items()}
+    g = math.gcd(*(T for T, _ in raw.values()))
+    for m in (d for d in range(g, 0, -1) if g % d == 0):
+        lead = {}  # b -> (p_b, q_b); the least source of a class writes last
+        for n in sorted(raw, reverse=True):  # x^(m*a+b) -> x^T gives p = T/m - a
+            (b, a), (T, q) = residue_class(n, m, unital), raw[n]
+            lead[b] = (T // m - a, q)
+        if not all(pb > 0 and q for pb, q in lead.values()):
+            continue
+        member = {}
+        for n in range(algebra.min_degree(), table.degree_bound + 1):
+            b, a = residue_class(n, m, unital)
+            if b in lead and (top is None or m * (a + lead[b][0]) <= top):
+                member[n] = (m * (a + lead[b][0]), lead[b][1])
+        if member == raw:
+            classes = {b: (0, field.zero()) for b in residues(m, unital)}
+            for b, (pb, q) in lead.items():
+                classes[b] = (pb, FieldElement(field, q))
             params = WeightZeroFamilyParams(m, classes)
-            rebuilt = construct_weight_zero(params, algebra, table.degree_bound)
-        except (InvalidParams, CharacteristicObstruction):
-            continue  # no family member with this m: some p_b <= 0, or a denominator vanishes
-        if rebuilt.entries == table.entries:
             return FamilyMatch(MatchKind.WEIGHT_ZERO_FAMILY, params=params)
     return None
 
 
 def _match_weight_one(table: MonomialOperatorTable) -> Optional[FamilyMatch]:
+    """alpha = R(x), and every x^n up to the bound must carry the family
+    coefficient alpha^n / ((alpha+1)^n - alpha^n), compared on raw values;
+    as alpha^n != 0, a denominator that vanishes fails the comparison."""
     algebra = table.algebra
-    if algebra.unital or not table.is_diagonal():
+    raw = {src.exponents[0]: c.value for src, (c, _) in table.entries.items()}
+    if algebra.unital or not table.is_diagonal() or 1 not in raw:
         return None
-    hit = table.entries.get(algebra.monomial(1))
-    if hit is None:
-        return None
-    alpha = hit[0]
-    try:
-        rebuilt = construct_weight_one_univariate(alpha, algebra, table.degree_bound)
-    except DenominatorVanishes:
-        return None
-    if rebuilt.entries == table.entries:
-        return FamilyMatch(MatchKind.WEIGHT_ONE_FAMILY, alpha=alpha)
-    return None
+    p = algebra.field.p
+    power = shifted = 1  # alpha^n and (alpha+1)^n
+    for n in range(1, table.degree_bound + 1):
+        power, shifted = power * raw[1], shifted * (raw[1] + 1)
+        miss = raw.get(n, 0) * (shifted - power) - power
+        if miss if p is None else miss % p:
+            return None
+    return FamilyMatch(MatchKind.WEIGHT_ONE_FAMILY, alpha=table.entries[algebra.monomial(1)][0])
 
 
 def _match_splitting_conjugate(table: MonomialOperatorTable) -> Optional[FamilyMatch]:
@@ -523,17 +529,10 @@ def match_family(table: MonomialOperatorTable) -> FamilyMatch:
         return FamilyMatch(MatchKind.UNMATCHED, note="multivariate table")
     if table.weight.is_zero():
         found = _match_weight_zero(table)
-        if found:
-            return found
-    elif table.weight.is_one():
-        found = _match_weight_one(table)
-        if found:
-            return found
-    if not table.weight.is_zero():
-        found = _match_splitting_conjugate(table)
-        if found:
-            return found
-    return FamilyMatch(MatchKind.UNMATCHED)
+    else:
+        found = table.weight.is_one() and _match_weight_one(table)
+        found = found or _match_splitting_conjugate(table)
+    return found or FamilyMatch(MatchKind.UNMATCHED)
 
 
 # -- kernel/image obstructions ------------------------------------------------
@@ -715,26 +714,30 @@ def _surviving_shapes(
     yield from dfs(0)
 
 
-def _check_search(algebra: AlgebraSpec, weight: FieldElement, degree_bound: int) -> None:
-    """The parameters both searches need before any equation is built."""
+def _check_search(algebra: AlgebraSpec, weight: FieldElement, degree_bound: int, strategy) -> None:
+    """The parameters both searches need before any equation is built; a
+    strategy of None stands for the field's default grid."""
     if not (weight.is_zero() or weight.is_one()):
         raise InvalidParams("search weights are 0 and 1 (rescale first)")
     if degree_bound < 0:
         raise InvalidParams("degree bound must be >= 0")
     if algebra.truncation is not None and algebra.truncation < degree_bound:
         raise InvalidParams("degree bound exceeds the algebra's truncation")
+    if strategy is not None and any(g.spec != algebra.field for g in strategy.grid):
+        raise MixedFieldSpecs(f"seed grid values must lie in {algebra.field}")
 
 
-def _verified_tables(t, sources, monos, mul, algebra, weight, D, strategy, stats):
+def _verified_tables(t, sources, monos, mul, algebra, weight, D, strategy, grid, stats):
     """The tables of shape t that pass ``rb_check``, as (table, seeded,
-    orphans): the shape's equations are solved, and each solution becomes
-    a table on algebra up to D, with monos[i] the basis monomial of index i
-    and mul their product table.  Counts systems solved and candidates
-    rejected into stats."""
+    orphans): the shape's equations are solved, seeding from grid, and each
+    solution becomes a table on algebra up to D, with monos[i] the basis
+    monomial of index i and mul their product table.  Counts systems
+    solved and candidates rejected into stats."""
     defined = [n for n in sources if t[n] >= 0]
     equations = _shape_equations(t, sources, weight.is_one(), mul)
     stats.systems_solved += 1
-    for values, seeded, orphans in _solve_coefficients(equations, defined, algebra.field, strategy):
+    solutions = _solve_coefficients(equations, defined, algebra.field, strategy, grid)
+    for values, seeded, orphans in solutions:
         entries = {monos[n]: (values[n], monos[t[n]]) for n in defined}
         table = MonomialOperatorTable(algebra, weight, D, entries)
         if rb_check(table, weight, D).passed:
@@ -762,12 +765,13 @@ def enumerate_monomial_rb(
         raise InvalidParams("degree bound must be >= 1")
     if degree_bound > 10:
         raise InvalidParams("degree bound capped at 10 (cost guard)")
-    _check_search(algebra, weight, degree_bound)
+    _check_search(algebra, weight, degree_bound, strategy)
     field = algebra.field
     if field.kind is FieldKind.PRIME and field.p <= degree_bound:
         raise InvalidParams("prime fields need p > degree bound")
     if strategy is None:
         strategy = default_strategy(field)
+    grid = _raw_grid(strategy)
     search_algebra = replace(algebra, truncation=degree_bound)
     D = degree_bound
     stats = SearchStats()
@@ -783,12 +787,7 @@ def enumerate_monomial_rb(
         if m_star == 0:
             # every image is the constant: the family parameter sits on
             # the first positive-degree source (the unit image is forced)
-            leaders = set(defined[:1])
-            for n in defined:
-                if n > 0:
-                    leaders.add(n)
-                    break
-            return leaders
+            return set(defined[:1] + [n for n in defined if n > 0][:1])
         first: Dict[int, int] = {}
         for n in defined:
             first.setdefault(n % m_star, n)
@@ -801,7 +800,7 @@ def enumerate_monomial_rb(
     for t in _surviving_shapes(D, algebra.unital, weight.is_one(), strategy.shape_budget, stats):
         leaders = class_leaders(t, [n for n in sources if t[n] >= 0])
         for table, seeded, orphans in _verified_tables(
-            t, sources, monos, mul, search_algebra, weight, D, strategy, stats
+            t, sources, monos, mul, search_algebra, weight, D, strategy, grid, stats
         ):
             undetermined = tuple(
                 sorted(set(orphans) | {x for x in seeded if x not in leaders})
@@ -840,14 +839,15 @@ def enumerate_injective_diagonal(
     only such operator is -id.  This is the shape search's pipeline run
     on one shape, the identity.
     """
-    _check_search(algebra, weight, degree_bound)
+    _check_search(algebra, weight, degree_bound, strategy)
     if strategy is None:
         strategy = default_strategy(algebra.field)
     basis = list(algebra.basis(degree_bound))
     diagonal = range(len(basis))  # each basis index is its own target
     mul = product_table([m.exponents for m in basis])
+    grid = _raw_grid(strategy)
     found = _verified_tables(
-        diagonal, diagonal, basis, mul, algebra, weight, degree_bound, strategy, SearchStats()
+        diagonal, diagonal, basis, mul, algebra, weight, degree_bound, strategy, grid, SearchStats()
     )
     # a coefficient no equation mentions is not pinned by the identity
     return [table for table, _, orphans in found if not orphans]

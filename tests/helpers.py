@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 from unittest import mock
 
@@ -20,6 +20,7 @@ from rbalg import (
     TensorElement,
     WeightZeroFamilyParams,
     aybe_residual,
+    construct_weight_one_univariate,
     construct_weight_zero,
     rb_residual,
 )
@@ -27,10 +28,21 @@ from rbalg import classify, linalg
 from rbalg.classify import (
     ABSENT,
     CoefficientStrategy,
+    FamilyMatch,
+    MatchKind,
     _respects_class_closure,
     _respects_kernel_image_structure,
 )
-from rbalg.errors import DegreeBoundExceeded, NonSplitSpectrum, NonUnitalAlgebra, SearchBudgetExceeded
+from rbalg.construct import residue_class, residues
+from rbalg.errors import (
+    CharacteristicObstruction,
+    DegreeBoundExceeded,
+    DenominatorVanishes,
+    InvalidParams,
+    NonSplitSpectrum,
+    NonUnitalAlgebra,
+    SearchBudgetExceeded,
+)
 from rbalg.fields import FieldElement, FieldKind, FieldSpec
 from rbalg.grading import (
     GradingDecomposition,
@@ -597,6 +609,62 @@ def reference_solve_coefficients(
     return solutions
 
 
+# -- family matching by rebuilding the family member ---------------------------
+
+
+def reference_match_weight_zero(table: MonomialOperatorTable):
+    """For each m dividing the target gcd, largest first, each class takes
+    (p, q) from its least defined source, and the member they build must
+    reproduce the table (a class with p <= 0 never does)."""
+    algebra = table.algebra
+    field = algebra.field
+    g = gcd(*(dst.exponents[0] for _, dst in table.entries.values()))
+    if g == 0:
+        return None
+    entries = sorted(table.entries.items(), reverse=True)  # the least source of a class writes last
+    for m in (d for d in range(g, 0, -1) if g % d == 0):
+        classes = {b: (0, field.zero()) for b in residues(m, algebra.unital)}
+        for src, (coeff, dst) in entries:  # x^(m*a+b) -> x^T gives p = T/m - a, q = coeff*T
+            b, a = residue_class(src.exponents[0], m, algebra.unital)
+            classes[b] = (dst.exponents[0] // m - a, coeff * field.from_int(dst.exponents[0]))
+        try:
+            params = WeightZeroFamilyParams(m, classes)
+            rebuilt = construct_weight_zero(params, algebra, table.degree_bound)
+        except (InvalidParams, CharacteristicObstruction):
+            continue  # no family member with this m: some p_b <= 0, or a denominator vanishes
+        if rebuilt.entries == table.entries:
+            return FamilyMatch(MatchKind.WEIGHT_ZERO_FAMILY, params=params)
+    return None
+
+
+def reference_match_weight_one(table: MonomialOperatorTable):
+    """alpha = R(x), and the member of the family it builds must reproduce
+    the table."""
+    algebra = table.algebra
+    if algebra.unital or not table.is_diagonal():
+        return None
+    hit = table.entries.get(algebra.monomial(1))
+    if hit is None:
+        return None
+    alpha = hit[0]
+    try:
+        rebuilt = construct_weight_one_univariate(alpha, algebra, table.degree_bound)
+    except DenominatorVanishes:
+        return None
+    if rebuilt.entries == table.entries:
+        return FamilyMatch(MatchKind.WEIGHT_ONE_FAMILY, alpha=alpha)
+    return None
+
+
+def reference_match_family(table: MonomialOperatorTable):
+    """``match_family`` with both family matchers rebuilding the member."""
+    with (
+        mock.patch.object(classify, "_match_weight_zero", reference_match_weight_zero),
+        mock.patch.object(classify, "_match_weight_one", reference_match_weight_one),
+    ):
+        return classify.match_family(table)
+
+
 def reference_diagonal_equations(algebra, weight, degree_bound):
     """The pair constraints a_u a_v = (a_u + a_v + weight) a_uv of an
     injective diagonal table, built from monomial products: basis indices
@@ -773,10 +841,15 @@ def reference_forward_shapes(D, unital, lam_one, budget, stats):
 
 def reference_enumerate_monomial_rb(algebra, weight, degree_bound, strategy=None):
     """``enumerate_monomial_rb`` driven by ``reference_forward_shapes`` and
-    ``reference_solve_coefficients``."""
+    ``reference_solve_coefficients``; the raw grid the search hands the
+    solver is dropped, the reference seeds from the strategy itself."""
+
+    def solve(equations, unknowns, field, strategy, grid):
+        return reference_solve_coefficients(equations, unknowns, field, strategy)
+
     with (
         mock.patch.object(classify, "_surviving_shapes", reference_forward_shapes),
-        mock.patch.object(classify, "_solve_coefficients", reference_solve_coefficients),
+        mock.patch.object(classify, "_solve_coefficients", solve),
     ):
         return classify.enumerate_monomial_rb(algebra, weight, degree_bound, strategy)
 

@@ -17,16 +17,24 @@ from rbalg import (
     match_family,
     prime_field,
 )
-from rbalg.errors import InvalidParams, SearchBudgetExceeded
+from rbalg.errors import (
+    CharacteristicObstruction,
+    DenominatorVanishes,
+    InvalidParams,
+    MixedFieldSpecs,
+    SearchBudgetExceeded,
+)
 
 from helpers import (
     _pair_consistent,
     _pair_reads,
     field_elements,
     inverse_degree_table,
+    random_weight_zero_params,
     reference_diagonal_equations,
     reference_enumerate_monomial_rb,
     reference_forward_shapes,
+    reference_match_family,
     reference_rb_check,
     reference_shapes,
     reference_solve_coefficients,
@@ -163,6 +171,25 @@ def test_search_validation():
     with pytest.raises(InvalidParams):
         enumerate_monomial_rb(truncated, QQ.zero(), 5)
     assert enumerate_monomial_rb(truncated, QQ.zero(), 3).solutions
+
+
+@pytest.mark.parametrize("field,other", [(prime_field(7), QQ), (QQ, prime_field(7))], ids=str)
+def test_searches_refuse_a_grid_from_another_field(field, other):
+    """A grid value from another field is refused before any solve: over
+    GF(7) a rational would reach the solver's modular arithmetic, and over
+    Q a GF(7) residue would be seeded as the rational it is stored as."""
+    strategy = CoefficientStrategy((field.one(), other.from_int(2)))
+    for unital in (False, True):
+        algebra = AlgebraSpec(field, nvars=1, unital=unital, truncation=None)
+        for weight in (field.zero(), field.one()):
+            with pytest.raises(MixedFieldSpecs):
+                enumerate_monomial_rb(algebra, weight, 4, strategy)
+            with pytest.raises(MixedFieldSpecs):
+                enumerate_injective_diagonal(algebra, weight, 3, strategy)
+    # a grid wholly from the other field is refused as well
+    algebra = AlgebraSpec(field, nvars=1, unital=False, truncation=None)
+    with pytest.raises(MixedFieldSpecs):
+        enumerate_monomial_rb(algebra, field.zero(), 4, CoefficientStrategy((other.element(1, 2),)))
 
 
 @pytest.mark.parametrize("degree", range(1, 8))
@@ -322,6 +349,72 @@ def test_solver_matches_reference(system):
         assert all(kind is Fraction for values, _, _ in got for *_, kind in values)
 
 
+def flat_triples(triples):
+    """Solver output with each value's field, raw value and raw type, in
+    insertion order."""
+    return [
+        ([(x, v.spec, v.value, type(v.value)) for x, v in values.items()], seeded, orphans)
+        for values, seeded, orphans in triples
+    ]
+
+
+def test_solver_matches_reference_on_seeded_systems():
+    """3000 small systems drawn from a fixed seed, so that every run has
+    cases where a value fixed late in a pass settles an earlier equation,
+    which only a second pass reads: the same triples as the reference, in
+    the same order, values inserted in the same order."""
+    import random
+
+    from rbalg.classify import _solve_coefficients
+
+    rng = random.Random("solver systems")
+    fields = [QQ] + [prime_field(p) for p in (2, 3, 5, 7, 11, 13)]
+    for _ in range(3000):
+        field = rng.choice(fields)
+        n = rng.randint(1, 4)
+
+        def term():
+            return rng.choice((1, -1)), tuple(rng.randrange(n) for _ in range(rng.randint(1, 2)))
+
+        equations = [[term() for _ in range(rng.randint(1, 4))] for _ in range(rng.randint(0, 5))]
+        values = [1, -1, 2, 3] if field.p is None else range(field.p)
+        grid = rng.sample(values, rng.randint(1, min(4, len(values))))
+        strategy = CoefficientStrategy(tuple(map(field.from_int, grid)), rng.randint(0, 3))
+        system = (equations, rng.sample(range(n), n), field, strategy)
+        assert flat_triples(_solve_coefficients(*system)) == flat_triples(
+            reference_solve_coefficients(*system)
+        )
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(11)], ids=str)
+def test_solver_matches_reference_on_search_systems(field):
+    """Every system the searches of ``test_search_report_matches_reference``
+    hand the solver, solved again by the reference: the same triples in
+    the same order, values inserted in the same order."""
+    from unittest import mock
+
+    from rbalg import classify
+
+    solve = classify._solve_coefficients
+    systems = []
+
+    def spy(*args):
+        systems.append(args)
+        return solve(*args)
+
+    with mock.patch.object(classify, "_solve_coefficients", spy):
+        for degree in range(1, 6):
+            for unital in (False, True):
+                algebra = AlgebraSpec(field, nvars=1, unital=unital, truncation=None)
+                for weight in (field.zero(), field.one()):
+                    enumerate_monomial_rb(algebra, weight, degree)
+    assert len(systems) > 100
+    for equations, unknowns, system_field, strategy, grid in systems:
+        got = solve(equations, unknowns, system_field, strategy, grid)
+        want = reference_solve_coefficients(equations, unknowns, system_field, strategy)
+        assert flat_triples(got) == flat_triples(want), (equations, unknowns)
+
+
 @pytest.mark.parametrize(
     "field,grid,weight,unital,degree,stats,count",
     [
@@ -451,6 +544,106 @@ def test_match_never_raises_on_verified_weight_zero_tables():
                 table = MonomialOperatorTable(algebra, field.zero(), D, entries)
                 if rb_check(table, field.zero(), D).passed:
                     match_family(table)
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(13)], ids=str)
+def test_match_agrees_with_the_rebuilding_reference_on_search_tables(field):
+    """On every fully determined table of the weight-0 and weight-1 searches
+    at bounds 1..6, match_family gives what the construct-based matchers
+    give, and it is the match the search reported."""
+    count = 0
+    for degree in range(1, 7):
+        for unital in (False, True):
+            algebra = AlgebraSpec(field, nvars=1, unital=unital, truncation=None)
+            for weight in (field.zero(), field.one()):
+                for sol in enumerate_monomial_rb(algebra, weight, degree).fully_determined():
+                    want = reference_match_family(sol.table)
+                    assert match_family(sol.table) == want == sol.match, sol.table.to_json_dict()
+                    count += 1
+    assert count > 200
+
+
+def _perturbed(table, rng):
+    """The table with one entry dropped, rescaled or moved, or one added."""
+    algebra = table.algebra
+    field = algebra.field
+    entries = dict(table.entries)
+    top = table.degree_bound if algebra.truncation is None else algebra.truncation
+    src = algebra.monomial(rng.randint(algebra.min_degree(), table.degree_bound))
+    target = algebra.monomial(rng.randint(algebra.min_degree(), top))
+    hit = entries.get(src)
+    choice = rng.randrange(3)
+    if hit is None:
+        entries[src] = (field.from_int(rng.randint(1, 3)), target)
+    elif choice == 0:
+        del entries[src]
+    elif choice == 1 and not (hit[0] * 2).is_zero():
+        entries[src] = (hit[0] * 2, hit[1])
+    else:
+        entries[src] = (hit[0], target)
+    return MonomialOperatorTable(algebra, table.weight, table.degree_bound, entries)
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(2), prime_field(5), prime_field(7)], ids=str)
+def test_match_agrees_with_the_rebuilding_reference_on_members(field):
+    """Random weight-zero family members, truncated or not, unital or not,
+    and one-entry perturbations of each: match_family gives what the
+    construct-based matchers give.  Members whose denominators vanish in
+    GF(p) cannot be built, and are skipped."""
+    import random
+
+    rng = random.Random(f"members/{field}")
+    members = 0
+    for _ in range(300):
+        params = random_weight_zero_params(rng, field)
+        unital = rng.random() < 0.5
+        if unital:
+            params = WeightZeroFamilyParams(params.m, {b % params.m: c for b, c in params.classes.items()})
+        bound = rng.randint(1, 8)
+        truncation = rng.choice([None, bound, bound + rng.randint(1, 4)])
+        algebra = AlgebraSpec(field, nvars=1, unital=unital, truncation=truncation)
+        try:
+            table = construct_weight_zero(params, algebra, bound)
+        except CharacteristicObstruction:
+            continue
+        members += 1
+        assert match_family(table) == reference_match_family(table)
+        for _ in range(3):
+            perturbed = _perturbed(table, rng)
+            assert match_family(perturbed) == reference_match_family(perturbed)
+    assert members >= 50
+
+
+def test_match_refuses_members_whose_denominators_vanish():
+    """Over GF(7) the weight-zero member with m = 2 and p_1 = 3 needs 1/14
+    at x^9, and the weight-one member with alpha = 1 needs 1/(2^3 - 1) at
+    x^3.  A table that follows either formula wherever it is defined is
+    no member, and both matchers say so."""
+    field = prime_field(7)
+    algebra = AlgebraSpec(field, nvars=1, unital=False, truncation=None)
+    q = field.from_int(3)
+    params = WeightZeroFamilyParams(2, {1: (3, q), 2: (0, field.zero())})
+    with pytest.raises(CharacteristicObstruction):
+        construct_weight_zero(params, algebra, 9)
+    entries = {
+        algebra.monomial(2 * a + 1): (q / field.from_int(2 * (a + 3)), algebra.monomial(2 * (a + 3)))
+        for a in range(4)
+    }
+    for coeff in range(1, 7):
+        entries[algebra.monomial(9)] = (field.from_int(coeff), algebra.monomial(14))
+        table = MonomialOperatorTable(algebra, field.zero(), 9, entries)
+        assert match_family(table) == reference_match_family(table)
+        assert match_family(table).kind is MatchKind.UNMATCHED
+    alpha = field.one()
+    with pytest.raises(DenominatorVanishes):
+        construct_weight_one_univariate(alpha, algebra, 3)
+    member = construct_weight_one_univariate(alpha, algebra, 2)
+    for coeff in range(1, 7):
+        entries = dict(member.entries)
+        entries[algebra.monomial(3)] = (field.from_int(coeff), algebra.monomial(3))
+        table = MonomialOperatorTable(algebra, field.one(), 3, entries)
+        assert match_family(table) == reference_match_family(table)
+        assert match_family(table).kind is MatchKind.UNMATCHED
 
 
 def test_kernel_obstructions():
