@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import InvalidParams, MixedFieldSpecs, NonUnitalAlgebra, SearchBudgetExceeded
 from .fields import FieldElement
 from .operators import DenseOperator
-from .poly import AlgebraSpec, Monomial, Polynomial
+from .poly import AlgebraSpec, Monomial, Polynomial, _accumulate
 
 TensorKey = Tuple[Monomial, ...]
 MAX_CELLS = 16  # support cells aybe_grid_search takes: degree 3 in one variable
@@ -42,20 +42,14 @@ class TensorElement:
         if arity not in (2, 3):
             raise ValueError("arity must be 2 or 3")
         clean: Dict[TensorKey, FieldElement] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if len(key) != arity:
-                    raise ValueError("tensor key arity mismatch")
-                if coeff.spec != algebra.field:
-                    raise MixedFieldSpecs(f"cannot mix {algebra.field} with {coeff.spec}")
-                if coeff.is_zero():
-                    continue
-                acc = clean.get(key)
-                total = coeff if acc is None else acc + coeff
-                if total.is_zero():
-                    clean.pop(key, None)
-                else:
-                    clean[key] = total
+        for key, coeff in (terms or {}).items():
+            if len(key) != arity:
+                raise ValueError("tensor key arity mismatch")
+            if not all(map(algebra.admits, key)):
+                raise ValueError(f"tensor key {key} has a monomial outside the algebra")
+            if coeff.spec != algebra.field:
+                raise MixedFieldSpecs(f"cannot mix {algebra.field} with {coeff.spec}")
+            _accumulate(clean, key, coeff)
         self.algebra = algebra
         self.arity = arity
         self.terms = clean
@@ -76,12 +70,7 @@ class TensorElement:
     def __add__(self, other: "TensorElement") -> "TensorElement":
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            acc = terms.get(key)
-            total = coeff if acc is None else acc + coeff
-            if total.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = total
+            _accumulate(terms, key, coeff)
         return TensorElement(self.algebra, self.arity, terms)
 
     def __neg__(self) -> "TensorElement":
@@ -104,14 +93,7 @@ class TensorElement:
         out: Dict[TensorKey, FieldElement] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                key = tuple(a * b for a, b in zip(k1, k2))
-                piece = c1 * c2
-                acc = out.get(key)
-                total = piece if acc is None else acc + piece
-                if total.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = total
+                _accumulate(out, tuple(a * b for a, b in zip(k1, k2)), c1 * c2)
         return TensorElement(self.algebra, self.arity, out)
 
     def __eq__(self, other) -> bool:
@@ -158,8 +140,7 @@ class TensorElement:
         for key, coeff in self.terms.items():
             if key[drop].degree() != 0:
                 raise ValueError(f"slot {drop} is not the unit in {key}")
-            kept = tuple(m for i, m in enumerate(key) if i != drop)
-            terms[kept] = terms.get(kept, self.algebra.field.zero()) + coeff
+            _accumulate(terms, tuple(m for i, m in enumerate(key) if i != drop), coeff)
         return TensorElement(self.algebra, 2, terms)
 
     # -- serialization ----------------------------------------------------------
@@ -207,10 +188,10 @@ def operator_from_tensor(
     algebra = r.algebra
     images = {}
     for src in algebra.basis(degree_bound):
-        image = Polynomial.zero(algebra)
+        image = {}
         for (a, b), coeff in r.terms.items():
-            image = image + Polynomial.monomial(algebra, a * src * b, coeff)
-        images[src] = image
+            _accumulate(image, a * src * b, coeff)
+        images[src] = Polynomial._trusted(algebra, image)
     return DenseOperator(algebra, weight, degree_bound, images)
 
 

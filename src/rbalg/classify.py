@@ -22,12 +22,13 @@ strategy grid, each distinct value once; coefficients no constraint
 mentions -- truncation artifacts -- are set to 1, flagged under-constrained.
 
 The shape search and the injective diagonal search (the identity shape
-on k0[x1..xn]) share one pipeline: ``_check_search`` validates, and
-``_verified_tables`` builds a shape's equations, solves them, builds
-each candidate table and re-verifies it by the exhaustive pairwise
-identity check, so the output is sound by construction.  Completeness
-is relative to the seeding grid: a family member appears in the output
-exactly when its free parameters lie on the grid.
+on k0[x1..xn]) share one pipeline: ``_check_search`` validates and
+picks the seed grid, and ``_verified_tables`` builds a shape's
+equations, solves them, builds each candidate table and re-verifies it
+by the exhaustive pairwise identity check, so the output is sound by
+construction.  Completeness is relative to the seeding grid: a family
+member appears in the output exactly when its free parameters lie on
+the grid.
 """
 
 from __future__ import annotations
@@ -714,17 +715,21 @@ def _surviving_shapes(
     yield from dfs(0)
 
 
-def _check_search(algebra: AlgebraSpec, weight: FieldElement, degree_bound: int, strategy) -> None:
-    """The parameters both searches need before any equation is built; a
-    strategy of None stands for the field's default grid."""
+def _check_search(algebra: AlgebraSpec, weight: FieldElement, degree_bound: int, strategy) -> tuple:
+    """The parameters both searches need before any equation is built,
+    and (strategy, its raw grid); a strategy of None stands for
+    ``default_strategy`` of the field, resolved last."""
     if not (weight.is_zero() or weight.is_one()):
         raise InvalidParams("search weights are 0 and 1 (rescale first)")
     if degree_bound < 0:
         raise InvalidParams("degree bound must be >= 0")
     if algebra.truncation is not None and algebra.truncation < degree_bound:
         raise InvalidParams("degree bound exceeds the algebra's truncation")
-    if strategy is not None and any(g.spec != algebra.field for g in strategy.grid):
+    if strategy is None:
+        strategy = default_strategy(algebra.field)
+    elif any(g.spec != algebra.field for g in strategy.grid):
         raise MixedFieldSpecs(f"seed grid values must lie in {algebra.field}")
+    return strategy, _raw_grid(strategy)
 
 
 def _verified_tables(t, sources, monos, mul, algebra, weight, D, strategy, grid, stats):
@@ -765,13 +770,10 @@ def enumerate_monomial_rb(
         raise InvalidParams("degree bound must be >= 1")
     if degree_bound > 10:
         raise InvalidParams("degree bound capped at 10 (cost guard)")
-    _check_search(algebra, weight, degree_bound, strategy)
+    strategy, grid = _check_search(algebra, weight, degree_bound, strategy)
     field = algebra.field
     if field.kind is FieldKind.PRIME and field.p <= degree_bound:
         raise InvalidParams("prime fields need p > degree bound")
-    if strategy is None:
-        strategy = default_strategy(field)
-    grid = _raw_grid(strategy)
     search_algebra = replace(algebra, truncation=degree_bound)
     D = degree_bound
     stats = SearchStats()
@@ -839,13 +841,10 @@ def enumerate_injective_diagonal(
     only such operator is -id.  This is the shape search's pipeline run
     on one shape, the identity.
     """
-    _check_search(algebra, weight, degree_bound, strategy)
-    if strategy is None:
-        strategy = default_strategy(algebra.field)
+    strategy, grid = _check_search(algebra, weight, degree_bound, strategy)
     basis = list(algebra.basis(degree_bound))
     diagonal = range(len(basis))  # each basis index is its own target
     mul = product_table([m.exponents for m in basis])
-    grid = _raw_grid(strategy)
     found = _verified_tables(
         diagonal, diagonal, basis, mul, algebra, weight, degree_bound, strategy, grid, SearchStats()
     )

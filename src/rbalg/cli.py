@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import partial
 from typing import List, Optional
 
 from . import classify as classify_mod
@@ -319,53 +320,40 @@ def _selftest_cases():
         table = inverse_degree_table()
         return rb_check(table, QQ.zero(), 12).passed
 
-    def case_quotient_weight_one():
-        table = quotient_rb_from_family(QuotientFamily.WEIGHT_ONE_ALPHA_ONE, 3, 5)
+    def quotient_case(family, weight, coeffs, statuses):
+        """The GF(5) table of family at truncation 3: its entries are
+        coeffs[n-1] * x^n, it passes rb_check, and the products of its
+        grading named in statuses have the given (status, eigenvalue)."""
+        table = quotient_rb_from_family(family, 3, 5)
         field = table.algebra.field
-        expected = {1: 1, 2: 2, 3: 3}
-        for n, coeff in expected.items():
+        for n, coeff in enumerate(coeffs, 1):
             hit = table.entries[table.algebra.monomial(n)]
             if hit != (field.from_int(coeff), table.algebra.monomial(n)):
                 return False
-        if not rb_check(table, field.one(), 3).passed:
+        weight = field.from_int(weight)
+        if not rb_check(table, weight, 3).passed:
             return False
-        decomposition = grading_decompose(table, field.one())
+        decomposition = grading_decompose(table, weight)
         if decomposition.violations():
             return False
         status = {
             (c.left.value, c.right.value): (c.status, c.product_eigenvalue)
             for c in decomposition.products
         }
-        ok = status[(1, 2)][0] is ProductStatus.CONTAINED
-        ok = ok and status[(1, 2)][1] == field.from_int(3)
-        ok = ok and status[(1, 3)][0] is ProductStatus.ZERO
-        ok = ok and status[(1, 3)][1] is None
-        ok = ok and status[(2, 3)][0] is ProductStatus.ZERO
-        ok = ok and status[(2, 3)][1] == field.from_int(1)
-        return ok
+        return all(
+            status[pair] == (kind, None if lam is None else field.from_int(lam))
+            for pair, (kind, lam) in statuses.items()
+        )
 
-    def case_quotient_weight_zero():
-        table = quotient_rb_from_family(QuotientFamily.WEIGHT_ZERO_RECIPROCAL, 3, 5)
-        field = table.algebra.field
-        expected = {1: 1, 2: 3, 3: 2}
-        for n, coeff in expected.items():
-            hit = table.entries[table.algebra.monomial(n)]
-            if hit != (field.from_int(coeff), table.algebra.monomial(n)):
-                return False
-        decomposition = grading_decompose(table, field.zero())
-        if decomposition.violations():
-            return False
-        status = {
-            (c.left.value, c.right.value): (c.status, c.product_eigenvalue)
-            for c in decomposition.products
-        }
-        ok = status[(1, 3)][0] is ProductStatus.CONTAINED
-        ok = ok and status[(1, 3)][1] == field.from_int(2)
-        ok = ok and status[(2, 3)][0] is ProductStatus.ZERO
-        ok = ok and status[(2, 3)][1] is None
-        ok = ok and status[(1, 2)][0] is ProductStatus.ZERO
-        ok = ok and status[(1, 2)][1] == field.from_int(4)
-        return ok
+    contained, zero = ProductStatus.CONTAINED, ProductStatus.ZERO
+    case_quotient_weight_one = partial(
+        quotient_case, QuotientFamily.WEIGHT_ONE_ALPHA_ONE, 1, (1, 2, 3),
+        {(1, 2): (contained, 3), (1, 3): (zero, None), (2, 3): (zero, 1)},
+    )
+    case_quotient_weight_zero = partial(
+        quotient_case, QuotientFamily.WEIGHT_ZERO_RECIPROCAL, 0, (1, 3, 2),
+        {(1, 3): (contained, 2), (2, 3): (zero, None), (1, 2): (zero, 4)},
+    )
 
     def case_conjugation_chain():
         algebra = AlgebraSpec(QQ, nvars=1, unital=True, truncation=None)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from .errors import (
     DegreeBoundExceeded,
@@ -26,7 +26,7 @@ from .errors import (
     ZeroWeight,
 )
 from .fields import FieldElement
-from .poly import AlgebraSpec, Monomial, Polynomial
+from .poly import AlgebraSpec, Monomial, Polynomial, _accumulate
 
 
 def _effective_bound(algebra: AlgebraSpec, degree_bound: Optional[int]) -> int:
@@ -41,17 +41,44 @@ def _effective_bound(algebra: AlgebraSpec, degree_bound: Optional[int]) -> int:
     return degree_bound
 
 
-def _accumulate(terms: Dict[Monomial, FieldElement], m: Monomial, c: FieldElement) -> None:
-    """terms[m] += c, keeping only nonzero coefficients."""
-    total = c + terms.pop(m) if m in terms else c
-    if not total.is_zero():
-        terms[m] = total
+class LinearOperator:
+    """A linear operator of a given weight on the basis monomials of
+    degree <= its bound: the part monomial tables and dense operators share."""
+
+    __slots__ = ("algebra", "weight", "degree_bound")
+    kind: str  # of the JSON form, set by each subclass
+
+    def __init__(self, algebra: AlgebraSpec, weight: FieldElement, degree_bound: Optional[int]):
+        if weight.spec != algebra.field:
+            raise MixedAlgebras("weight from a different field")
+        self.algebra = algebra
+        self.weight = weight
+        self.degree_bound = _effective_bound(algebra, degree_bound)
+
+    def _check_source(self, src: Monomial) -> None:
+        if not self.algebra.admits(src) or src.degree() > self.degree_bound:
+            raise ValueError(f"source {src!r} outside the operator domain")
+
+    def _check_degree(self, m: Monomial) -> None:
+        if m.degree() > self.degree_bound:
+            raise DegreeBoundExceeded(
+                f"operator defined up to degree {self.degree_bound}, got {m!r}"
+            )
+
+    def _json_head(self) -> dict:
+        return {
+            "kind": self.kind,
+            "algebra": self.algebra.to_json_dict(),
+            "weight": self.weight.short_str(),
+            "degree_bound": self.degree_bound,
+        }
 
 
-class MonomialOperatorTable:
+class MonomialOperatorTable(LinearOperator):
     """R(source) = coeff * target on every basis monomial of degree <= bound."""
 
-    __slots__ = ("algebra", "weight", "degree_bound", "entries")
+    __slots__ = ("entries",)
+    kind = "monomial"
 
     def __init__(
         self,
@@ -60,32 +87,23 @@ class MonomialOperatorTable:
         degree_bound: Optional[int],
         entries: Dict[Monomial, Tuple[FieldElement, Monomial]],
     ):
-        if weight.spec != algebra.field:
-            raise MixedAlgebras("weight from a different field")
-        bound = _effective_bound(algebra, degree_bound)
+        super().__init__(algebra, weight, degree_bound)
         clean: Dict[Monomial, Tuple[FieldElement, Monomial]] = {}
         for src, (coeff, dst) in entries.items():
             if coeff.is_zero():
                 continue
-            if not algebra.admits(src) or src.degree() > bound:
-                raise ValueError(f"source {src!r} outside the operator domain")
+            self._check_source(src)
             if not algebra.admits(dst):
                 raise ValueError(f"target {dst!r} is not a basis monomial")
             if coeff.spec != algebra.field:
                 raise MixedAlgebras("entry coefficient from a different field")
             clean[src] = (coeff, dst)
-        self.algebra = algebra
-        self.weight = weight
-        self.degree_bound = bound
         self.entries = clean
 
     # -- application --------------------------------------------------------
 
     def entry(self, m: Monomial) -> Optional[Tuple[FieldElement, Monomial]]:
-        if m.degree() > self.degree_bound:
-            raise DegreeBoundExceeded(
-                f"operator defined up to degree {self.degree_bound}, got {m!r}"
-            )
+        self._check_degree(m)
         return self.entries.get(m)
 
     def apply_monomial(self, m: Monomial) -> Polynomial:
@@ -148,13 +166,7 @@ class MonomialOperatorTable:
                 self.entries.items(), key=lambda kv: kv[0].sort_key()
             )
         ]
-        return {
-            "kind": "monomial",
-            "algebra": self.algebra.to_json_dict(),
-            "weight": self.weight.short_str(),
-            "degree_bound": self.degree_bound,
-            "entries": entries,
-        }
+        return {**self._json_head(), "entries": entries}
 
     @staticmethod
     def from_json_dict(data: dict) -> "MonomialOperatorTable":
@@ -168,10 +180,11 @@ class MonomialOperatorTable:
         return MonomialOperatorTable(algebra, weight, data["degree_bound"], entries)
 
 
-class DenseOperator:
+class DenseOperator(LinearOperator):
     """A linear operator with arbitrary polynomial images on the basis."""
 
-    __slots__ = ("algebra", "weight", "degree_bound", "images")
+    __slots__ = ("images",)
+    kind = "dense"
 
     def __init__(
         self,
@@ -180,27 +193,18 @@ class DenseOperator:
         degree_bound: Optional[int],
         images: Dict[Monomial, Polynomial],
     ):
-        if weight.spec != algebra.field:
-            raise MixedAlgebras("weight from a different field")
-        bound = _effective_bound(algebra, degree_bound)
+        super().__init__(algebra, weight, degree_bound)
         clean: Dict[Monomial, Polynomial] = {}
         for src, poly in images.items():
-            if not algebra.admits(src) or src.degree() > bound:
-                raise ValueError(f"source {src!r} outside the operator domain")
+            self._check_source(src)
             if poly.algebra != algebra:
                 raise MixedAlgebras("image from a different algebra")
             if not poly.is_zero():
                 clean[src] = poly
-        self.algebra = algebra
-        self.weight = weight
-        self.degree_bound = bound
         self.images = clean
 
     def apply_monomial(self, m: Monomial) -> Polynomial:
-        if m.degree() > self.degree_bound:
-            raise DegreeBoundExceeded(
-                f"operator defined up to degree {self.degree_bound}, got {m!r}"
-            )
+        self._check_degree(m)
         return self.images.get(m, Polynomial.zero(self.algebra))
 
     def apply(self, f: Polynomial) -> Polynomial:
@@ -235,13 +239,7 @@ class DenseOperator:
             {"src": list(src.exponents), "poly": poly.to_json_terms()}
             for src, poly in sorted(self.images.items(), key=lambda kv: kv[0].sort_key())
         ]
-        return {
-            "kind": "dense",
-            "algebra": self.algebra.to_json_dict(),
-            "weight": self.weight.short_str(),
-            "degree_bound": self.degree_bound,
-            "images": images,
-        }
+        return {**self._json_head(), "images": images}
 
     @staticmethod
     def from_json_dict(data: dict) -> "DenseOperator":
@@ -257,7 +255,6 @@ class DenseOperator:
         return f"DenseOperator(weight={self.weight}, D={self.degree_bound})"
 
 
-LinearOperator = Union[MonomialOperatorTable, DenseOperator]
 
 
 def operator_from_json(data: dict) -> LinearOperator:
@@ -393,6 +390,7 @@ def op_conjugate(R: MonomialOperatorTable, psi: AutomorphismSpec) -> LinearOpera
     if psi.kind is AutomorphismKind.SHIFT:
         if not (algebra.unital and algebra.nvars == 1):
             raise InvalidAutomorphism("shift needs a unital univariate algebra")
+        field = algebra.field
         images = {}
         for src in algebra.basis(R.degree_bound):
             n = src.exponents[0]
@@ -400,26 +398,17 @@ def op_conjugate(R: MonomialOperatorTable, psi: AutomorphismSpec) -> LinearOpera
             shifted = Polynomial(
                 algebra,
                 {
-                    algebra.monomial(k): algebra.field.from_int(
-                        math.comb(n, k) * (-1) ** (n - k)
-                    )
+                    algebra.monomial(k): field.from_int(math.comb(n, k) * (-1) ** (n - k))
                     for k in range(n + 1)
                 },
             )
-            mapped = R.apply(shifted)
             # psi^{-1}: x^t -> (x+1)^t
-            result = Polynomial.zero(algebra)
-            for mono, coeff in mapped.terms():
+            image = {}
+            for mono, coeff in R.apply(shifted).terms():
                 t = mono.exponents[0]
-                back = Polynomial(
-                    algebra,
-                    {
-                        algebra.monomial(k): algebra.field.from_int(math.comb(t, k))
-                        for k in range(t + 1)
-                    },
-                )
-                result = result + back.scale(coeff)
-            images[src] = result
+                for k in range(t + 1):
+                    _accumulate(image, algebra.monomial(k), coeff * field.from_int(math.comb(t, k)))
+            images[src] = Polynomial._trusted(algebra, image)
         return DenseOperator(algebra, R.weight, R.degree_bound, images)
 
     raise InvalidAutomorphism(f"unknown automorphism kind {psi.kind!r}")

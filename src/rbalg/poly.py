@@ -23,15 +23,13 @@ from .fields import FieldElement, FieldSpec
 
 @dataclass(frozen=True)
 class Monomial:
-    """A bare exponent vector; algebra constraints are enforced by users."""
+    """A bare exponent vector; ``AlgebraSpec.admits`` says whether it is a
+    basis monomial of an algebra."""
 
     exponents: Tuple[int, ...]
 
     def degree(self) -> int:
         return sum(self.exponents)
-
-    def is_constant(self) -> bool:
-        return self.degree() == 0
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple([a + b for a, b in zip(self.exponents, other.exponents)]))
@@ -59,6 +57,17 @@ def product_table(exponents: Sequence[Tuple[int, ...]]) -> List[List[Optional[in
     and j, or None when that product is not in the list."""
     index = {e: i for i, e in enumerate(exponents)}
     return [[index.get(tuple(map(add, a, b))) for b in exponents] for a in exponents]
+
+
+def _accumulate(terms: dict, key, c: FieldElement) -> None:
+    """terms[key] += c, keeping only nonzero coefficients: the one step
+    that adds into a sparse term dict, keyed by monomial or tensor key."""
+    prev = terms.get(key)
+    total = c if prev is None else prev + c
+    if total.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = total
 
 
 def _exponent_tuples(total: int, nvars: int) -> Iterator[Tuple[int, ...]]:
@@ -103,7 +112,8 @@ class AlgebraSpec:
         return Monomial((0,) * self.nvars)
 
     def admits(self, m: Monomial) -> bool:
-        """True when m is a basis monomial (nonzero in this algebra)."""
+        """True when m is a basis monomial (nonzero in this algebra): the
+        rule for polynomial terms, tensor keys and operator entries."""
         d = m.degree()
         if len(m.exponents) != self.nvars or d < self.min_degree():
             return False
@@ -159,13 +169,9 @@ class Polynomial:
                     continue
                 if trunc is not None and mono.degree() > trunc:
                     continue
-                if not algebra.unital and mono.is_constant():
-                    raise ValueError("non-unital algebra has no constant term")
-                if len(mono.exponents) != algebra.nvars:
-                    raise ValueError("monomial arity does not match the algebra")
-                clean[mono] = clean[mono] + coeff if mono in clean else coeff
-                if clean[mono].is_zero():
-                    del clean[mono]
+                if not algebra.admits(mono):
+                    raise ValueError(f"{mono!r} is not a basis monomial of the algebra")
+                _accumulate(clean, mono, coeff)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "_terms", clean)
 
@@ -225,12 +231,7 @@ class Polynomial:
         self._require_same_algebra(other)
         terms = dict(self._terms)
         for mono, coeff in other._terms.items():
-            acc = terms.get(mono)
-            total = coeff if acc is None else acc + coeff
-            if total.is_zero():
-                terms.pop(mono, None)
-            else:
-                terms[mono] = total
+            _accumulate(terms, mono, coeff)
         return Polynomial._trusted(self.algebra, terms)
 
     def __neg__(self) -> "Polynomial":
@@ -264,14 +265,7 @@ class Polynomial:
             for m2, c2 in other._terms.items():
                 if trunc is not None and d1 + m2.degree() > trunc:
                     continue
-                mono = m1 * m2
-                piece = c1 * c2
-                acc = out.get(mono)
-                total = piece if acc is None else acc + piece
-                if total.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = total
+                _accumulate(out, m1 * m2, c1 * c2)
         return Polynomial._trusted(self.algebra, out)
 
     def __pow__(self, k: int) -> "Polynomial":
@@ -313,9 +307,7 @@ class Polynomial:
                     name, _, power = factor.partition("^")
                     idx = int(name[1:]) - 1
                     exps[idx] += int(power) if power else 1
-            mono = Monomial(tuple(exps))
-            acc = terms.get(mono)
-            terms[mono] = coeff if acc is None else acc + coeff
+            _accumulate(terms, Monomial(tuple(exps)), coeff)
         return Polynomial(algebra, terms)
 
     def to_json_terms(self) -> list:

@@ -142,13 +142,15 @@ def rb_check(R: LinearOperator, weight: FieldElement, degree: int) -> CheckRepor
     Every operator is checked on raw values by one kernel (``_pair_test``).
     A pair on which ``rb_residual`` would apply R above its bound is skipped
     (``skipped_pairs``); arguments above the bound raise
-    ``DegreeBoundExceeded``, and a weight from another field raises
-    ``MixedFieldSpecs``.  ``rb_residual`` stays the reference: it reports
-    the violation.
+    ``DegreeBoundExceeded``, a weight from another field raises
+    ``MixedFieldSpecs`` and a degree below 0 ``ValueError``.
+    ``rb_residual`` stays the reference: it reports the violation.
     """
     algebra = R.algebra
     if weight.spec != algebra.field:
         raise MixedFieldSpecs(f"cannot mix {algebra.field} with {weight.spec}")
+    if degree < 0:
+        raise ValueError(f"check degree must be >= 0, got {degree}")
     truncated = algebra.truncation is not None
     top = min(degree, algebra.truncation) if truncated else degree
     basis = list(algebra.basis(top))

@@ -8,6 +8,7 @@ from helpers import field_elements, reference_aybe_grid_search, reference_aybe_n
 from rbalg import (
     QQ,
     AlgebraSpec,
+    Monomial,
     TensorElement,
     aybe_grid_search,
     aybe_residual,
@@ -269,6 +270,17 @@ def test_tensor_requires_unital_untruncated():
     truncated = AlgebraSpec(QQ, nvars=1, unital=True, truncation=4)
     with pytest.raises(ValueError):
         TensorElement(truncated, 2, {})
+
+
+def test_tensor_keys_must_be_basis_monomials():
+    # the key monomials go through AlgebraSpec.admits, like polynomial terms
+    bivariate = Monomial((1, 2))
+    with pytest.raises(ValueError, match="outside the algebra"):
+        TensorElement(UNITAL, 2, {(bivariate, ONE): QQ.one()})
+    with pytest.raises(ValueError, match="outside the algebra"):
+        TensorElement(UNITAL, 3, {(ONE, ONE, bivariate): QQ.from_int(2)})
+    with pytest.raises(ValueError, match="outside the algebra"):
+        TensorElement(UNITAL, 2, {(ONE, Monomial(())): QQ.one()})
 
 
 def test_tensor_json_round_trip():

@@ -64,6 +64,22 @@ def test_construct_check_round_trip(tmp_path, capsys):
     assert report["checked_pairs"] > 0
 
 
+def test_check_negative_degree_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "op.json"
+    run_cli(
+        capsys, "construct", "--family", "weight-one", "--alpha", "1",
+        "--degree", "4", "--output", str(path),
+    )
+    code, out, err = run_cli(
+        capsys, "check", "--operator", str(path), "--weight", "1", "--degree", "-1"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: check degree must be >= 0, got -1\n"
+    code, out, _ = run_cli(
+        capsys, "check", "--operator", str(path), "--weight", "1", "--degree", "0"
+    )
+    assert (code, json.loads(out)) == (0, {"status": "pass", "checked_pairs": 0})
+
 def test_check_identity_operator_fails(tmp_path, capsys):
     operator = {
         "kind": "monomial",
@@ -152,6 +168,39 @@ def test_check_output_is_pinned(tmp_path, capsys, build, weight, exit_code, dige
     path.write_text(json.dumps(build().to_json_dict()))
     code, out, _ = run_cli(capsys, "check", "--operator", str(path), "--weight", weight)
     assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            "--family weight-zero --m 2 --pq 1:1;2:1/3 --degree 6",
+            "f308561d5057acc4ddad58b319d093823b39f8d64db65f159bd4ae353c941a0b",
+        ),
+        (
+            "--family weight-one --alpha 1/2 --degree 6",
+            "e20998b4df1e9c485b4557922709af06e68aaffaf074253833006df2c84e763e",
+        ),
+        (
+            "--family multivariate-one --nvars 2 --alphas 1,2 --degree 4",
+            "bf2a0c5c27a0cbfd66d745f35b94d7bbee26cb57b49740ff2dc38b9b5e05c8a2",
+        ),
+        (
+            "--family splitting --nvars 2 --unital --second-vars 2 --degree 3",
+            "fb73004f116af33a82f46dbfab02498b3526db6240da5172fc5c75a8486e9d5f",
+        ),
+        (
+            "--family integral --a 1 --unital --degree 4",
+            "fc0d00f177a96faeef125d14e5dc12f9a6ef4fed366e0a21fe0351d39c806681",
+        ),
+    ],
+    ids=["weight-zero", "weight-one", "multivariate-one", "splitting", "dense-integral"],
+)
+def test_construct_output_is_pinned(capsys, argv, digest):
+    """sha256 of the canonical stdout of ``rbalg construct``."""
+    code, out, _ = run_cli(capsys, "construct", *argv.split())
+    assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -544,6 +593,35 @@ def test_aybe_search_negative_degree_is_a_usage_error(capsys):
     assert err == "error: support degree must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "solution,weight,exit_code,digest",
+    [
+        (0, "1", 0, "66d014a9a9f3565567a2992774225a18728864ea386f1fe1233f76dca28376fa"),
+        (1, "2", 1, "eaf493e7b9d3d17c199141ef755d660d39ab2c08c9c71f06cee6e4117ad4da3d"),
+    ],
+    ids=["first-solution", "unit-tensor-at-weight-2"],
+)
+def test_aybe_output_is_pinned(tmp_path, capsys, solution, weight, exit_code, digest):
+    """sha256 of the canonical stdout of ``rbalg aybe search``, and of
+    ``rbalg aybe check`` on one of its solutions."""
+    code, out, _ = run_cli(capsys, "aybe", "search", "--degree", "1", "--weight", "1")
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "c1ce93f3f7905727ff962ccc19547983d38bad05158e2f4394439585f81fee49"
+    )
+    tensor = {
+        "algebra": {"field": "Q", "nvars": 1, "unital": True, "truncation": None},
+        "arity": 2,
+        "terms": json.loads(out)["solutions"][solution],
+    }
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(tensor))
+    code, out, _ = run_cli(capsys, "aybe", "check", "--r", str(path), "--weight", weight)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_construct_splitting_takes_1_based_variables(capsys):
     code, out, _ = run_cli(
         capsys, "construct", "--family", "splitting", "--nvars", "2", "--degree", "2",
@@ -582,6 +660,10 @@ def test_selftest_passes(capsys):
     data = json.loads(out)
     assert data["status"] == "pass"
     assert len(data["cases"]) == 5
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "9d7980a75d6e3466e6e217cc01d2fa6cbf62adc5c069feb89395570eafeba124"
+    )
 
 
 def test_usage_error_exit_code(capsys):

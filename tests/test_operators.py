@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ from rbalg.errors import (
 )
 from rbalg.grading import QuotientFamily, quotient_rb_from_family
 
-from helpers import inverse_degree_table, polynomials
+from helpers import field_elements, inverse_degree_table, polynomials
 
 NONUNITAL = AlgebraSpec(QQ, nvars=1, unital=False, truncation=None)
 UNITAL = AlgebraSpec(QQ, nvars=1, unital=True, truncation=None)
@@ -134,6 +135,63 @@ def test_raw_images_hold_one_term_per_table_entry():
         (0,): [((0,), 0, 1), ((1,), 1, 1)],
         (1,): [((0,), 0, Fraction(-1, 2)), ((2,), 2, Fraction(1, 2))],
     }
+
+
+@st.composite
+def table_and_dense(draw):
+    """A monomial table and the dense operator with the same one-term
+    images, over Q or GF(p), unital or not, truncated or not."""
+    field = draw(st.sampled_from([QQ, prime_field(5), prime_field(7)]))
+    truncation = draw(st.sampled_from([None, 3, 5]))
+    algebra = AlgebraSpec(field, draw(st.integers(1, 2)), draw(st.booleans()), truncation)
+    bound = draw(st.integers(0, truncation or 4))
+    targets = list(algebra.basis(truncation or bound + 2))
+    coeffs = field_elements(field).filter(lambda c: not c.is_zero())
+    entries = {
+        src: (draw(coeffs), draw(st.sampled_from(targets)))
+        for src in algebra.basis(bound)
+        if draw(st.booleans())
+    }
+    weight = draw(field_elements(field))
+    images = {src: Polynomial.monomial(algebra, dst, c) for src, (c, dst) in entries.items()}
+    return (
+        MonomialOperatorTable(algebra, weight, bound, entries),
+        DenseOperator(algebra, weight, bound, images),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=table_and_dense(), data=st.data())
+def test_table_and_dense_operator_agree(ops, data):
+    """Both operator kinds give the same images and raise the same errors."""
+    table, dense = ops
+    algebra, bound, weight = table.algebra, table.degree_bound, table.weight
+    assert table.raw_images() == dense.raw_images()
+    for m in algebra.basis(bound):
+        assert table.apply_monomial(m) == dense.apply_monomial(m)
+    f = data.draw(polynomials(algebra, max_degree=bound))
+    assert table.apply(f) == dense.apply(f)
+
+    above = Monomial((bound + 1,) + (0,) * (algebra.nvars - 1))
+    foreign = Polynomial.zero(replace(algebra, unital=not algebra.unital))
+    for op in ops:
+        with pytest.raises(DegreeBoundExceeded):
+            op.apply_monomial(above)
+        if algebra.admits(above):
+            with pytest.raises(DegreeBoundExceeded):
+                op.apply(f + Polynomial.monomial(algebra, above))
+        with pytest.raises(MixedAlgebras):
+            op.apply(foreign)
+
+    target, one = next(algebra.basis(bound + 1)), algebra.field.one()
+    bad_sources = [Monomial((1,) * (algebra.nvars + 1)), above]
+    if not algebra.unital:
+        bad_sources.append(Monomial((0,) * algebra.nvars))
+    for src in bad_sources:
+        with pytest.raises(ValueError, match="outside the operator domain"):
+            MonomialOperatorTable(algebra, weight, bound, {src: (one, target)})
+        with pytest.raises(ValueError, match="outside the operator domain"):
+            DenseOperator(algebra, weight, bound, {src: Polynomial.monomial(algebra, target, one)})
 
 
 def test_compose_mixed_algebras():

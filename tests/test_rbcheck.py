@@ -47,7 +47,7 @@ from rbalg.errors import (
     RBAlgebraError,
 )
 from rbalg.grading import QuotientFamily, quotient_rb_from_family
-from rbalg.rbcheck import UnitImageKind
+from rbalg.rbcheck import CheckReport, UnitImageKind
 
 from helpers import (
     field_elements,
@@ -116,6 +116,14 @@ def test_check_identity_fails_at_first_pair():
     assert not report.passed
     assert report.violation.u == NONUNITAL.monomial(1)
     assert report.violation.v == NONUNITAL.monomial(1)
+
+
+def test_check_refuses_a_negative_degree():
+    R = identity_table(NONUNITAL, 4, QQ.zero())
+    for degree in (-1, -3):
+        with pytest.raises(ValueError, match=f"check degree must be >= 0, got {degree}"):
+            rb_check(R, QQ.zero(), degree)
+    assert rb_check(R, QQ.zero(), 0) == CheckReport(0, None)
 
 
 def test_check_splitting_on_two_variables():
