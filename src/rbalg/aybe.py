@@ -54,6 +54,20 @@ class TensorElement:
         self.arity = arity
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, algebra: AlgebraSpec, arity: int, terms: Dict[TensorKey, FieldElement]) -> "TensorElement":
+        """A tensor on terms the library built canonical: keys of admitted
+        monomials and nonzero coefficients of the algebra's field."""
+        tensor = object.__new__(cls)
+        tensor.algebra, tensor.arity, tensor.terms = algebra, arity, terms
+        return tensor
+
+    def _require_same(self, other: "TensorElement") -> None:
+        if self.algebra.field != other.algebra.field:
+            raise MixedFieldSpecs(f"cannot mix {self.algebra.field} with {other.algebra.field}")
+        if self.algebra != other.algebra or self.arity != other.arity:
+            raise ValueError("tensors of different algebras or arities")
+
     # -- basics ---------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -68,33 +82,33 @@ class TensorElement:
         return self.terms.get(key, self.algebra.field.zero())
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
+        self._require_same(other)
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
             _accumulate(terms, key, coeff)
-        return TensorElement(self.algebra, self.arity, terms)
+        return TensorElement._trusted(self.algebra, self.arity, terms)
 
     def __neg__(self) -> "TensorElement":
-        return TensorElement(
-            self.algebra, self.arity, {k: -c for k, c in self.terms.items()}
-        )
+        return TensorElement._trusted(self.algebra, self.arity, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + (-other)
 
     def scale(self, c: FieldElement) -> "TensorElement":
-        return TensorElement(
-            self.algebra, self.arity, {k: c * v for k, v in self.terms.items()}
-        )
+        if c.spec != self.algebra.field:
+            raise MixedFieldSpecs(f"cannot mix {self.algebra.field} with {c.spec}")
+        return TensorElement._trusted(self.algebra, self.arity, {k: c * v for k, v in self.terms.items()} if c else {})
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         """Componentwise product of equal-arity tensors."""
         if self.arity != other.arity:
             raise ValueError("tensor arities differ")
+        self._require_same(other)
         out: Dict[TensorKey, FieldElement] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 _accumulate(out, tuple(a * b for a, b in zip(k1, k2)), c1 * c2)
-        return TensorElement(self.algebra, self.arity, out)
+        return TensorElement._trusted(self.algebra, self.arity, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorElement):
@@ -130,7 +144,7 @@ class TensorElement:
             key[positions[0]] = a
             key[positions[1]] = b
             terms[tuple(key)] = coeff
-        return TensorElement(self.algebra, 3, terms)
+        return TensorElement._trusted(self.algebra, 3, terms)
 
     def marginal(self, drop: int) -> "TensorElement":
         """Project an arity-3 tensor with unit in slot ``drop`` back to arity 2."""
@@ -141,7 +155,7 @@ class TensorElement:
             if key[drop].degree() != 0:
                 raise ValueError(f"slot {drop} is not the unit in {key}")
             _accumulate(terms, tuple(m for i, m in enumerate(key) if i != drop), coeff)
-        return TensorElement(self.algebra, 2, terms)
+        return TensorElement._trusted(self.algebra, 2, terms)
 
     # -- serialization ----------------------------------------------------------
 

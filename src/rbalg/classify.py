@@ -26,14 +26,18 @@ on k0[x1..xn]) share one pipeline: ``_check_search`` validates and
 picks the seed grid, and ``_verified_tables`` builds a shape's
 equations, solves them, builds each candidate table and re-verifies it
 by the exhaustive pairwise identity check, so the output is sound by
-construction.  Completeness is relative to the seeding grid: a family
-member appears in the output exactly when its free parameters lie on
-the grid.
+construction.  The candidates are built unchecked
+(``MonomialOperatorTable._trusted``): their entries map basis monomials
+within the bound to basis monomials with nonzero solved values, and the
+check, not the constructor, is what vouches for them.  Completeness is
+relative to the seeding grid: a family member appears in the output
+exactly when its free parameters lie on the grid.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -50,6 +54,7 @@ from .construct import (
 )
 from .errors import (
     InvalidParams,
+    MixedAlgebras,
     MixedFieldSpecs,
     NotASubalgebra,
     SearchBudgetExceeded,
@@ -224,13 +229,16 @@ def _shape_equations(t, sources: Sequence[int], lam_one: bool, mul):
     vars is a 1-tuple (linear, from the weight term) or a 2-tuple
     (product of two coefficients); the identity contributes the pair
     product positively and the three inner applications negatively.
+    sources ascend, and equations come in pair order (u, v), u <= v.
     """
     equations = []
-    for ui in range(len(sources)):
-        u = sources[ui]
-        for vi in range(ui, len(sources)):
-            v = sources[vi]
-            tu, tv = t[u], t[v]
+    defined = [n for n in sources if t[n] >= 0]
+    for ui, u in enumerate(sources):
+        tu = t[u]
+        # at weight zero a pair of two absent targets has no term
+        partners = sources[ui:] if tu >= 0 or lam_one else defined[bisect_left(defined, u):]
+        for v in partners:
+            tv = t[v]
             per_degree: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
             if tu >= 0 and tv >= 0 and mul[tu][tv] is not None:
                 per_degree.setdefault(mul[tu][tv], []).append((1, (u, v)))
@@ -729,6 +737,8 @@ def _check_search(algebra: AlgebraSpec, weight: FieldElement, degree_bound: int,
         strategy = default_strategy(algebra.field)
     elif any(g.spec != algebra.field for g in strategy.grid):
         raise MixedFieldSpecs(f"seed grid values must lie in {algebra.field}")
+    if weight.spec != algebra.field:
+        raise MixedAlgebras("weight from a different field")
     return strategy, _raw_grid(strategy)
 
 
@@ -744,7 +754,7 @@ def _verified_tables(t, sources, monos, mul, algebra, weight, D, strategy, grid,
     solutions = _solve_coefficients(equations, defined, algebra.field, strategy, grid)
     for values, seeded, orphans in solutions:
         entries = {monos[n]: (values[n], monos[t[n]]) for n in defined}
-        table = MonomialOperatorTable(algebra, weight, D, entries)
+        table = MonomialOperatorTable._trusted(algebra, weight, D, entries)
         if rb_check(table, weight, D).passed:
             yield table, seeded, orphans
         else:

@@ -78,9 +78,6 @@ class FieldSpec:
     def from_int(self, n: int) -> "FieldElement":
         return self.element(n)
 
-    def from_fraction(self, q: Fraction) -> "FieldElement":
-        return self.element(q.numerator, q.denominator)
-
     def zero(self) -> "FieldElement":
         return self.element(0)
 

@@ -44,7 +44,7 @@ from .errors import (
 )
 from .fields import FieldElement, prime_field
 from .operators import LinearOperator, MonomialOperatorTable
-from .poly import AlgebraSpec, Polynomial, product_table
+from .poly import AlgebraSpec, Polynomial
 
 
 class PartialProductKind(Enum):
@@ -182,21 +182,23 @@ class GradingDecomposition:
         }
 
 
-def _matrix_decomposition(R: LinearOperator, basis):
-    """Raw spectrum and generalized eigenspaces, in ``kernel_basis`` form."""
+def _matrix_decomposition(R: LinearOperator):
+    """Raw spectrum and generalized eigenspaces, in ``kernel_basis`` form,
+    on the indices of ``R.algebra.basis_index``."""
     p = R.algebra.field.p
-    index = {m.exponents: i for i, m in enumerate(basis)}
-    mat = [[R.algebra.field.zero().value] * len(basis) for _ in basis]
+    index = R.algebra.basis_index
+    size = len(index.monomials)
+    mat = [[R.algebra.field.zero().value] * size for _ in range(size)]
     for src, image in R.raw_images().items():
         for dst, _, c in image:
-            mat[index[dst]][index[src]] = c
+            mat[index.position[dst]][index.position[src]] = c
     coeffs = linalg.char_poly(mat, p)
     roots = linalg.roots(coeffs, p)
     multiplicities = [linalg.root_multiplicity(coeffs, lam, p) for lam in roots]
     covered = sum(multiplicities)
-    if covered != len(basis):
+    if covered != size:
         raise NonSplitSpectrum(
-            f"generalized eigenspaces cover {covered} of {len(basis)} dimensions"
+            f"generalized eigenspaces cover {covered} of {size} dimensions"
         )
     # ker (A - lam)^m is the whole generalized eigenspace when m is the
     # root's multiplicity: that space has dimension m
@@ -234,7 +236,8 @@ def grading_decompose(R: LinearOperator, weight: FieldElement) -> GradingDecompo
         kind = PartialProductKind.STAR
     else:
         raise ValueError("grade at weight 0 or 1 (rescale other weights first)")
-    basis = list(algebra.basis(algebra.truncation))
+    index = algebra.basis_index
+    basis, mul = index.monomials, index.mul  # mul[i][j]: the product's index, None above the truncation
     beyond = [m for m in basis if m.degree() > R.degree_bound]
     if beyond:
         raise DegreeBoundExceeded(
@@ -252,10 +255,7 @@ def grading_decompose(R: LinearOperator, weight: FieldElement) -> GradingDecompo
             spaces.setdefault(zero if hit is None else hit[0].value, []).append((i, {i: one}))
         spectrum = sorted(spaces)
     else:
-        spectrum, spaces = _matrix_decomposition(R, basis)
-
-    # index of the product of two basis monomials; None above the truncation
-    mul = product_table([m.exponents for m in basis])
+        spectrum, spaces = _matrix_decomposition(R)
 
     def product(u, v):
         w = {}

@@ -100,6 +100,16 @@ class MonomialOperatorTable(LinearOperator):
             clean[src] = (coeff, dst)
         self.entries = clean
 
+    @classmethod
+    def _trusted(cls, algebra: AlgebraSpec, weight: FieldElement, degree_bound: int, entries: dict):
+        """A table on entries the library built valid: a weight of the
+        algebra's field, a bound within its truncation, and nonzero
+        coefficients of that field from basis monomials within the bound to
+        basis monomials."""
+        table = object.__new__(cls)
+        table.algebra, table.weight, table.degree_bound, table.entries = algebra, weight, degree_bound, entries
+        return table
+
     # -- application --------------------------------------------------------
 
     def entry(self, m: Monomial) -> Optional[Tuple[FieldElement, Monomial]]:
@@ -222,17 +232,6 @@ class DenseOperator(LinearOperator):
             s.exponents: [(m.exponents, m.degree(), c.value) for m, c in f.terms()]
             for s, f in self.images.items()
         }
-
-    def to_table(self) -> Optional[MonomialOperatorTable]:
-        """Monomial form of this operator, or None if any image has >1 term."""
-        entries = {}
-        for src, poly in self.images.items():
-            terms = poly.terms()
-            if len(terms) != 1:
-                return None
-            mono, coeff = terms[0]
-            entries[src] = (coeff, mono)
-        return MonomialOperatorTable(self.algebra, self.weight, self.degree_bound, entries)
 
     def to_json_dict(self) -> dict:
         images = [

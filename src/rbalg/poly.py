@@ -14,8 +14,9 @@ order used everywhere is (total degree, lexicographic exponents).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import MixedAlgebras, MixedFieldSpecs
 from .fields import FieldElement, FieldSpec
@@ -52,11 +53,39 @@ class Monomial:
         return f"Monomial{self.exponents}"
 
 
+class ProductRows(dict):
+    """rows[i][j]: the position in exponents of the product of monomials i
+    and j, or None when that product is not in the list.  Row i is built
+    when it is first read, so a caller that reads a few rows of a large
+    basis pays for those alone."""
+
+    def __init__(self, exponents: Sequence[Tuple[int, ...]]):
+        super().__init__()
+        self.exponents = exponents
+        self.position = {e: i for i, e in enumerate(exponents)}
+
+    def __missing__(self, i: int) -> List[Optional[int]]:
+        a, position = self.exponents[i], self.position
+        row = self[i] = [position.get(tuple(map(add, a, b))) for b in self.exponents]
+        return row
+
+
 def product_table(exponents: Sequence[Tuple[int, ...]]) -> List[List[Optional[int]]]:
-    """mul[i][j]: the position in exponents of the product of monomials i
-    and j, or None when that product is not in the list."""
-    index = {e: i for i, e in enumerate(exponents)}
-    return [[index.get(tuple(map(add, a, b))) for b in exponents] for a in exponents]
+    """Every row of ``ProductRows(exponents)``, as a list."""
+    rows = ProductRows(exponents)
+    return [rows[i] for i in range(len(exponents))]
+
+
+class BasisIndex(NamedTuple):
+    """The basis of a truncated algebra on indices: its ``monomials`` in
+    canonical order, the ``position`` of each exponent tuple, their
+    ``degrees`` and ``mul``, their ``ProductRows`` (None where a product
+    vanishes above the truncation)."""
+
+    monomials: Tuple[Monomial, ...]
+    position: Dict[Tuple[int, ...], int]
+    degrees: Tuple[int, ...]
+    mul: ProductRows
 
 
 def _accumulate(terms: dict, key, c: FieldElement) -> None:
@@ -113,9 +142,13 @@ class AlgebraSpec:
 
     def admits(self, m: Monomial) -> bool:
         """True when m is a basis monomial (nonzero in this algebra): the
-        rule for polynomial terms, tensor keys and operator entries."""
+        rule for polynomial terms, tensor keys and operator entries: the
+        arity is the algebra's, no exponent is negative, and the degree lies
+        between the least one and the truncation."""
+        if len(m.exponents) != self.nvars or min(m.exponents) < 0:
+            return False
         d = m.degree()
-        if len(m.exponents) != self.nvars or d < self.min_degree():
+        if d < self.min_degree():
             return False
         if self.truncation is not None and d > self.truncation:
             return False
@@ -130,10 +163,18 @@ class AlgebraSpec:
             for exps in sorted(_exponent_tuples(d, self.nvars)):
                 yield Monomial(exps)
 
-    def dimension(self) -> int:
+    @cached_property
+    def basis_index(self) -> BasisIndex:
+        """The ``BasisIndex`` of basis(truncation), built once per algebra
+        object (the frozen dataclass keeps it in its instance dict)."""
         if self.truncation is None:
             raise ValueError("only truncated algebras are finite-dimensional")
-        return sum(1 for _ in self.basis(self.truncation))
+        monomials = tuple(self.basis(self.truncation))
+        mul = ProductRows([m.exponents for m in monomials])
+        return BasisIndex(monomials, mul.position, tuple(map(sum, mul.exponents)), mul)
+
+    def dimension(self) -> int:
+        return len(self.basis_index.monomials)
 
     def to_json_dict(self) -> dict:
         return {
@@ -218,9 +259,6 @@ class Polynomial:
             return -1
         return max(m.degree() for m in self._terms)
 
-    def num_terms(self) -> int:
-        return len(self._terms)
-
     # -- arithmetic -----------------------------------------------------------
 
     def _require_same_algebra(self, other: "Polynomial") -> None:
@@ -291,24 +329,6 @@ class Polynomial:
             return "0"
         parts = [f"{c.short_str()}*{m.to_text()}" for m, c in self.terms()]
         return " + ".join(parts)
-
-    @staticmethod
-    def parse_text(algebra: AlgebraSpec, text: str) -> "Polynomial":
-        text = text.strip()
-        if text == "0":
-            return Polynomial.zero(algebra)
-        terms: Dict[Monomial, FieldElement] = {}
-        for part in text.split(" + "):
-            coeff_text, _, mono_text = part.partition("*")
-            coeff = algebra.field.parse(coeff_text)
-            exps = [0] * algebra.nvars
-            if mono_text not in ("", "1"):
-                for factor in mono_text.split("*"):
-                    name, _, power = factor.partition("^")
-                    idx = int(name[1:]) - 1
-                    exps[idx] += int(power) if power else 1
-            _accumulate(terms, Monomial(tuple(exps)), coeff)
-        return Polynomial(algebra, terms)
 
     def to_json_terms(self) -> list:
         return [

@@ -7,12 +7,20 @@ of weight w when
 
 holds for all u, v.  Everything here evaluates that identity exactly:
 ``rb_residual`` computes the left-minus-right polynomial for one pair
-of monomials, ``rb_check`` sweeps all pairs within a degree budget with
-one raw-value kernel for every operator, and ``rb_power_check`` /
+of monomials, ``rb_check`` sweeps all pairs within a degree budget on
+raw values, and ``rb_power_check`` /
 ``rb_multi_residual`` evaluate the iterated weight-zero consequences
 
     (R(u))^k = k R(u (R(u))^{k-1})
     R(u_1)...R(u_k) = R( sum_i R(u_1)...u_i...R(u_k) ).
+
+``rb_check`` decides each pair with one of two kernels, chosen by the
+operator's type and its algebra's truncation.  A monomial table on a
+truncated algebra -- every table a search re-verifies -- is read on the
+indices of ``AlgebraSpec.basis_index`` (``_index_test``); dense
+operators, and tables on untruncated algebras, are read from
+``raw_images()`` on exponent tuples (``_pair_test``).  Both give the same
+verdicts, skips and errors, and ``rb_residual`` reports the violation.
 
 Kernel/image extraction and the unit-image classification for unital
 algebras of nonzero weight round out the structural checks.
@@ -21,10 +29,11 @@ algebras of nonzero weight round out the structural checks.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from operator import add
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import MixedFieldSpecs, NonzeroWeight
 from .fields import FieldElement
@@ -83,51 +92,108 @@ def rb_residual(
     return Ru * Rv - R.apply(inner)
 
 
-def _pair_test(R: LinearOperator, weight: FieldElement):
-    """A raw-value test of one pair's residual, read from ``R.raw_images()``.
+def _pair_test(R: LinearOperator, weight: FieldElement, top: int) -> Iterator[tuple]:
+    """(u, v, verdict) for each pair of ``rb_check``'s window, in its order,
+    with top = min(degree, truncation): the kernel of dense operators and of
+    tables on untruncated algebras, and the reference of ``_index_test``.
 
     The residual is formed on Fractions over Q and ints over GF(p) (reduced
-    only at zero tests), truncated and cancelled where ``rb_residual`` does.
-    The test returns True if it vanishes, False if not, and None if an inner
-    term lies above the bound, outside R's domain; arguments above the bound
-    raise ``DegreeBoundExceeded``, as in ``rb_residual``.
+    only at zero tests) from ``R.raw_images()``, truncated and cancelled
+    where ``rb_residual`` does.  The verdict is True if it vanishes, False
+    if not, and None if an inner term lies above the bound, outside R's
+    domain; arguments above the bound raise ``DegreeBoundExceeded``, as in
+    ``rb_residual``.
     """
     algebra, bound, w = R.algebra, R.degree_bound, weight.value
     trunc = algebra.truncation or math.inf
     p = algebra.field.p
     nonzero = bool if p is None else (lambda c: c % p)
     images = R.raw_images()
+    basis = list(algebra.basis(top))
+    for i, u in enumerate(basis):
+        for v in basis[i:]:
+            eu, ev = u.exponents, v.exponents
+            du, dv = sum(eu), sum(ev)
+            if du + dv > top and algebra.truncation is None:
+                continue
+            if du > bound or dv > bound:
+                R.apply_monomial(u if du > bound else v)  # raises DegreeBoundExceeded
+            Ru, Rv = images.get(eu, ()), images.get(ev, ())
+            inner = {}  # R(u)v + uR(v) + w uv
+            for image, e, d in ((Ru, ev, dv), (Rv, eu, du)):
+                for t, dt, c in image:
+                    if dt + d <= trunc:
+                        m = tuple(map(add, t, e))
+                        inner[m] = inner.get(m, 0) + c
+            if w and du + dv <= trunc:
+                m = tuple(map(add, eu, ev))
+                inner[m] = inner.get(m, 0) + w
+            residual = {}
+            for m1, d1, c1 in Ru:
+                for m2, d2, c2 in Rv:
+                    if d1 + d2 <= trunc:
+                        m = tuple(map(add, m1, m2))
+                        residual[m] = residual.get(m, 0) + c1 * c2
+            verdict = True
+            for m, c in inner.items():
+                if nonzero(c):
+                    if sum(m) > bound:
+                        verdict = None
+                        break
+                    for t, _, ct in images.get(m, ()):
+                        residual[t] = residual.get(t, 0) - c * ct
+            yield u, v, verdict and not any(map(nonzero, residual.values()))
 
-    def vanishes(u: Monomial, v: Monomial) -> Optional[bool]:
-        eu, ev = u.exponents, v.exponents
-        du, dv = sum(eu), sum(ev)
-        if du > bound or dv > bound:
-            R.apply_monomial(u if du > bound else v)  # raises DegreeBoundExceeded
-        Ru, Rv = images.get(eu, ()), images.get(ev, ())
-        inner = {}  # R(u)v + uR(v) + w uv
-        for image, e, d in ((Ru, ev, dv), (Rv, eu, du)):
-            for t, dt, c in image:
-                if dt + d <= trunc:
-                    m = tuple(map(add, t, e))
-                    inner[m] = inner.get(m, 0) + c
-        if w and du + dv <= trunc:
-            m = tuple(map(add, eu, ev))
-            inner[m] = inner.get(m, 0) + w
-        residual = {}
-        for m1, d1, c1 in Ru:
-            for m2, d2, c2 in Rv:
-                if d1 + d2 <= trunc:
-                    m = tuple(map(add, m1, m2))
-                    residual[m] = residual.get(m, 0) + c1 * c2
-        for m, c in inner.items():
-            if nonzero(c):
-                if sum(m) > bound:
-                    return None
-                for t, _, ct in images.get(m, ()):
-                    residual[t] = residual.get(t, 0) - c * ct
-        return not any(map(nonzero, residual.values()))
 
-    return vanishes
+def _index_test(R: MonomialOperatorTable, weight: FieldElement, top: int) -> Iterator[tuple]:
+    """``_pair_test`` of a monomial table on a truncated algebra, on the
+    indices of ``algebra.basis_index``: the same verdicts and errors.
+
+    The table is read once as tgt[i], the index of the target of basis
+    monomial i (-1 for none), and coef[i], its raw value.  A pair (i, j)
+    then has at most four terms, t_i t_j on the left and t_i j, i t_j and
+    w i j inside, each a ``mul`` lookup that is None where the product
+    vanishes above the truncation.  The window is the basis prefix up to
+    degree top.
+    """
+    algebra = R.algebra
+    monos, position, deg, mul = algebra.basis_index
+    tgt, coef = [-1] * len(monos), [0] * len(monos)
+    for src, (c, dst) in R.entries.items():
+        i = position[src.exponents]
+        tgt[i], coef[i] = position[dst.exponents], c.value
+    bound, w, p = R.degree_bound, weight.value, algebra.field.p
+    nonzero = bool if p is None else (lambda c: c % p)
+    size = bisect_right(deg, top)
+    for i in range(size):
+        ti, ci, row = tgt[i], coef[i], mul[i]
+        trow = mul[ti] if ti >= 0 else None
+        for j in range(i, size):
+            if deg[j] > bound:
+                R.apply_monomial(monos[i] if deg[i] > bound else monos[j])  # raises DegreeBoundExceeded
+            tj, cj = tgt[j], coef[j]
+            if trow is None and tj < 0 and not w:  # no term at all
+                yield monos[i], monos[j], True
+                continue
+            inner = {}  # R(u)v + uR(v) + w uv
+            if trow is not None and (k := trow[j]) is not None:
+                inner[k] = ci
+            if tj >= 0 and (k := row[tj]) is not None:
+                inner[k] = inner.get(k, 0) + cj
+            if w and (k := row[j]) is not None:
+                inner[k] = inner.get(k, 0) + w
+            residual = {}
+            if trow is not None and tj >= 0 and (k := trow[tj]) is not None:
+                residual[k] = ci * cj
+            verdict = True
+            for k, c in inner.items():
+                if nonzero(c):
+                    if deg[k] > bound:
+                        verdict = None
+                        break
+                    if (tk := tgt[k]) >= 0:
+                        residual[tk] = residual.get(tk, 0) - c * coef[k]
+            yield monos[i], monos[j], verdict and not any(map(nonzero, residual.values()))
 
 
 def rb_check(R: LinearOperator, weight: FieldElement, degree: int) -> CheckReport:
@@ -139,12 +205,14 @@ def rb_check(R: LinearOperator, weight: FieldElement, degree: int) -> CheckRepor
     verified in the quotient).  Pairs are visited in canonical order, so
     the reported first violation is deterministic.
 
-    Every operator is checked on raw values by one kernel (``_pair_test``).
-    A pair on which ``rb_residual`` would apply R above its bound is skipped
-    (``skipped_pairs``); arguments above the bound raise
-    ``DegreeBoundExceeded``, a weight from another field raises
-    ``MixedFieldSpecs`` and a degree below 0 ``ValueError``.
-    ``rb_residual`` stays the reference: it reports the violation.
+    Each pair is decided on raw values: a monomial table on a truncated
+    algebra by ``_index_test``, on basis indices, and every other operator
+    by ``_pair_test``, on exponent tuples.  A pair on which ``rb_residual``
+    would apply R above its bound is skipped (``skipped_pairs``);
+    arguments above the bound raise ``DegreeBoundExceeded``, a weight from
+    another field raises ``MixedFieldSpecs`` and a degree below 0
+    ``ValueError``.  ``rb_residual`` stays the reference: it reports the
+    violation.
     """
     algebra = R.algebra
     if weight.spec != algebra.field:
@@ -153,20 +221,15 @@ def rb_check(R: LinearOperator, weight: FieldElement, degree: int) -> CheckRepor
         raise ValueError(f"check degree must be >= 0, got {degree}")
     truncated = algebra.truncation is not None
     top = min(degree, algebra.truncation) if truncated else degree
-    basis = list(algebra.basis(top))
-    vanishes = _pair_test(R, weight)
+    kernel = _index_test if truncated and isinstance(R, MonomialOperatorTable) else _pair_test
     checked = skipped = 0
-    for i, u in enumerate(basis):
-        for v in basis[i:]:
-            if not truncated and u.degree() + v.degree() > top:
-                continue
-            verdict = vanishes(u, v)
-            if verdict is None:
-                skipped += 1
-                continue
-            checked += 1
-            if not verdict:
-                return CheckReport(checked, RBViolation(u, v, rb_residual(R, u, v, weight)), skipped)
+    for u, v, verdict in kernel(R, weight, top):
+        if verdict is None:
+            skipped += 1
+            continue
+        checked += 1
+        if not verdict:
+            return CheckReport(checked, RBViolation(u, v, rb_residual(R, u, v, weight)), skipped)
     return CheckReport(checked, None, skipped)
 
 

@@ -44,6 +44,7 @@ from rbalg.errors import (
     SearchBudgetExceeded,
 )
 from rbalg.fields import FieldElement, FieldKind, FieldSpec
+from rbalg.poly import Monomial, _accumulate
 from rbalg.grading import (
     GradingDecomposition,
     PartialProductKind,
@@ -52,6 +53,40 @@ from rbalg.grading import (
     partial_product,
 )
 from rbalg.rbcheck import CheckReport, RBViolation
+
+
+def from_fraction(spec: FieldSpec, q: Fraction) -> FieldElement:
+    return spec.element(q.numerator, q.denominator)
+
+
+def parse_polynomial_text(algebra: AlgebraSpec, text: str) -> Polynomial:
+    """Inverse of ``Polynomial.to_text``."""
+    text = text.strip()
+    if text == "0":
+        return Polynomial.zero(algebra)
+    terms: Dict[Monomial, FieldElement] = {}
+    for part in text.split(" + "):
+        coeff_text, _, mono_text = part.partition("*")
+        coeff = algebra.field.parse(coeff_text)
+        exps = [0] * algebra.nvars
+        if mono_text not in ("", "1"):
+            for factor in mono_text.split("*"):
+                name, _, power = factor.partition("^")
+                exps[int(name[1:]) - 1] += int(power) if power else 1
+        _accumulate(terms, Monomial(tuple(exps)), coeff)
+    return Polynomial(algebra, terms)
+
+
+def dense_to_table(op: DenseOperator) -> Optional[MonomialOperatorTable]:
+    """Monomial form of a dense operator, or None if any image has >1 term."""
+    entries = {}
+    for src, poly in op.images.items():
+        terms = poly.terms()
+        if len(terms) != 1:
+            return None
+        mono, coeff = terms[0]
+        entries[src] = (coeff, mono)
+    return MonomialOperatorTable(op.algebra, op.weight, op.degree_bound, entries)
 
 
 def rational_elements(max_abs=20, max_den=8):
@@ -315,7 +350,7 @@ def reference_rational_roots(coeffs):
                         total = total * cand + c
                     if total == 0:
                         roots.add(cand)
-    return [spec.from_fraction(r) for r in sorted(roots)]
+    return [from_fraction(spec, r) for r in sorted(roots)]
 
 
 def reference_kernel_basis(mat, spec):
@@ -522,7 +557,7 @@ def _reference_nonzero_roots(a2: FieldElement, a1: FieldElement, a0: FieldElemen
         sqrt = _reference_fraction_sqrt(disc.value)
         if sqrt is None:
             return []
-        s = field.from_fraction(sqrt)
+        s = from_fraction(field, sqrt)
         roots = {(-a1 + s) / (2 * a2), (-a1 - s) / (2 * a2)}
         return sorted((r for r in roots if not r.is_zero()), key=lambda r: r.sort_key())
     p = field.p

@@ -17,7 +17,7 @@ from rbalg import (
     rb_residual,
 )
 from rbalg.errors import InvalidParams, MixedFieldSpecs, NonUnitalAlgebra, SearchBudgetExceeded
-from rbalg.fields import FieldSpec
+from rbalg.fields import FieldSpec, prime_field
 
 UNITAL = AlgebraSpec(QQ, nvars=1, unital=True, truncation=None)
 ONE = UNITAL.one_monomial()
@@ -90,13 +90,51 @@ def test_embeddings_and_marginals():
     assert r.embed((1, 2)).marginal(0) == r
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_tensor_arithmetic_agrees_with_the_checked_constructor(data):
+    """Sums, products, negation, scaling, embeddings and marginals build
+    their results unchecked; the checked constructor takes each result's
+    terms back unchanged: basis keys and no zero coefficient."""
+    field = data.draw(st.sampled_from([QQ, prime_field(3), prime_field(5)]))
+    algebra = AlgebraSpec(field, nvars=data.draw(st.integers(1, 2)), unital=True)
+    small = list(algebra.basis(2))
+    coeffs = field_elements(field)
+    keys = st.tuples(st.sampled_from(small), st.sampled_from(small))
+    r, s = (TensorElement(algebra, 2, data.draw(st.dictionaries(keys, coeffs, max_size=4))) for _ in "rs")
+    r13 = r.embed((0, 2))
+    results = [
+        r + s, r - s, -r, r * s, r.scale(data.draw(coeffs)),
+        r.embed((0, 1)), r13, r13 * s.embed((1, 2)), r13.marginal(1), aybe_residual(r, field.one()),
+    ]
+    for t in results:
+        assert t == TensorElement(algebra, t.arity, t.terms)
+    assert r13.marginal(1) == r and -(-r) == r and (r - r).is_zero()
+
+
+def test_tensor_arithmetic_refuses_mixed_operands():
+    other_field = AlgebraSpec(prime_field(5), nvars=1, unital=True)
+    bivariate = AlgebraSpec(QQ, nvars=2, unital=True)
+    r = unit_tensor(QQ.one())
+    for other in (TensorElement(other_field, 2, {}), TensorElement(bivariate, 2, {})):
+        error = MixedFieldSpecs if other.algebra.field != QQ else ValueError
+        with pytest.raises(error):
+            r + other
+        with pytest.raises(error):
+            r * other
+    with pytest.raises(ValueError):
+        r + r.embed((0, 1))
+    with pytest.raises(MixedFieldSpecs):
+        r.scale(prime_field(5).one())
+
+
 def test_operator_from_unit_tensor():
     lam = QQ.from_int(2)
     op = operator_from_tensor(unit_tensor(lam), 6, -lam)
     for n in range(0, 7):
         mono = UNITAL.monomial(n)
         image = op.apply_monomial(mono)
-        assert image.coeff(mono) == lam and image.num_terms() == 1
+        assert image.coeff(mono) == lam and len(image.terms()) == 1
     assert rb_check(op, -lam, 6).passed
 
 

@@ -13,6 +13,7 @@ from rbalg import (
     Monomial,
     MonomialOperatorTable,
     Polynomial,
+    TensorElement,
     construct_integral,
     construct_splitting,
     op_compose,
@@ -34,7 +35,7 @@ from rbalg.errors import (
 )
 from rbalg.grading import QuotientFamily, quotient_rb_from_family
 
-from helpers import field_elements, inverse_degree_table, polynomials
+from helpers import dense_to_table, field_elements, inverse_degree_table, polynomials
 
 NONUNITAL = AlgebraSpec(QQ, nvars=1, unital=False, truncation=None)
 UNITAL = AlgebraSpec(QQ, nvars=1, unital=True, truncation=None)
@@ -116,6 +117,17 @@ def test_table_rejects_monomials_of_the_wrong_arity():
         MonomialOperatorTable(NONUNITAL, QQ.zero(), 4, {NONUNITAL.monomial(1): (QQ.one(), wrong)})
     with pytest.raises(ValueError, match="outside the operator domain"):
         MonomialOperatorTable(NONUNITAL, QQ.zero(), 4, {wrong: (QQ.one(), NONUNITAL.monomial(1))})
+
+
+def test_table_refuses_negative_exponents():
+    bivariate = AlgebraSpec(QQ, nvars=2, unital=False, truncation=4)
+    x1, negative = bivariate.monomial(1, 0), Monomial((-1, 3))
+    with pytest.raises(ValueError, match="outside the operator domain"):
+        MonomialOperatorTable(bivariate, QQ.zero(), 4, {negative: (QQ.one(), x1)})
+    with pytest.raises(ValueError, match="not a basis monomial"):
+        MonomialOperatorTable(bivariate, QQ.zero(), 4, {x1: (QQ.one(), negative)})
+    with pytest.raises(ValueError, match="outside the operator domain"):
+        DenseOperator(bivariate, QQ.zero(), 4, {negative: Polynomial.monomial(bivariate, x1)})
 
 
 def test_weight_from_another_field_is_rejected_by_both_operator_kinds():
@@ -317,11 +329,51 @@ def test_json_round_trip_monomial_and_dense():
     assert again_dense.weight == J.weight
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_accepted_objects_load_back_from_json(data):
+    """What a constructor accepts, its JSON gives back: a monomial with a
+    negative exponent is refused, where it used to print as another one
+    and write JSON that did not load."""
+    field = data.draw(st.sampled_from([QQ, prime_field(5)]))
+    nvars = data.draw(st.integers(1, 2))
+    unital = data.draw(st.booleans())
+    truncation = data.draw(st.one_of(st.none(), st.integers(1, 4)))
+    algebra = AlgebraSpec(field, nvars=nvars, unital=unital, truncation=truncation)
+    monos = st.lists(st.integers(-1, 3), min_size=nvars, max_size=nvars).map(lambda e: Monomial(tuple(e)))
+    coeffs = field_elements(field).filter(lambda c: not c.is_zero())
+    bound = truncation or 4
+    terms = data.draw(st.dictionaries(monos, coeffs, max_size=3))
+    entries = data.draw(st.dictionaries(monos, st.tuples(coeffs, monos), max_size=3))
+    constructors = [
+        lambda: Polynomial(algebra, terms),
+        lambda: MonomialOperatorTable(algebra, field.zero(), bound, entries),
+        lambda: DenseOperator(
+            algebra, field.zero(), bound,
+            {s: Polynomial.monomial(algebra, d, c) for s, (c, d) in entries.items()},
+        ),
+    ]
+    if unital and truncation is None:
+        keys = data.draw(st.dictionaries(st.tuples(monos, monos), coeffs, max_size=3))
+        constructors.append(lambda: TensorElement(algebra, 2, keys))
+    for build in constructors:
+        try:
+            obj = build()
+        except ValueError:
+            continue
+        if isinstance(obj, Polynomial):
+            assert Polynomial.from_json_terms(algebra, obj.to_json_terms()) == obj
+        elif isinstance(obj, TensorElement):
+            assert TensorElement.from_json_dict(obj.to_json_dict()) == obj
+        else:
+            assert operator_from_json(obj.to_json_dict()).to_json_dict() == obj.to_json_dict()
+
+
 def test_dense_to_table_detection():
     J0 = construct_integral(QQ.zero(), UNITAL, 5)
     J1 = construct_integral(QQ.one(), UNITAL, 5)
     assert isinstance(J0, MonomialOperatorTable)
-    assert J1.to_table() is None
+    assert dense_to_table(J1) is None
 
 
 @settings(max_examples=30, deadline=None)

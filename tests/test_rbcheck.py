@@ -2,6 +2,7 @@ import importlib.util
 import random
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -410,6 +411,96 @@ def test_kernel_matches_reference(case):
     got = _outcome(rb_check, R, weight, degree)
     assert got == _outcome(reference_rb_check, R, weight, degree)
     assert got == _outcome(rb_check, _dense_twin(R), weight, degree)
+
+
+# -- the index kernel against the pair kernel -------------------------------------
+
+
+@st.composite
+def truncated_tables(draw):
+    """(table, weight, degree) on a truncated algebra, the index kernel's
+    case: random targets, diagonal ones (t_u v = u v = u t_v), shifted ones
+    (t_u v = u t_v) or a family table; a bound at or below the truncation;
+    a degree below, at or above it."""
+    field = draw(st.just(QQ) | st.sampled_from(SMALL_PRIMES))
+    nvars = draw(st.integers(1, 2))
+    truncation = draw(st.integers(1, 6 if nvars == 1 else 4))
+    algebra = AlgebraSpec(field, nvars=nvars, unital=draw(st.booleans()), truncation=truncation)
+    bound = draw(st.integers(0, truncation))
+    weight = draw(st.sampled_from([field.zero(), field.one()]) | _nonzero(field))
+    sources = [m for m in algebra.basis(bound) if draw(st.booleans())]
+    targets = list(algebra.basis(truncation))
+    kind = draw(st.sampled_from(["random", "diagonal", "shift", "family"]))
+    if kind == "random":
+        entries = {s: (draw(_nonzero(field)), draw(st.sampled_from(targets))) for s in sources}
+    elif kind == "diagonal":
+        entries = {s: (draw(_nonzero(field)), s) for s in sources}
+    elif kind == "shift":
+        step = draw(st.sampled_from(targets))
+        entries = {s: (draw(_nonzero(field)), s * step) for s in sources if algebra.admits(s * step)}
+    else:
+        entries = _table_entries(draw, algebra, bound, weight) if bound else {}
+    degree = draw(st.integers(0, truncation + 2))
+    return MonomialOperatorTable(algebra, weight, bound, entries), weight, degree
+
+
+def _verdicts(kernel, R, weight, top):
+    out = []
+    try:
+        out.extend(kernel(R, weight, top))
+    except DegreeBoundExceeded as exc:
+        out.append(("raised", type(exc), str(exc)))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=truncated_tables())
+def test_index_kernel_matches_the_pair_kernel(case):
+    """Pair by pair, the index kernel gives the verdicts and the error of
+    ``_pair_test``, and each agrees with ``rb_residual``: None where it
+    leaves the domain, else whether the residual vanishes.  ``rb_check``
+    then reports what the pair kernel alone reports."""
+    R, weight, degree = case
+    top = min(degree, R.algebra.truncation)
+    got = _verdicts(rbcheck_mod._index_test, R, weight, top)
+    assert got == _verdicts(rbcheck_mod._pair_test, R, weight, top)
+    for u, v, verdict in got:
+        if u == "raised":
+            continue
+        try:
+            residual = rb_residual(R, u, v, weight)
+        except DegreeBoundExceeded:
+            assert verdict is None
+        else:
+            assert verdict is residual.is_zero()
+    with mock.patch.object(rbcheck_mod, "_index_test", rbcheck_mod._pair_test):
+        generic = _outcome(rb_check, R, weight, degree)
+    assert _outcome(rb_check, R, weight, degree) == generic
+
+
+def test_index_kernel_runs_on_truncated_tables_only():
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return rbcheck_mod._pair_test(*args)
+
+    truncated = AlgebraSpec(QQ, nvars=1, unital=False, truncation=6)
+    table = construct_weight_one_univariate(QQ.one(), truncated, 6)
+    untruncated = construct_weight_one_univariate(QQ.one(), NONUNITAL, 6)
+    with mock.patch.object(rbcheck_mod, "_index_test", counted):
+        for R in (table, untruncated, _dense_twin(table)):
+            assert rb_check(R, QQ.one(), 6).passed
+    assert calls == [table]
+
+
+def test_index_kernel_reads_the_product_rows_it_needs():
+    """A small window on a large truncation builds the product rows of the
+    window and its targets, not the whole table."""
+    big = AlgebraSpec(QQ, nvars=1, unital=False, truncation=1000)
+    R = construct_weight_one_univariate(QQ.one(), big, 4)
+    assert rb_check(R, QQ.one(), 4) == CheckReport(4, None, 6)  # products above x^4 leave the domain
+    assert sorted(big.basis_index.mul) == [0, 1, 2, 3]
 
 
 # -- the dense kernel against the reference -------------------------------------
