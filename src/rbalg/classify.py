@@ -628,11 +628,11 @@ class ClassificationReport:
 
 
 def _surviving_shapes(
-    D: int, unital: bool, lam_one: bool, budget: int, stats: SearchStats
+    D: int, unital: bool, lam_one: bool, budget: int, stats: SearchStats, mul
 ) -> Iterator[Tuple[int, ...]]:
     """Depth-first, the shapes (t[n] the target of source n, or ABSENT)
     that pass pair pruning and the structure filter; fills the shape
-    counters of stats.
+    counters of stats.  ``mul`` is the product table of x^0..x^D (index n is x^n).
 
     Forward checking: dom[s] is the bitmask of targets still admissible
     for source s (bit x + 1 for target x).  Each pair (x^u, x^v), u <= v,
@@ -649,7 +649,6 @@ def _surviving_shapes(
     t = [ABSENT] * (D + 1)  # entries above the current source are never read
     dom = [sum(1 << (x + 1) for x in options)] * (D + 1)
     filed: List[list] = [[] for _ in range(D + 1)]
-    mul = product_table([(n,) for n in range(D + 1)])  # index n is x^n
     compiled = cache(partial(_compile_pair, lam_one=lam_one, mul=mul))
 
     def narrow(last: int, check, undo: list) -> bool:
@@ -809,7 +808,7 @@ def enumerate_monomial_rb(
     monos = [Monomial((n,)) for n in range(D + 1)]  # index n is x^n
     mul = product_table([m.exponents for m in monos])
     solutions = []
-    for t in _surviving_shapes(D, algebra.unital, weight.is_one(), strategy.shape_budget, stats):
+    for t in _surviving_shapes(D, algebra.unital, weight.is_one(), strategy.shape_budget, stats, mul):
         leaders = class_leaders(t, [n for n in sources if t[n] >= 0])
         for table, seeded, orphans in _verified_tables(
             t, sources, monos, mul, search_algebra, weight, D, strategy, grid, stats

@@ -22,6 +22,7 @@ those isomorphisms exactly on sample points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
@@ -53,11 +54,14 @@ class PartialProductKind(Enum):
 
 
 def _raw_partial_product(kind: PartialProductKind, lam, mu, p):
-    """``partial_product`` on raw values (``p`` None for Q)."""
-    denom = lam + mu + 1 if kind is PartialProductKind.CIRC else lam + mu
+    """``partial_product`` on raw values (``p`` None for Q); None when the
+    denominator vanishes.  Over Q, lam = a/b and mu = c/d give ac over
+    ad + bc + bd (o) or ad + bc (*): one normalization."""
     if p is None:
-        return lam * mu / denom if denom else None
-    denom %= p
+        a, b, c, d = lam.numerator, lam.denominator, mu.numerator, mu.denominator
+        denom = a * d + b * c + b * d if kind is PartialProductKind.CIRC else a * d + b * c
+        return Fraction(a * c, denom) if denom else None
+    denom = (lam + mu + 1 if kind is PartialProductKind.CIRC else lam + mu) % p
     return lam * mu * pow(denom, -1, p) % p if denom else None
 
 
@@ -94,8 +98,7 @@ def semigroup_iso_check(
     if any(v <= 0 for v in values):
         raise ValueError("sample values must be positive")
 
-    def prod(x: Fraction, y: Fraction) -> Optional[Fraction]:
-        return _raw_partial_product(kind, x, y, None)
+    prod = functools.partial(_raw_partial_product, kind, p=None)
 
     def phi(x: Fraction) -> Fraction:
         return 1 + Fraction(1, 1) / x if kind is PartialProductKind.CIRC else 1 / x
@@ -183,8 +186,8 @@ class GradingDecomposition:
 
 
 def _matrix_decomposition(R: LinearOperator):
-    """Raw spectrum and generalized eigenspaces, in ``kernel_basis`` form,
-    on the indices of ``R.algebra.basis_index``."""
+    """Raw spectrum and the bases of its generalized eigenspaces in root
+    order, in ``kernel_basis`` form on the indices of ``R.algebra.basis_index``."""
     p = R.algebra.field.p
     index = R.algebra.basis_index
     size = len(index.monomials)
@@ -202,14 +205,14 @@ def _matrix_decomposition(R: LinearOperator):
         )
     # ker (A - lam)^m is the whole generalized eigenspace when m is the
     # root's multiplicity: that space has dimension m
-    spaces = {}
+    spaces = []
     for lam, m in zip(roots, multiplicities):
         shifted = [row[:] for row in mat]
         for i, row in enumerate(shifted):
             row[i] = row[i] - lam if p is None else (row[i] - lam) % p
         if m > 1:
             shifted = linalg.mat_pow(shifted, m, p)
-        spaces[lam] = linalg.kernel_basis(shifted, p)
+        spaces.append(linalg.kernel_basis(shifted, p))
     return roots, spaces
 
 
@@ -221,9 +224,9 @@ def grading_decompose(R: LinearOperator, weight: FieldElement) -> GradingDecompo
     o, weight zero uses *.  For each unordered pair of nonzero
     eigenvalues, products of basis elements must vanish when the law is
     undefined or leaves the spectrum, and must land in the indicated
-    eigenspace otherwise.  Everything runs on raw values, eigenspace bases
-    in ``linalg.kernel_basis`` form; FieldElements and Polynomials are
-    built for the result only.
+    eigenspace otherwise.  Everything runs on raw values and on the
+    spectrum's indices, eigenspace bases in ``linalg.kernel_basis`` form;
+    FieldElements and Polynomials are built for the result only.
     """
     algebra = R.algebra
     if algebra.truncation is None:
@@ -240,22 +243,22 @@ def grading_decompose(R: LinearOperator, weight: FieldElement) -> GradingDecompo
     basis, mul = index.monomials, index.mul  # mul[i][j]: the product's index, None above the truncation
     beyond = [m for m in basis if m.degree() > R.degree_bound]
     if beyond:
-        raise DegreeBoundExceeded(
-            f"operator defined up to degree {R.degree_bound}, got {beyond[0]!r}"
-        )
+        raise DegreeBoundExceeded(f"operator defined up to degree {R.degree_bound}, got {beyond[0]!r}")
     spec = algebra.field
     p = spec.p
 
     if isinstance(R, MonomialOperatorTable) and R.is_diagonal():
-        # every basis monomial is an eigenvector
+        # each basis monomial is an eigenvector: owner[i] numbers the eigenvalue of monomial i
         zero, one = spec.zero().value, spec.one().value
-        spaces = {}
-        for i, m in enumerate(basis):
-            hit = R.entries.get(m)
-            spaces.setdefault(zero if hit is None else hit[0].value, []).append((i, {i: one}))
-        spectrum = sorted(spaces)
+        values = [zero if hit is None else hit[0].value for hit in map(R.entries.get, basis)]
+        spectrum = sorted(set(values))
+        at = {lam: e for e, lam in enumerate(spectrum)}
+        owner = [at[lam] for lam in values]
+        bases = [[(i, {i: one}) for i, o in enumerate(owner) if o == e] for e in range(len(spectrum))]
     else:
-        spectrum, spaces = _matrix_decomposition(R)
+        spectrum, bases = _matrix_decomposition(R)
+        at, owner = {lam: e for e, lam in enumerate(spectrum)}, None
+    elements = [FieldElement(spec, lam) for lam in spectrum]
 
     def product(u, v):
         w = {}
@@ -267,40 +270,38 @@ def grading_decompose(R: LinearOperator, weight: FieldElement) -> GradingDecompo
                     w[k] = w.get(k, 0) + a * b if p is None else (w.get(k, 0) + a * b) % p
         return {k: c for k, c in w.items() if c}
 
-    elements = {lam: FieldElement(spec, lam) for lam in spectrum}
-
     def polynomial(vec):
-        return Polynomial(algebra, {basis[k]: FieldElement(spec, c) for k, c in vec.items()})
+        return Polynomial._trusted(algebra, {basis[k]: FieldElement(spec, c) for k, c in vec.items()})
 
     products: List[ProductCheck] = []
-    nonzero = [lam for lam in spectrum if lam]
-    for i, lam in enumerate(nonzero):
-        for mu in nonzero[i:]:
-            nu = _raw_partial_product(kind, lam, mu, p)
-            target = None if nu is None else spaces.get(nu)
-            status = ProductStatus.ZERO
-            witness = None
-            if lam == mu:
-                pairs = itertools.combinations_with_replacement(spaces[lam], 2)
-            else:
-                pairs = itertools.product(spaces[lam], spaces[mu])
-            for (_, u), (_, v) in pairs:
-                w = product(u, v)
+    nonzero = [e for e, lam in enumerate(spectrum) if lam]
+    for n, e in enumerate(nonzero):
+        for f in nonzero[n:]:
+            nu = _raw_partial_product(kind, spectrum[e], spectrum[f], p)
+            status, witness, target = ProductStatus.ZERO, None, -1
+            pairs = (itertools.combinations_with_replacement(bases[e], 2) if e == f
+                     else itertools.product(bases[e], bases[f]))
+            for (i, u), (j, v) in pairs:
+                if owner is None:
+                    w = product(u, v)
+                else:  # u, v are the monomials i, j; their product k lies in A_nu iff owner[k] is nu's number
+                    k = mul[i][j]
+                    w = None if k is None else {k: one}
                 if not w:
                     continue
-                if target is not None and linalg.in_span(target, w, p):
-                    status = ProductStatus.CONTAINED
-                else:
+                if target == -1:  # nu's number, looked up once a product is nonzero
+                    target = None if nu is None else at.get(nu)
+                if target is None or not (
+                    linalg.in_span(bases[target], w, p) if owner is None else owner[k] == target
+                ):
                     status = ProductStatus.VIOLATION
                     witness = (polynomial(u), polynomial(v), polynomial(w))
                     break
+                status = ProductStatus.CONTAINED
             nu = None if nu is None else FieldElement(spec, nu)
-            products.append(ProductCheck(elements[lam], elements[mu], status, nu, witness))
-    return GradingDecomposition(
-        [elements[lam] for lam in spectrum],
-        {elements[lam]: [polynomial(vec) for _, vec in spaces[lam]] for lam in spectrum},
-        products,
-    )
+            products.append(ProductCheck(elements[e], elements[f], status, nu, witness))
+    spaces = {lam: [polynomial(vec) for _, vec in space] for lam, space in zip(elements, bases)}
+    return GradingDecomposition(elements, spaces, products)
 
 
 class QuotientFamily(Enum):

@@ -44,13 +44,12 @@ from rbalg.errors import (
     SearchBudgetExceeded,
 )
 from rbalg.fields import FieldElement, FieldKind, FieldSpec
-from rbalg.poly import Monomial, _accumulate
+from rbalg.poly import Monomial, _accumulate, product_table
 from rbalg.grading import (
     GradingDecomposition,
     PartialProductKind,
     ProductCheck,
     ProductStatus,
-    partial_product,
 )
 from rbalg.rbcheck import CheckReport, RBViolation
 
@@ -435,6 +434,13 @@ def reference_diagonal_decomposition(R):
     return spectrum, spaces
 
 
+def reference_partial_product(kind, lam, mu):
+    """lam*mu / (lam + mu + 1) (o) or lam*mu / (lam + mu) (*) on
+    FieldElements, None when the denominator vanishes."""
+    denom = lam + mu + 1 if kind is PartialProductKind.CIRC else lam + mu
+    return None if denom.is_zero() else lam * mu / denom
+
+
 def reference_grading_decompose(R, weight):
     """``grading_decompose`` as it was on Polynomials and FieldElements: the
     reference spectra, products by ``Polynomial`` multiplication, expanded
@@ -469,7 +475,7 @@ def reference_grading_decompose(R, weight):
     nonzero = [lam for lam in spectrum if not lam.is_zero()]
     for i, lam in enumerate(nonzero):
         for mu in nonzero[i:]:
-            nu = partial_product(kind, lam, mu)
+            nu = reference_partial_product(kind, lam, mu)
             forced_zero = nu is None or nu not in spaces
             if not forced_zero and nu not in targets:
                 targets[nu] = [coords(p) for p in spaces[nu]]
@@ -867,10 +873,17 @@ def reference_shapes(D, unital, lam_one, budget, stats, forward=False):
     yield from dfs(0)
 
 
-def reference_forward_shapes(D, unital, lam_one, budget, stats):
+def line_table(D):
+    """The product table ``classify._surviving_shapes`` reads: x^0..x^D,
+    index n being x^n."""
+    return product_table([(n,) for n in range(D + 1)])
+
+
+def reference_forward_shapes(D, unital, lam_one, budget, stats, mul=None):
     """``classify._surviving_shapes`` as a rescanning loop with forward
     checking: ``reference_shapes`` that also prunes an option leaving some
-    later source no target."""
+    later source no target.  It reads every product from exponents, so the
+    caller's table ``mul`` is left unread."""
     return reference_shapes(D, unital, lam_one, budget, stats, forward=True)
 
 

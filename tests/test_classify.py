@@ -30,6 +30,7 @@ from helpers import (
     _pair_reads,
     field_elements,
     inverse_degree_table,
+    line_table,
     random_weight_zero_params,
     reference_diagonal_equations,
     reference_enumerate_monomial_rb,
@@ -204,12 +205,25 @@ def test_shape_search_matches_reference(lam_one, unital, degree):
     from rbalg.classify import SearchStats, _surviving_shapes
 
     fast, forward, plain = SearchStats(), SearchStats(), SearchStats()
-    got = list(_surviving_shapes(degree, unital, lam_one, 10**7, fast))
+    got = list(_surviving_shapes(degree, unital, lam_one, 10**7, fast, line_table(degree)))
     assert got == list(reference_forward_shapes(degree, unital, lam_one, 10**7, forward))
     assert fast == forward
     assert got == list(reference_shapes(degree, unital, lam_one, 10**7, plain))
     assert fast.shapes_enumerated == plain.shapes_enumerated
     assert fast.nodes_visited <= plain.nodes_visited
+
+
+@pytest.mark.parametrize("weight", [0, 1])
+def test_search_builds_one_product_table(weight):
+    """The shape DFS and the coefficient solver read the same table of
+    x^0..x^D, so a search builds it once."""
+    from unittest import mock
+
+    from rbalg import classify
+
+    with mock.patch.object(classify, "product_table", wraps=classify.product_table) as built:
+        enumerate_monomial_rb(UNITAL, QQ.from_int(weight), 4)
+    assert built.call_count == 1
 
 
 @pytest.mark.parametrize("budget", [1, 3, 40, 700])
@@ -221,7 +235,7 @@ def test_shape_search_budget_matches_reference(budget):
     fast, slow = SearchStats(), SearchStats()
     got, want = [], []
     with pytest.raises(SearchBudgetExceeded):
-        got.extend(_surviving_shapes(6, False, False, budget, fast))
+        got.extend(_surviving_shapes(6, False, False, budget, fast, line_table(6)))
     with pytest.raises(SearchBudgetExceeded):
         want.extend(reference_forward_shapes(6, False, False, budget, slow))
     assert got == want and fast == slow
@@ -532,7 +546,7 @@ def test_match_never_raises_on_verified_weight_zero_tables():
         [prime_field(2), prime_field(3)], (3, 4, 5), (False, True)
     ):
         algebra = AlgebraSpec(field, nvars=1, unital=unital, truncation=D)
-        for t in _surviving_shapes(D, unital, False, 10**6, SearchStats()):
+        for t in _surviving_shapes(D, unital, False, 10**6, SearchStats(), line_table(D)):
             defined = [n for n in range(algebra.min_degree(), D + 1) if t[n] >= 0]
             if len(defined) > 3:
                 continue

@@ -11,7 +11,10 @@ from rbalg import (
     AlgebraSpec,
     DenseOperator,
     MonomialOperatorTable,
+    MultivariateFamilyParams,
+    MultivariateKind,
     Polynomial,
+    construct_multivariate,
     construct_weight_one_univariate,
     enumerate_monomial_rb,
     prime_field,
@@ -136,6 +139,23 @@ def _perturbed_dense_gf53():
     x2 = algebra.monomial(2)
     images[x2] = images[x2] + Polynomial.monomial(algebra, algebra.monomial(3))
     return DenseOperator(algebra, R.weight, R.degree_bound, images)
+
+
+def _bivariate_weight_one_table(alphas=(1, 2), T=4):
+    # the multivariate-one family on Q0[x, y] truncated above degree T
+    algebra = AlgebraSpec(QQ, nvars=2, unital=False, truncation=T)
+    params = MultivariateFamilyParams(MultivariateKind.WEIGHT_ONE, tuple(map(QQ.from_int, alphas)))
+    return construct_multivariate(params, algebra, T)
+
+
+def _doubled_xy_table():
+    # the multivariate-one family at alphas (1, 1) on Q0[x, y]/(degree > 3), the xy
+    # coefficient doubled: x and y share the eigenvalue 1, and x*y leaves A_(1 o 1)
+    table = _bivariate_weight_one_table((1, 1), 3)
+    entries = dict(table.entries)
+    xy = table.algebra.monomial(1, 1)
+    entries[xy] = (entries[xy][0] * 2, xy)
+    return MonomialOperatorTable(table.algebra, table.weight, table.degree_bound, entries)
 
 
 @pytest.mark.parametrize(
@@ -401,6 +421,23 @@ def _doubled_weight_one_table():
     return MonomialOperatorTable(algebra, QQ.one(), 5, entries)
 
 
+def _bivariate_weight_one_table(alphas=(1, 2), T=4):
+    # the multivariate-one family on Q0[x, y] truncated above degree T
+    algebra = AlgebraSpec(QQ, nvars=2, unital=False, truncation=T)
+    params = MultivariateFamilyParams(MultivariateKind.WEIGHT_ONE, tuple(map(QQ.from_int, alphas)))
+    return construct_multivariate(params, algebra, T)
+
+
+def _doubled_xy_table():
+    # the multivariate-one family at alphas (1, 1) on Q0[x, y]/(degree > 3), the xy
+    # coefficient doubled: x and y share the eigenvalue 1, and x*y leaves A_(1 o 1)
+    table = _bivariate_weight_one_table((1, 1), 3)
+    entries = dict(table.entries)
+    xy = table.algebra.monomial(1, 1)
+    entries[xy] = (entries[xy][0] * 2, xy)
+    return MonomialOperatorTable(table.algebra, table.weight, table.degree_bound, entries)
+
+
 @pytest.mark.parametrize(
     "build,weight,exit_code,digest",
     [
@@ -434,8 +471,23 @@ def _doubled_weight_one_table():
             0,
             "5fc5d6fef86acb40477a0a49405c595999e9df027888868f679343ef2df0e70f",
         ),
+        (
+            _bivariate_weight_one_table,
+            "1",
+            0,
+            "2a27f54736ed8dbbd7a1d0cd653645de6021f158a4ea6e40b7ca0a0bd21dda78",
+        ),
+        (
+            _doubled_xy_table,
+            "1",
+            1,
+            "3a9db7fa080dc52375914ec047cce01ec6aa09aa9851b4ce205df7a8c8314a18",
+        ),
     ],
-    ids=["ex7-gf5", "non-diagonal-gf5", "dense-conjugate-q", "violating-table-q", "dense-conjugate-gf53"],
+    ids=[
+        "ex7-gf5", "non-diagonal-gf5", "dense-conjugate-q", "violating-table-q", "dense-conjugate-gf53",
+        "multivariate-one-q", "repeated-eigenvalue-violation-q",
+    ],
 )
 def test_grade_output_is_pinned(tmp_path, capsys, build, weight, exit_code, digest):
     """sha256 of the canonical stdout of ``rbalg grade``."""

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rbalg import (
     QQ,
@@ -28,7 +30,10 @@ from rbalg.errors import (
     ZeroArgument,
 )
 
-from helpers import scaled_inverse_degree_conjugate
+from rbalg.fields import FieldElement
+from rbalg.grading import _raw_partial_product
+
+from helpers import reference_partial_product, scaled_inverse_degree_conjugate
 
 GF5 = prime_field(5)
 
@@ -42,6 +47,39 @@ def test_partial_products_over_gf5():
     assert partial_product(star, GF5.from_int(1), GF5.from_int(3)) == GF5.from_int(2)
     # 3 and 2 are 1/2 and 1/3 mod 5; their sum vanishes
     assert partial_product(star, GF5.from_int(3), GF5.from_int(2)) is None
+
+
+@st.composite
+def partial_product_args(draw):
+    """A law and two nonzero values: over Q small fractions, so that
+    lam + mu and lam + mu + 1 vanish often; over GF(p) any residues."""
+    field = draw(st.sampled_from([QQ] + [prime_field(p) for p in (2, 3, 5, 7, 10007)]))
+    if field.p is None:
+        values = st.builds(QQ.element, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    else:
+        values = st.integers(1, field.p - 1).map(field.from_int)
+    return draw(st.sampled_from(PartialProductKind)), draw(values), draw(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_product_args())
+@example((PartialProductKind.CIRC, QQ.element(-1, 2), QQ.element(-1, 2)))
+@example((PartialProductKind.STAR, QQ.element(2, 3), QQ.element(-2, 3)))
+@example((PartialProductKind.CIRC, GF5.from_int(1), GF5.from_int(3)))
+@example((PartialProductKind.STAR, GF5.from_int(3), GF5.from_int(2)))
+def test_raw_partial_product_matches_the_field_form(case):
+    """One normalization over Q, one inverse mod p: the same value as
+    lam*mu / (lam + mu + 1) or lam*mu / (lam + mu) on FieldElements, and
+    None exactly where that denominator vanishes."""
+    kind, lam, mu = case
+    want = reference_partial_product(kind, lam, mu)
+    got = _raw_partial_product(kind, lam.value, mu.value, lam.spec.p)
+    if want is None:
+        assert got is None
+        return
+    assert FieldElement(lam.spec, got) == want
+    assert type(got) is (Fraction if lam.spec.p is None else int)
+    assert partial_product(kind, lam, mu) == want
 
 
 def test_partial_product_zero_argument():

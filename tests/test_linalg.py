@@ -30,9 +30,13 @@ from rbalg import (
     QQ,
     AlgebraSpec,
     DenseOperator,
+    MonomialOperatorTable,
+    MultivariateFamilyParams,
+    MultivariateKind,
     Polynomial,
     WeightZeroFamilyParams,
     construct_weight_one_univariate,
+    construct_multivariate,
     construct_weight_zero,
     grading_decompose,
     linalg,
@@ -255,6 +259,23 @@ def operators(draw):
     return DenseOperator(algebra, weight, N, images), weight
 
 
+def assert_same_grading(got, expected, field):
+    assert got.spectrum == expected.spectrum
+    assert got.spaces == expected.spaces
+    assert got.products == expected.products
+    if field.p is None:
+        # equal FieldElements may still hold an int where a Fraction belongs
+        values = [lam.value for lam in got.spectrum]
+        polys = [u for basis in got.spaces.values() for u in basis]
+        for check in got.products:
+            values += [check.left.value, check.right.value]
+            if check.product_eigenvalue is not None:
+                values.append(check.product_eigenvalue.value)
+            polys += list(check.witness or ())
+        values += [c.value for u in polys for _, c in u.terms()]
+        assert all(type(v) is Fraction for v in values)
+
+
 @settings(max_examples=80, deadline=None)
 @given(operators())
 def test_grading_decompose_matches_reference(case):
@@ -269,18 +290,50 @@ def test_grading_decompose_matches_reference(case):
             grading_decompose(op, weight)
         assert str(got.value) == str(err)
         return
+    assert_same_grading(grading_decompose(op, weight), expected, op.algebra.field)
+
+
+@st.composite
+def diagonal_tables(draw):
+    """Diagonal monomial tables on truncated k[x] or k[x, y], unital or not:
+    coefficients from a few values, so that eigenvalues repeat and
+    eigenspaces have dimension above 1, with some entries absent; or
+    members of the multivariate families, whose products land in their
+    eigenspaces, sometimes with one coefficient changed."""
+    field = draw(st.just(QQ) | st.sampled_from((prime_field(5), prime_field(7))))
+    nvars = draw(st.integers(1, 2))
+    unital = draw(st.booleans())
+    T = draw(st.integers(1, 6 if nvars == 1 else 4))
+    algebra = AlgebraSpec(field, nvars=nvars, unital=unital, truncation=T)
+    weight = draw(st.sampled_from([field.zero(), field.one()]))
+    if field.p is None:
+        pairs = [(1, 1), (-1, 1), (2, 1), (1, 2), (-1, 2), (1, 3), (1, 7)]
+        values = st.sampled_from([QQ.element(a, b) for a, b in pairs])
+    else:
+        values = st.integers(1, field.p - 1).map(field.from_int)
+    basis = list(algebra.basis(T))
+    if not unital and draw(st.booleans()):
+        kind = MultivariateKind.WEIGHT_ONE if weight.is_one() else MultivariateKind.WEIGHT_ZERO
+        params = MultivariateFamilyParams(kind, tuple(draw(values) for _ in range(nvars)))
+        try:
+            entries = dict(construct_multivariate(params, algebra, T).entries)
+        except RBAlgebraError:  # a family denominator vanishes
+            assume(False)
+        if draw(st.booleans()):
+            m = draw(st.sampled_from(basis))
+            entries[m] = (draw(values), m)
+    else:
+        entries = {m: (c, m) for m in basis if (c := draw(st.one_of(st.none(), values))) is not None}
+    return MonomialOperatorTable(algebra, weight, T, entries), weight
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagonal_tables())
+def test_diagonal_grading_matches_reference(case):
+    """The diagonal path, which reads membership from the eigenvalue number
+    of the product monomial, against products of Polynomials and the rank
+    test."""
+    op, weight = case
+    assert op.is_diagonal()
     got = grading_decompose(op, weight)
-    assert got.spectrum == expected.spectrum
-    assert got.spaces == expected.spaces
-    assert got.products == expected.products
-    if op.algebra.field.p is None:
-        # equal FieldElements may still hold an int where a Fraction belongs
-        values = [lam.value for lam in got.spectrum]
-        polys = [u for basis in got.spaces.values() for u in basis]
-        for check in got.products:
-            values += [check.left.value, check.right.value]
-            if check.product_eigenvalue is not None:
-                values.append(check.product_eigenvalue.value)
-            polys += list(check.witness or ())
-        values += [c.value for u in polys for _, c in u.terms()]
-        assert all(type(v) is Fraction for v in values)
+    assert_same_grading(got, reference_grading_decompose(op, weight), op.algebra.field)
