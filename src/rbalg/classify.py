@@ -12,7 +12,9 @@ Each pair is compiled once per (u, v, t[u], t[v]) and forward checked by
 one check: as soon as every source it reads but the last is assigned, it
 narrows the targets still admissible for that last source, and an option
 that leaves some later source no target is pruned at once; a pair whose
-last read is v is decided when v is assigned.  Surviving shapes get
+last read is v is decided when v is assigned.  The weight's structure
+rule (class closure at weight zero, disjoint kernel and image at weight
+one) narrows the same targets.  Surviving shapes get
 their coefficients from exact propagation on watched equations: each
 per-degree constraint keeps a running split on raw values, fixing a
 coefficient marks only the constraints that mention it, and a marked one
@@ -168,57 +170,6 @@ def _domain(t, lhs, own, rest) -> int:
     return mask
 
 
-def _respects_kernel_image_structure(t, sources: Sequence[int]) -> bool:
-    """Weight-one structure filter for a complete shape: no present
-    target may be an absent source.  Nonzero-weight operators on the
-    full algebra have disjoint kernel and image (both subalgebras), so a
-    shape whose image meets its kernel is a quotient-only artifact and
-    is discarded.
-    """
-    for n in sources:
-        target = t[n]
-        if target >= 0 and t[target] == ABSENT:
-            return False
-    return True
-
-
-def _respects_class_closure(t, sources: Sequence[int], D: int, unital: bool) -> bool:
-    """Weight-zero residue-class structure check for a complete shape.
-
-    With m* the gcd of the present targets, any extendable table has,
-    within each source class mod m*, a constant target shift, and its
-    absent members are exactly those whose shifted target overflows the
-    bound.  Mixed classes with an in-range hole cannot come from an
-    operator on the full algebra and are discarded; the quotient-only
-    solutions this removes are deliberate (the search mirrors the
-    full-algebra class structure).
-    """
-    present = [(n, t[n]) for n in sources if t[n] >= 0]
-    if not present:
-        return True
-    m_star = math.gcd(*(target for _, target in present))
-    if m_star == 0:
-        return True  # every image is the constant; no class structure
-    min_target = 0 if unital else 1
-    by_class: Dict[int, List[int]] = {}
-    for n in sources:
-        by_class.setdefault(n % m_star, []).append(n)
-    for members in by_class.values():
-        shift = None
-        for n in members:
-            if t[n] >= 0:
-                if shift is None:
-                    shift = t[n] - n
-                elif t[n] - n != shift:
-                    return False
-        if shift is None:
-            continue  # fully absent class
-        for n in members:
-            if t[n] == ABSENT and min_target <= n + shift <= D:
-                return False
-    return True
-
-
 # -- coefficient solving ---------------------------------------------------------
 
 
@@ -276,14 +227,6 @@ def _settled(terms, values: dict, p) -> dict:
     if p is None:
         return {key: c for key, c in out.items() if c}
     return {key: r for key, c in out.items() if (r := c % p)}
-
-
-def _nonzero_roots(a2, a1, a0, p):
-    """Raw roots of a2 x^2 + a1 x + a0 in the field, a2 or a1 nonzero, zero
-    excluded."""
-    if a2:
-        return [r for r in linalg.roots([a2, a1, a0], p) if r]
-    return [-a0 / a1 if p is None else -a0 * pow(a1, -1, p) % p] if a0 else []
 
 
 def _raw_grid(strategy: CoefficientStrategy) -> list:
@@ -346,7 +289,7 @@ def _solve_coefficients(equations, unknowns: Sequence, field: FieldSpec, strateg
                     continue
                 (x,) = varset
                 a2, a1, a0 = (split.get(key, 0) for key in ((x, x), (x,), ()))
-                roots = _nonzero_roots(a2, a1, a0, p)
+                roots = [r for r in linalg.quadratic_roots(a2, a1, a0, p) if r]
                 if not roots:
                     return
                 if len(roots) > 1:
@@ -631,7 +574,7 @@ def _surviving_shapes(
     D: int, unital: bool, lam_one: bool, budget: int, stats: SearchStats, mul
 ) -> Iterator[Tuple[int, ...]]:
     """Depth-first, the shapes (t[n] the target of source n, or ABSENT)
-    that pass pair pruning and the structure filter; fills the shape
+    that pass pair pruning and the structure rule; fills the shape
     counters of stats.  ``mul`` is the product table of x^0..x^D (index n is x^n).
 
     Forward checking: dom[s] is the bitmask of targets still admissible
@@ -641,8 +584,10 @@ def _surviving_shapes(
     mask of its last read as soon as its ready read is assigned (at once
     if that is v, else filed under ready), so an option is pruned the
     moment some later source has no target left.  Options outside dom[k]
-    count as pruned where the plain check would have failed them.
-    Narrowings are undone through a log and filings popped on backtrack.
+    count as pruned where the plain check would have failed them.  The
+    weight's structure rule narrows the same masks, so every complete
+    shape obeys it.  Narrowings are undone through a log and filings
+    popped on backtrack.
     """
     sources = list(range(0 if unital else 1, D + 1))
     options = [ABSENT] + sources
@@ -651,20 +596,52 @@ def _surviving_shapes(
     filed: List[list] = [[] for _ in range(D + 1)]
     compiled = cache(partial(_compile_pair, lam_one=lam_one, mul=mul))
 
-    def narrow(last: int, check, undo: list) -> bool:
-        """Intersect the check's domain into dom[last]; False if empty."""
-        old = dom[last]
-        new = old & _domain(t, *check)
+    def restrict(s: int, mask: int, undo: list) -> bool:
+        """Intersect mask into dom[s], logging the old mask; False if empty."""
+        old = dom[s]
+        new = old & mask
         if new != old:
-            undo.append((last, old))
-            dom[last] = new
+            undo.append((s, old))
+            dom[s] = new
         return new != 0
 
-    def restore(undo: list) -> None:
-        for last, old in reversed(undo):
-            dom[last] = old
+    def kernel_image(pos: int, k: int, option: int, g: int, undo: list) -> bool:
+        """Weight one: kernel and image are disjoint, so an absent k is no
+        later source's target, and a target above k is not absent (one at
+        or below k was vetted by dom[k])."""
+        if option != ABSENT:
+            return option <= k or restrict(option, ~1, undo)
+        return all(restrict(s, ~(2 << k), undo) for s in sources[pos + 1 :])
 
-    def dfs(pos: int):
+    def class_closure(pos: int, k: int, option: int, g: int, undo: list) -> bool:
+        """Weight zero, with g the gcd of the present targets before k and
+        h = gcd(g, option): a class mod h with a present member has one
+        shift s, its assigned absent members n have n + s out of range, and
+        its later members narrow to n + s, or to ABSENT when that is out of
+        range.  The final gcd divides h, so this is sound.  While g holds,
+        only k's class can change (an absent k was vetted by dom[k]); when
+        it shrinks, classes merge and each is checked again."""
+        if option == ABSENT or not (h := math.gcd(g, option)):
+            return True
+        for first in [pos % h] if h == g else range(min(h, pos + 1)):
+            members = sources[first::h]
+            assigned = (pos - first) // h + 1
+            lead = next((n for n in members[:assigned] if t[n] >= 0), None)
+            if lead is None or h == g and lead < k:
+                continue  # no shift yet, or checked when it first had one
+            shift = t[lead] - lead
+            for i, n in enumerate(members):
+                target = n + shift if sources[0] <= n + shift <= D else ABSENT
+                if i < assigned:
+                    if t[n] != target:
+                        return False
+                elif not restrict(n, 1 << (target + 1), undo):
+                    return False
+        return True
+
+    structure = kernel_image if lam_one else class_closure
+
+    def dfs(pos: int, g: int):
         stats.nodes_visited += 1
         if stats.nodes_visited > budget:
             raise SearchBudgetExceeded(
@@ -672,14 +649,7 @@ def _surviving_shapes(
             )
         if pos == len(sources):
             stats.shapes_enumerated += 1
-            if lam_one:
-                structural_ok = _respects_kernel_image_structure(t, sources)
-            else:
-                structural_ok = _respects_class_closure(t, sources, D, unital)
-            if structural_ok:
-                yield tuple(t)
-            else:
-                stats.shapes_pruned += 1
+            yield tuple(t)
             return
         k = sources[pos]
         allowed = dom[k]
@@ -690,8 +660,9 @@ def _surviving_shapes(
                 continue
             t[k] = option
             undo: List[Tuple[int, int]] = []
+            kept = False
             for last, _, check in waiting:
-                if not narrow(last, check, undo):
+                if not restrict(last, _domain(t, *check), undo):
                     break
             else:  # the filed pairs leave targets; now the pairs (u, k)
                 later = []
@@ -702,24 +673,23 @@ def _surviving_shapes(
                         if _domain(t, *check) != -1:
                             break
                     elif ready == k:
-                        if not narrow(last, check, undo):
+                        if not restrict(last, _domain(t, *check), undo):
                             break
                     else:
                         later.append(entry)
-                else:  # no pair fails or empties a domain: file the rest, descend
-                    for entry in later:
-                        filed[entry[1]].append(entry)
-                    yield from dfs(pos + 1)
-                    for entry in later:
-                        filed[entry[1]].pop()
-                    if undo:
-                        restore(undo)
-                    continue
-            if undo:
-                restore(undo)
-            stats.shapes_pruned += 1
+                else:  # no pair fails or empties a domain: the structure rule, then descend
+                    kept = structure(pos, k, option, g, undo)
+                    if kept:
+                        for entry in later:
+                            filed[entry[1]].append(entry)
+                        yield from dfs(pos + 1, g if option < 0 else math.gcd(g, option))
+                        for entry in later:
+                            filed[entry[1]].pop()
+            for s, old in reversed(undo):
+                dom[s] = old
+            stats.shapes_pruned += not kept
 
-    yield from dfs(0)
+    yield from dfs(0, 0)
 
 
 def _check_search(algebra: AlgebraSpec, weight: FieldElement, degree_bound: int, strategy) -> tuple:

@@ -11,10 +11,11 @@ Kernels come from the reduced row echelon form, as sparse vectors in a
 form that makes span membership a matter of clearing leads; the
 characteristic polynomial from a Hessenberg reduction, in every
 characteristic; determinants, kept as an independent check of it, from
-Gaussian elimination.  Polynomial roots are found by Horner evaluation
-over GF(p) and by p-adic lifting plus rational reconstruction over Q;
-``roots`` serves both the grading of spectra and the coefficient solver
-of the shape search.
+Gaussian elimination.  Polynomial roots of degree at most 2 come in
+closed form (a square root of the discriminant); higher degrees are
+found by Horner evaluation over GF(p) and by p-adic lifting plus
+rational reconstruction over Q.  ``roots`` serves both the grading of
+spectra and the coefficient solver of the shape search.
 """
 
 from __future__ import annotations
@@ -365,9 +366,53 @@ def rational_roots(coeffs: list) -> List[Fraction]:
     return sorted(roots)
 
 
+def quadratic_roots(a2, a1, a0, p) -> list:
+    """All roots in the field of a2 t^2 + a1 t + a0, a2 or a1 nonzero,
+    ascending, 0 included.  Over Q the coefficients (ints or Fractions)
+    are scaled to integers, whose discriminant must be a square
+    (``math.isqrt``), and the roots are Fractions.  Over GF(p), p odd, a
+    square root of the discriminant comes from Euler's criterion and
+    Tonelli-Shanks with the least non-residue (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 1.5.1); GF(2) has no 1/2,
+    so both of its elements are tried."""
+    if p is None:
+        den = lcm(a2.denominator, a1.denominator, a0.denominator)
+        c2, c1, c0 = (a.numerator * (den // a.denominator) for a in (a2, a1, a0))
+        if not c2:
+            return [Fraction(-c0, c1)]
+        disc = c1 * c1 - 4 * c2 * c0
+        if disc < 0 or (s := isqrt(disc)) * s != disc:
+            return []
+        low, high = Fraction(-c1 - s, 2 * c2), Fraction(-c1 + s, 2 * c2)
+        return [low] if not s else [low, high] if c2 > 0 else [high, low]
+    a2, a1, a0 = a2 % p, a1 % p, a0 % p
+    if not a2:
+        return [-a0 * pow(a1, -1, p) % p]
+    if p == 2:
+        return [v for v in (0, 1) if not (a2 * v + a1) * v + a0 & 1]
+    disc, half = (a1 * a1 - 4 * a2 * a0) % p, (p - 1) // 2
+    if pow(disc, half, p) > 1:
+        return []  # a non-residue
+    e = (half & -half).bit_length()  # p - 1 = 2^e q with q odd
+    q = (p - 1) >> e
+    z = next(z for z in range(2, p) if pow(z, half, p) == p - 1)
+    y, s, b = pow(z, q, p), pow(disc, (q + 1) // 2, p), pow(disc, q, p)
+    while b > 1:  # s^2 = disc * b, and the order of b halves each round
+        m, c = 0, b
+        while c != 1:
+            m, c = m + 1, c * c % p
+        w = pow(y, 1 << (e - m - 1), p)
+        y, e, s, b = w * w % p, m, s * w % p, b * w * w % p
+    inv = pow(2 * a2, -1, p)
+    return sorted({(-a1 - s) * inv % p, (-a1 + s) * inv % p})
+
+
 def roots(coeffs: list, p) -> list:
-    """All roots in the field, ascending: ``rational_roots`` over Q, and
-    Horner evaluation at every element over GF(p) for p up to the cap."""
+    """All roots in the field, ascending: ``quadratic_roots`` up to degree
+    2; above it ``rational_roots`` over Q, and Horner evaluation at every
+    element over GF(p) for p up to the cap."""
+    if 2 <= len(coeffs) <= 3:
+        return quadratic_roots(*[0] * (3 - len(coeffs)), *coeffs, p)
     if p is None:
         return rational_roots(coeffs)
     if p > _ROOT_SCAN_CAP:

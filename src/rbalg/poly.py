@@ -131,8 +131,8 @@ class AlgebraSpec:
             raise ValueError(
                 f"expected {self.nvars} exponents, got {len(exponents)}"
             )
-        if any(e < 0 for e in exponents):
-            raise ValueError("exponents must be non-negative")
+        if not all(type(e) is int and e >= 0 for e in exponents):  # not 1.0 or True either
+            raise ValueError(f"exponents must be non-negative integers, got {list(exponents)}")
         return Monomial(tuple(exponents))
 
     def one_monomial(self) -> Monomial:
@@ -143,9 +143,10 @@ class AlgebraSpec:
     def admits(self, m: Monomial) -> bool:
         """True when m is a basis monomial (nonzero in this algebra): the
         rule for polynomial terms, tensor keys and operator entries: the
-        arity is the algebra's, no exponent is negative, and the degree lies
-        between the least one and the truncation."""
-        if len(m.exponents) != self.nvars or min(m.exponents) < 0:
+        arity is the algebra's, every exponent is a non-negative int (not a
+        bool), and the degree lies between the least one and the truncation."""
+        exps = m.exponents
+        if len(exps) != self.nvars or not all(type(e) is int and e >= 0 for e in exps):
             return False
         d = m.degree()
         if d < self.min_degree():

@@ -30,8 +30,6 @@ from rbalg.classify import (
     CoefficientStrategy,
     FamilyMatch,
     MatchKind,
-    _respects_class_closure,
-    _respects_kernel_image_structure,
 )
 from rbalg.construct import residue_class, residues
 from rbalg.errors import (
@@ -793,10 +791,86 @@ def _pair_consistent(t, u: int, v: int, lam_one: bool, D: int) -> bool:
     return True
 
 
-def _starved(t, sources, pos: int, options, lam_one: bool, D: int) -> bool:
-    """Whether some source after sources[pos] has no target x for which
-    every pair whose only unassigned read it is holds with t[s] = x."""
+def _respects_kernel_image_structure(t, sources: Sequence[int]) -> bool:
+    """Weight-one structure filter for a complete shape: no present
+    target may be an absent source.  Nonzero-weight operators on the
+    full algebra have disjoint kernel and image (both subalgebras), so a
+    shape whose image meets its kernel is a quotient-only artifact.  On a
+    partial shape (unassigned entries UNASSIGNED) it judges the assigned
+    sources among themselves.
+    """
+    for n in sources:
+        target = t[n]
+        if target >= 0 and t[target] == ABSENT:
+            return False
+    return True
+
+
+def _respects_class_closure(t, sources: Sequence[int], D: int, unital: bool) -> bool:
+    """Weight-zero residue-class structure check for a complete shape.
+
+    With m* the gcd of the present targets, any extendable table has,
+    within each source class mod m*, a constant target shift, and its
+    absent members are exactly those whose shifted target overflows the
+    bound.  Mixed classes with an in-range hole cannot come from an
+    operator on the full algebra; the quotient-only solutions this
+    removes are deliberate (the search mirrors the full-algebra class
+    structure).  Given the assigned sources of a partial shape, it judges
+    them with m* the gcd of their present targets.
+    """
+    present = [(n, t[n]) for n in sources if t[n] >= 0]
+    if not present:
+        return True
+    m_star = gcd(*(target for _, target in present))
+    if m_star == 0:
+        return True  # every image is the constant; no class structure
+    min_target = 0 if unital else 1
+    by_class: Dict[int, List[int]] = {}
+    for n in sources:
+        by_class.setdefault(n % m_star, []).append(n)
+    for members in by_class.values():
+        shift = None
+        for n in members:
+            if t[n] >= 0:
+                if shift is None:
+                    shift = t[n] - n
+                elif t[n] - n != shift:
+                    return False
+        if shift is None:
+            continue  # fully absent class
+        for n in members:
+            if t[n] == ABSENT and min_target <= n + shift <= D:
+                return False
+    return True
+
+
+def _structure_admits(t, assigned, s: int, x: int, D: int, unital: bool, lam_one: bool) -> bool:
+    """Whether the structure rule lets the unassigned source s take x,
+    given the assigned sources.  Weight one: the assigned sources and s
+    pass the kernel/image filter.  Weight zero: when some assigned present
+    target shares s's class mod g, the gcd of the assigned present
+    targets, x is s plus that member's shift, or ABSENT when that is out
+    of range."""
+    if lam_one:
+        before, t[s] = t[s], x
+        ok = _respects_kernel_image_structure(t, [*assigned, s])
+        t[s] = before
+        return ok
+    present = [n for n in assigned if t[n] >= 0]
+    g = gcd(*(t[n] for n in present))
+    for n in present:
+        if g and (s - n) % g == 0:
+            target = s + t[n] - n
+            return x == (target if (0 if unital else 1) <= target <= D else ABSENT)
+    return True
+
+
+def _starved(t, sources, pos: int, options, lam_one: bool, D: int, unital: bool) -> bool:
+    """Whether some source after sources[pos] has no target x that the
+    structure rule admits and for which every pair whose only unassigned
+    read it is holds with t[s] = x."""
     k = sources[pos]
+    assigned = sources[: pos + 1]
     watching: Dict[int, list] = {}
     for ui in range(pos + 1):
         for vi in range(ui, pos + 1):
@@ -804,15 +878,19 @@ def _starved(t, sources, pos: int, options, lam_one: bool, D: int) -> bool:
             unassigned = [r for r in _pair_reads(t, u, v, lam_one, D) if r > k]
             if len(unassigned) == 1:
                 watching.setdefault(unassigned[0], []).append((u, v))
-    for s, pairs in watching.items():
+    for s in sources[pos + 1 :]:
+        pairs = watching.get(s, [])
         before = t[s]
         admissible = False
         for x in options:
+            if not _structure_admits(t, assigned, s, x, D, unital, lam_one):
+                continue
             t[s] = x
             if all(_pair_consistent(t, u, v, lam_one, D) for u, v in pairs):
                 admissible = True
+            t[s] = before
+            if admissible:
                 break
-        t[s] = before
         if not admissible:
             return True
     return False
@@ -821,9 +899,11 @@ def _starved(t, sources, pos: int, options, lam_one: bool, D: int) -> bool:
 def reference_shapes(D, unital, lam_one, budget, stats, forward=False):
     """``classify._surviving_shapes`` as the old loop: at every node and
     option, rescan all earlier pairs for those whose last reference is the
-    current source and re-derive each one's bookkeeping from ``t``.  With
-    forward, an option is pruned too when ``_starved`` finds a later
-    source with no admissible target."""
+    current source and re-derive each one's bookkeeping from ``t``, and
+    filter complete shapes by the structure rule.  With forward, an option
+    is pruned too when the assigned sources break the structure rule, or
+    when ``_starved`` finds a later source with no admissible target; then
+    every complete shape passes the filter."""
     min_src = 0 if unital else 1
     sources = list(range(min_src, D + 1))
     t = [ABSENT] * (D + 1)
@@ -863,7 +943,12 @@ def reference_shapes(D, unital, lam_one, budget, stats, forward=False):
                 if not ok:
                     break
             if ok and forward:
-                ok = not _starved(t, sources, pos, options, lam_one, D)
+                assigned = sources[: pos + 1]
+                if lam_one:
+                    ok = _respects_kernel_image_structure(t, assigned)
+                else:
+                    ok = _respects_class_closure(t, assigned, D, unital)
+                ok = ok and not _starved(t, sources, pos, options, lam_one, D, unital)
             if ok:
                 yield from dfs(pos + 1)
             else:
@@ -881,9 +966,10 @@ def line_table(D):
 
 def reference_forward_shapes(D, unital, lam_one, budget, stats, mul=None):
     """``classify._surviving_shapes`` as a rescanning loop with forward
-    checking: ``reference_shapes`` that also prunes an option leaving some
-    later source no target.  It reads every product from exponents, so the
-    caller's table ``mul`` is left unread."""
+    checking: ``reference_shapes`` that also prunes an option breaking the
+    structure rule among the assigned sources or leaving some later source
+    no target.  It reads every product from exponents, so the caller's
+    table ``mul`` is left unread."""
     return reference_shapes(D, unital, lam_one, budget, stats, forward=True)
 
 

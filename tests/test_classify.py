@@ -28,6 +28,8 @@ from rbalg.errors import (
 from helpers import (
     _pair_consistent,
     _pair_reads,
+    _respects_class_closure,
+    _respects_kernel_image_structure,
     field_elements,
     inverse_degree_table,
     line_table,
@@ -199,9 +201,10 @@ def test_searches_refuse_a_grid_from_another_field(field, other):
 def test_shape_search_matches_reference(lam_one, unital, degree):
     """The forward-checked DFS against the rescanning loop that forward
     checks: the same shapes in the same order and the same counters; and
-    against the loop without forward checking: the same shapes, no more
-    nodes.  The shape DFS never sees the field, so this covers the search
-    over Q and every GF(p)."""
+    against the loop without forward checking, which filters complete
+    shapes by the structure rule: the same shapes, no more nodes, and
+    every complete shape the DFS reaches passes.  The shape DFS never
+    sees the field, so this covers the search over Q and every GF(p)."""
     from rbalg.classify import SearchStats, _surviving_shapes
 
     fast, forward, plain = SearchStats(), SearchStats(), SearchStats()
@@ -209,7 +212,7 @@ def test_shape_search_matches_reference(lam_one, unital, degree):
     assert got == list(reference_forward_shapes(degree, unital, lam_one, 10**7, forward))
     assert fast == forward
     assert got == list(reference_shapes(degree, unital, lam_one, 10**7, plain))
-    assert fast.shapes_enumerated == plain.shapes_enumerated
+    assert fast.shapes_enumerated == len(got) <= plain.shapes_enumerated
     assert fast.nodes_visited <= plain.nodes_visited
 
 
@@ -229,20 +232,21 @@ def test_search_builds_one_product_table(weight):
 @pytest.mark.parametrize("budget", [1, 3, 40, 700])
 def test_shape_search_budget_matches_reference(budget):
     """Both searches abort at the same node, having yielded the same shapes,
-    and the exception carries the counters at the abort."""
+    and the exception carries the counters at the abort.  The whole search
+    visits 835 nodes."""
     from rbalg.classify import SearchStats, _surviving_shapes
 
     fast, slow = SearchStats(), SearchStats()
     got, want = [], []
     with pytest.raises(SearchBudgetExceeded):
-        got.extend(_surviving_shapes(6, False, False, budget, fast, line_table(6)))
+        got.extend(_surviving_shapes(7, False, False, budget, fast, line_table(7)))
     with pytest.raises(SearchBudgetExceeded):
-        want.extend(reference_forward_shapes(6, False, False, budget, slow))
+        want.extend(reference_forward_shapes(7, False, False, budget, slow))
     assert got == want and fast == slow
     assert fast.nodes_visited == budget + 1
     strategy = CoefficientStrategy(grid=(QQ.one(),), shape_budget=budget)
     with pytest.raises(SearchBudgetExceeded) as exc:
-        enumerate_monomial_rb(NONUNITAL, QQ.zero(), 6, strategy)
+        enumerate_monomial_rb(NONUNITAL, QQ.zero(), 7, strategy)
     aborted = exc.value.stats
     assert (aborted.nodes_visited, aborted.shapes_enumerated, aborted.shapes_pruned) == (
         fast.nodes_visited,
@@ -432,20 +436,23 @@ def test_solver_matches_reference_on_search_systems(field):
 @pytest.mark.parametrize(
     "field,grid,weight,unital,degree,stats,count",
     [
-        (QQ, None, 1, False, 8, (254, 8, 1967, 2, 0), 7),
-        (QQ, None, 1, True, 8, (671, 22, 5826, 16, 0), 4),
-        (QQ, None, 0, False, 6, (1458, 515, 5513, 146, 0), 771),
-        (prime_field(11), (1, 2, 3), 0, True, 5, (1995, 808, 6712, 411, 0), 89),
+        (QQ, None, 1, False, 8, (151, 2, 1191, 2, 0), 7),
+        (QQ, None, 1, True, 8, (557, 16, 4854, 16, 0), 4),
+        (QQ, None, 0, False, 6, (436, 146, 1595, 146, 0), 771),
+        (prime_field(11), (1, 2, 3), 0, True, 5, (1074, 411, 3568, 411, 0), 89),
     ],
 )
 def test_search_stats_pinned(field, grid, weight, unital, degree, stats, count):
-    """Counters of fixed searches, so a change in pruning shows."""
+    """Counters of fixed searches, so a change in pruning shows.  The
+    structure rules prune in the domains, so every complete shape is
+    solved: shapes_enumerated equals systems_solved."""
     strategy = None
     if grid is not None:
         strategy = CoefficientStrategy(tuple(field.from_int(v) for v in grid))
     algebra = AlgebraSpec(field, nvars=1, unital=unital, truncation=None)
     report = enumerate_monomial_rb(algebra, field.from_int(weight), degree, strategy)
     assert tuple(report.stats.to_json_dict().values()) == stats
+    assert report.stats.shapes_enumerated == report.stats.systems_solved
     assert len(report.solutions) == count
 
 
@@ -832,11 +839,7 @@ def test_search_against_exhaustive_ground_truth_gf5(weight_value, unital):
     """
     import itertools
 
-    from rbalg.classify import (
-        ABSENT,
-        _respects_class_closure,
-        _respects_kernel_image_structure,
-    )
+    from rbalg.classify import ABSENT
 
     field = prime_field(5)
     D = 3 if unital else 4

@@ -307,19 +307,19 @@ def test_classify_default_grid_over_a_large_prime_is_refused(capsys):
     [
         pytest.param(
             "--weight 1 --degree 8",
-            "a706198e9fc716516673142ffd51404fdd29d90e95a04a0ac19accc3baf07967",
+            "16159c1d5adaf7efcf876c7cf0c40cd48f500f43e93d35260e1ffa4a4a09b5a8",
             "4fd9e122cb022b93c41336afb16c9b8a1383f8653d1fcbf23093575082d307c9",
             id="--weight 1 --degree 8",
         ),
         pytest.param(
             "--weight 0 --unital true --degree 6",
-            "f87b072caeacb484f3bf10cf5408528d12cba87d59e8fa076f4576a4368f40fe",
+            "c28af09353498c20eb0e954af72d6f4b101c0f5cf23ccdfd0289ff8d7e40ca42",
             "6a9e6ace97ece8b5249b2691d766f74e40dd6b332dcac2e5aceb7b299fc9ea95",
             id="--weight 0 --unital true --degree 6",
         ),
         pytest.param(
             "--field Fp:11 --grid 1,2,3 --weight 0 --unital true --degree 5",
-            "9371bbbfc5399e0049cd931947d69785777478a89ac944e52af5436c17d0e94b",
+            "ba79f10f11422966ebd818043dee5284a7e94d2f6e0b986cedef2f36cd5b5d69",
             "533dc0bc630f62e694b5f48186249378def9e49394040b33bcae778723155b56",
             id="--field Fp:11 --grid 1,2,3 --weight 0 --unital true --degree 5",
         ),
@@ -337,8 +337,7 @@ def test_classify_output_is_pinned(capsys, argv, digest, solutions_digest):
 
 
 def test_classify_over_a_prime_beyond_4096(capsys):
-    # weight-one shapes here give quadratics, whose roots are found by
-    # trying every element of GF(4099)
+    # weight-one shapes here give quadratics, solved in closed form over GF(4099)
     code, out, _ = run_cli(
         capsys, "classify", "--field", "Fp:4099", "--grid", "1,2,3", "--unital", "true",
         "--weight", "1", "--degree", "4",
@@ -350,6 +349,23 @@ def test_classify_over_a_prime_beyond_4096(capsys):
         table = MonomialOperatorTable.from_json_dict(s["table"])
         assert table.algebra.field == prime_field(4099)
         assert rb_check(table, table.weight, 4).passed
+
+
+def test_classify_over_a_prime_beyond_any_scan(capsys):
+    """Over GF(1000003) the solver's quadratics have no root scan to fall
+    back on; every reported table passes the check."""
+    code, out, _ = run_cli(
+        capsys, "classify", "--weight", "0", "--degree", "6", "--field", "Fp:1000003",
+        "--grid", "1,2,3",
+    )
+    assert code == 0
+    solutions = json.loads(out)["solutions"]
+    kinds = [s["match"]["kind"] for s in solutions]
+    assert (len(kinds), kinds.count("weight_zero_family")) == (282, 102)
+    for s in solutions:
+        table = MonomialOperatorTable.from_json_dict(s["table"])
+        assert table.algebra.field == prime_field(1000003)
+        assert rb_check(table, table.weight, 6).passed
 
 
 def test_grade_quotient_table(tmp_path, capsys):
@@ -754,3 +770,93 @@ def test_package_entry_point():
     result = run_module("rbalg", "selftest")
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["status"] == "pass"
+
+
+def _fuzz_base():
+    """A truncated weight-one table that check, grade and match accept."""
+    algebra = AlgebraSpec(QQ, nvars=1, unital=False, truncation=3)
+    return construct_weight_one_univariate(QQ.one(), algebra, 3).to_json_dict()
+
+
+def _with(path, value):
+    """The base table with the value at path (keys and list indices)
+    replaced, or removed when value is _DROP."""
+    data = json.loads(json.dumps(_fuzz_base()))
+    *head, last = path
+    node = data
+    for key in head:
+        node = node[key]
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return json.dumps(data)
+
+
+_DROP = object()
+_BASE_TEXT = json.dumps(_fuzz_base())
+_FUZZ_CASES = {
+    # the document itself
+    "top-level-list": json.dumps([_fuzz_base()]),
+    "top-level-string": json.dumps("table"),
+    "top-level-null": "null",
+    "top-level-number": "3",
+    "empty-file": "",
+    "truncated-file": _BASE_TEXT[: len(_BASE_TEXT) // 2],
+    "dense-kind-without-images": _with(["kind"], "dense"),
+    # the algebra
+    "no-algebra": _with(["algebra"], _DROP),
+    "algebra-string": _with(["algebra"], "Q"),
+    "field-unknown": _with(["algebra", "field"], "R"),
+    "field-not-prime": _with(["algebra", "field"], "Fp:9"),
+    "field-number": _with(["algebra", "field"], 7),
+    "nvars-string": _with(["algebra", "nvars"], "one"),
+    "nvars-zero": _with(["algebra", "nvars"], 0),
+    "nvars-two": _with(["algebra", "nvars"], 2),
+    "truncation-string": _with(["algebra", "truncation"], "x"),
+    "truncation-list": _with(["algebra", "truncation"], [3]),
+    # weight and bound
+    "weight-division-by-zero": _with(["weight"], "1/0"),
+    "weight-word": _with(["weight"], "one"),
+    "weight-null": _with(["weight"], None),
+    "no-weight": _with(["weight"], _DROP),
+    "bound-string": _with(["degree_bound"], "x"),
+    "bound-above-truncation": _with(["degree_bound"], 4),
+    # the entries
+    "no-entries": _with(["entries"], _DROP),
+    "entries-string": _with(["entries"], "x"),
+    "entries-object": _with(["entries"], {"src": [1]}),
+    "entry-list": _with(["entries", 0], [[1], "1", [1]]),
+    "src-float": _with(["entries", 1, "src"], [1.5]),
+    "src-boolean": _with(["entries", 0, "src"], [True]),
+    "src-negative": _with(["entries", 0, "src"], [-1]),
+    "src-string": _with(["entries", 0, "src"], "1"),
+    "src-empty": _with(["entries", 0, "src"], []),
+    "src-constant": _with(["entries", 0, "src"], [0]),
+    "src-above-bound": _with(["entries", 0, "src"], [5]),
+    "dst-float": _with(["entries", 1, "dst"], [2.0]),
+    "dst-boolean": _with(["entries", 0, "dst"], [False]),
+    "coeff-division-by-zero": _with(["entries", 1, "coeff"], "1/0"),
+    "coeff-word": _with(["entries", 1, "coeff"], "third"),
+    "coeff-null": _with(["entries", 1, "coeff"], None),
+    "no-dst": _with(["entries", 2, "dst"], _DROP),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FUZZ_CASES))
+def test_malformed_table_fuzz(tmp_path, capsys, case):
+    """Fixed mutations of one table that every command accepts: check,
+    grade and classify --match-only exit 2 on each, with one line on
+    stderr that starts with ``error:``, nothing on stdout and no
+    traceback."""
+    path = tmp_path / "table.json"
+    path.write_text(_FUZZ_CASES[case])
+    for argv in (
+        ["check", "--operator", str(path), "--weight", "1"],
+        ["grade", "--operator", str(path), "--weight", "1"],
+        ["classify", "--match-only", "--operator", str(path)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), (argv[0], err)
+        assert err.startswith("error:") and len(err.splitlines()) == 1, (argv[0], err)
+        assert "Traceback" not in err

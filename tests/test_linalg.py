@@ -10,7 +10,7 @@ to raw values and its results back to FieldElements.
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -26,6 +26,7 @@ from helpers import (
     reference_prime_field_roots,
     reference_rational_roots,
 )
+from helpers import _reference_nonzero_roots
 from rbalg import (
     QQ,
     AlgebraSpec,
@@ -148,10 +149,100 @@ def test_rational_roots_of_linear_and_constant_polynomials():
 
 
 def test_roots_scan_prime_fields_up_to_the_cap():
+    """Degree 3 and up is scanned, up to the cap; degree 2 and below is
+    solved in closed form in every prime field."""
     big = 65521  # the largest prime below the cap of 65536
+    assert linalg.roots([1, 0, 0, big - 8], big) == [2, 32173, 33346]
     assert linalg.roots([1, 0, big - 4], big) == [2, 65519]
     with pytest.raises(SearchBudgetExceeded, match=r"GF\(65537\) is beyond desk scale"):
-        linalg.roots([1, 1], 65537)
+        linalg.roots([1, 0, 0, 65537 - 8], 65537)
+    assert linalg.roots([1, 1], 65537) == [65536]
+
+
+SMALL_PRIMES = tuple(p for p in range(2, 102) if all(p % d for d in range(2, p)))
+LARGE_PRIMES = (65537, 1000003, 998244353, 1000000007, 2**31 - 1)  # 998244353 = 119 * 2^23 + 1
+
+
+def low_degree(draw_value):
+    """Coefficients, leading first, of a polynomial of degree 1 or 2."""
+    return st.tuples(draw_value, draw_value, draw_value, st.booleans()).filter(
+        lambda c: c[0] or (c[3] and c[1])
+    ).map(lambda c: list(c[:3]) if c[0] else list(c[1:3]))
+
+
+@settings(max_examples=300, deadline=None)
+@example((2, [1, 1, 1]))
+@example((2, [1, 0, 1]))
+@example((2, [1, 1, 0]))
+@example((2, [1, 1]))
+@example((3, [1, 0, 1]))
+@example((3, [1, 0, 2]))
+@given(st.sampled_from(SMALL_PRIMES).flatmap(
+    lambda p: st.tuples(st.just(p), low_degree(st.integers(0, p - 1)))
+))
+def test_low_degree_roots_match_the_scan(case):
+    """Degree 1 and 2 in closed form against Horner evaluation at every
+    element of GF(p), p <= 101, GF(2) and GF(3) included."""
+    p, coeffs = case
+    degree = len(coeffs) - 1
+    scan = [v for v in range(p) if sum(c * v ** (degree - i) for i, c in enumerate(coeffs)) % p == 0]
+    assert linalg.roots(coeffs, p) == scan
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    low_degree(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)))
+    | st.tuples(
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)).filter(bool),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+    ).map(lambda c: [c[0], -c[0] * (c[1] + c[2]), c[0] * c[1] * c[2]])  # planted roots
+)
+def test_low_degree_roots_match_the_reference_over_q(coeffs):
+    """Over Q the nonzero roots are the solver's FieldElement reference
+    roots, 0 is a root exactly when the constant term vanishes, and
+    every root is a Fraction, also for int coefficients."""
+    got = linalg.roots(coeffs, None)
+    assert all(type(r) is Fraction for r in got)
+    assert got == sorted(got) and len(set(got)) == len(got)
+    *rest, a0 = [QQ.element(c.numerator, c.denominator) for c in coeffs]
+    a2, a1 = rest if len(rest) == 2 else (QQ.zero(), rest[0])
+    want = [r.value for r in _reference_nonzero_roots(a2, a1, a0)]
+    assert [r for r in got if r] == want
+    assert (Fraction(0) in got) == (coeffs[-1] == 0)
+    ints = [int(c) for c in coeffs]
+    if ints == coeffs and ints[0]:
+        assert all(type(r) is Fraction for r in linalg.roots(ints, None))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(LARGE_PRIMES).flatmap(
+    lambda p: st.tuples(
+        st.just(p),
+        st.integers(1, p - 1),
+        st.integers(0, p - 1),
+        st.integers(0, p - 1),
+        st.booleans(),
+    )
+))
+def test_low_degree_roots_over_large_primes(case):
+    """In prime fields up to 2^31 - 1, beyond any scan: every reported
+    root is a root, a quadratic planted with roots r and s reports
+    exactly them, and one with no root has a non-residue discriminant."""
+    p, a, r, s, planted = case
+    if planted:
+        coeffs = [a, -a * (r + s) % p, a * r * s % p]
+    else:
+        coeffs = [a, r, s]
+    got = linalg.roots(coeffs, p)
+    assert got == sorted(set(got))
+    assert all((coeffs[0] * x * x + coeffs[1] * x + coeffs[2]) % p == 0 for x in got)
+    if planted:
+        assert got == sorted({r, s})
+    if not got:
+        disc = (coeffs[1] ** 2 - 4 * coeffs[0] * coeffs[2]) % p
+        assert pow(disc, (p - 1) // 2, p) == p - 1
+    assert linalg.roots([a, r], p) == [-r * pow(a, -1, p) % p]
 
 
 @settings(max_examples=60, deadline=None)

@@ -66,6 +66,20 @@ def test_negative_exponents_are_refused():
         Polynomial(UNITAL, {Monomial((-1,)): QQ.one()})
 
 
+@pytest.mark.parametrize("exponent", [1.5, 1.0, True, False, "1"], ids=repr)
+def test_non_integer_exponents_are_refused(exponent):
+    """Only an int is an exponent: a float, even 1.0, or a bool from a JSON
+    document is refused when the monomial is built, and never admitted."""
+    bivariate = AlgebraSpec(QQ, nvars=2)
+    assert not UNITAL.admits(Monomial((exponent,)))
+    assert not bivariate.admits(Monomial((1, exponent)))
+    with pytest.raises(ValueError, match="exponents must be non-negative integers"):
+        UNITAL.monomial(exponent)
+    with pytest.raises(ValueError, match="exponents must be non-negative integers"):
+        bivariate.monomial(exponent, 2)
+    assert UNITAL.monomial(1) == Monomial((1,))
+
+
 def test_basis_index_of_a_truncated_algebra():
     algebra = AlgebraSpec(prime_field(5), nvars=2, unital=True, truncation=3)
     index = algebra.basis_index
