@@ -18,10 +18,10 @@ from typing import Dict, List, Optional, Tuple
 from .errors import InvalidParams, MixedFieldSpecs, NonUnitalAlgebra, SearchBudgetExceeded
 from .fields import FieldElement
 from .operators import DenseOperator
-from .poly import AlgebraSpec, Monomial, Polynomial, _accumulate
+from .poly import AlgebraSpec, Monomial, Polynomial, _accumulate, _json_typed
 
 TensorKey = Tuple[Monomial, ...]
-MAX_CELLS = 16  # support cells aybe_grid_search takes: degree 3 in one variable
+MAX_CELLS = 256  # support cells aybe_grid_search takes: its plan grows with their square
 
 
 class TensorElement:
@@ -176,7 +176,7 @@ class TensorElement:
         for item in data["terms"]:
             key = tuple(algebra.monomial(*e) for e in item["exps"])
             terms[key] = algebra.field.parse(item["coeff"])
-        return TensorElement(algebra, int(data["arity"]), terms)
+        return TensorElement(algebra, _json_typed(data["arity"], "arity"), terms)
 
 
 def aybe_residual(r: TensorElement, weight: FieldElement) -> TensorElement:

@@ -2,12 +2,12 @@
 univariate algebras, and matching of discovered tables against the
 classified parametric families.
 
-The search enumerates shape functions (source exponent -> optional
-target exponent) depth-first with sound pruning: for every monomial
+The search enumerates shape functions (source monomial -> optional
+target monomial) depth-first with sound pruning: for every monomial
 pair the degree bookkeeping of the Rota-Baxter identity in the quotient
 must admit SOME nonzero coefficient assignment, using only the fact
-that stored coefficients are nonzero.  Monomials are basis indices, and
-every product is read from one product table (``poly.product_table``).
+that stored coefficients are nonzero.  Monomials are basis positions,
+and every product is read from the rows of one ``BasisIndex``.
 Each pair is compiled once per (u, v, t[u], t[v]) and forward checked by
 one check: as soon as every source it reads but the last is assigned, it
 narrows the targets still admissible for that last source, and an option
@@ -24,7 +24,8 @@ strategy grid, each distinct value once; coefficients no constraint
 mentions -- truncation artifacts -- are set to 1, flagged under-constrained.
 
 The shape search and the injective diagonal search (the identity shape
-on k0[x1..xn]) share one pipeline: ``_check_search`` validates and
+on k0[x1..xn]) share one pipeline on a ``BasisIndex``, unknowns named by
+basis position until a report is built: ``_check_search`` validates and
 picks the seed grid, and ``_verified_tables`` builds a shape's
 equations, solves them, builds each candidate table and re-verifies it
 by the exhaustive pairwise identity check, so the output is sound by
@@ -63,7 +64,7 @@ from .errors import (
 )
 from .fields import FieldElement, FieldKind, FieldSpec
 from .operators import MonomialOperatorTable
-from .poly import AlgebraSpec, Monomial, product_table
+from .poly import AlgebraSpec, BasisIndex, Monomial
 from .rbcheck import rb_check
 
 ABSENT = -1
@@ -102,13 +103,12 @@ def default_strategy(field: FieldSpec) -> CoefficientStrategy:
 
 
 def _compile_pair(u: int, v: int, tu: int, tv: int, lam_one: bool, mul):
-    """Degree bookkeeping of the identity for the pair (x^u, x^v), u <= v,
-    from its two targets: (last, ready, (lhs, own, rest)), where last is
-    the largest source the pair reads and ready the largest other one.
-    mul is the product table of the basis indices; a product outside it
-    vanishes.
+    """Degree bookkeeping of the identity for the pair of basis positions
+    u <= v, from its two targets: (last, ready, (lhs, own, rest)), where
+    last is the largest source the pair reads and ready the largest other
+    one.  mul holds the product rows; a product outside the basis vanishes.
 
-    The inner terms x^i are grouped by i; a group is certain when its
+    The inner terms are grouped by position i; a group is certain when its
     coefficient cannot cancel, i.e. it is one product of nonzero entries
     (for u == v, 2*a_u*a_i).  When last is v no read is left free: own is
     False and rest holds every group as (i, certain, other indices).
@@ -173,36 +173,36 @@ def _domain(t, lhs, own, rest) -> int:
 # -- coefficient solving ---------------------------------------------------------
 
 
-def _shape_equations(t, sources: Sequence[int], lam_one: bool, mul):
-    """Per-degree constraints as lists of (sign, vars) terms, with mul the
-    product table of the basis indices.
+def _shape_equations(t, lam_one: bool, mul):
+    """Per-target constraints as lists of (sign, vars) terms, with every
+    basis position a source and mul the basis's product rows.
 
     vars is a 1-tuple (linear, from the weight term) or a 2-tuple
     (product of two coefficients); the identity contributes the pair
     product positively and the three inner applications negatively.
-    sources ascend, and equations come in pair order (u, v), u <= v.
+    Equations come in pair order (u, v), u <= v.
     """
     equations = []
-    defined = [n for n in sources if t[n] >= 0]
-    for ui, u in enumerate(sources):
-        tu = t[u]
+    defined = [n for n, target in enumerate(t) if target >= 0]
+    for u, tu in enumerate(t):
+        row, trow = mul[u], mul[tu] if tu >= 0 else None
         # at weight zero a pair of two absent targets has no term
-        partners = sources[ui:] if tu >= 0 or lam_one else defined[bisect_left(defined, u):]
+        partners = range(u, len(t)) if tu >= 0 or lam_one else defined[bisect_left(defined, u):]
         for v in partners:
             tv = t[v]
             per_degree: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
-            if tu >= 0 and tv >= 0 and mul[tu][tv] is not None:
-                per_degree.setdefault(mul[tu][tv], []).append((1, (u, v)))
-            if tu >= 0:
-                ia = mul[tu][v]
+            if trow is not None:
+                if tv >= 0 and trow[tv] is not None:
+                    per_degree.setdefault(trow[tv], []).append((1, (u, v)))
+                ia = trow[v]
                 if ia is not None and t[ia] >= 0:
                     per_degree.setdefault(t[ia], []).append((-1, (u, ia)))
             if tv >= 0:
-                ib = mul[u][tv]
+                ib = row[tv]
                 if ib is not None and t[ib] >= 0:
                     per_degree.setdefault(t[ib], []).append((-1, (v, ib)))
             if lam_one:
-                ic = mul[u][v]
+                ic = row[v]
                 if ic is not None and t[ic] >= 0:
                     per_degree.setdefault(t[ic], []).append((-1, (ic,)))
             for terms in per_degree.values():
@@ -234,12 +234,12 @@ def _raw_grid(strategy: CoefficientStrategy) -> list:
     return list(dict.fromkeys(g.value for g in strategy.grid if g))
 
 
-def _solve_coefficients(equations, unknowns: Sequence, field: FieldSpec, strategy, grid=None):
+def _solve_coefficients(equations, unknowns: Sequence, field: FieldSpec, strategy, grid):
     """All full nonzero assignments: (values, seeded, orphans) triples.
 
     equations are lists of (coeff, vars) terms, vars one or two unknowns;
-    grid is ``_raw_grid(strategy)``, derived here when None.  Propagation
-    and seeding run on raw values; each triple's values are FieldElements.
+    grid is ``_raw_grid(strategy)``.  Propagation and seeding run on raw
+    values; each triple's values are FieldElements.
 
     A pass reads the marked equations in index order (at first, all) and
     acts on one left with at most one unknown: it fails, fixes that
@@ -252,8 +252,6 @@ def _solve_coefficients(equations, unknowns: Sequence, field: FieldSpec, strateg
     """
     p = field.p
     one = Fraction(1) if p is None else 1
-    if grid is None:
-        grid = _raw_grid(strategy)
     watch: Dict[int, set] = {}  # unknown -> the equations read so far that mention it
     solutions = []
 
@@ -571,29 +569,32 @@ class ClassificationReport:
 
 
 def _surviving_shapes(
-    D: int, unital: bool, lam_one: bool, budget: int, stats: SearchStats, mul
+    index: BasisIndex, lam_one: bool, budget: int, stats: SearchStats
 ) -> Iterator[Tuple[int, ...]]:
     """Depth-first, the shapes (t[n] the target of source n, or ABSENT)
     that pass pair pruning and the structure rule; fills the shape
-    counters of stats.  ``mul`` is the product table of x^0..x^D (index n is x^n).
+    counters of stats.  Sources and targets are the positions of index,
+    a truncated algebra's basis, and products are read from its rows.
 
     Forward checking: dom[s] is the bitmask of targets still admissible
-    for source s (bit x + 1 for target x).  Each pair (x^u, x^v), u <= v,
-    is compiled once per (u, v, t[u], t[v]) when v is assigned.  A pair
-    whose last read is v is checked at once; any other pair narrows the
-    mask of its last read as soon as its ready read is assigned (at once
-    if that is v, else filed under ready), so an option is pruned the
+    for source s (bit x + 1 for target x).  Each pair of positions
+    u <= v is compiled once per (u, v, t[u], t[v]) when v is assigned.  A
+    pair whose last read is v is checked at once; any other pair narrows
+    the mask of its last read as soon as its ready read is assigned (at
+    once if that is v, else filed under ready), so an option is pruned the
     moment some later source has no target left.  Options outside dom[k]
     count as pruned where the plain check would have failed them.  The
     weight's structure rule narrows the same masks, so every complete
     shape obeys it.  Narrowings are undone through a log and filings
     popped on backtrack.
     """
-    sources = list(range(0 if unital else 1, D + 1))
-    options = [ABSENT] + sources
-    t = [ABSENT] * (D + 1)  # entries above the current source are never read
-    dom = [sum(1 << (x + 1) for x in options)] * (D + 1)
-    filed: List[list] = [[] for _ in range(D + 1)]
+    deg, size = index.degrees, len(index.degrees)
+    sources = list(range(size))  # sliced in the hot loop: a list slices faster than a range
+    options = [ABSENT, *sources]
+    t = [ABSENT] * size  # entries above the current source are never read
+    dom = [(2 << size) - 1] * size
+    filed: List[list] = [[] for _ in sources]
+    mul = [index.mul[i] for i in sources]  # the index's rows, read faster as a list
     compiled = cache(partial(_compile_pair, lam_one=lam_one, mul=mul))
 
     def restrict(s: int, mask: int, undo: list) -> bool:
@@ -605,33 +606,35 @@ def _surviving_shapes(
             dom[s] = new
         return new != 0
 
-    def kernel_image(pos: int, k: int, option: int, g: int, undo: list) -> bool:
+    def kernel_image(k: int, option: int, g: int, undo: list) -> bool:
         """Weight one: kernel and image are disjoint, so an absent k is no
         later source's target, and a target above k is not absent (one at
         or below k was vetted by dom[k])."""
         if option != ABSENT:
             return option <= k or restrict(option, ~1, undo)
-        return all(restrict(s, ~(2 << k), undo) for s in sources[pos + 1 :])
+        return all(restrict(s, ~(2 << k), undo) for s in sources[k + 1 :])
 
-    def class_closure(pos: int, k: int, option: int, g: int, undo: list) -> bool:
-        """Weight zero, with g the gcd of the present targets before k and
-        h = gcd(g, option): a class mod h with a present member has one
-        shift s, its assigned absent members n have n + s out of range, and
-        its later members narrow to n + s, or to ABSENT when that is out of
-        range.  The final gcd divides h, so this is sound.  While g holds,
-        only k's class can change (an absent k was vetted by dom[k]); when
-        it shrinks, classes merge and each is checked again."""
-        if option == ABSENT or not (h := math.gcd(g, option)):
+    def class_closure(k: int, option: int, g: int, undo: list) -> bool:
+        """Weight zero on k0[x], the one univariate rule: g is the gcd of
+        the present target degrees before k and h = gcd(g, deg[option]).
+        As a position and its degree differ by a constant, a class mod h
+        with a present member has one shift s, its assigned absent members
+        n have n + s out of range, and its later members narrow to n + s,
+        or to ABSENT when that is out of range.  The final gcd divides h,
+        so this is sound.  While g holds, only k's class can change (an
+        absent k was vetted by dom[k]); when it shrinks, classes merge and
+        each is checked again."""
+        if option == ABSENT or not (h := math.gcd(g, deg[option])):
             return True
-        for first in [pos % h] if h == g else range(min(h, pos + 1)):
+        for first in [k % h] if h == g else range(min(h, k + 1)):
             members = sources[first::h]
-            assigned = (pos - first) // h + 1
+            assigned = (k - first) // h + 1
             lead = next((n for n in members[:assigned] if t[n] >= 0), None)
             if lead is None or h == g and lead < k:
                 continue  # no shift yet, or checked when it first had one
             shift = t[lead] - lead
             for i, n in enumerate(members):
-                target = n + shift if sources[0] <= n + shift <= D else ABSENT
+                target = n + shift if 0 <= n + shift < size else ABSENT
                 if i < assigned:
                     if t[n] != target:
                         return False
@@ -641,17 +644,16 @@ def _surviving_shapes(
 
     structure = kernel_image if lam_one else class_closure
 
-    def dfs(pos: int, g: int):
+    def dfs(k: int, g: int):  # k: the source to assign
         stats.nodes_visited += 1
         if stats.nodes_visited > budget:
             raise SearchBudgetExceeded(
                 f"shape budget of {budget} nodes exhausted", replace(stats)
             )
-        if pos == len(sources):
+        if k == len(sources):
             stats.shapes_enumerated += 1
             yield tuple(t)
             return
-        k = sources[pos]
         allowed = dom[k]
         waiting = filed[k]
         for option in options:
@@ -666,7 +668,7 @@ def _surviving_shapes(
                     break
             else:  # the filed pairs leave targets; now the pairs (u, k)
                 later = []
-                for u in sources[: pos + 1]:
+                for u in sources[: k + 1]:
                     entry = compiled(u, k, t[u], option)
                     last, ready, check = entry
                     if last == k:
@@ -678,11 +680,11 @@ def _surviving_shapes(
                     else:
                         later.append(entry)
                 else:  # no pair fails or empties a domain: the structure rule, then descend
-                    kept = structure(pos, k, option, g, undo)
+                    kept = structure(k, option, g, undo)
                     if kept:
                         for entry in later:
                             filed[entry[1]].append(entry)
-                        yield from dfs(pos + 1, g if option < 0 else math.gcd(g, option))
+                        yield from dfs(k + 1, g if option < 0 else math.gcd(g, deg[option]))
                         for entry in later:
                             filed[entry[1]].pop()
             for s, old in reversed(undo):
@@ -711,14 +713,15 @@ def _check_search(algebra: AlgebraSpec, weight: FieldElement, degree_bound: int,
     return strategy, _raw_grid(strategy)
 
 
-def _verified_tables(t, sources, monos, mul, algebra, weight, D, strategy, grid, stats):
-    """The tables of shape t that pass ``rb_check``, as (table, seeded,
-    orphans): the shape's equations are solved, seeding from grid, and each
-    solution becomes a table on algebra up to D, with monos[i] the basis
-    monomial of index i and mul their product table.  Counts systems
-    solved and candidates rejected into stats."""
-    defined = [n for n in sources if t[n] >= 0]
-    equations = _shape_equations(t, sources, weight.is_one(), mul)
+def _verified_tables(t, index: BasisIndex, algebra, weight, D, strategy, grid, stats):
+    """The tables of shape t (basis positions of index) that pass
+    ``rb_check``, as (table, seeded, orphans) with unknowns named by
+    position: the shape's equations are solved, seeding from grid, and each
+    solution becomes a table on algebra up to degree D.
+    Counts systems solved and candidates rejected into stats."""
+    monos = index.monomials
+    defined = [n for n, target in enumerate(t) if target >= 0]
+    equations = _shape_equations(t, weight.is_one(), index.mul)
     stats.systems_solved += 1
     solutions = _solve_coefficients(equations, defined, algebra.field, strategy, grid)
     for values, seeded, orphans in solutions:
@@ -754,7 +757,8 @@ def enumerate_monomial_rb(
     if field.kind is FieldKind.PRIME and field.p <= degree_bound:
         raise InvalidParams("prime fields need p > degree bound")
     search_algebra = replace(algebra, truncation=degree_bound)
-    D = degree_bound
+    index = search_algebra.basis_index
+    deg = index.degrees  # on k0[x], the exponent of each basis position
     stats = SearchStats()
 
     def class_leaders(t, defined):
@@ -764,27 +768,24 @@ def enumerate_monomial_rb(
         freedom, a seed anywhere else means the constraints at this
         bound did not determine the coefficient.
         """
-        m_star = math.gcd(*(t[n] for n in defined))
+        m_star = math.gcd(*(deg[t[n]] for n in defined))
         if m_star == 0:
             # every image is the constant: the family parameter sits on
             # the first positive-degree source (the unit image is forced)
-            return set(defined[:1] + [n for n in defined if n > 0][:1])
+            return set(defined[:1] + [n for n in defined if deg[n] > 0][:1])
         first: Dict[int, int] = {}
         for n in defined:
-            first.setdefault(n % m_star, n)
+            first.setdefault(deg[n] % m_star, n)
         return set(first.values())
 
-    sources = range(algebra.min_degree(), D + 1)
-    monos = [Monomial((n,)) for n in range(D + 1)]  # index n is x^n
-    mul = product_table([m.exponents for m in monos])
     solutions = []
-    for t in _surviving_shapes(D, algebra.unital, weight.is_one(), strategy.shape_budget, stats, mul):
-        leaders = class_leaders(t, [n for n in sources if t[n] >= 0])
+    for t in _surviving_shapes(index, weight.is_one(), strategy.shape_budget, stats):
+        leaders = class_leaders(t, [n for n, target in enumerate(t) if target >= 0])
         for table, seeded, orphans in _verified_tables(
-            t, sources, monos, mul, search_algebra, weight, D, strategy, grid, stats
+            t, index, search_algebra, weight, degree_bound, strategy, grid, stats
         ):
             undetermined = tuple(
-                sorted(set(orphans) | {x for x in seeded if x not in leaders})
+                deg[x] for x in sorted(set(orphans) | {x for x in seeded if x not in leaders})
             )
             if undetermined:
                 match = FamilyMatch(
@@ -792,7 +793,7 @@ def enumerate_monomial_rb(
                 )
             else:
                 match = match_family(table)
-            solutions.append(Solution(table, match, seeded, undetermined))
+            solutions.append(Solution(table, match, tuple(deg[x] for x in seeded), undetermined))
 
     def solution_key(s: Solution):
         entries = sorted(
@@ -821,11 +822,11 @@ def enumerate_injective_diagonal(
     on one shape, the identity.
     """
     strategy, grid = _check_search(algebra, weight, degree_bound, strategy)
-    basis = list(algebra.basis(degree_bound))
-    diagonal = range(len(basis))  # each basis index is its own target
-    mul = product_table([m.exponents for m in basis])
+    # the basis_index of algebra truncated at the bound, built directly (truncation 0 is refused)
+    index = BasisIndex.of(algebra.basis(degree_bound))
+    diagonal = range(len(index.monomials))  # each basis position is its own target
     found = _verified_tables(
-        diagonal, diagonal, basis, mul, algebra, weight, degree_bound, strategy, grid, SearchStats()
+        diagonal, index, algebra, weight, degree_bound, strategy, grid, SearchStats()
     )
     # a coefficient no equation mentions is not pinned by the identity
     return [table for table, _, orphans in found if not orphans]

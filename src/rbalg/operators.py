@@ -26,7 +26,7 @@ from .errors import (
     ZeroWeight,
 )
 from .fields import FieldElement
-from .poly import AlgebraSpec, Monomial, Polynomial, _accumulate
+from .poly import AlgebraSpec, Monomial, Polynomial, _accumulate, _json_typed
 
 
 def _effective_bound(algebra: AlgebraSpec, degree_bound: Optional[int]) -> int:
@@ -187,7 +187,8 @@ class MonomialOperatorTable(LinearOperator):
             src = algebra.monomial(*item["src"])
             dst = algebra.monomial(*item["dst"])
             entries[src] = (algebra.field.parse(item["coeff"]), dst)
-        return MonomialOperatorTable(algebra, weight, data["degree_bound"], entries)
+        bound = _json_typed(data["degree_bound"], "degree_bound", nullable=True)
+        return MonomialOperatorTable(algebra, weight, bound, entries)
 
 
 class DenseOperator(LinearOperator):
@@ -248,7 +249,8 @@ class DenseOperator(LinearOperator):
         for item in data["images"]:
             src = algebra.monomial(*item["src"])
             images[src] = Polynomial.from_json_terms(algebra, item["poly"])
-        return DenseOperator(algebra, weight, data["degree_bound"], images)
+        bound = _json_typed(data["degree_bound"], "degree_bound", nullable=True)
+        return DenseOperator(algebra, weight, bound, images)
 
     def __repr__(self) -> str:
         return f"DenseOperator(weight={self.weight}, D={self.degree_bound})"
@@ -257,9 +259,10 @@ class DenseOperator(LinearOperator):
 
 
 def operator_from_json(data: dict) -> LinearOperator:
-    if data.get("kind") == "dense":
-        return DenseOperator.from_json_dict(data)
-    return MonomialOperatorTable.from_json_dict(data)
+    kind = data.get("kind")
+    if kind not in ("monomial", "dense"):
+        raise TypeError(f'kind must be "monomial" or "dense", got {kind!r}')
+    return (DenseOperator if kind == "dense" else MonomialOperatorTable).from_json_dict(data)
 
 
 def operators_agree(a: LinearOperator, b: LinearOperator, max_degree: int) -> bool:

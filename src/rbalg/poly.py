@@ -70,12 +70,6 @@ class ProductRows(dict):
         return row
 
 
-def product_table(exponents: Sequence[Tuple[int, ...]]) -> List[List[Optional[int]]]:
-    """Every row of ``ProductRows(exponents)``, as a list."""
-    rows = ProductRows(exponents)
-    return [rows[i] for i in range(len(exponents))]
-
-
 class BasisIndex(NamedTuple):
     """The basis of a truncated algebra on indices: its ``monomials`` in
     canonical order, the ``position`` of each exponent tuple, their
@@ -86,6 +80,21 @@ class BasisIndex(NamedTuple):
     position: Dict[Tuple[int, ...], int]
     degrees: Tuple[int, ...]
     mul: ProductRows
+
+    @classmethod
+    def of(cls, monomials: Iterable[Monomial]) -> "BasisIndex":
+        """The index of the basis monomials listed, in their order."""
+        monomials = tuple(monomials)
+        mul = ProductRows([m.exponents for m in monomials])
+        return cls(monomials, mul.position, tuple(map(sum, mul.exponents)), mul)
+
+
+def _json_typed(value, name: str, kind: type = int, nullable: bool = False):
+    """A JSON document's field: value when its type is exactly kind (so a
+    bool is no int), or null where nullable; else TypeError."""
+    if type(value) is kind or nullable and value is None:
+        return value
+    raise TypeError(f"{name} must be {kind.__name__}{' or null' if nullable else ''}, got {value!r}")
 
 
 def _accumulate(terms: dict, key, c: FieldElement) -> None:
@@ -170,9 +179,7 @@ class AlgebraSpec:
         object (the frozen dataclass keeps it in its instance dict)."""
         if self.truncation is None:
             raise ValueError("only truncated algebras are finite-dimensional")
-        monomials = tuple(self.basis(self.truncation))
-        mul = ProductRows([m.exponents for m in monomials])
-        return BasisIndex(monomials, mul.position, tuple(map(sum, mul.exponents)), mul)
+        return BasisIndex.of(self.basis(self.truncation))
 
     def dimension(self) -> int:
         return len(self.basis_index.monomials)
@@ -189,9 +196,9 @@ class AlgebraSpec:
     def from_json_dict(data: dict) -> "AlgebraSpec":
         return AlgebraSpec(
             field=FieldSpec.from_string(data["field"]),
-            nvars=int(data["nvars"]),
-            unital=bool(data["unital"]),
-            truncation=None if data.get("truncation") is None else int(data["truncation"]),
+            nvars=_json_typed(data["nvars"], "nvars"),
+            unital=_json_typed(data["unital"], "unital", bool),
+            truncation=_json_typed(data.get("truncation"), "truncation", nullable=True),
         )
 
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 from unittest import mock
 
@@ -42,7 +45,7 @@ from rbalg.errors import (
     SearchBudgetExceeded,
 )
 from rbalg.fields import FieldElement, FieldKind, FieldSpec
-from rbalg.poly import Monomial, _accumulate, product_table
+from rbalg.poly import Monomial, _accumulate
 from rbalg.grading import (
     GradingDecomposition,
     PartialProductKind,
@@ -958,31 +961,53 @@ def reference_shapes(D, unital, lam_one, budget, stats, forward=False):
     yield from dfs(0)
 
 
-def line_table(D):
-    """The product table ``classify._surviving_shapes`` reads: x^0..x^D,
-    index n being x^n."""
-    return product_table([(n,) for n in range(D + 1)])
+def load_benchmark_reference():
+    """``perfbench/reference.py``, the benchmark's independent oracle, as a
+    module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
-def reference_forward_shapes(D, unital, lam_one, budget, stats, mul=None):
+def shape_exponents(index, shape):
+    """A shape of ``classify._surviving_shapes``, on the positions of a
+    univariate ``basis_index``, indexed as the references index theirs:
+    t[n] is the exponent of x^n's target or ABSENT, and t[0] is ABSENT
+    when x^0 is no source."""
+    deg = index.degrees  # on k0[x], the exponent at each position
+    t = [ABSENT] * (deg[-1] + 1)
+    for n, target in enumerate(shape):
+        t[deg[n]] = ABSENT if target == ABSENT else deg[target]
+    return tuple(t)
+
+
+def reference_forward_shapes(D, unital, lam_one, budget, stats):
     """``classify._surviving_shapes`` as a rescanning loop with forward
     checking: ``reference_shapes`` that also prunes an option breaking the
     structure rule among the assigned sources or leaving some later source
-    no target.  It reads every product from exponents, so the caller's
-    table ``mul`` is left unread."""
+    no target.  It reads every product from exponents."""
     return reference_shapes(D, unital, lam_one, budget, stats, forward=True)
 
 
 def reference_enumerate_monomial_rb(algebra, weight, degree_bound, strategy=None):
-    """``enumerate_monomial_rb`` driven by ``reference_forward_shapes`` and
-    ``reference_solve_coefficients``; the raw grid the search hands the
-    solver is dropped, the reference seeds from the strategy itself."""
+    """``enumerate_monomial_rb`` driven by ``reference_forward_shapes``, its
+    shapes moved to basis positions, and ``reference_solve_coefficients``;
+    the raw grid the search hands the solver is dropped, the reference
+    seeds from the strategy itself."""
+
+    def shapes(index, lam_one, budget, stats):
+        deg = index.degrees
+        for t in reference_forward_shapes(deg[-1], deg[0] == 0, lam_one, budget, stats):
+            yield tuple(ABSENT if t[d] == ABSENT else index.position[(t[d],)] for d in deg)
 
     def solve(equations, unknowns, field, strategy, grid):
         return reference_solve_coefficients(equations, unknowns, field, strategy)
 
     with (
-        mock.patch.object(classify, "_surviving_shapes", reference_forward_shapes),
+        mock.patch.object(classify, "_surviving_shapes", shapes),
         mock.patch.object(classify, "_solve_coefficients", solve),
     ):
         return classify.enumerate_monomial_rb(algebra, weight, degree_bound, strategy)

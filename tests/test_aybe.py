@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import field_elements, reference_aybe_grid_search, reference_aybe_nodes
+from helpers import (
+    field_elements,
+    load_benchmark_reference,
+    reference_aybe_grid_search,
+    reference_aybe_nodes,
+)
 from rbalg import (
     QQ,
     AlgebraSpec,
@@ -198,9 +203,21 @@ def test_grid_search_agrees_with_reference_residual():
 
 
 def test_grid_search_budget_guards():
+    """Degrees 4 and 5 (25 and 36 support cells) run to the end and find
+    the zero tensor and weight times the unit tensor, both solutions by
+    the benchmark's reference; more than MAX_CELLS cells are refused
+    before any plan is compiled, and the node budget bounds the search."""
+    ref = load_benchmark_reference()
     grid = [QQ.zero(), QQ.one()]
-    with pytest.raises(SearchBudgetExceeded):
-        aybe_grid_search(UNITAL, 4, grid, QQ.one())  # 25 cells > 16
+    for degree in (4, 5):
+        solutions = aybe_grid_search(UNITAL, degree, grid, QQ.one())
+        assert solutions == [TensorElement(UNITAL, 2, {}), unit_tensor(QQ.one())]
+        for r in solutions:
+            raw = {(a.exponents, b.exponents): c.value for (a, b), c in r.items()}
+            assert ref.aybe_residual(raw, 1, ref.Field()) == {}
+    for degree in (16, 31):  # 289 and 1024 cells
+        with pytest.raises(SearchBudgetExceeded, match=f"^{(degree + 1) ** 2} support cells"):
+            aybe_grid_search(UNITAL, degree, grid, QQ.one())
     with pytest.raises(SearchBudgetExceeded):
         aybe_grid_search(UNITAL, 2, grid, QQ.one(), budget=10)
 

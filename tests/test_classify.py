@@ -32,7 +32,6 @@ from helpers import (
     _respects_kernel_image_structure,
     field_elements,
     inverse_degree_table,
-    line_table,
     random_weight_zero_params,
     reference_diagonal_equations,
     reference_enumerate_monomial_rb,
@@ -41,6 +40,7 @@ from helpers import (
     reference_rb_check,
     reference_shapes,
     reference_solve_coefficients,
+    shape_exponents,
 )
 
 NONUNITAL = AlgebraSpec(QQ, nvars=1, unital=False, truncation=None)
@@ -199,16 +199,19 @@ def test_searches_refuse_a_grid_from_another_field(field, other):
 @pytest.mark.parametrize("unital", [False, True])
 @pytest.mark.parametrize("lam_one", [False, True])
 def test_shape_search_matches_reference(lam_one, unital, degree):
-    """The forward-checked DFS against the rescanning loop that forward
-    checks: the same shapes in the same order and the same counters; and
-    against the loop without forward checking, which filters complete
-    shapes by the structure rule: the same shapes, no more nodes, and
-    every complete shape the DFS reaches passes.  The shape DFS never
-    sees the field, so this covers the search over Q and every GF(p)."""
+    """The forward-checked DFS on a basis index against the rescanning
+    loop that forward checks on exponents: the same shapes in the same
+    order and the same counters; and against the loop without forward
+    checking, which filters complete shapes by the structure rule: the
+    same shapes, no more nodes, and every complete shape the DFS reaches
+    passes.  The shape DFS never sees the field, so this covers the
+    search over Q and every GF(p)."""
     from rbalg.classify import SearchStats, _surviving_shapes
 
+    index = AlgebraSpec(QQ, nvars=1, unital=unital, truncation=degree).basis_index
     fast, forward, plain = SearchStats(), SearchStats(), SearchStats()
-    got = list(_surviving_shapes(degree, unital, lam_one, 10**7, fast, line_table(degree)))
+    found = _surviving_shapes(index, lam_one, 10**7, fast)
+    got = [shape_exponents(index, t) for t in found]
     assert got == list(reference_forward_shapes(degree, unital, lam_one, 10**7, forward))
     assert fast == forward
     assert got == list(reference_shapes(degree, unital, lam_one, 10**7, plain))
@@ -218,15 +221,29 @@ def test_shape_search_matches_reference(lam_one, unital, degree):
 
 @pytest.mark.parametrize("weight", [0, 1])
 def test_search_builds_one_product_table(weight):
-    """The shape DFS and the coefficient solver read the same table of
-    x^0..x^D, so a search builds it once."""
+    """The shape DFS, the equations and the re-verification of every
+    candidate read the product rows of one ``basis_index``, so a search
+    builds one ``ProductRows``, unital or not."""
     from unittest import mock
 
-    from rbalg import classify
+    from rbalg import classify, poly
 
-    with mock.patch.object(classify, "product_table", wraps=classify.product_table) as built:
-        enumerate_monomial_rb(UNITAL, QQ.from_int(weight), 4)
-    assert built.call_count == 1
+    check, product_rows = classify.rb_check, poly.ProductRows
+    for algebra in (NONUNITAL, UNITAL):
+        built, read = [], []
+
+        def rows(exponents):
+            built.append(product_rows(exponents))
+            return built[-1]
+
+        def spy(table, *args):
+            read.append(table.algebra.basis_index.mul)
+            return check(table, *args)
+
+        with mock.patch.object(poly, "ProductRows", rows), mock.patch.object(classify, "rb_check", spy):
+            report = enumerate_monomial_rb(algebra, QQ.from_int(weight), 4)
+        assert len(built) == 1 and report.solutions
+        assert read and all(rows is built[0] for rows in read)
 
 
 @pytest.mark.parametrize("budget", [1, 3, 40, 700])
@@ -236,10 +253,12 @@ def test_shape_search_budget_matches_reference(budget):
     visits 835 nodes."""
     from rbalg.classify import SearchStats, _surviving_shapes
 
+    index = AlgebraSpec(QQ, nvars=1, unital=False, truncation=7).basis_index
     fast, slow = SearchStats(), SearchStats()
     got, want = [], []
     with pytest.raises(SearchBudgetExceeded):
-        got.extend(_surviving_shapes(7, False, False, budget, fast, line_table(7)))
+        for t in _surviving_shapes(index, False, budget, fast):
+            got.append(shape_exponents(index, t))
     with pytest.raises(SearchBudgetExceeded):
         want.extend(reference_forward_shapes(7, False, False, budget, slow))
     assert got == want and fast == slow
@@ -257,21 +276,20 @@ def test_shape_search_budget_matches_reference(budget):
 
 @st.composite
 def compiled_pairs(draw):
-    """A pair (x^u, x^v), u <= v, in a search at a bound D <= 10, and a
-    full target vector (index 0 stays ABSENT when it is not a source)."""
+    """A pair of basis positions u <= v of k0[x] or k[x] truncated at a
+    bound D <= 10, and a full target vector on those positions."""
     from rbalg.classify import ABSENT
 
     D = draw(st.integers(1, 10))
     unital = draw(st.booleans())
     lam_one = draw(st.booleans())
-    sources = list(range(0 if unital else 1, D + 1))
-    options = [ABSENT] + sources
-    t = [ABSENT] * (D + 1)
-    for s in sources:
-        t[s] = draw(st.sampled_from(options))
+    index = AlgebraSpec(QQ, nvars=1, unital=unital, truncation=D).basis_index
+    sources = range(len(index.monomials))
+    options = [ABSENT, *sources]
+    t = [draw(st.sampled_from(options)) for _ in sources]
     u = draw(st.sampled_from(sources))
-    v = draw(st.sampled_from([s for s in sources if s >= u]))
-    return D, lam_one, options, t, u, v
+    v = draw(st.sampled_from(sources[u:]))
+    return index, lam_one, options, t, u, v
 
 
 @settings(max_examples=2000, deadline=None)
@@ -280,24 +298,26 @@ def test_pair_domain_is_exact(case):
     """_compile_pair reads the pair where the reference does; ready is its
     largest read but the last; and bit x of _domain, reading only t up to
     ready, is the reference verdict with t[last] = x.  When last is v no
-    read is free, and _domain is -1 exactly when the reference passes."""
+    read is free, and _domain is -1 exactly when the reference passes.
+    The reference reads exponents, here the degrees of the positions."""
     from rbalg.classify import _compile_pair, _domain
-    from rbalg.poly import product_table
 
-    D, lam_one, options, t, u, v = case
-    mul = product_table([(n,) for n in range(D + 1)])
-    last, ready, check = _compile_pair(u, v, t[u], t[v], lam_one, mul)
-    reads = _pair_reads(t, u, v, lam_one, D) | {u}
-    assert last == max(reads)
-    assert ready == max(reads - {last}, default=last)
+    index, lam_one, options, t, u, v = case
+    deg, D = index.degrees, index.degrees[-1]
+    last, ready, check = _compile_pair(u, v, t[u], t[v], lam_one, index.mul)
+    reads = _pair_reads(shape_exponents(index, t), deg[u], deg[v], lam_one, D) | {deg[u]}
+    assert deg[last] == max(reads)
+    assert deg[ready] == max(reads - {deg[last]}, default=deg[last])
     if last == v:
-        assert (_domain(t, *check) == -1) == _pair_consistent(t, u, v, lam_one, D)
+        verdict = _pair_consistent(shape_exponents(index, t), deg[u], deg[v], lam_one, D)
+        assert (_domain(t, *check) == -1) == verdict
         return
     mask = _domain(t[: ready + 1], *check)
     for x in options:
         trial = list(t)
         trial[last] = x
-        assert (mask >> (x + 1) & 1) == _pair_consistent(trial, u, v, lam_one, D), x
+        verdict = _pair_consistent(shape_exponents(index, trial), deg[u], deg[v], lam_one, D)
+        assert (mask >> (x + 1) & 1) == verdict, x
 
 
 @pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(11)], ids=str)
@@ -353,7 +373,7 @@ def test_solver_matches_reference(system):
     the same triples in the same order, values inserted in the same order."""
     from fractions import Fraction
 
-    from rbalg.classify import _solve_coefficients
+    from rbalg.classify import _raw_grid, _solve_coefficients
 
     def flat(triples):
         return [
@@ -361,7 +381,7 @@ def test_solver_matches_reference(system):
             for values, seeded, orphans in triples
         ]
 
-    got = flat(_solve_coefficients(*system))
+    got = flat(_solve_coefficients(*system, _raw_grid(system[3])))
     assert got == flat(reference_solve_coefficients(*system))
     if system[2].p is None:
         assert all(kind is Fraction for values, _, _ in got for *_, kind in values)
@@ -383,7 +403,7 @@ def test_solver_matches_reference_on_seeded_systems():
     the same order, values inserted in the same order."""
     import random
 
-    from rbalg.classify import _solve_coefficients
+    from rbalg.classify import _raw_grid, _solve_coefficients
 
     rng = random.Random("solver systems")
     fields = [QQ] + [prime_field(p) for p in (2, 3, 5, 7, 11, 13)]
@@ -399,7 +419,7 @@ def test_solver_matches_reference_on_seeded_systems():
         grid = rng.sample(values, rng.randint(1, min(4, len(values))))
         strategy = CoefficientStrategy(tuple(map(field.from_int, grid)), rng.randint(0, 3))
         system = (equations, rng.sample(range(n), n), field, strategy)
-        assert flat_triples(_solve_coefficients(*system)) == flat_triples(
+        assert flat_triples(_solve_coefficients(*system, _raw_grid(strategy))) == flat_triples(
             reference_solve_coefficients(*system)
         )
 
@@ -553,7 +573,9 @@ def test_match_never_raises_on_verified_weight_zero_tables():
         [prime_field(2), prime_field(3)], (3, 4, 5), (False, True)
     ):
         algebra = AlgebraSpec(field, nvars=1, unital=unital, truncation=D)
-        for t in _surviving_shapes(D, unital, False, 10**6, SearchStats(), line_table(D)):
+        index = algebra.basis_index
+        for shape in _surviving_shapes(index, False, 10**6, SearchStats()):
+            t = shape_exponents(index, shape)
             defined = [n for n in range(algebra.min_degree(), D + 1) if t[n] >= 0]
             if len(defined) > 3:
                 continue
@@ -707,6 +729,26 @@ def test_injective_diagonal_search_bivariate():
     for m in algebra.basis(2):
         coeff, dst = table.entries[m]
         assert coeff == -QQ.one() and dst == m
+
+
+@pytest.mark.parametrize(
+    "weight,count,digest",
+    [
+        (0, 26, "8dd5891473a522145427843315234305ccfd495a1bb22d11a71677bbc0bf5f6f"),
+        (1, 34, "f09846fbe889a75a5e0e379e08fda9c60d87fd4a3693ff151f2acf1e0146b474"),
+    ],
+)
+def test_injective_diagonal_search_is_pinned(weight, count, digest):
+    """sha256 of the tables the injective diagonal search reports on
+    k0[x, y] at bound 3 over Q, in order (``json.dumps`` with sorted keys)."""
+    import hashlib
+    import json
+
+    algebra = AlgebraSpec(QQ, nvars=2, unital=False, truncation=None)
+    tables = enumerate_injective_diagonal(algebra, QQ.from_int(weight), 3)
+    text = json.dumps([t.to_json_dict() for t in tables], sort_keys=True)
+    assert len(tables) == count
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_injective_diagonal_matches_the_reference_equations():

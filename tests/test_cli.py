@@ -323,6 +323,25 @@ def test_classify_default_grid_over_a_large_prime_is_refused(capsys):
             "533dc0bc630f62e694b5f48186249378def9e49394040b33bcae778723155b56",
             id="--field Fp:11 --grid 1,2,3 --weight 0 --unital true --degree 5",
         ),
+        # on k0[x] a basis position is one less than the exponent it stands for
+        pytest.param(
+            "--weight 0 --degree 5",
+            "747a08057eb09bbe3c2b93bcde1f03ca3c188b5305709d81bae82dd0b22d4446",
+            "41a3d7814ef1263f55bf98bf95adc65774700bf9a414c4b5f5db34354dbf80ee",
+            id="--weight 0 --degree 5",
+        ),
+        pytest.param(
+            "--field Fp:7 --grid 1,2 --weight 0 --degree 4",
+            "c2e745f5eeea7393347c73eec9ce964061340edd425a0b60b9ca26fa7d4231ce",
+            "920881c7c92acd23b4af674b8c423e95668584ceb9bfa6497cdd6f467f3780ed",
+            id="--field Fp:7 --grid 1,2 --weight 0 --degree 4",
+        ),
+        pytest.param(
+            "--weight 1 --unital true --degree 7",
+            "d3f2dd8f293b33e6305a51095cf9bba13585464f1b1af271ae3d70c47539ae73",
+            "b936069ca15bfacb4434f0894d8c2b57606e3637ae48d296002504c145da6330",
+            id="--weight 1 --unital true --degree 7",
+        ),
     ],
 )
 def test_classify_output_is_pinned(capsys, argv, digest, solutions_digest):
@@ -592,6 +611,15 @@ def _weight_one_table_json():
     return construct_weight_one_univariate(QQ.one(), algebra, 3).to_json_dict()
 
 
+def _unit_tensor_json(**changes):
+    return {
+        "algebra": {"field": "Q", "nvars": 1, "unital": True, "truncation": None},
+        "arity": 2,
+        "terms": [{"exps": [[0], [0]], "coeff": "1"}],
+        **changes,
+    }
+
+
 def _without_dst(data):
     return dict(data, entries=[{k: v for k, v in e.items() if k != "dst"} for e in data["entries"]])
 
@@ -604,8 +632,10 @@ def _without_dst(data):
         (_without_dst(_weight_one_table_json()), ["check", "grade"]),
         (dict(_weight_one_table_json(), degree_bound="x"), ["check", "grade"]),
         ([1, 2], ["aybe"]),
+        (_unit_tensor_json(arity="2"), ["aybe"]),
+        (_unit_tensor_json(arity=2.0), ["aybe"]),
     ],
-    ids=["no-algebra", "list", "no-dst", "string-bound", "tensor-list"],
+    ids=["no-algebra", "list", "no-dst", "string-bound", "tensor-list", "tensor-arity-string", "tensor-arity-float"],
 )
 def test_malformed_documents_are_usage_errors(tmp_path, capsys, document, commands):
     """A JSON file of the wrong form exits 2 with one error line naming it."""
@@ -641,13 +671,8 @@ def test_aybe_search_and_check(tmp_path, capsys):
     data = json.loads(out)
     assert data["count"] == 2  # zero and the unit tensor
 
-    tensor = {
-        "algebra": {"field": "Q", "nvars": 1, "unital": True, "truncation": None},
-        "arity": 2,
-        "terms": [{"exps": [[0], [0]], "coeff": "1"}],
-    }
     path = tmp_path / "r.json"
-    path.write_text(json.dumps(tensor))
+    path.write_text(json.dumps(_unit_tensor_json()))
     code, out, _ = run_cli(capsys, "aybe", "check", "--r", str(path), "--weight", "1")
     assert code == 0
     assert json.loads(out)["status"] == "pass"
@@ -711,8 +736,14 @@ def test_construct_splitting_takes_1_based_variables(capsys):
         ["construct", "--family", "weight-one", "--alpha", "1", "--degree", "-1"],
         ["classify", "--weight", "0", "--degree", "-1"],
         ["aybe", "search", "--weight", "1", "--degree", "-1"],
+        ["aybe", "search", "--weight", "1", "--degree", "31"],
+        ["aybe", "search", "--weight", "1", "--nvars", "2", "--degree", "7"],
+        ["aybe", "search", "--weight", "1", "--nvars", "3", "--degree", "4"],
     ],
-    ids=["vars-0", "vars-nvars+1", "m-0", "pq-no-colon", "construct-degree", "classify-degree", "aybe-degree"],
+    ids=[
+        "vars-0", "vars-nvars+1", "m-0", "pq-no-colon", "construct-degree", "classify-degree",
+        "aybe-degree", "aybe-1024-cells", "aybe-1296-cells", "aybe-1225-cells",
+    ],
 )
 def test_bad_arguments_are_usage_errors(argv):
     """Out-of-range or malformed arguments exit 2 with one error line."""
@@ -804,6 +835,9 @@ _FUZZ_CASES = {
     "empty-file": "",
     "truncated-file": _BASE_TEXT[: len(_BASE_TEXT) // 2],
     "dense-kind-without-images": _with(["kind"], "dense"),
+    "kind-number": _with(["kind"], 5),
+    "kind-unknown": _with(["kind"], "sparse"),
+    "no-kind": _with(["kind"], _DROP),
     # the algebra
     "no-algebra": _with(["algebra"], _DROP),
     "algebra-string": _with(["algebra"], "Q"),
@@ -815,12 +849,19 @@ _FUZZ_CASES = {
     "nvars-two": _with(["algebra", "nvars"], 2),
     "truncation-string": _with(["algebra", "truncation"], "x"),
     "truncation-list": _with(["algebra", "truncation"], [3]),
+    "truncation-float": _with(["algebra", "truncation"], 4.5),
+    "nvars-float": _with(["algebra", "nvars"], 1.9),
+    "nvars-boolean": _with(["algebra", "nvars"], True),
+    "unital-string": _with(["algebra", "unital"], "false"),
+    "unital-number": _with(["algebra", "unital"], 0),
+    "unital-null": _with(["algebra", "unital"], None),
     # weight and bound
     "weight-division-by-zero": _with(["weight"], "1/0"),
     "weight-word": _with(["weight"], "one"),
     "weight-null": _with(["weight"], None),
     "no-weight": _with(["weight"], _DROP),
     "bound-string": _with(["degree_bound"], "x"),
+    "bound-float": _with(["degree_bound"], 3.0),
     "bound-above-truncation": _with(["degree_bound"], 4),
     # the entries
     "no-entries": _with(["entries"], _DROP),

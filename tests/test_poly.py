@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from rbalg import QQ, AlgebraSpec, Monomial, Polynomial, linear_combination, prime_field
 from rbalg.errors import MixedAlgebras, MixedFieldSpecs
-from rbalg.poly import product_table
+from rbalg.poly import BasisIndex
 
 from helpers import parse_polynomial_text, polynomials
 
@@ -92,7 +92,10 @@ def test_basis_index_of_a_truncated_algebra():
         for j, b in enumerate(index.monomials):
             k = index.mul[i][j]
             assert (index.monomials[k] if k is not None else None) == (a * b if algebra.admits(a * b) else None)
-    assert [index.mul[i] for i in range(len(exponents))] == product_table(exponents)
+    # the same index built from the list of monomials, rows and all
+    again = BasisIndex.of(index.monomials)
+    assert again[:3] == index[:3]
+    assert [again.mul[i] for i in range(len(exponents))] == [index.mul[i] for i in range(len(exponents))]
     with pytest.raises(ValueError, match="finite-dimensional"):
         AlgebraSpec(QQ, nvars=2).basis_index
 

@@ -1,7 +1,4 @@
-import importlib.util
 import random
-import sys
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -53,6 +50,7 @@ from rbalg.rbcheck import CheckReport, UnitImageKind
 from helpers import (
     field_elements,
     inverse_degree_table,
+    load_benchmark_reference,
     quadratic_shift_conjugate,
     random_weight_zero_params,
     reference_rb_check,
@@ -60,16 +58,7 @@ from helpers import (
 )
 
 
-def _load_benchmark_reference():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-REF = _load_benchmark_reference()
+REF = load_benchmark_reference()
 
 NONUNITAL = AlgebraSpec(QQ, nvars=1, unital=False, truncation=None)
 UNITAL = AlgebraSpec(QQ, nvars=1, unital=True, truncation=None)
