@@ -8,6 +8,9 @@ pair the degree bookkeeping of the Rota-Baxter identity in the quotient
 must admit SOME nonzero coefficient assignment, using only the fact
 that stored coefficients are nonzero.  Monomials are basis positions,
 and every product is read from the rows of one ``BasisIndex``.
+On a unital algebra an inner term a_u*a_v (a target x^0 beside a present
+one) has the left side's unknowns and degree; compiling a pair sums such
+twins into its left side, which one twin cancels exactly.
 Each pair is compiled once per (u, v, t[u], t[v]) and forward checked by
 one check: as soon as every source it reads but the last is assigned, it
 narrows the targets still admissible for that last source, and an option
@@ -102,28 +105,41 @@ def default_strategy(field: FieldSpec) -> CoefficientStrategy:
 # -- shape-level pruning -------------------------------------------------------
 
 
-def _compile_pair(u: int, v: int, tu: int, tv: int, lam_one: bool, mul):
+def _compile_pair(u: int, v: int, tu: int, tv: int, lam_one: bool, mul, unit):
     """Degree bookkeeping of the identity for the pair of basis positions
     u <= v, from its two targets: (last, ready, (lhs, own, rest)), where
     last is the largest source the pair reads and ready the largest other
     one.  mul holds the product rows; a product outside the basis vanishes.
+    unit is the position of x^0, or None on k0[x].
 
     The inner terms are grouped by position i; a group is certain when its
     coefficient cannot cancel, i.e. it is one product of nonzero entries
-    (for u == v, 2*a_u*a_i).  When last is v no read is left free: own is
-    False and rest holds every group as (i, certain, other indices).
-    Otherwise last is free: own tells whether its term is certain, and
-    rest holds the other groups with last dropped from their partners.
+    (for u == v, 2*a_u*a_i).  An inner term a_u*a_v (from a unit target
+    with the other target present) is a twin of the left side a_u*a_v:
+    it is summed into the left side instead of grouped.  One twin cancels
+    the left side exactly, so lhs is None; with none or two (a square
+    counts twice) lhs is the degree of a lone certain term, of coefficient
+    1 or -1.  When last is v no read is left free: own is False and rest
+    holds every group as (i, certain, other indices).  Otherwise last is
+    free: own tells whether its term is certain, and rest holds the other
+    groups with last dropped from their partners.
     """
     inner = []
+    twins = 0
     if tu >= 0 and mul[tu][v] is not None:
-        inner.append(mul[tu][v])
+        if tu == unit and tv >= 0:
+            twins += 1 if u != v else 2
+        else:
+            inner.append(mul[tu][v])
     if tv >= 0 and u != v and mul[u][tv] is not None:  # for a square, the term above again
-        inner.append(mul[u][tv])
+        if tv == unit and tu >= 0:
+            twins += 1
+        else:
+            inner.append(mul[u][tv])
     if lam_one and mul[u][v] is not None:
         inner.append(mul[u][v])
     idx = list(dict.fromkeys(inner))
-    lhs = mul[tu][tv] if tu >= 0 and tv >= 0 else None
+    lhs = mul[tu][tv] if tu >= 0 and tv >= 0 and twins != 1 else None
     reads = sorted({u, v, *idx})
     last = reads[-1]
     ready = reads[-2] if len(reads) > 1 else last
@@ -595,7 +611,8 @@ def _surviving_shapes(
     dom = [(2 << size) - 1] * size
     filed: List[list] = [[] for _ in sources]
     mul = [index.mul[i] for i in sources]  # the index's rows, read faster as a list
-    compiled = cache(partial(_compile_pair, lam_one=lam_one, mul=mul))
+    unit = 0 if deg[0] == 0 else None  # x^0 heads a unital basis
+    compiled = cache(partial(_compile_pair, lam_one=lam_one, mul=mul, unit=unit))
 
     def restrict(s: int, mask: int, undo: list) -> bool:
         """Intersect mask into dom[s], logging the old mask; False if empty."""

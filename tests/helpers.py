@@ -750,28 +750,38 @@ def _pair_reads(t, u: int, v: int, lam_one: bool, D: int) -> set:
     return reads
 
 
-def _pair_consistent(t, u: int, v: int, lam_one: bool, D: int) -> bool:
+def _pair_consistent(t, u: int, v: int, lam_one: bool, D: int, merge: bool = True) -> bool:
     """Degree bookkeeping of the identity for the pair (x^u, x^v).
 
     Sound filter: returns False only when no nonzero coefficient
     assignment can satisfy the pair, using certainty of single-term
-    groups (products of nonzero entries never vanish).
+    groups (products of nonzero entries never vanish).  With merge, the
+    inner term R(R(x^u) x^v) when tu == 0, or R(x^u R(x^v)) when tv == 0,
+    is a_u*a_v at degree tu + tv if both targets are present: the left
+    side's own product.  It is summed into the left side, which one such
+    term cancels and two leave at -1.  Without merge it is a group like
+    any other, which may meet the left side.
     """
     tu, tv = t[u], t[v]
     groups = {}
+    twins = 0
     if tu >= 0:
         ia = tu + v
-        if ia <= D:
+        if merge and tu == 0 and tv >= 0:
+            twins += 1
+        elif ia <= D:
             groups.setdefault(ia, []).append("q")
     if tv >= 0:
         ib = u + tv
-        if ib <= D:
+        if merge and tv == 0 and tu >= 0:
+            twins += 1  # for a square with tu == 0, the term above again
+        elif ib <= D:
             groups.setdefault(ib, []).append("q")
     if lam_one:
         ic = u + v
         if ic <= D:
             groups.setdefault(ic, []).append("l")
-    lhs_degree = tu + tv if (tu >= 0 and tv >= 0 and tu + tv <= D) else None
+    lhs_degree = tu + tv if (tu >= 0 and tv >= 0 and tu + tv <= D and twins != 1) else None
     degs = {}
     for i, tags in groups.items():
         ti = t[i]

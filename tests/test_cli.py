@@ -313,13 +313,13 @@ def test_classify_default_grid_over_a_large_prime_is_refused(capsys):
         ),
         pytest.param(
             "--weight 0 --unital true --degree 6",
-            "c28af09353498c20eb0e954af72d6f4b101c0f5cf23ccdfd0289ff8d7e40ca42",
+            "b3bfe7b4fbf9db591710f4e34f27c83ec81566c80863be40a82d1e304dc81417",
             "6a9e6ace97ece8b5249b2691d766f74e40dd6b332dcac2e5aceb7b299fc9ea95",
             id="--weight 0 --unital true --degree 6",
         ),
         pytest.param(
             "--field Fp:11 --grid 1,2,3 --weight 0 --unital true --degree 5",
-            "ba79f10f11422966ebd818043dee5284a7e94d2f6e0b986cedef2f36cd5b5d69",
+            "559b6d3b201c4ec5f4a1360383395daf79f3dd5e6b4eb8be5fd47349cab80007",
             "533dc0bc630f62e694b5f48186249378def9e49394040b33bcae778723155b56",
             id="--field Fp:11 --grid 1,2,3 --weight 0 --unital true --degree 5",
         ),
@@ -338,7 +338,7 @@ def test_classify_default_grid_over_a_large_prime_is_refused(capsys):
         ),
         pytest.param(
             "--weight 1 --unital true --degree 7",
-            "d3f2dd8f293b33e6305a51095cf9bba13585464f1b1af271ae3d70c47539ae73",
+            "df4a22c2ddf7fcb504e4c24badd3c93dc89f408cbd9293f20b366bda0dca5a5a",
             "b936069ca15bfacb4434f0894d8c2b57606e3637ae48d296002504c145da6330",
             id="--weight 1 --unital true --degree 7",
         ),

@@ -1,3 +1,8 @@
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
 
@@ -33,6 +38,7 @@ from rbalg.errors import (
     MixedAlgebras,
     ZeroWeight,
 )
+from rbalg.cli import main
 from rbalg.grading import QuotientFamily, quotient_rb_from_family
 
 from helpers import dense_to_table, field_elements, inverse_degree_table, polynomials
@@ -329,16 +335,31 @@ def test_json_round_trip_monomial_and_dense():
     assert again_dense.weight == J.weight
 
 
+def cli_exit(document: dict, *argv: str) -> int:
+    """The exit code of ``rbalg`` with document in a JSON file whose path
+    stands for each DOC in argv; the output is dropped, and an exception
+    the CLI does not turn into an exit code propagates."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return main([path if arg == "DOC" else arg for arg in argv])
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_accepted_objects_load_back_from_json(data):
     """What a constructor accepts, its JSON gives back: a monomial with a
     negative exponent is refused, where it used to print as another one
-    and write JSON that did not load."""
+    and write JSON that did not load.  The CLI reads the printed JSON:
+    ``check`` of a monomial table, ``aybe check`` of a tensor and, on a
+    truncated algebra, ``grade`` of a diagonal table exit 0 or 1, never 2."""
     field = data.draw(st.sampled_from([QQ, prime_field(5)]))
     nvars = data.draw(st.integers(1, 2))
     unital = data.draw(st.booleans())
     truncation = data.draw(st.one_of(st.none(), st.integers(1, 4)))
+    weight = data.draw(st.sampled_from(["0", "1"]))
     algebra = AlgebraSpec(field, nvars=nvars, unital=unital, truncation=truncation)
     monos = st.lists(st.integers(-1, 3), min_size=nvars, max_size=nvars).map(lambda e: Monomial(tuple(e)))
     coeffs = field_elements(field).filter(lambda c: not c.is_zero())
@@ -356,6 +377,9 @@ def test_accepted_objects_load_back_from_json(data):
     if unital and truncation is None:
         keys = data.draw(st.dictionaries(st.tuples(monos, monos), coeffs, max_size=3))
         constructors.append(lambda: TensorElement(algebra, 2, keys))
+    if truncation is not None:
+        diagonal = {m: (c, m) for m, c in terms.items()}
+        constructors.append(lambda: MonomialOperatorTable(algebra, field.zero(), bound, diagonal))
     for build in constructors:
         try:
             obj = build()
@@ -363,10 +387,17 @@ def test_accepted_objects_load_back_from_json(data):
             continue
         if isinstance(obj, Polynomial):
             assert Polynomial.from_json_terms(algebra, obj.to_json_terms()) == obj
-        elif isinstance(obj, TensorElement):
-            assert TensorElement.from_json_dict(obj.to_json_dict()) == obj
-        else:
-            assert operator_from_json(obj.to_json_dict()).to_json_dict() == obj.to_json_dict()
+            continue
+        document = obj.to_json_dict()
+        if isinstance(obj, TensorElement):
+            assert TensorElement.from_json_dict(document) == obj
+            assert cli_exit(document, "aybe", "check", "--r", "DOC", "--weight", weight) in (0, 1)
+            continue
+        assert operator_from_json(document).to_json_dict() == document
+        if isinstance(obj, MonomialOperatorTable):
+            assert cli_exit(document, "check", "--operator", "DOC", "--weight", weight) in (0, 1)
+            if truncation is not None and obj.is_diagonal():
+                assert cli_exit(document, "grade", "--operator", "DOC", "--weight", weight) in (0, 1)
 
 
 def test_dense_to_table_detection():
