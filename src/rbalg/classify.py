@@ -26,22 +26,42 @@ genuinely free coefficients (family parameters) are seeded from a finite
 strategy grid, each distinct value once; coefficients no constraint
 mentions -- truncation artifacts -- are set to 1, flagged under-constrained.
 
+A seeded family is solved and verified once, not once per grid point.
+The solver seeds its first free coefficient with a symbol s1 (later ones
+with s2, s3, ...), and every value solved below it is a Laurent monomial
+c * s^e, c a nonzero constant.  Such a monomial is nonzero at every
+point of nonzero seeds, so each grid instance takes the same steps and
+its values are the monomials evaluated at its point; a step where that
+could fail (a coefficient of two monomials, or a quadratic) falls back
+to the grid loop.  The symbolic table is then checked once: each pair's
+residual is a Laurent polynomial in the seeds.  Substituting nonzero
+field values for the seeds is a ring homomorphism, and the checker uses
+only sums, products and zero tests that drop vanishing terms, so the
+residual of an instance is the substitution of the symbolic residual: a
+search table is truncated at its bound, so the checker skips no pair.  If
+every symbolic residual vanishes as a Laurent polynomial, every grid
+instance satisfies the identity exactly and needs no check of its own.
+If one does not, it may still vanish at some grid points, so each
+instance is checked as any other table.
+
 The shape search and the injective diagonal search (the identity shape
 on k0[x1..xn]) share one pipeline on a ``BasisIndex``, unknowns named by
 basis position until a report is built: ``_check_search`` validates and
 picks the seed grid, and ``_verified_tables`` builds a shape's
 equations, solves them, builds each candidate table and re-verifies it
-by the exhaustive pairwise identity check, so the output is sound by
-construction.  The candidates are built unchecked
-(``MonomialOperatorTable._trusted``): their entries map basis monomials
-within the bound to basis monomials with nonzero solved values, and the
-check, not the constructor, is what vouches for them.  Completeness is
-relative to the seeding grid: a family member appears in the output
-exactly when its free parameters lie on the grid.
+by the exhaustive pairwise identity check -- once per symbolic group, or
+else once per table -- so the output is sound by construction.  The
+candidates are built unchecked (``MonomialOperatorTable._trusted``):
+their entries map basis monomials within the bound to basis monomials
+with nonzero solved values, and the check, not the constructor, is what
+vouches for them.  Completeness is relative to the seeding grid: a
+family member appears in the output exactly when its free parameters
+lie on the grid.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, replace
@@ -66,16 +86,25 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .fields import FieldElement, FieldKind, FieldSpec
+from .laurent import Fallback, Laurent, exponents, quotient
 from .operators import MonomialOperatorTable
 from .poly import AlgebraSpec, BasisIndex, Monomial
-from .rbcheck import rb_check
+from .rbcheck import _index_verdicts, _on_integers, rb_check
 
 ABSENT = -1
 
 
 @dataclass(frozen=True)
 class CoefficientStrategy:
-    """How free coefficients are instantiated during the search."""
+    """How free coefficients are instantiated during the search.
+
+    A free coefficient is seeded with each distinct nonzero value of grid:
+    zero is dropped, since every stored coefficient is nonzero, and a
+    value listed twice counts once.  At most max_seeds coefficients of
+    one table are seeded.  A grid with no nonzero value is refused unless
+    max_seeds is 0, as it would silently drop every seeded table.
+    shape_budget caps the nodes of the shape search.
+    """
 
     grid: Tuple[FieldElement, ...]
     max_seeds: int = 4
@@ -251,11 +280,11 @@ def _raw_grid(strategy: CoefficientStrategy) -> list:
 
 
 def _solve_coefficients(equations, unknowns: Sequence, field: FieldSpec, strategy, grid):
-    """All full nonzero assignments: (values, seeded, orphans) triples.
+    """All full nonzero assignments, as (values, seeded, orphans) groups of
+    raw values; a group stands for the instances ``_instances`` lists.
 
     equations are lists of (coeff, vars) terms, vars one or two unknowns;
-    grid is ``_raw_grid(strategy)``.  Propagation and seeding run on raw
-    values; each triple's values are FieldElements.
+    grid is ``_raw_grid(strategy)``.
 
     A pass reads the marked equations in index order (at first, all) and
     acts on one left with at most one unknown: it fails, fixes that
@@ -265,11 +294,21 @@ def _solve_coefficients(equations, unknowns: Sequence, field: FieldSpec, strateg
     equations on its watch list: those ahead are read in the same pass,
     those behind in the next.  With nothing marked, the first unknown an
     equation still mentions is seeded from the grid.
+
+    The first seed is tried once as a symbol: it and the later seeds are
+    s1..sk, and every value solved below them is a Laurent monomial.  A
+    monomial with a nonzero constant vanishes at no point of the grid,
+    so each grid instance takes the same steps, and the subtree yields one
+    group, seeded by symbols.  A step that could differ between instances
+    -- a split coefficient with two terms, which may vanish at some points,
+    or a quadratic, whose roots may branch -- raises ``Fallback``, and the
+    grid is tried value by value from the state at that first seed.
     """
     p = field.p
     one = Fraction(1) if p is None else 1
     watch: Dict[int, set] = {}  # unknown -> the equations read so far that mention it
     solutions = []
+    symbolic = False  # inside the subtree tried with symbols
 
     def fix(values: dict, splits: list, marked: list, x, v) -> tuple:  # and mark x's watch list
         values[x] = v
@@ -280,6 +319,7 @@ def _solve_coefficients(equations, unknowns: Sequence, field: FieldSpec, strateg
     def recurse(values: dict, splits: list, marked: list, seeded: tuple):
         """Propagate from the marked equations, then record or seed; the
         arguments belong to this call."""
+        nonlocal symbolic
         while any(marked):  # one pass
             for i, dirty in enumerate(marked):
                 if not dirty:
@@ -294,6 +334,8 @@ def _solve_coefficients(equations, unknowns: Sequence, field: FieldSpec, strateg
                 else:
                     split = split.items()
                 split = splits[i] = _settled(split, values, p)
+                if symbolic and any(type(c) is Laurent and len(c) > 1 for c in split.values()):
+                    raise Fallback
                 varset = {x for key in split for x in key}
                 if len(varset) > 1:
                     continue
@@ -303,7 +345,12 @@ def _solve_coefficients(equations, unknowns: Sequence, field: FieldSpec, strateg
                     continue
                 (x,) = varset
                 a2, a1, a0 = (split.get(key, 0) for key in ((x, x), (x,), ()))
-                roots = [r for r in linalg.quadratic_roots(a2, a1, a0, p) if r]
+                if not symbolic:
+                    roots = [r for r in linalg.quadratic_roots(a2, a1, a0, p) if r]
+                elif a2:
+                    raise Fallback
+                else:
+                    roots = [quotient(-a0, a1, p)] if a0 else []
                 if not roots:
                     return
                 if len(roots) > 1:
@@ -327,14 +374,70 @@ def _solve_coefficients(equations, unknowns: Sequence, field: FieldSpec, strateg
         if len(seeded) >= strategy.max_seeds:
             return
         x = seedable[0]
+        if symbolic or not seeded:
+            symbol = Laurent.seed(len(seeded), one)
+            if symbolic:  # nothing branches in this subtree: go on in place
+                recurse(*fix(values, splits, marked, x, symbol), seeded + (x,))
+                return
+            try:  # a solution is recorded at a leaf, after the last step that can fall back
+                symbolic = True
+                recurse(*fix(dict(values), list(splits), list(marked), x, symbol), (x,))
+                return
+            except Fallback:
+                pass
+            finally:
+                symbolic = False
         for value in grid:
             recurse(*fix(dict(values), list(splits), list(marked), x, value), seeded + (x,))
 
     recurse({}, [None] * len(equations), [True] * len(equations), ())
-    return [
-        ({x: FieldElement(field, v) for x, v in values.items()}, seeded, orphans)
-        for values, seeded, orphans in solutions
-    ]
+    return solutions
+
+
+def _symbols(values: dict, seeded: tuple) -> int:
+    """k, the symbols s1..sk of a solver group: its seeds when the first
+    is a symbol, else none."""
+    return len(seeded) if seeded and type(values[seeded[0]]) is Laurent else 0
+
+
+def _instances(values: dict, seeded: tuple, grid, p) -> Iterator[dict]:
+    """The raw values of each instance of a solver group, in the order of
+    the grid loop: values itself for a group without symbols; else values
+    at each point of grid^k for its symbols s1..sk, s1 slowest."""
+    k = _symbols(values, seeded)
+    if not k:
+        yield values
+        return
+    terms = {}  # unknown -> (coefficient, [(seed index, nonzero exponent)]) of a Laurent monomial
+    for x, v in values.items():
+        (e, c), = v.items() if type(v) is Laurent else ((0, v),)
+        terms[x] = c, [(i, d) for i, d in enumerate(exponents(e)) if d]
+    for point in itertools.product(grid, repeat=k):
+        raw = {}
+        for x, (c, factors) in terms.items():
+            for i, d in factors:
+                if p is None:
+                    c *= point[i] if d == 1 else point[i] ** d
+                else:
+                    c = c * pow(point[i], d, p) % p
+            raw[x] = c
+        yield raw
+
+
+def _holds(t, values: dict, index: BasisIndex, D: int, w, p) -> bool:
+    """Whether the table of shape t with the raw values of a solver group
+    satisfies the identity on every pair of index, truncated at D: read by
+    ``rbcheck._index_verdicts``, on Laurent polynomials for a symbolic
+    group.  A table truncated at its bound has no inner term above it, so
+    no pair is skipped."""
+    coef = [values.get(n, 0) for n in range(len(t))]
+    if p is None:
+        w, coef = _on_integers(w, coef)
+    for _, _, verdict in _index_verdicts(index, len(t), D, t, coef, w, p):
+        assert verdict is not None, "a table truncated at its bound skips no pair"
+        if not verdict:
+            return False
+    return True
 
 
 # -- family matching ---------------------------------------------------------
@@ -727,27 +830,38 @@ def _check_search(algebra: AlgebraSpec, weight: FieldElement, degree_bound: int,
         raise MixedFieldSpecs(f"seed grid values must lie in {algebra.field}")
     if weight.spec != algebra.field:
         raise MixedAlgebras("weight from a different field")
-    return strategy, _raw_grid(strategy)
+    grid = _raw_grid(strategy)
+    if strategy.max_seeds > 0 and not grid:
+        raise InvalidParams("the seed grid has no nonzero value (max_seeds=0 seeds nothing)")
+    return strategy, grid
 
 
 def _verified_tables(t, index: BasisIndex, algebra, weight, D, strategy, grid, stats):
-    """The tables of shape t (basis positions of index) that pass
-    ``rb_check``, as (table, seeded, orphans) with unknowns named by
-    position: the shape's equations are solved, seeding from grid, and each
-    solution becomes a table on algebra up to degree D.
+    """The tables of shape t (basis positions of index) that pass the
+    identity, as (table, seeded, orphans) with unknowns named by position:
+    the shape's equations are solved, seeding from grid, and each instance
+    becomes a table on algebra up to degree D.  A symbolic group on an
+    algebra truncated at D is checked once by ``_holds``; its instances,
+    when it holds, need no ``rb_check`` (see the module docstring), and
+    every other instance is re-verified by ``rb_check``.
     Counts systems solved and candidates rejected into stats."""
-    monos = index.monomials
+    monos, field = index.monomials, algebra.field
     defined = [n for n, target in enumerate(t) if target >= 0]
     equations = _shape_equations(t, weight.is_one(), index.mul)
     stats.systems_solved += 1
-    solutions = _solve_coefficients(equations, defined, algebra.field, strategy, grid)
-    for values, seeded, orphans in solutions:
-        entries = {monos[n]: (values[n], monos[t[n]]) for n in defined}
-        table = MonomialOperatorTable._trusted(algebra, weight, D, entries)
-        if rb_check(table, weight, D).passed:
-            yield table, seeded, orphans
-        else:
-            stats.candidates_rejected += 1
+    for values, seeded, orphans in _solve_coefficients(equations, defined, field, strategy, grid):
+        holds = (
+            algebra.truncation == D
+            and _symbols(values, seeded)
+            and _holds(t, values, index, D, weight.value, field.p)
+        )
+        for raw in _instances(values, seeded, grid, field.p):
+            entries = {monos[n]: (FieldElement(field, raw[n]), monos[t[n]]) for n in defined}
+            table = MonomialOperatorTable._trusted(algebra, weight, D, entries)
+            if holds or rb_check(table, weight, D).passed:
+                yield table, seeded, orphans
+            else:
+                stats.candidates_rejected += 1
 
 
 def enumerate_monomial_rb(

@@ -21,6 +21,9 @@ indices of ``AlgebraSpec.basis_index`` (``_index_test``); dense
 operators, and tables on untruncated algebras, are read from
 ``raw_images()`` on exponent tuples (``_pair_test``).  Both give the same
 verdicts, skips and errors, and ``rb_residual`` reports the violation.
+Over Q both run on ints: ``_on_integers`` clears the denominators of the
+coefficients and the weight, which scales each side of the identity by
+the same square.
 
 Kernel/image extraction and the unit-image classification for unital
 algebras of nonzero weight round out the structural checks.
@@ -32,13 +35,14 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from operator import add
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import MixedFieldSpecs, NonzeroWeight
 from .fields import FieldElement
 from .operators import LinearOperator, MonomialOperatorTable
-from .poly import Monomial, Polynomial
+from .poly import BasisIndex, Monomial, Polynomial
 
 
 @dataclass(frozen=True)
@@ -92,23 +96,36 @@ def rb_residual(
     return Ru * Rv - R.apply(inner)
 
 
+def _on_integers(w, coefs: list) -> tuple:
+    """A weight and coefficients over Q as ints: each times L, the lcm of
+    their denominators.  L*R is a Rota-Baxter operator of weight L*w
+    exactly when R is one of weight w, since both sides of the identity
+    scale by L^2, and scaling moves no zero: the verdicts are the same."""
+    L = math.lcm(w.denominator, *(c.denominator for c in coefs))
+    return w.numerator * (L // w.denominator), [c.numerator * (L // c.denominator) for c in coefs]
+
+
 def _pair_test(R: LinearOperator, weight: FieldElement, top: int) -> Iterator[tuple]:
     """(u, v, verdict) for each pair of ``rb_check``'s window, in its order,
     with top = min(degree, truncation): the kernel of dense operators and of
     tables on untruncated algebras, and the reference of ``_index_test``.
 
-    The residual is formed on Fractions over Q and ints over GF(p) (reduced
-    only at zero tests) from ``R.raw_images()``, truncated and cancelled
-    where ``rb_residual`` does.  The verdict is True if it vanishes, False
-    if not, and None if an inner term lies above the bound, outside R's
-    domain; arguments above the bound raise ``DegreeBoundExceeded``, as in
-    ``rb_residual``.
+    The residual is formed on ints (over Q, after ``_on_integers``; over
+    GF(p), reduced only at zero tests) from ``R.raw_images()``, truncated
+    and cancelled where ``rb_residual`` does.  The verdict is True if it
+    vanishes, False if not, and None if an inner term lies above the bound,
+    outside R's domain; arguments above the bound raise
+    ``DegreeBoundExceeded``, as in ``rb_residual``.
     """
     algebra, bound, w = R.algebra, R.degree_bound, weight.value
     trunc = algebra.truncation or math.inf
     p = algebra.field.p
     nonzero = bool if p is None else (lambda c: c % p)
     images = R.raw_images()
+    if p is None:
+        w, coefs = _on_integers(w, [c for image in images.values() for _, _, c in image])
+        scaled = iter(coefs)
+        images = {s: [(t, dt, next(scaled)) for t, dt, _ in image] for s, image in images.items()}
     basis = list(algebra.basis(top))
     for i, u in enumerate(basis):
         for v in basis[i:]:
@@ -145,32 +162,25 @@ def _pair_test(R: LinearOperator, weight: FieldElement, top: int) -> Iterator[tu
             yield u, v, verdict and not any(map(nonzero, residual.values()))
 
 
-def _index_test(R: MonomialOperatorTable, weight: FieldElement, top: int) -> Iterator[tuple]:
-    """``_pair_test`` of a monomial table on a truncated algebra, on the
-    indices of ``algebra.basis_index``: the same verdicts and errors.
+def _index_verdicts(index: BasisIndex, size: int, bound: int, tgt, coef, w, p) -> Iterator[tuple]:
+    """(u, v, verdict) for the pairs of monomials at positions i <= j < size
+    of index, in order: the identity for the table with tgt[i], the position
+    of the target of monomial i (-1 for none), and coef[i], its raw value,
+    at raw weight w.  A pair has at most four terms, t_i t_j on the left and
+    t_i j, i t_j and w i j inside, each a ``mul`` lookup that is None where
+    the product vanishes above the truncation.  The verdict is None when a
+    nonzero inner term lies above the bound.
 
-    The table is read once as tgt[i], the index of the target of basis
-    monomial i (-1 for none), and coef[i], its raw value.  A pair (i, j)
-    then has at most four terms, t_i t_j on the left and t_i j, i t_j and
-    w i j inside, each a ``mul`` lookup that is None where the product
-    vanishes above the truncation.  The window is the basis prefix up to
-    degree top.
+    Only sums, products and zero tests (``bool`` over Q, ``% p`` over
+    GF(p)) touch the values, so any ring type that has them serves: the
+    ints of ``rb_check`` and the search's Laurent polynomials in its seeds.
     """
-    algebra = R.algebra
-    monos, position, deg, mul = algebra.basis_index
-    tgt, coef = [-1] * len(monos), [0] * len(monos)
-    for src, (c, dst) in R.entries.items():
-        i = position[src.exponents]
-        tgt[i], coef[i] = position[dst.exponents], c.value
-    bound, w, p = R.degree_bound, weight.value, algebra.field.p
+    monos, _, deg, mul = index
     nonzero = bool if p is None else (lambda c: c % p)
-    size = bisect_right(deg, top)
     for i in range(size):
         ti, ci, row = tgt[i], coef[i], mul[i]
         trow = mul[ti] if ti >= 0 else None
         for j in range(i, size):
-            if deg[j] > bound:
-                R.apply_monomial(monos[i] if deg[i] > bound else monos[j])  # raises DegreeBoundExceeded
             tj, cj = tgt[j], coef[j]
             if trow is None and tj < 0 and not w:  # no term at all
                 yield monos[i], monos[j], True
@@ -194,6 +204,33 @@ def _index_test(R: MonomialOperatorTable, weight: FieldElement, top: int) -> Ite
                     if (tk := tgt[k]) >= 0:
                         residual[tk] = residual.get(tk, 0) - c * coef[k]
             yield monos[i], monos[j], verdict and not any(map(nonzero, residual.values()))
+
+
+def _index_test(R: MonomialOperatorTable, weight: FieldElement, top: int) -> Iterator[tuple]:
+    """``_pair_test`` of a monomial table on a truncated algebra, on the
+    indices of ``algebra.basis_index``: the same verdicts and errors.
+
+    The table is read once into ``_index_verdicts``'s tgt and coef (over Q
+    scaled by ``_on_integers``), and its window is the basis prefix up to
+    degree top.
+    """
+    algebra = R.algebra
+    index = algebra.basis_index
+    monos, position, deg, _ = index
+    tgt, coef = [-1] * len(monos), [0] * len(monos)
+    for src, (c, dst) in R.entries.items():
+        i = position[src.exponents]
+        tgt[i], coef[i] = position[dst.exponents], c.value
+    w, p = weight.value, algebra.field.p
+    if p is None:
+        w, coef = _on_integers(w, coef)
+    size, within = bisect_right(deg, top), bisect_right(deg, R.degree_bound)
+    pairs = _index_verdicts(index, size, R.degree_bound, tgt, coef, w, p)
+    if size <= within:
+        yield from pairs
+    else:  # the pairs (0, j) before the first argument above the bound, then its error
+        yield from islice(pairs, within)
+        R.apply_monomial(monos[within])  # raises DegreeBoundExceeded
 
 
 def rb_check(R: LinearOperator, weight: FieldElement, degree: int) -> CheckReport:

@@ -1002,23 +1002,46 @@ def reference_forward_shapes(D, unital, lam_one, budget, stats):
     return reference_shapes(D, unital, lam_one, budget, stats, forward=True)
 
 
+def reference_grid_solve(equations, unknowns, field, strategy, grid):
+    """``classify._solve_coefficients`` without symbols, by
+    ``reference_solve_coefficients``: one group of raw values per grid
+    instance, so the search re-verifies each instance with ``rb_check``.
+    The raw grid is dropped; the reference seeds from the strategy itself."""
+    return [
+        ({x: v.value for x, v in values.items()}, seeded, orphans)
+        for values, seeded, orphans in reference_solve_coefficients(equations, unknowns, field, strategy)
+    ]
+
+
+def solver_instances(groups, field, grid):
+    """The (values, seeded, orphans) instances of the solver's groups, in
+    order, each value a FieldElement."""
+    return [
+        ({x: FieldElement(field, v) for x, v in raw.items()}, seeded, orphans)
+        for values, seeded, orphans in groups
+        for raw in classify._instances(values, seeded, grid, field.p)
+    ]
+
+
+def per_instance_enumerate_monomial_rb(algebra, weight, degree_bound, strategy=None):
+    """``enumerate_monomial_rb`` on the per-instance path: the search's own
+    shapes, solved by ``reference_grid_solve``, each table checked alone."""
+    with mock.patch.object(classify, "_solve_coefficients", reference_grid_solve):
+        return classify.enumerate_monomial_rb(algebra, weight, degree_bound, strategy)
+
+
 def reference_enumerate_monomial_rb(algebra, weight, degree_bound, strategy=None):
     """``enumerate_monomial_rb`` driven by ``reference_forward_shapes``, its
-    shapes moved to basis positions, and ``reference_solve_coefficients``;
-    the raw grid the search hands the solver is dropped, the reference
-    seeds from the strategy itself."""
+    shapes moved to basis positions, and ``reference_grid_solve``."""
 
     def shapes(index, lam_one, budget, stats):
         deg = index.degrees
         for t in reference_forward_shapes(deg[-1], deg[0] == 0, lam_one, budget, stats):
             yield tuple(ABSENT if t[d] == ABSENT else index.position[(t[d],)] for d in deg)
 
-    def solve(equations, unknowns, field, strategy, grid):
-        return reference_solve_coefficients(equations, unknowns, field, strategy)
-
     with (
         mock.patch.object(classify, "_surviving_shapes", shapes),
-        mock.patch.object(classify, "_solve_coefficients", solve),
+        mock.patch.object(classify, "_solve_coefficients", reference_grid_solve),
     ):
         return classify.enumerate_monomial_rb(algebra, weight, degree_bound, strategy)
 

@@ -35,6 +35,7 @@ from helpers import (
     field_elements,
     inverse_degree_table,
     load_benchmark_reference,
+    per_instance_enumerate_monomial_rb,
     random_weight_zero_params,
     reference_diagonal_equations,
     reference_enumerate_monomial_rb,
@@ -44,6 +45,7 @@ from helpers import (
     reference_shapes,
     reference_solve_coefficients,
     shape_exponents,
+    solver_instances,
 )
 
 NONUNITAL = AlgebraSpec(QQ, nvars=1, unital=False, truncation=None)
@@ -423,7 +425,8 @@ def coefficient_systems(draw):
 @given(coefficient_systems())
 def test_solver_matches_reference(system):
     """The raw-value solver against the FieldElement solver it replaced:
-    the same triples in the same order, values inserted in the same order."""
+    its groups' instances are the same triples in the same order, values
+    inserted in the same order."""
     from fractions import Fraction
 
     from rbalg.classify import _raw_grid, _solve_coefficients
@@ -434,7 +437,8 @@ def test_solver_matches_reference(system):
             for values, seeded, orphans in triples
         ]
 
-    got = flat(_solve_coefficients(*system, _raw_grid(system[3])))
+    grid = _raw_grid(system[3])
+    got = flat(solver_instances(_solve_coefficients(*system, grid), system[2], grid))
     assert got == flat(reference_solve_coefficients(*system))
     if system[2].p is None:
         assert all(kind is Fraction for values, _, _ in got for *_, kind in values)
@@ -472,7 +476,8 @@ def test_solver_matches_reference_on_seeded_systems():
         grid = rng.sample(values, rng.randint(1, min(4, len(values))))
         strategy = CoefficientStrategy(tuple(map(field.from_int, grid)), rng.randint(0, 3))
         system = (equations, rng.sample(range(n), n), field, strategy)
-        assert flat_triples(_solve_coefficients(*system, _raw_grid(strategy))) == flat_triples(
+        groups = _solve_coefficients(*system, _raw_grid(strategy))
+        assert flat_triples(solver_instances(groups, field, _raw_grid(strategy))) == flat_triples(
             reference_solve_coefficients(*system)
         )
 
@@ -501,7 +506,7 @@ def test_solver_matches_reference_on_search_systems(field):
                     enumerate_monomial_rb(algebra, weight, degree)
     assert len(systems) > 100
     for equations, unknowns, system_field, strategy, grid in systems:
-        got = solve(equations, unknowns, system_field, strategy, grid)
+        got = solver_instances(solve(equations, unknowns, system_field, strategy, grid), system_field, grid)
         want = reference_solve_coefficients(equations, unknowns, system_field, strategy)
         assert flat_triples(got) == flat_triples(want), (equations, unknowns)
 
@@ -833,12 +838,12 @@ def test_injective_diagonal_matches_the_reference_equations():
 
         with mock.patch.object(classify, "_solve_coefficients", spy):
             tables = enumerate_injective_diagonal(algebra, weight, bound, strategy)
-        ((equations, solutions),) = calls
+        ((equations, groups),) = calls
         case = (field, w, unital, truncated, nvars, bound)
         assert equations == reference_diagonal_equations(algebra, weight, bound), case
         basis = list(algebra.basis(bound))
         want = []
-        for values, _, orphans in solutions:
+        for values, _, orphans in solver_instances(groups, field, classify._raw_grid(strategy)):
             entries = {m: (values[i], m) for i, m in enumerate(basis)}
             table = MonomialOperatorTable(algebra, weight, bound, entries)
             if not orphans and reference_rb_check(table, weight, bound).passed:
@@ -914,12 +919,150 @@ def test_injective_non_diagonal_fails_at_weight_one():
     assert not rb_check(table, QQ.one(), 4).passed
 
 
+def reverify_searches():
+    """(algebra, weight, bound) of the searches whose tables are checked
+    again: Q, GF(11) and GF(13) on default grids, unital or not, weight 0
+    at bounds 1-6 and weight 1 at bounds 1-8."""
+    for field in (QQ, prime_field(11), prime_field(13)):
+        for unital in (False, True):
+            algebra = AlgebraSpec(field, nvars=1, unital=unital, truncation=None)
+            for weight, top in ((0, 6), (1, 8)):
+                for bound in range(1, top + 1):
+                    yield algebra, field.from_int(weight), bound
+
+
 def test_search_solutions_reverify_independently():
+    """A table of a symbolic group is reported without a check of its own,
+    so every reported table is checked here by ``rb_check`` and by
+    ``perfbench/reference.rb_verdict``, which imports nothing from rbalg."""
     from rbalg import rb_check
 
-    report = enumerate_monomial_rb(NONUNITAL, QQ.zero(), 5)
-    for sol in report.solutions:
-        assert rb_check(sol.table, QQ.zero(), 5).passed
+    ref = load_benchmark_reference()
+    checked = 0
+    for algebra, weight, bound in reverify_searches():
+        alg = ref.Algebra(1, algebra.unital, bound)
+        F = ref.Field(algebra.field.p)
+        for sol in enumerate_monomial_rb(algebra, weight, bound).solutions:
+            assert rb_check(sol.table, weight, bound).passed, sol.table
+            R = {src.exponents: {dst.exponents: c.value} for src, (c, dst) in sol.table.entries.items()}
+            assert ref.rb_verdict(R, bound, weight.value, alg, F, bound)[1] is None, sol.table
+            checked += 1
+    assert checked == 15_899  # as many as the per-instance path reports
+
+
+def test_search_matches_the_per_instance_path():
+    """On the same searches, the report equals the one of the per-instance
+    path (each grid instance solved and checked alone): the solutions with
+    their seeded and under_constrained sources and matches, and the five
+    counters."""
+    for algebra, weight, bound in reverify_searches():
+        got = enumerate_monomial_rb(algebra, weight, bound).to_json_dict()
+        want = per_instance_enumerate_monomial_rb(algebra, weight, bound).to_json_dict()
+        assert got == want, (algebra, weight, bound)
+
+
+def test_symbolic_groups_are_checked_once():
+    """``classify.rb_check`` runs once per table outside the symbolic
+    groups and never inside one, so the saving cannot quietly go."""
+    from unittest import mock
+
+    from rbalg import classify
+
+    solve, check = classify._solve_coefficients, classify.rb_check
+    checks, symbolic = [], []
+
+    def spy_solve(*args):
+        groups = solve(*args)
+        for values, seeded, orphans in groups:
+            if classify._symbols(values, seeded):
+                symbolic.append(len(list(classify._instances(values, seeded, args[4], args[2].p))))
+        return groups
+
+    def spy_check(*args):
+        checks.append(args[0])
+        return check(*args)
+
+    counts = []
+    for field, unital in ((QQ, False), (QQ, True), (prime_field(13), False)):
+        algebra = AlgebraSpec(field, nvars=1, unital=unital, truncation=None)
+        checks.clear(), symbolic.clear()
+        with (
+            mock.patch.object(classify, "_solve_coefficients", spy_solve),
+            mock.patch.object(classify, "rb_check", spy_check),
+        ):
+            report = enumerate_monomial_rb(algebra, field.zero(), 6)
+        assert report.stats.candidates_rejected == 0
+        assert len(checks) == len(report.solutions) - sum(symbolic)
+        counts.append((len(report.solutions), len(symbolic), sum(symbolic), len(checks)))
+    assert counts == [(771, 28, 648, 123), (771, 28, 648, 123), (3369, 28, 3240, 129)]
+
+
+def test_a_failing_symbolic_group_checks_each_instance():
+    """With the last equation of every shape dropped, some symbolic groups
+    fail their one check; each of their instances is then checked alone,
+    and over GF(7), whose grid is all of GF(7)*, one passes by accident.
+    The reports equal those of the per-instance path."""
+    from unittest import mock
+
+    from rbalg import classify
+
+    equations, holds = classify._shape_equations, classify._holds
+    verdicts = []
+
+    def spy_holds(*args):
+        verdicts.append(holds(*args))
+        return verdicts[-1]
+
+    def fewer(*args):
+        return equations(*args)[:-1]
+
+    for field, rejected in ((QQ, 6), (prime_field(7), 5)):
+        algebra = AlgebraSpec(field, nvars=1, unital=False, truncation=None)
+        verdicts.clear()
+        with mock.patch.object(classify, "_shape_equations", fewer):
+            with mock.patch.object(classify, "_holds", spy_holds):
+                got = enumerate_monomial_rb(algebra, field.zero(), 3)
+            want = per_instance_enumerate_monomial_rb(algebra, field.zero(), 3)
+        assert verdicts == [False]
+        assert got.stats.candidates_rejected == rejected  # of the group's 6 instances
+        assert got.to_json_dict() == want.to_json_dict()
+
+
+def test_packed_exponents():
+    """Exponent vectors pack into balanced digits, so a product of Laurent
+    monomials adds keys; a solved exponent at the cap falls back."""
+    from rbalg.laurent import EXPONENT_CAP, SLOT, Fallback, Laurent, exponents, quotient
+
+    def key(*e):
+        return sum(d << SLOT * i for i, d in enumerate(e))
+
+    for e in ((1,), (0, -2), (3, -1, 0, 2), (-(EXPONENT_CAP - 1), EXPONENT_CAP - 1)):
+        assert exponents(key(*e)) == list(e[: max(i + 1 for i, d in enumerate(e) if d)])
+    s1, s2 = Laurent.seed(0, 1), Laurent.seed(1, 1)
+    assert (s1, s2) == (Laurent({key(1): 1}), Laurent({key(0, 1): 1}))
+    assert s1 * s2 * s2 == Laurent({key(1, 2): 1})
+    assert (s1 + s2) * (s1 - s2) == Laurent({key(2): 1, key(0, 2): -1})
+    assert s1 - s1 == 0 and (s1 * 7) % 7 == 0
+    assert 3 - s1 * s1 == Laurent({0: 3, key(2): -1}) and 3 - s1 * 0 == 3
+    assert quotient(s1 * 3, s2, 5) == Laurent({key(1, -1): 3})
+    assert quotient(s1 * 3, s1, 5) == 3
+    with pytest.raises(Fallback):
+        quotient(Laurent({key(EXPONENT_CAP - 1): 1}), Laurent({key(-1): 1}), None)
+
+
+def test_an_all_zero_grid_is_refused():
+    """A grid with no nonzero value would drop every seeded table: both
+    searches refuse it, unless max_seeds is 0."""
+    for search in (enumerate_monomial_rb, enumerate_injective_diagonal):
+        for weight in (QQ.zero(), QQ.one()):
+            with pytest.raises(InvalidParams, match="no nonzero value"):
+                search(NONUNITAL, weight, 4, CoefficientStrategy((QQ.zero(),)))
+    none = CoefficientStrategy((QQ.zero(),), max_seeds=0)
+    report = enumerate_monomial_rb(NONUNITAL, QQ.zero(), 4, none)
+    assert (len(report.solutions), len(report.fully_determined())) == (24, 1)
+    unseeded = CoefficientStrategy((QQ.one(),), max_seeds=0)
+    assert report.to_json_dict() == enumerate_monomial_rb(NONUNITAL, QQ.zero(), 4, unseeded).to_json_dict()
+    assert enumerate_injective_diagonal(NONUNITAL, QQ.zero(), 4, none) == []
 
 
 GF5_BOUND = {False: 4, True: 3}  # unital -> the bound of the exhaustive GF(5) oracle

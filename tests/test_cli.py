@@ -224,6 +224,81 @@ def test_construct_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--family weight-zero --m 2 --pq 1:1;2:1/3 --degree 6",
+        "--family weight-zero --m 3 --pq 1:2;0:0;2:-1 --unital --degree 7 --field Fp:11",
+        "--family weight-one --alpha 1/2 --degree 6",
+        "--family weight-one --alpha 1 --degree 6 --field Fp:13 --truncation 6",
+        "--family multivariate-one --nvars 2 --alphas 1,2 --degree 4",
+        "--family multivariate-one --nvars 3 --alphas 1,2,-1 --degree 3",
+        "--family multivariate-zero --nvars 2 --alphas 1,2 --degree 4",
+        "--family integral --a 1 --unital --degree 4",
+        "--family integral --unital --degree 4 --field Fp:7",
+        "--family splitting --nvars 2 --unital --second-vars 2 --degree 3",
+        "--family splitting --unital --second constants --weight 2 --degree 4",
+        "--family splitting --nvars 2 --second-vars 1 --weight 3 --degree 3 --field Fp:5",
+        "--family quotient-one --truncation 5 --field Fp:11",
+        "--family quotient-zero --truncation 4 --field Fp:7",
+    ],
+)
+def test_construct_families_load_back_and_pass_the_check(tmp_path, capsys, argv):
+    """The output of every construct family, written to a file, loads back
+    in ``rbalg check`` and passes at its own weight, exit 0."""
+    path = tmp_path / "op.json"
+    code, _, _ = run_cli(capsys, "construct", *argv.split(), "--output", str(path))
+    assert code == 0
+    weight = json.loads(path.read_text())["weight"]
+    code, out, err = run_cli(capsys, "check", "--operator", str(path), "--weight", weight)
+    assert (code, json.loads(out)["status"], err) == (0, "pass", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--weight 0 --degree 4",
+        "--weight 0 --unital true --degree 4 --grid 1,-1,1/2",
+        "--weight 0 --field Fp:7 --grid 1,3 --degree 5",
+        "--weight 0 --unital true --field Fp:11 --grid 2,5 --degree 4",
+        "--weight 1 --degree 6 --grid 1,-1,2",
+        "--weight 1 --unital true --degree 5",
+        "--weight 1 --field Fp:11 --grid 1,2,3 --degree 6",
+    ],
+)
+def test_classify_tables_load_back(tmp_path, capsys, argv):
+    """Every table of an ``rbalg classify`` report, written to a file, loads
+    back in ``rbalg check`` (exit 0) and in ``classify --match-only``, which
+    gives the report's match wherever the search pinned every coefficient.
+    The weight-zero reports hold tables of symbolic groups, which the
+    search reported without a check of their own."""
+    from unittest import mock
+
+    from rbalg import classify
+
+    holds, symbolic = classify._holds, []
+
+    def spy(*args):
+        symbolic.append(holds(*args))
+        return symbolic[-1]
+
+    with mock.patch.object(classify, "_holds", spy):
+        code, out, _ = run_cli(capsys, "classify", *argv.split())
+    assert code == 0
+    solutions = json.loads(out)["solutions"]
+    assert solutions
+    assert any(symbolic) == ("--weight 0" in argv)
+    path = tmp_path / "op.json"
+    for sol in solutions:
+        path.write_text(json.dumps(sol["table"]))
+        code, out, err = run_cli(capsys, "check", "--operator", str(path), "--weight", sol["table"]["weight"])
+        assert (code, json.loads(out)["status"], err) == (0, "pass", ""), sol
+        code, out, err = run_cli(capsys, "classify", "--match-only", "--operator", str(path))
+        assert (code, err) == (0, "")
+        if not sol["under_constrained"]:
+            assert json.loads(out) == sol["match"], sol
+
+
 def test_classify_match_only_recovers_parameters(tmp_path, capsys):
     path = tmp_path / "op.json"
     run_cli(
@@ -735,6 +810,8 @@ def test_construct_splitting_takes_1_based_variables(capsys):
         ["construct", "--family", "weight-zero", "--m", "1", "--pq", "1", "--degree", "3"],
         ["construct", "--family", "weight-one", "--alpha", "1", "--degree", "-1"],
         ["classify", "--weight", "0", "--degree", "-1"],
+        ["classify", "--weight", "0", "--degree", "4", "--grid", "0"],
+        ["classify", "--weight", "1", "--degree", "4", "--grid", "0,0"],
         ["aybe", "search", "--weight", "1", "--degree", "-1"],
         ["aybe", "search", "--weight", "1", "--degree", "31"],
         ["aybe", "search", "--weight", "1", "--nvars", "2", "--degree", "7"],
@@ -742,6 +819,7 @@ def test_construct_splitting_takes_1_based_variables(capsys):
     ],
     ids=[
         "vars-0", "vars-nvars+1", "m-0", "pq-no-colon", "construct-degree", "classify-degree",
+        "classify-zero-grid-weight-0", "classify-zero-grid-weight-1",
         "aybe-degree", "aybe-1024-cells", "aybe-1296-cells", "aybe-1225-cells",
     ],
 )

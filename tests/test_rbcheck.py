@@ -352,9 +352,9 @@ def _window(draw, bound):
 
 
 @st.composite
-def checked_tables(draw):
+def checked_tables(draw, fields=st.just(QQ) | st.sampled_from(SMALL_PRIMES)):
     """(table, weight, degree): random or family tables, maybe perturbed."""
-    field = draw(st.just(QQ) | st.sampled_from(SMALL_PRIMES))
+    field = draw(fields)
     nvars = draw(st.integers(1, 2))
     unital = draw(st.booleans())
     top = 5 if nvars == 1 else 3
@@ -406,12 +406,12 @@ def test_kernel_matches_reference(case):
 
 
 @st.composite
-def truncated_tables(draw):
+def truncated_tables(draw, fields=st.just(QQ) | st.sampled_from(SMALL_PRIMES)):
     """(table, weight, degree) on a truncated algebra, the index kernel's
     case: random targets, diagonal ones (t_u v = u v = u t_v), shifted ones
     (t_u v = u t_v) or a family table; a bound at or below the truncation;
     a degree below, at or above it."""
-    field = draw(st.just(QQ) | st.sampled_from(SMALL_PRIMES))
+    field = draw(fields)
     nvars = draw(st.integers(1, 2))
     truncation = draw(st.integers(1, 6 if nvars == 1 else 4))
     algebra = AlgebraSpec(field, nvars=nvars, unital=draw(st.booleans()), truncation=truncation)
@@ -504,11 +504,11 @@ def _random_image(draw, algebra, targets):
 
 
 @st.composite
-def checked_dense_operators(draw):
+def checked_dense_operators(draw, fields=st.sampled_from(DENSE_FIELDS)):
     """(dense operator, weight, degree) with images of several terms: conjugates
     of tables by x_i -> x_i + c x_i^2 and by x -> x - 1, operators of tensors,
     and random images, maybe with one coefficient perturbed."""
-    field = draw(st.sampled_from(DENSE_FIELDS))
+    field = draw(fields)
     weight = draw(st.sampled_from([field.zero(), field.one()]) | _nonzero(field))
     kind = draw(st.sampled_from(["quadratic_shift", "shift", "tensor", "random"]))
     if kind == "quadratic_shift":
@@ -565,6 +565,42 @@ def checked_dense_operators(draw):
 def test_dense_kernel_matches_reference(case):
     R, weight, degree = case
     assert _outcome(rb_check, R, weight, degree) == _outcome(reference_rb_check, R, weight, degree)
+
+
+def test_q_coefficients_are_checked_on_integers():
+    """Over Q the kernels read ints: the coefficients and the weight times
+    the lcm of their denominators."""
+    from fractions import Fraction
+
+    w, coefs = rbcheck_mod._on_integers(Fraction(1, 2), [Fraction(1, 3), 0, Fraction(-5, 4)])
+    assert (w, coefs) == (6, [4, 0, -15])
+    assert all(type(c) is int for c in (w, *coefs))
+
+
+def _fraction_form(check, *args):
+    """check run with ``_on_integers`` a no-op, so the kernels read the
+    Fractions of the operator and the weight as they are."""
+    with mock.patch.object(rbcheck_mod, "_on_integers", lambda w, coefs: (w, coefs)):
+        return check(*args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=checked_tables(fields=st.just(QQ))
+    | truncated_tables(fields=st.just(QQ))
+    | checked_dense_operators(fields=st.just(QQ))
+)
+def test_integer_check_matches_the_fraction_form(case):
+    """Over Q, truncated or not, tables and dense operators: the kernels on
+    ints give the verdict of every pair, and rb_check the violation,
+    checked_pairs and skipped_pairs, that they give on Fractions."""
+    R, weight, degree = case
+    truncated = R.algebra.truncation is not None
+    top = min(degree, R.algebra.truncation) if truncated else degree
+    indexed = truncated and isinstance(R, MonomialOperatorTable)
+    kernel = rbcheck_mod._index_test if indexed else rbcheck_mod._pair_test
+    assert _verdicts(kernel, R, weight, top) == _fraction_form(_verdicts, kernel, R, weight, top)
+    assert _outcome(rb_check, R, weight, degree) == _fraction_form(_outcome, rb_check, R, weight, degree)
 
 
 def _raw_operator(R):
