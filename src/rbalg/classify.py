@@ -433,7 +433,7 @@ def _holds(t, values: dict, index: BasisIndex, D: int, w, p) -> bool:
     coef = [values.get(n, 0) for n in range(len(t))]
     if p is None:
         w, coef = _on_integers(w, coef)
-    for _, _, verdict in _index_verdicts(index, len(t), D, t, coef, w, p):
+    for _, _, verdict in _index_verdicts(index, len(t), 2 * D, D, (t, coef, {}), w, p):
         assert verdict is not None, "a table truncated at its bound skips no pair"
         if not verdict:
             return False

@@ -32,7 +32,7 @@ from .errors import (
     InvalidParams,
     NotASubalgebra,
 )
-from .fields import FieldElement, FieldKind
+from .fields import FieldElement
 from .operators import DenseOperator, MonomialOperatorTable, _effective_bound
 from .poly import AlgebraSpec, Monomial, Polynomial
 
@@ -122,20 +122,26 @@ def construct_weight_one_univariate(
     if algebra.nvars != 1 or algebra.unital:
         raise InvalidParams("the weight-one family lives on the non-unital univariate algebra")
     bound = _effective_bound(algebra, degree_bound)
-    field = algebra.field
     entries = {}
-    for n in range(1, bound + 1):
-        denom = (alpha + 1) ** n - alpha**n
-        if denom.is_zero():
-            raise DenominatorVanishes(
-                f"(alpha+1)^{n} = alpha^{n} for alpha = {alpha}", where=n
-            )
-        coeff = alpha**n / denom
-        if coeff.is_zero():
-            continue
-        src = algebra.monomial(n)
-        entries[src] = (coeff, src)
-    return MonomialOperatorTable(algebra, field.one(), bound, entries)
+    for src in algebra.basis(bound):
+        coeff = _weight_one_coefficient((alpha,), src.exponents)
+        if coeff is None:
+            n = src.exponents[0]
+            raise DenominatorVanishes(f"(alpha+1)^{n} = alpha^{n} for alpha = {alpha}", where=n)
+        if not coeff.is_zero():  # alpha = 0 gives the zero table
+            entries[src] = (coeff, src)
+    return MonomialOperatorTable(algebra, algebra.field.one(), bound, entries)
+
+
+def _weight_one_coefficient(alphas: Tuple[FieldElement, ...], exponents: Tuple[int, ...]) -> Optional[FieldElement]:
+    """The weight-one family's coefficient at x1^e1...xn^en,
+    prod a_j^e_j / (prod (a_j+1)^e_j - prod a_j^e_j); None where the
+    denominator vanishes."""
+    num = shifted = alphas[0].spec.one()
+    for a, e in zip(alphas, exponents):
+        num, shifted = num * a**e, shifted * (a + 1) ** e
+    denom = shifted - num
+    return None if denom.is_zero() else num / denom
 
 
 class MultivariateKind(Enum):
@@ -168,22 +174,15 @@ def construct_multivariate(
         raise InvalidParams("one parameter per variable required")
     bound = _effective_bound(algebra, degree_bound)
     field = algebra.field
-    one = field.one()
     entries = {}
     for src in algebra.basis(bound):
         if params.kind is MultivariateKind.WEIGHT_ONE:
-            num = one
-            shifted = one
-            for a, e in zip(params.alphas, src.exponents):
-                num = num * a**e
-                shifted = shifted * (a + 1) ** e
-            denom = shifted - num
-            if denom.is_zero():
+            coeff = _weight_one_coefficient(params.alphas, src.exponents)
+            if coeff is None:
                 raise DenominatorVanishes(
                     f"product denominator vanishes at {src.exponents}",
                     where=src.exponents,
                 )
-            coeff = num / denom
         else:
             total = field.zero()
             for a, e in zip(params.alphas, src.exponents):
@@ -195,7 +194,7 @@ def construct_multivariate(
             coeff = total.inverse()
         if not coeff.is_zero():
             entries[src] = (coeff, src)
-    weight = one if params.kind is MultivariateKind.WEIGHT_ONE else field.zero()
+    weight = field.one() if params.kind is MultivariateKind.WEIGHT_ONE else field.zero()
     return MonomialOperatorTable(algebra, weight, bound, entries)
 
 
@@ -204,35 +203,32 @@ def construct_integral(
 ) -> Union[MonomialOperatorTable, DenseOperator]:
     """Formal integration with base point a: x^n -> (x^(n+1) - a^(n+1))/(n+1).
 
-    Weight zero; a monomial table exactly when a = 0, dense otherwise.
+    Weight zero; a monomial table exactly when a = 0, dense otherwise.  It
+    is refused where it fails the identity: for a != 0 on a truncated
+    algebra, whose ideal it does not keep; over GF(p) where some 1/(n+1)
+    vanishes, and where x^p survives and a pair (x^i, x^j) with
+    i + j = p - 2 lies within the bound, as its inner term
+    (i+j+2)/((i+1)(j+1)) x^(p-1) vanishes and its left side does not.
     """
     if not (algebra.unital and algebra.nvars == 1):
         raise InvalidParams("formal integration lives on the unital univariate algebra")
+    if algebra.truncation is not None and not a.is_zero():
+        raise InvalidParams("integration with a base point a != 0 does not preserve the truncation")
     bound = _effective_bound(algebra, degree_bound)
-    field = algebra.field
-    if field.kind is FieldKind.PRIME and field.p <= bound + 1:
+    field, p = algebra.field, algebra.field.p
+    if p is not None and p <= bound + 1:
+        raise CharacteristicObstruction(f"n+1 vanishes mod {p} within degree {bound}", index=p - 1)
+    if p is not None and p <= 2 * bound + 2 and (algebra.truncation is None or p <= algebra.truncation):
+        i = max(0, p - 2 - bound)
         raise CharacteristicObstruction(
-            f"n+1 vanishes mod {field.p} within degree {bound}", index=field.p - 1
+            f"the pair (x^{i}, x^{p - 2 - i}) has no inner term mod {p}, while x^{p} survives", index=i
         )
-    if a.is_zero():
-        entries = {}
-        for n in range(0, bound + 1):
-            target_exp = n + 1
-            if algebra.truncation is not None and target_exp > algebra.truncation:
-                continue
-            coeff = field.from_int(n + 1).inverse()
-            entries[algebra.monomial(n)] = (coeff, algebra.monomial(target_exp))
+    x = [algebra.monomial(n) for n in range(bound + 2)]
+    inverses = [field.from_int(n + 1).inverse() for n in range(bound + 1)]
+    if a.is_zero():  # x^n -> x^(n+1)/(n+1), zero where x^(n+1) is above the truncation
+        entries = {x[n]: (c, x[n + 1]) for n, c in enumerate(inverses) if algebra.admits(x[n + 1])}
         return MonomialOperatorTable(algebra, field.zero(), bound, entries)
-    images = {}
-    for n in range(0, bound + 1):
-        inv = field.from_int(n + 1).inverse()
-        images[algebra.monomial(n)] = Polynomial(
-            algebra,
-            {
-                algebra.monomial(n + 1): inv,
-                algebra.one_monomial(): -(a ** (n + 1)) * inv,
-            },
-        )
+    images = {x[n]: Polynomial(algebra, {x[n + 1]: c, x[0]: -(a ** (n + 1)) * c}) for n, c in enumerate(inverses)}
     return DenseOperator(algebra, field.zero(), bound, images)
 
 

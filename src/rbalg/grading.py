@@ -44,7 +44,7 @@ from .errors import (
     ZeroArgument,
 )
 from .fields import FieldElement, prime_field
-from .operators import LinearOperator, MonomialOperatorTable
+from .operators import LinearOperator, MonomialOperatorTable, on_positions
 from .poly import AlgebraSpec, Polynomial
 
 
@@ -192,9 +192,11 @@ def _matrix_decomposition(R: LinearOperator):
     index = R.algebra.basis_index
     size = len(index.monomials)
     mat = [[R.algebra.field.zero().value] * size for _ in range(size)]
-    for src, image in R.raw_images().items():
-        for dst, _, c in image:
-            mat[index.position[dst]][index.position[src]] = c
+    tgt, coef, more = on_positions(R, index.position)
+    for i, t in enumerate(tgt):
+        if t >= 0:
+            for dst, c in [(t, coef[i]), *more.get(i, ())]:
+                mat[dst][i] = c
     coeffs = linalg.char_poly(mat, p)
     roots = linalg.roots(coeffs, p)
     multiplicities = [linalg.root_multiplicity(coeffs, lam, p) for lam in roots]

@@ -5,7 +5,7 @@ seeds (see ``classify``).  Its values are Laurent monomials c * s^e, its
 equations' coefficients and its residuals Laurent polynomials, all with
 raw coefficients (``Fraction`` over Q, int over GF(p), reduced only by
 ``% p``, as raw values are).  ``Laurent`` supports what the solver and
-``rbcheck``'s index kernel do to raw values: sums, products, ``% p`` and
+``rbcheck``'s kernel do to raw values: sums, products, ``% p`` and
 truth, and over Q ``numerator`` and ``denominator``, so ``rbcheck`` can
 scale it to ints.
 """

@@ -5,7 +5,9 @@ bound, either nothing (zero image) or a single scaled target monomial.
 Dense operators carry arbitrary polynomial images; they arise from
 conjugation by the shift automorphism x -> x - 1 (which destroys
 monomiality) and from tensor-derived operators, and support only
-application and Rota-Baxter checking.
+application and Rota-Baxter checking.  ``on_positions`` reads either kind
+onto basis positions on raw values, the one form in which ``rb_check``
+and the grading's matrix see an operator.
 
 Operators are total on their domain: applying one above the degree
 bound is an error, never a silent zero, so searches can distinguish
@@ -158,11 +160,6 @@ class MonomialOperatorTable(LinearOperator):
             f"{len(self.entries)} entries)"
         )
 
-    def raw_images(self) -> Dict[tuple, list]:
-        """{source exponents: [(target exponents, degree, raw value)]}: one
-        term per entry, the value a ``Fraction`` over Q or an int mod p."""
-        return {s.exponents: [(d.exponents, d.degree(), c.value)] for s, (c, d) in self.entries.items()}
-
     # -- serialization ----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -227,13 +224,6 @@ class DenseOperator(LinearOperator):
                 _accumulate(out, m, coeff * c)
         return Polynomial._trusted(self.algebra, out)
 
-    def raw_images(self) -> Dict[tuple, list]:
-        """``MonomialOperatorTable.raw_images``, one term per image term."""
-        return {
-            s.exponents: [(m.exponents, m.degree(), c.value) for m, c in f.terms()]
-            for s, f in self.images.items()
-        }
-
     def to_json_dict(self) -> dict:
         images = [
             {"src": list(src.exponents), "poly": poly.to_json_terms()}
@@ -256,13 +246,34 @@ class DenseOperator(LinearOperator):
         return f"DenseOperator(weight={self.weight}, D={self.degree_bound})"
 
 
-
-
 def operator_from_json(data: dict) -> LinearOperator:
     kind = data.get("kind")
     if kind not in ("monomial", "dense"):
         raise TypeError(f'kind must be "monomial" or "dense", got {kind!r}')
     return (DenseOperator if kind == "dense" else MonomialOperatorTable).from_json_dict(data)
+
+
+def on_positions(R: LinearOperator, position: Dict[tuple, int]) -> tuple:
+    """R read onto basis positions, on raw values (``Fraction`` over Q, int
+    mod p): (tgt, coef, more), where tgt[i] and coef[i] are the position and
+    value of one term of the image of the monomial at position i (-1 and 0
+    where it is zero), and more[i] the image's other terms as (position,
+    value) pairs, for images of several terms only.  The sources that have
+    a position when it starts are read; every term of theirs must have one,
+    or be given one as it is read."""
+    size = len(position)
+    tgt, coef, more = [-1] * size, [0] * size, {}
+    if isinstance(R, MonomialOperatorTable):
+        for src, (c, dst) in R.entries.items():
+            if (i := position.get(src.exponents, size)) < size:
+                tgt[i], coef[i] = position[dst.exponents], c.value
+        return tgt, coef, more
+    for src, f in R.images.items():
+        if (i := position.get(src.exponents, size)) < size:
+            (tgt[i], coef[i]), *rest = [(position[m.exponents], c.value) for m, c in f._terms.items()]
+            if rest:
+                more[i] = rest
+    return tgt, coef, more
 
 
 def operators_agree(a: LinearOperator, b: LinearOperator, max_degree: int) -> bool:

@@ -56,37 +56,64 @@ class Monomial:
 class ProductRows(dict):
     """rows[i][j]: the position in exponents of the product of monomials i
     and j, or None when that product is not in the list.  Row i is built
-    when it is first read, so a caller that reads a few rows of a large
-    basis pays for those alone."""
+    when it is first read: the whole row at once, or if ``grow`` entry by
+    entry, each position found when first read and a product not yet in
+    the list appended to it, with its degree."""
 
-    def __init__(self, exponents: Sequence[Tuple[int, ...]]):
+    def __init__(self, exponents: List[Tuple[int, ...]], grow: bool = False):
         super().__init__()
-        self.exponents = exponents
-        self.position = {e: i for i, e in enumerate(exponents)}
+        self.exponents, self.degrees, self.grow = exponents, list(map(sum, exponents)), grow
+        self.position = (_Positions if grow else dict)((e, i) for i, e in enumerate(exponents))
+        if grow:
+            self.position.rows = self
 
-    def __missing__(self, i: int) -> List[Optional[int]]:
+    def __missing__(self, i: int):
         a, position = self.exponents[i], self.position
-        row = self[i] = [position.get(tuple(map(add, a, b))) for b in self.exponents]
+        if self.grow:
+            row = self[i] = _Row()
+            row.a, row.rows = a, self
+        else:
+            row = self[i] = [position.get(tuple(map(add, a, b))) for b in self.exponents]
         return row
 
 
+class _Positions(dict):
+    __slots__ = ("rows",)
+
+    def __missing__(self, e: Tuple[int, ...]) -> int:
+        k = self[e] = len(self.rows.exponents)
+        self.rows.exponents.append(e)
+        self.rows.degrees.append(sum(e))
+        return k
+
+
+class _Row(dict):
+    __slots__ = ("a", "rows")
+
+    def __missing__(self, j: int) -> int:
+        k = self[j] = self.rows.position[tuple(map(add, self.a, self.rows.exponents[j]))]
+        return k
+
+
 class BasisIndex(NamedTuple):
-    """The basis of a truncated algebra on indices: its ``monomials`` in
+    """A list of basis monomials on indices: the ``monomials`` in
     canonical order, the ``position`` of each exponent tuple, their
     ``degrees`` and ``mul``, their ``ProductRows`` (None where a product
-    vanishes above the truncation)."""
+    is not listed, as above a truncation)."""
 
     monomials: Tuple[Monomial, ...]
     position: Dict[Tuple[int, ...], int]
-    degrees: Tuple[int, ...]
+    degrees: Sequence[int]
     mul: ProductRows
 
     @classmethod
-    def of(cls, monomials: Iterable[Monomial]) -> "BasisIndex":
-        """The index of the basis monomials listed, in their order."""
+    def of(cls, monomials: Iterable[Monomial], grow: bool = False) -> "BasisIndex":
+        """The index of the basis monomials listed, in their order: with
+        ``grow``, the start of an untruncated basis, to which positions,
+        degrees and products append the monomials they reach beyond it."""
         monomials = tuple(monomials)
-        mul = ProductRows([m.exponents for m in monomials])
-        return cls(monomials, mul.position, tuple(map(sum, mul.exponents)), mul)
+        mul = ProductRows([m.exponents for m in monomials], grow)
+        return cls(monomials, mul.position, mul.degrees if grow else tuple(mul.degrees), mul)
 
 
 def _json_typed(value, name: str, kind: type = int, nullable: bool = False):

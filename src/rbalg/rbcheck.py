@@ -14,16 +14,14 @@ raw values, and ``rb_power_check`` /
     (R(u))^k = k R(u (R(u))^{k-1})
     R(u_1)...R(u_k) = R( sum_i R(u_1)...u_i...R(u_k) ).
 
-``rb_check`` decides each pair with one of two kernels, chosen by the
-operator's type and its algebra's truncation.  A monomial table on a
-truncated algebra -- every table a search re-verifies -- is read on the
-indices of ``AlgebraSpec.basis_index`` (``_index_test``); dense
-operators, and tables on untruncated algebras, are read from
-``raw_images()`` on exponent tuples (``_pair_test``).  Both give the same
-verdicts, skips and errors, and ``rb_residual`` reports the violation.
-Over Q both run on ints: ``_on_integers`` clears the denominators of the
-coefficients and the weight, which scales each side of the identity by
-the same square.
+``rb_check`` decides every pair with one kernel on basis positions,
+whatever the operator and the algebra: ``operators.on_positions`` reads a
+table or a dense operator onto the indices of a ``BasisIndex``, the
+algebra's ``basis_index`` or, untruncated, an index that grows by the
+monomials the window's products reach, and ``_index_verdicts`` tests each
+pair on raw values.  ``rb_residual`` reports the violation.  Over Q the kernel runs on
+ints: ``_on_integers`` clears the denominators of the coefficients and
+the weight, which scales each side of the identity by the same square.
 
 Kernel/image extraction and the unit-image classification for unital
 algebras of nonzero weight round out the structural checks.
@@ -36,12 +34,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from operator import add
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import MixedFieldSpecs, NonzeroWeight
 from .fields import FieldElement
-from .operators import LinearOperator, MonomialOperatorTable
+from .operators import LinearOperator, MonomialOperatorTable, on_positions
 from .poly import BasisIndex, Monomial, Polynomial
 
 
@@ -105,82 +102,30 @@ def _on_integers(w, coefs: list) -> tuple:
     return w.numerator * (L // w.denominator), [c.numerator * (L // c.denominator) for c in coefs]
 
 
-def _pair_test(R: LinearOperator, weight: FieldElement, top: int) -> Iterator[tuple]:
-    """(u, v, verdict) for each pair of ``rb_check``'s window, in its order,
-    with top = min(degree, truncation): the kernel of dense operators and of
-    tables on untruncated algebras, and the reference of ``_index_test``.
-
-    The residual is formed on ints (over Q, after ``_on_integers``; over
-    GF(p), reduced only at zero tests) from ``R.raw_images()``, truncated
-    and cancelled where ``rb_residual`` does.  The verdict is True if it
-    vanishes, False if not, and None if an inner term lies above the bound,
-    outside R's domain; arguments above the bound raise
-    ``DegreeBoundExceeded``, as in ``rb_residual``.
-    """
-    algebra, bound, w = R.algebra, R.degree_bound, weight.value
-    trunc = algebra.truncation or math.inf
-    p = algebra.field.p
-    nonzero = bool if p is None else (lambda c: c % p)
-    images = R.raw_images()
-    if p is None:
-        w, coefs = _on_integers(w, [c for image in images.values() for _, _, c in image])
-        scaled = iter(coefs)
-        images = {s: [(t, dt, next(scaled)) for t, dt, _ in image] for s, image in images.items()}
-    basis = list(algebra.basis(top))
-    for i, u in enumerate(basis):
-        for v in basis[i:]:
-            eu, ev = u.exponents, v.exponents
-            du, dv = sum(eu), sum(ev)
-            if du + dv > top and algebra.truncation is None:
-                continue
-            if du > bound or dv > bound:
-                R.apply_monomial(u if du > bound else v)  # raises DegreeBoundExceeded
-            Ru, Rv = images.get(eu, ()), images.get(ev, ())
-            inner = {}  # R(u)v + uR(v) + w uv
-            for image, e, d in ((Ru, ev, dv), (Rv, eu, du)):
-                for t, dt, c in image:
-                    if dt + d <= trunc:
-                        m = tuple(map(add, t, e))
-                        inner[m] = inner.get(m, 0) + c
-            if w and du + dv <= trunc:
-                m = tuple(map(add, eu, ev))
-                inner[m] = inner.get(m, 0) + w
-            residual = {}
-            for m1, d1, c1 in Ru:
-                for m2, d2, c2 in Rv:
-                    if d1 + d2 <= trunc:
-                        m = tuple(map(add, m1, m2))
-                        residual[m] = residual.get(m, 0) + c1 * c2
-            verdict = True
-            for m, c in inner.items():
-                if nonzero(c):
-                    if sum(m) > bound:
-                        verdict = None
-                        break
-                    for t, _, ct in images.get(m, ()):
-                        residual[t] = residual.get(t, 0) - c * ct
-            yield u, v, verdict and not any(map(nonzero, residual.values()))
-
-
-def _index_verdicts(index: BasisIndex, size: int, bound: int, tgt, coef, w, p) -> Iterator[tuple]:
+def _index_verdicts(index: BasisIndex, size: int, span: int, bound: int, images: tuple, w, p) -> Iterator[tuple]:
     """(u, v, verdict) for the pairs of monomials at positions i <= j < size
-    of index, in order: the identity for the table with tgt[i], the position
-    of the target of monomial i (-1 for none), and coef[i], its raw value,
-    at raw weight w.  A pair has at most four terms, t_i t_j on the left and
-    t_i j, i t_j and w i j inside, each a ``mul`` lookup that is None where
-    the product vanishes above the truncation.  The verdict is None when a
-    nonzero inner term lies above the bound.
+    of index with deg i + deg j <= span, in order: the identity for the
+    operator read by ``operators.on_positions`` into images, at raw weight
+    w.  A pair of one-term images has at most four terms, t_i t_j on the
+    left and t_i j, i t_j and w i j inside, each a ``mul`` lookup that is
+    None where the product vanishes above the truncation; the other terms
+    of an image add their products only to the pairs it is in.  The
+    verdict is None when a nonzero inner term lies above the bound.
 
     Only sums, products and zero tests (``bool`` over Q, ``% p`` over
     GF(p)) touch the values, so any ring type that has them serves: the
     ints of ``rb_check`` and the search's Laurent polynomials in its seeds.
     """
     monos, _, deg, mul = index
+    tgt, coef, more = images
     nonzero = bool if p is None else (lambda c: c % p)
+    end, cut = size, size and span < 2 * deg[size - 1]  # cut: the window drops pairs by degree
     for i in range(size):
+        if cut and (end := bisect_right(deg, span - deg[i], i, size)) <= i:
+            return  # and so for every later row
         ti, ci, row = tgt[i], coef[i], mul[i]
         trow = mul[ti] if ti >= 0 else None
-        for j in range(i, size):
+        for j in range(i, end):
             tj, cj = tgt[j], coef[j]
             if trow is None and tj < 0 and not w:  # no term at all
                 yield monos[i], monos[j], True
@@ -195,6 +140,16 @@ def _index_verdicts(index: BasisIndex, size: int, bound: int, tgt, coef, w, p) -
             residual = {}
             if trow is not None and tj >= 0 and (k := trow[tj]) is not None:
                 residual[k] = ci * cj
+            if more and (i in more or j in more):  # the terms of images beyond the first
+                mi, mj = more.get(i, ()), more.get(j, ())
+                for k, c in [(mul[t][j], c) for t, c in mi] + [(row[t], c) for t, c in mj]:
+                    if k is not None:
+                        inner[k] = inner.get(k, 0) + c
+                Ri, Rj = [(ti, ci), *mi] if ti >= 0 else (), [(tj, cj), *mj] if tj >= 0 else ()
+                for a, (t1, c1) in enumerate(Ri):
+                    for t2, c2 in Rj[1:] if a == 0 else Rj:  # the first terms' product is in
+                        if (k := mul[t1][t2]) is not None:
+                            residual[k] = residual.get(k, 0) + c1 * c2
             verdict = True
             for k, c in inner.items():
                 if nonzero(c):
@@ -203,34 +158,42 @@ def _index_verdicts(index: BasisIndex, size: int, bound: int, tgt, coef, w, p) -
                         break
                     if (tk := tgt[k]) >= 0:
                         residual[tk] = residual.get(tk, 0) - c * coef[k]
+                        if more and k in more:
+                            for t, ct in more[k]:
+                                residual[t] = residual.get(t, 0) - c * ct
             yield monos[i], monos[j], verdict and not any(map(nonzero, residual.values()))
 
 
-def _index_test(R: MonomialOperatorTable, weight: FieldElement, top: int) -> Iterator[tuple]:
-    """``_pair_test`` of a monomial table on a truncated algebra, on the
-    indices of ``algebra.basis_index``: the same verdicts and errors.
-
-    The table is read once into ``_index_verdicts``'s tgt and coef (over Q
-    scaled by ``_on_integers``), and its window is the basis prefix up to
-    degree top.
-    """
-    algebra = R.algebra
-    index = algebra.basis_index
-    monos, position, deg, _ = index
-    tgt, coef = [-1] * len(monos), [0] * len(monos)
-    for src, (c, dst) in R.entries.items():
-        i = position[src.exponents]
-        tgt[i], coef[i] = position[dst.exponents], c.value
+def _pair_verdicts(R: LinearOperator, weight: FieldElement, degree: int) -> Iterator[tuple]:
+    """(u, v, verdict) for each pair of ``rb_check``'s window in its order,
+    up to the first pair with an argument above the bound, which raises
+    ``DegreeBoundExceeded``.  R is read onto the algebra's ``basis_index``;
+    on an untruncated algebra onto a growing index that starts with the
+    basis up to the degree of the highest inner term R can apply to, at
+    most degree + lift, the most R raises a degree on the window."""
+    algebra, bound = R.algebra, R.degree_bound
+    if algebra.truncation is None:
+        top = span = degree
+        lift = max([0, *(R.apply_monomial(m).degree() - m.degree() for m in algebra.basis(min(top, bound)))])
+        index = BasisIndex.of(algebra.basis(max(top, min(bound, top + lift))), grow=True)
+    else:
+        top = min(degree, algebra.truncation)
+        span, index = 2 * top, algebra.basis_index
+    deg = index.degrees
+    size, within = bisect_right(deg, top), bisect_right(deg, bound)  # before reading R appends to deg
+    tgt, coef, more = on_positions(R, index.position)
     w, p = weight.value, algebra.field.p
-    if p is None:
+    if p is None and not more:
         w, coef = _on_integers(w, coef)
-    size, within = bisect_right(deg, top), bisect_right(deg, R.degree_bound)
-    pairs = _index_verdicts(index, size, R.degree_bound, tgt, coef, w, p)
-    if size <= within:
-        yield from pairs
-    else:  # the pairs (0, j) before the first argument above the bound, then its error
-        yield from islice(pairs, within)
-        R.apply_monomial(monos[within])  # raises DegreeBoundExceeded
+    elif p is None:
+        w, coef = _on_integers(w, coef + [c for terms in more.values() for _, c in terms])
+        rest = iter(coef[len(tgt):])
+        more = {i: [(t, next(rest)) for t, _ in terms] for i, terms in more.items()}
+    pairs = _index_verdicts(index, size, span, bound, (tgt, coef, more), w, p)
+    if size > within and deg[0] + deg[within] <= span:
+        yield from islice(pairs, within)  # the pairs (0, j) before the first argument above the bound
+        R.apply_monomial(index.monomials[within])  # raises DegreeBoundExceeded
+    yield from pairs
 
 
 def rb_check(R: LinearOperator, weight: FieldElement, degree: int) -> CheckReport:
@@ -242,25 +205,21 @@ def rb_check(R: LinearOperator, weight: FieldElement, degree: int) -> CheckRepor
     verified in the quotient).  Pairs are visited in canonical order, so
     the reported first violation is deterministic.
 
-    Each pair is decided on raw values: a monomial table on a truncated
-    algebra by ``_index_test``, on basis indices, and every other operator
-    by ``_pair_test``, on exponent tuples.  A pair on which ``rb_residual``
-    would apply R above its bound is skipped (``skipped_pairs``);
-    arguments above the bound raise ``DegreeBoundExceeded``, a weight from
-    another field raises ``MixedFieldSpecs`` and a degree below 0
-    ``ValueError``.  ``rb_residual`` stays the reference: it reports the
-    violation.
+    Every operator on every algebra is decided by the one kernel on basis
+    positions (``_index_verdicts``).  A pair on which ``rb_residual`` would
+    apply R above its bound is skipped (``skipped_pairs``); arguments above
+    the bound raise ``DegreeBoundExceeded`` after the pairs before the
+    first of them, a weight from another field raises ``MixedFieldSpecs``
+    and a degree below 0 ``ValueError``.  ``rb_residual`` stays the
+    reference: it reports the violation.
     """
     algebra = R.algebra
     if weight.spec != algebra.field:
         raise MixedFieldSpecs(f"cannot mix {algebra.field} with {weight.spec}")
     if degree < 0:
         raise ValueError(f"check degree must be >= 0, got {degree}")
-    truncated = algebra.truncation is not None
-    top = min(degree, algebra.truncation) if truncated else degree
-    kernel = _index_test if truncated and isinstance(R, MonomialOperatorTable) else _pair_test
     checked = skipped = 0
-    for u, v, verdict in kernel(R, weight, top):
+    for u, v, verdict in _pair_verdicts(R, weight, degree):
         if verdict is None:
             skipped += 1
             continue

@@ -237,8 +237,8 @@ def test_search_builds_one_product_table(weight):
     for algebra in (NONUNITAL, UNITAL):
         built, read = [], []
 
-        def rows(exponents):
-            built.append(product_rows(exponents))
+        def rows(*args, **kwargs):
+            built.append(product_rows(*args, **kwargs))
             return built[-1]
 
         def spy(table, *args):

@@ -9,14 +9,17 @@ from helpers import quadratic_shift_conjugate, scaled_inverse_degree_conjugate
 from rbalg import (
     QQ,
     AlgebraSpec,
+    AutomorphismSpec,
     DenseOperator,
     MonomialOperatorTable,
     MultivariateFamilyParams,
     MultivariateKind,
     Polynomial,
+    construct_integral,
     construct_multivariate,
     construct_weight_one_univariate,
     enumerate_monomial_rb,
+    op_conjugate,
     prime_field,
     rb_check,
 )
@@ -235,7 +238,7 @@ def test_construct_output_is_pinned(capsys, argv, digest):
         "--family multivariate-one --nvars 3 --alphas 1,2,-1 --degree 3",
         "--family multivariate-zero --nvars 2 --alphas 1,2 --degree 4",
         "--family integral --a 1 --unital --degree 4",
-        "--family integral --unital --degree 4 --field Fp:7",
+        "--family integral --unital --degree 4 --field Fp:11",
         "--family splitting --nvars 2 --unital --second-vars 2 --degree 3",
         "--family splitting --unital --second constants --weight 2 --degree 4",
         "--family splitting --nvars 2 --second-vars 1 --weight 3 --degree 3 --field Fp:5",
@@ -615,25 +618,57 @@ def test_grade_output_is_pinned(tmp_path, capsys, build, weight, exit_code, dige
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize(
-    "family,weight",
-    [
-        (["--family", "weight-one", "--alpha", "1"], "1"),
-        (["--family", "integral", "--unital", "--a", "1"], "0"),
-    ],
-    ids=["table", "dense"],
-)
-def test_grade_operator_defined_below_the_truncation(tmp_path, capsys, family, weight):
+@pytest.mark.parametrize("dense,weight", [(False, "1"), (True, "0")], ids=["table", "dense"])
+def test_grade_operator_defined_below_the_truncation(tmp_path, capsys, dense, weight):
     # above its degree bound an operator is undefined, not zero
     path = tmp_path / "op.json"
-    code, _, _ = run_cli(
-        capsys, "construct", *family, "--truncation", "6", "--degree", "4", "--output", str(path),
-    )
-    assert code == 0
+    if dense:  # the shift conjugate of the integral on k[x]/(x^7), defined up to degree 4
+        integral = construct_integral(QQ.zero(), AlgebraSpec(QQ, unital=True, truncation=6), 4)
+        path.write_text(json.dumps(op_conjugate(integral, AutomorphismSpec.shift()).to_json_dict()))
+    else:
+        code, _, _ = run_cli(
+            capsys, "construct", "--family", "weight-one", "--alpha", "1",
+            "--truncation", "6", "--degree", "4", "--output", str(path),
+        )
+        assert code == 0
     code, out, err = run_cli(capsys, "grade", "--operator", str(path), "--weight", weight)
     assert code == 2
     assert out == ""
     assert err == "error: operator defined up to degree 4, got Monomial(5,)\n"
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (
+            "--unital --degree 5 --field Fp:7",
+            "the pair (x^0, x^5) has no inner term mod 7, while x^7 survives",
+        ),
+        (
+            "--unital --truncation 8 --degree 3 --field Fp:7",
+            "the pair (x^2, x^3) has no inner term mod 7, while x^7 survives",
+        ),
+        (
+            "--a 1 --unital --truncation 5 --degree 5",
+            "integration with a base point a != 0 does not preserve the truncation",
+        ),
+    ],
+)
+def test_construct_refuses_integrals_that_fail_the_identity(capsys, flags, message):
+    """Integrals whose table would fail ``rbalg check`` within its window
+    exit 2 with one error line."""
+    code, out, err = run_cli(capsys, "construct", "--family", "integral", *flags.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_construct_integral_with_base_point_zero_on_a_truncated_algebra(tmp_path, capsys):
+    path = tmp_path / "op.json"
+    flags = ["--unital", "--truncation", "5", "--degree", "5", "--output", str(path)]
+    code, _, err = run_cli(capsys, "construct", "--family", "integral", "--a", "0", *flags)
+    assert (code, err) == (0, "")
+    assert json.loads(path.read_text())["kind"] == "monomial"
+    code, out, _ = run_cli(capsys, "check", "--operator", str(path), "--weight", "0")
+    assert (code, json.loads(out)["status"]) == (0, "pass")
 
 
 @pytest.mark.parametrize("family", ["quotient-one", "quotient-zero"])

@@ -5,6 +5,7 @@ import pytest
 from rbalg import (
     QQ,
     AlgebraSpec,
+    DenseOperator,
     MonomialOperatorTable,
     MultivariateFamilyParams,
     MultivariateKind,
@@ -16,13 +17,16 @@ from rbalg import (
     construct_weight_one_univariate,
     construct_weight_zero,
     op_left_mul,
+    operators_agree,
     prime_field,
     rb_check,
+    rb_residual,
     split_by_variables,
     split_positive_degree,
 )
 from rbalg.errors import (
     CharacteristicObstruction,
+    DegreeBoundExceeded,
     DenominatorVanishes,
     InvalidParams,
     NotASubalgebra,
@@ -207,6 +211,85 @@ def test_integration_characteristic_obstruction():
     algebra = AlgebraSpec(field, nvars=1, unital=True, truncation=None)
     with pytest.raises(CharacteristicObstruction):
         construct_integral(field.zero(), algebra, 6)
+
+
+def _unrefused_integral(a, algebra, bound):
+    """The operator of ``construct_integral`` built without its refusals,
+    dense: x^n -> (x^(n+1) - a^(n+1))/(n+1), truncated by the algebra."""
+    field, one = algebra.field, algebra.monomial(0)
+    images = {}
+    for n in range(bound + 1):
+        inv = field.from_int(n + 1).inverse()
+        images[algebra.monomial(n)] = Polynomial(algebra, {algebra.monomial(n + 1): inv, one: -(a ** (n + 1)) * inv})
+    return DenseOperator(algebra, field.zero(), bound, images)
+
+
+def _holds_on_its_domain(R):
+    """The identity on every pair of arguments within R's bound, pairs
+    whose inner term leaves the domain aside."""
+    basis = list(R.algebra.basis(R.degree_bound))
+    for i, u in enumerate(basis):
+        for v in basis[i:]:
+            try:
+                if not rb_residual(R, u, v, R.weight).is_zero():
+                    return False
+            except DegreeBoundExceeded:
+                pass
+    return True
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_integral_over_gf_p_is_refused_exactly_where_it_fails(p):
+    """Over GF(p), truncated or not, at every bound up to p + 2: an accepted
+    integral satisfies the identity on its domain and passes ``rb_check``
+    at every window up to twice its bound that stays within the bound; a
+    refused one has a vanishing 1/(n+1) or fails the identity on its
+    domain."""
+    field = prime_field(p)
+    for truncation in (None, *range(1, p + 3)):
+        algebra = AlgebraSpec(field, unital=True, truncation=truncation)
+        for a in (field.zero(), field.one()) if truncation is None else (field.zero(),):
+            for bound in range(min(truncation or p + 2, p + 2) + 1):
+                try:
+                    J = construct_integral(a, algebra, bound)
+                except CharacteristicObstruction:
+                    assert p <= bound + 1 or not _holds_on_its_domain(_unrefused_integral(a, algebra, bound))
+                    continue
+                assert operators_agree(J, _unrefused_integral(a, algebra, bound), bound)
+                assert _holds_on_its_domain(J)
+                for window in range(2 * bound + 1):
+                    try:
+                        assert rb_check(J, field.zero(), window).passed
+                    except DegreeBoundExceeded:
+                        assert window > bound
+
+
+def test_integral_with_a_base_point_needs_an_untruncated_algebra():
+    truncated = AlgebraSpec(QQ, unital=True, truncation=5)
+    with pytest.raises(InvalidParams, match="base point a != 0"):
+        construct_integral(QQ.one(), truncated, 5)
+    assert isinstance(construct_integral(QQ.zero(), truncated, 5), MonomialOperatorTable)
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(13)])
+def test_weight_one_families_share_one_formula(field):
+    """The univariate weight-one table is the one-variable multivariate one,
+    and both refuse the same alphas, naming the exponent as an int and as
+    a tuple."""
+    algebra = AlgebraSpec(field, nvars=1, unital=False, truncation=None)
+    alphas = [field.from_int(k) for k in range(1, 7)] + [field.one() / field.from_int(k) for k in (-2, 3, 5)]
+    for alpha in alphas:
+        params = MultivariateFamilyParams(MultivariateKind.WEIGHT_ONE, (alpha,))
+        try:
+            table = construct_weight_one_univariate(alpha, algebra, 8)
+        except DenominatorVanishes as err:
+            with pytest.raises(DenominatorVanishes) as again:
+                construct_multivariate(params, algebra, 8)
+            n = err.where
+            assert str(err) == f"(alpha+1)^{n} = alpha^{n} for alpha = {alpha}"
+            assert again.value.where == (n,)
+            continue
+        assert table == construct_multivariate(params, algebra, 8)
 
 
 def test_splitting_operator_examples():

@@ -40,6 +40,8 @@ from rbalg.errors import (
 )
 from rbalg.cli import main
 from rbalg.grading import QuotientFamily, quotient_rb_from_family
+from rbalg.operators import on_positions
+from rbalg.poly import BasisIndex
 
 from helpers import dense_to_table, field_elements, inverse_degree_table, polynomials
 
@@ -144,14 +146,22 @@ def test_weight_from_another_field_is_rejected_by_both_operator_kinds():
         DenseOperator(NONUNITAL, prime_field(5).one(), 4, image)
 
 
-def test_raw_images_hold_one_term_per_table_entry():
+def _images(R, position):
+    """{source position: {target position: raw value}} from ``on_positions``."""
+    tgt, coef, more = on_positions(R, position)
+    return {i: {t: coef[i], **dict(more.get(i, ()))} for i, t in enumerate(tgt) if t >= 0}
+
+
+def test_on_positions_reads_one_term_per_image_term():
     R = inverse_degree_table(3)
-    assert R.raw_images() == {(n,): [((n,), n, Fraction(1, n))] for n in (1, 2, 3)}
+    position = {(n,): n - 1 for n in (1, 2, 3)}
+    assert on_positions(R, position) == ([0, 1, 2], [1, Fraction(1, 2), Fraction(1, 3)], {})
+    assert on_positions(R, {(1,): 0, (2,): 1}) == ([0, 1], [1, Fraction(1, 2)], {})  # x^3 has no position
     # the shifted integral: R(1) = x + 1, R(x) = (x^2 - 1)/2
     dense = op_conjugate(construct_integral(QQ.zero(), UNITAL, 1), AutomorphismSpec.shift())
-    assert dense.raw_images() == {
-        (0,): [((0,), 0, 1), ((1,), 1, 1)],
-        (1,): [((0,), 0, Fraction(-1, 2)), ((2,), 2, Fraction(1, 2))],
+    assert _images(dense, {(n,): n for n in range(3)}) == {
+        0: {0: 1, 1: 1},
+        1: {0: Fraction(-1, 2), 2: Fraction(1, 2)},
     }
 
 
@@ -184,7 +194,8 @@ def test_table_and_dense_operator_agree(ops, data):
     """Both operator kinds give the same images and raise the same errors."""
     table, dense = ops
     algebra, bound, weight = table.algebra, table.degree_bound, table.weight
-    assert table.raw_images() == dense.raw_images()
+    position = BasisIndex.of(algebra.basis(algebra.truncation or bound + 2)).position
+    assert on_positions(table, position) == on_positions(dense, position)
     for m in algebra.basis(bound):
         assert table.apply_monomial(m) == dense.apply_monomial(m)
     f = data.draw(polynomials(algebra, max_degree=bound))

@@ -45,6 +45,7 @@ from rbalg.errors import (
     RBAlgebraError,
 )
 from rbalg.grading import QuotientFamily, quotient_rb_from_family
+from rbalg.poly import BasisIndex
 from rbalg.rbcheck import CheckReport, UnitImageKind
 
 from helpers import (
@@ -402,15 +403,15 @@ def test_kernel_matches_reference(case):
     assert got == _outcome(rb_check, _dense_twin(R), weight, degree)
 
 
-# -- the index kernel against the pair kernel -------------------------------------
+# -- truncated tables ----------------------------------------------------------------
 
 
 @st.composite
 def truncated_tables(draw, fields=st.just(QQ) | st.sampled_from(SMALL_PRIMES)):
-    """(table, weight, degree) on a truncated algebra, the index kernel's
-    case: random targets, diagonal ones (t_u v = u v = u t_v), shifted ones
-    (t_u v = u t_v) or a family table; a bound at or below the truncation;
-    a degree below, at or above it."""
+    """(table, weight, degree) on a truncated algebra: random targets,
+    diagonal ones (t_u v = u v = u t_v), shifted ones (t_u v = u t_v) or a
+    family table; a bound at or below the truncation; a degree below, at or
+    above it."""
     field = draw(fields)
     nvars = draw(st.integers(1, 2))
     truncation = draw(st.integers(1, 6 if nvars == 1 else 4))
@@ -433,66 +434,7 @@ def truncated_tables(draw, fields=st.just(QQ) | st.sampled_from(SMALL_PRIMES)):
     return MonomialOperatorTable(algebra, weight, bound, entries), weight, degree
 
 
-def _verdicts(kernel, R, weight, top):
-    out = []
-    try:
-        out.extend(kernel(R, weight, top))
-    except DegreeBoundExceeded as exc:
-        out.append(("raised", type(exc), str(exc)))
-    return out
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=truncated_tables())
-def test_index_kernel_matches_the_pair_kernel(case):
-    """Pair by pair, the index kernel gives the verdicts and the error of
-    ``_pair_test``, and each agrees with ``rb_residual``: None where it
-    leaves the domain, else whether the residual vanishes.  ``rb_check``
-    then reports what the pair kernel alone reports."""
-    R, weight, degree = case
-    top = min(degree, R.algebra.truncation)
-    got = _verdicts(rbcheck_mod._index_test, R, weight, top)
-    assert got == _verdicts(rbcheck_mod._pair_test, R, weight, top)
-    for u, v, verdict in got:
-        if u == "raised":
-            continue
-        try:
-            residual = rb_residual(R, u, v, weight)
-        except DegreeBoundExceeded:
-            assert verdict is None
-        else:
-            assert verdict is residual.is_zero()
-    with mock.patch.object(rbcheck_mod, "_index_test", rbcheck_mod._pair_test):
-        generic = _outcome(rb_check, R, weight, degree)
-    assert _outcome(rb_check, R, weight, degree) == generic
-
-
-def test_index_kernel_runs_on_truncated_tables_only():
-    calls = []
-
-    def counted(*args):
-        calls.append(args[0])
-        return rbcheck_mod._pair_test(*args)
-
-    truncated = AlgebraSpec(QQ, nvars=1, unital=False, truncation=6)
-    table = construct_weight_one_univariate(QQ.one(), truncated, 6)
-    untruncated = construct_weight_one_univariate(QQ.one(), NONUNITAL, 6)
-    with mock.patch.object(rbcheck_mod, "_index_test", counted):
-        for R in (table, untruncated, _dense_twin(table)):
-            assert rb_check(R, QQ.one(), 6).passed
-    assert calls == [table]
-
-
-def test_index_kernel_reads_the_product_rows_it_needs():
-    """A small window on a large truncation builds the product rows of the
-    window and its targets, not the whole table."""
-    big = AlgebraSpec(QQ, nvars=1, unital=False, truncation=1000)
-    R = construct_weight_one_univariate(QQ.one(), big, 4)
-    assert rb_check(R, QQ.one(), 4) == CheckReport(4, None, 6)  # products above x^4 leave the domain
-    assert sorted(big.basis_index.mul) == [0, 1, 2, 3]
-
-
-# -- the dense kernel against the reference -------------------------------------
+# -- dense operators against the reference -------------------------------------
 
 DENSE_FIELDS = [QQ] + [prime_field(p) for p in (2, 3, 5, 7, 101)]
 
@@ -567,6 +509,148 @@ def test_dense_kernel_matches_reference(case):
     assert _outcome(rb_check, R, weight, degree) == _outcome(reference_rb_check, R, weight, degree)
 
 
+# -- the one kernel, pair by pair ----------------------------------------------------
+
+
+def _verdicts(R, weight, degree):
+    """The kernel's (u, v, verdict) for the pairs of rb_check's window, then
+    its error, if any, as ("raised", type, message)."""
+    out = []
+    try:
+        out.extend(rbcheck_mod._pair_verdicts(R, weight, degree))
+    except DegreeBoundExceeded as exc:
+        out.append(("raised", type(exc), str(exc)))
+    return out
+
+
+def _window_pairs(R, degree):
+    """The pairs of rb_check's window in order, as ``reference_rb_check``
+    visits them."""
+    algebra = R.algebra
+    truncated = algebra.truncation is not None
+    top = min(degree, algebra.truncation) if truncated else degree
+    basis = list(algebra.basis(top))
+    return [(u, v) for i, u in enumerate(basis) for v in basis[i:] if truncated or u.degree() + v.degree() <= top]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=checked_tables() | truncated_tables() | checked_dense_operators())
+def test_one_kernel_matches_rb_residual_pair_by_pair(case):
+    """Tables and dense operators, truncated or not, over Q and GF(p): the
+    kernel visits the window's pairs in order and decides each as
+    ``rb_residual`` does, None where the residual leaves the domain, else
+    whether it vanishes; it raises at the first pair with an argument above
+    the bound the error ``rb_residual`` raises there.  ``rb_check`` then
+    reports what ``reference_rb_check`` reports."""
+    R, weight, degree = case
+    got = _verdicts(R, weight, degree)
+    raised = got.pop() if got and got[-1][0] == "raised" else None
+    window = _window_pairs(R, degree)
+    assert [(u, v) for u, v, _ in got] == window[: len(got)]
+    for u, v, verdict in got:
+        assert max(u.degree(), v.degree()) <= R.degree_bound
+        try:
+            residual = rb_residual(R, u, v, weight)
+        except DegreeBoundExceeded:
+            assert verdict is None
+        else:
+            assert verdict is residual.is_zero()
+    if raised is None:
+        assert len(got) == len(window)
+    else:
+        u, v = window[len(got)]
+        assert max(u.degree(), v.degree()) > R.degree_bound
+        with pytest.raises(DegreeBoundExceeded) as exc:
+            rb_residual(R, u, v, weight)
+        assert raised == ("raised", DegreeBoundExceeded, str(exc.value))
+    assert _outcome(rb_check, R, weight, degree) == _outcome(reference_rb_check, R, weight, degree)
+
+
+def test_one_kernel_decides_every_operator():
+    """Tables and dense operators, truncated or not, all go through the one
+    kernel: on the algebra's ``basis_index`` when it is truncated, else on
+    a growing index."""
+    kernel, indices = rbcheck_mod._index_verdicts, []
+
+    def counted(index, *args):
+        indices.append(index)
+        return kernel(index, *args)
+
+    truncated = AlgebraSpec(QQ, nvars=1, unital=False, truncation=6)
+    table = construct_weight_one_univariate(QQ.one(), truncated, 6)
+    untruncated = construct_weight_one_univariate(QQ.one(), NONUNITAL, 6)
+    with mock.patch.object(rbcheck_mod, "_index_verdicts", counted):
+        for R in (table, _dense_twin(table), untruncated, _dense_twin(untruncated)):
+            assert rb_check(R, QQ.one(), 6) == reference_rb_check(R, QQ.one(), 6)
+    assert len(indices) == 4
+    assert indices[0] is indices[1] is truncated.basis_index
+    assert [index.mul.grow for index in indices] == [False, False, True, True]
+
+
+def test_window_edges():
+    """Where the window ends: untruncated k0[x] at degree bound + 1 has no
+    pair with x^(bound+1), as x * x^(bound+1) lies above the window;
+    untruncated k[x] there raises after the pairs (1, x^0..x^bound); a
+    window of no pair checks nothing."""
+    R = construct_weight_one_univariate(QQ.one(), NONUNITAL, 4)
+    assert rb_check(R, QQ.one(), 5) == CheckReport(4, None, 2) == reference_rb_check(R, QQ.one(), 5)
+    J = construct_integral(QQ.zero(), UNITAL, 4)
+    got = _verdicts(J, QQ.zero(), 5)
+    assert [(u, v) for u, v, _ in got[:-1]] == [(UNITAL.monomial(0), UNITAL.monomial(n)) for n in range(5)]
+    assert got[-1] == ("raised", DegreeBoundExceeded, "operator defined up to degree 4, got Monomial(5,)")
+    assert _outcome(rb_check, J, QQ.zero(), 5) == got[-1] == _outcome(reference_rb_check, J, QQ.zero(), 5)
+    truncated = AlgebraSpec(QQ, nvars=2, unital=False, truncation=3)
+    empty = [(R, 0), (R, 1), (_dense_twin(R), 1), (identity_table(truncated, 3, QQ.one()), 0)]
+    for op, degree in empty:
+        assert _verdicts(op, QQ.one(), degree) == []
+        assert rb_check(op, QQ.one(), degree) == CheckReport(0, None)
+
+
+def test_index_kernel_reads_the_product_rows_it_needs():
+    """A small window on a large truncation builds the product rows of the
+    window and its targets, not the whole table."""
+    big = AlgebraSpec(QQ, nvars=1, unital=False, truncation=1000)
+    R = construct_weight_one_univariate(QQ.one(), big, 4)
+    assert rb_check(R, QQ.one(), 4) == CheckReport(4, None, 6)  # products above x^4 leave the domain
+    assert sorted(big.basis_index.mul) == [0, 1, 2, 3]
+
+
+def test_untruncated_check_reads_the_product_entries_it_needs():
+    """On an untruncated algebra the index starts with the basis up to the
+    highest inner term R can apply to, and grows by the monomials the
+    window reaches beyond it; its rows fill only the entries the window
+    reads: for a diagonal table, the one product u v of each pair.  A
+    target far above the window adds itself and its products, not the
+    basis below them."""
+    built, of = [], BasisIndex.of
+
+    def spy(*args, **kwargs):
+        built.append(of(*args, **kwargs))
+        return built[-1]
+
+    algebra = AlgebraSpec(QQ, nvars=3, unital=False)
+    params = MultivariateFamilyParams(MultivariateKind.WEIGHT_ONE, tuple(map(QQ.from_int, (1, 2, 3))))
+    R = construct_multivariate(params, algebra, 6)
+    J = construct_integral(QQ.zero(), UNITAL, 6)
+    x1, far = algebra.monomial(1, 0, 0), algebra.monomial(45, 0, 0)
+    jump = MonomialOperatorTable(algebra, QQ.zero(), 1, {x1: (QQ.one(), far)})
+    with mock.patch.object(BasisIndex, "of", spy):
+        report = rb_check(R, QQ.one(), 6)
+        assert rb_check(J, QQ.zero(), 3).passed
+        assert rb_check(jump, QQ.zero(), 2) == reference_rb_check(jump, QQ.zero(), 2)
+    index, shifted, jumped = built
+    assert index.monomials == tuple(algebra.basis(6)) and len(index.mul.exponents) == len(index.monomials)
+    filled = sum(map(len, index.mul.values()))
+    assert report.passed and filled == report.checked_pairs == 388
+    assert filled * 4 < len(index.mul) * len(index.monomials)
+    # inner terms of the integral's window reach x^4; its images and products x^5
+    assert shifted.monomials == tuple(UNITAL.basis(4))
+    assert shifted.mul.exponents == [m.exponents for m in UNITAL.basis(5)]
+    assert jumped.monomials == tuple(algebra.basis(2))
+    reached = {(45, 0, 0), (45, 0, 1), (45, 1, 0), (46, 0, 0), (90, 0, 0)}  # x1^45, its window products, its square
+    assert set(jumped.mul.exponents[len(jumped.monomials) :]) == reached
+
+
 def test_q_coefficients_are_checked_on_integers():
     """Over Q the kernels read ints: the coefficients and the weight times
     the lcm of their denominators."""
@@ -578,7 +662,7 @@ def test_q_coefficients_are_checked_on_integers():
 
 
 def _fraction_form(check, *args):
-    """check run with ``_on_integers`` a no-op, so the kernels read the
+    """check run with ``_on_integers`` a no-op, so the kernel reads the
     Fractions of the operator and the weight as they are."""
     with mock.patch.object(rbcheck_mod, "_on_integers", lambda w, coefs: (w, coefs)):
         return check(*args)
@@ -591,15 +675,11 @@ def _fraction_form(check, *args):
     | checked_dense_operators(fields=st.just(QQ))
 )
 def test_integer_check_matches_the_fraction_form(case):
-    """Over Q, truncated or not, tables and dense operators: the kernels on
-    ints give the verdict of every pair, and rb_check the violation,
-    checked_pairs and skipped_pairs, that they give on Fractions."""
+    """Over Q, truncated or not, tables and dense operators: the kernel on
+    ints gives the verdict of every pair, and rb_check the violation,
+    checked_pairs and skipped_pairs, that it gives on Fractions."""
     R, weight, degree = case
-    truncated = R.algebra.truncation is not None
-    top = min(degree, R.algebra.truncation) if truncated else degree
-    indexed = truncated and isinstance(R, MonomialOperatorTable)
-    kernel = rbcheck_mod._index_test if indexed else rbcheck_mod._pair_test
-    assert _verdicts(kernel, R, weight, top) == _fraction_form(_verdicts, kernel, R, weight, top)
+    assert _verdicts(R, weight, degree) == _fraction_form(_verdicts, R, weight, degree)
     assert _outcome(rb_check, R, weight, degree) == _fraction_form(_outcome, rb_check, R, weight, degree)
 
 

@@ -3,15 +3,26 @@
 ``perfbench/tracing.py`` replaces functions and methods of the rbalg
 modules by name, so a name deleted or renamed in the program would
 otherwise break only the traced benchmark run.  This installs the tracer
-on the modules the benchmark traces, grades two tables under it and
-uninstalls it again.
+on the modules the benchmark traces, grades two tables and checks three
+operators under it and uninstalls it again.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-from rbalg import AlgebraSpec, MonomialOperatorTable, QuotientFamily, prime_field, quotient_rb_from_family
+from rbalg import (
+    QQ,
+    AlgebraSpec,
+    AutomorphismSpec,
+    MonomialOperatorTable,
+    QuotientFamily,
+    construct_integral,
+    construct_weight_one_univariate,
+    op_conjugate,
+    prime_field,
+    quotient_rb_from_family,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -43,12 +54,20 @@ def test_tracer_installs_and_uninstalls_on_the_program():
         algebra.monomial(3): (field.one(), algebra.monomial(3)),
     }
     non_diagonal = MonomialOperatorTable(algebra, field.zero(), 4, entries)
+    unital = AlgebraSpec(QQ, nvars=1, unital=True)
+    checked = [  # a truncated table, a dense conjugate and an untruncated table
+        (diagonal, field.one()),
+        (op_conjugate(construct_integral(QQ.zero(), unital, 5), AutomorphismSpec.shift()), QQ.zero()),
+        (construct_weight_one_univariate(QQ.one(), AlgebraSpec(QQ), 6), QQ.one()),
+    ]
 
     tracer = tracing.Tracer(modules)
     tracer.install()
     try:
         for table in (diagonal, non_diagonal):
             modules["grading"].grading_decompose(table, field.one())
+        for R, weight in checked:
+            assert modules["rbcheck"].rb_check(R, weight, 5).passed
         metrics = tracer.layer_metrics()
     finally:
         tracer.uninstall()
@@ -60,3 +79,4 @@ def test_tracer_installs_and_uninstalls_on_the_program():
     assert metrics["grading.matrix_calls"] == 1
     # {1, 2, 3} gives six eigenvalue pairs; {0, 1} one
     assert metrics["grading.products"] == 7
+    assert metrics["rbcheck.calls"] == 3
