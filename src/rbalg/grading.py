@@ -13,6 +13,11 @@ spectrum) or to land inside A_{lam o mu} / A_{lam * mu}.  This module
 computes the decomposition by exact linear algebra, classifies every
 product pair, and reports violations with witnesses.
 
+The decomposition takes one of three routes: a diagonal table's basis
+monomials are its eigenvectors; a triangular matrix has its diagonal
+for spectrum and its simple eigenvectors by substitution; any other
+matrix has its spectrum as the roots of its characteristic polynomial.
+
 Both partially defined operations are commutative and associative where
 defined; on positive rationals they are honest semigroups, isomorphic
 to multiplication on (1, oo) via x -> 1 + 1/x and to addition on
@@ -187,7 +192,14 @@ class GradingDecomposition:
 
 def _matrix_decomposition(R: LinearOperator):
     """Raw spectrum and the bases of its generalized eigenspaces in root
-    order, in ``kernel_basis`` form on the indices of ``R.algebra.basis_index``."""
+    order, in ``kernel_basis`` form on the indices of ``R.algebra.basis_index``.
+
+    A triangular matrix (in one variable, that of every operator that
+    never lowers a degree, or never raises one) has its diagonal for
+    spectrum, with multiplicities counted there, and each simple
+    eigenvalue's eigenvector follows by substitution.  Any other matrix has its spectrum as the roots of its
+    characteristic polynomial.  A repeated eigenvalue's space is the
+    kernel of (A - lam)^m either way."""
     p = R.algebra.field.p
     index = R.algebra.basis_index
     size = len(index.monomials)
@@ -197,18 +209,28 @@ def _matrix_decomposition(R: LinearOperator):
         if t >= 0:
             for dst, c in [(t, coef[i]), *more.get(i, ())]:
                 mat[dst][i] = c
-    coeffs = linalg.char_poly(mat, p)
-    roots = linalg.roots(coeffs, p)
-    multiplicities = [linalg.root_multiplicity(coeffs, lam, p) for lam in roots]
-    covered = sum(multiplicities)
-    if covered != size:
-        raise NonSplitSpectrum(
-            f"generalized eigenspaces cover {covered} of {size} dimensions"
-        )
+    lower = not any(x for i, row in enumerate(mat) for x in row[i + 1:])
+    triangular = lower or not any(x for i, row in enumerate(mat) for x in row[:i])
+    if triangular:
+        diagonal = [row[i] for i, row in enumerate(mat)]
+        roots = sorted(set(diagonal))
+        multiplicities = [diagonal.count(lam) for lam in roots]
+    else:
+        coeffs = linalg.char_poly(mat, p)
+        roots = linalg.roots(coeffs, p)
+        multiplicities = [linalg.root_multiplicity(coeffs, lam, p) for lam in roots]
+        covered = sum(multiplicities)
+        if covered != size:
+            raise NonSplitSpectrum(
+                f"generalized eigenspaces cover {covered} of {size} dimensions"
+            )
     # ker (A - lam)^m is the whole generalized eigenspace when m is the
     # root's multiplicity: that space has dimension m
     spaces = []
     for lam, m in zip(roots, multiplicities):
+        if triangular and m == 1:
+            spaces.append([linalg.triangular_eigenvector(mat, diagonal.index(lam), lower, p)])
+            continue
         shifted = [row[:] for row in mat]
         for i, row in enumerate(shifted):
             row[i] = row[i] - lam if p is None else (row[i] - lam) % p

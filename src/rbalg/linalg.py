@@ -8,14 +8,16 @@ operator matrix holds the image of the j-th basis vector.  Polynomials
 are coefficient lists, leading coefficient first.
 
 Kernels come from the reduced row echelon form, as sparse vectors in a
-form that makes span membership a matter of clearing leads; the
-characteristic polynomial from a Hessenberg reduction, in every
-characteristic; determinants, kept as an independent check of it, from
-Gaussian elimination.  Polynomial roots of degree at most 2 come in
-closed form (a square root of the discriminant); higher degrees are
-found by Horner evaluation over GF(p) and by p-adic lifting plus
-rational reconstruction over Q.  ``roots`` serves both the grading of
-spectra and the coefficient solver of the shape search.
+form that makes span membership a matter of clearing leads, and the
+eigenvector of a simple diagonal entry of a triangular matrix comes in
+the same form by substitution; the characteristic polynomial from a
+Hessenberg reduction, in every characteristic; determinants, kept as an
+independent check of it, from Gaussian elimination.  Polynomial roots
+of degree at most 2 come in closed form (a square root of the
+discriminant), over GF(p) also once the factor t^k is divided out;
+higher degrees are found by Horner evaluation over GF(p) and by p-adic
+lifting plus rational reconstruction over Q.  ``roots`` serves both the
+grading of spectra and the coefficient solver of the shape search.
 """
 
 from __future__ import annotations
@@ -178,6 +180,35 @@ def kernel_basis(mat: Matrix, p) -> Basis:
                 vec[pc] = -x if p is None else -x % p
         basis.append((free, vec))
     return basis
+
+
+def triangular_eigenvector(mat: Matrix, i: int, lower: bool, p) -> Tuple[int, Dict[int, object]]:
+    """The eigenvector of a triangular matrix for its diagonal entry i, a
+    simple eigenvalue, in ``kernel_basis`` form, by substitution.
+
+    Row j of (A - lam) v = 0 gives v_j = (sum of a_jk v_k over k past j
+    toward i) / (lam - a_jj), a_jj != lam when j != i.  From v_i = 1,
+    forward substitution (lower) fills j > i and backward substitution
+    (upper) fills j < i; the other coordinates vanish.  The lead is the
+    largest index of the support, where the vector is scaled to 1: the
+    first column of A - lam that depends on the ones before it.
+    """
+    lam = mat[i][i]
+    zero, one = _zero_one(p)
+    v = [zero] * len(mat)
+    v[i] = one
+    for j in range(i + 1, len(mat)) if lower else range(i - 1, -1, -1):
+        row = mat[j]
+        s = sum(row[k] * v[k] for k in (range(i, j) if lower else range(j + 1, i + 1)) if row[k])
+        if s:
+            v[j] = s / (lam - row[j]) if p is None else s * pow(lam - row[j], -1, p) % p
+    lead = max(j for j, x in enumerate(v) if x)
+    inv = _inv(v[lead], p)
+    vec = {lead: one}
+    for j, x in enumerate(v):
+        if x and j != lead:
+            vec[j] = x * inv if p is None else x * inv % p
+    return lead, vec
 
 
 def in_span(basis: Basis, target: Dict[int, object], p) -> bool:
@@ -409,8 +440,15 @@ def quadratic_roots(a2, a1, a0, p) -> list:
 
 def roots(coeffs: list, p) -> list:
     """All roots in the field, ascending: ``quadratic_roots`` up to degree
-    2; above it ``rational_roots`` over Q, and Horner evaluation at every
-    element over GF(p) for p up to the cap."""
+    2; above it ``rational_roots`` over Q.  Over GF(p) the factor t^k
+    gives the root 0 and the rest is solved alone, so that only a rest of
+    degree 3 or more is found by Horner evaluation at every element, for
+    p up to the cap."""
+    if p is not None and len(coeffs) > 3 and not coeffs[-1]:
+        rest = list(coeffs)
+        while len(rest) > 1 and not rest[-1]:
+            rest.pop()
+        return [0] + (roots(rest, p) if len(rest) > 1 else [])
     if 2 <= len(coeffs) <= 3:
         return quadratic_roots(*[0] * (3 - len(coeffs)), *coeffs, p)
     if p is None:

@@ -494,6 +494,25 @@ def test_grade_dense_conjugate_over_q(tmp_path, capsys):
     assert data["violations"] == 0
 
 
+def test_grade_nilpotent_shift_over_a_large_prime(tmp_path, capsys):
+    # R(x^n) = 2x^(n+1) on k0[x]/(x^5) over GF(1000003): spectrum {0}, one 4-dimensional space
+    operator = {
+        "kind": "monomial",
+        "algebra": {"field": "Fp:1000003", "nvars": 1, "unital": False, "truncation": 4},
+        "weight": "0",
+        "degree_bound": 4,
+        "entries": [{"src": [n], "coeff": "2", "dst": [n + 1]} for n in range(1, 4)],
+    }
+    path = tmp_path / "shift.json"
+    path.write_text(json.dumps(operator))
+    code, out, err = run_cli(capsys, "grade", "--operator", str(path), "--weight", "0")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["spectrum"] == ["0"]
+    assert [len(space["basis"]) for space in data["spaces"]] == [4]
+    assert data["violations"] == 0
+
+
 def test_grade_non_split_spectrum_is_a_usage_error(tmp_path, capsys):
     operator = {
         "kind": "monomial",

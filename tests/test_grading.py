@@ -254,6 +254,43 @@ def test_grading_non_split_spectrum_over_gf3():
         grading_decompose(table, field.zero())
 
 
+def _univariate_table(p, entries):
+    """The weight-zero table R(x^s) = c x^t, (s, c, t) in entries, on
+    k0[x]/(x^5) over GF(p)."""
+    field = prime_field(p)
+    algebra = AlgebraSpec(field, nvars=1, unital=False, truncation=4)
+    table = {algebra.monomial(s): (field.from_int(c), algebra.monomial(t)) for s, c, t in entries}
+    return MonomialOperatorTable(algebra, field.zero(), 4, table), field
+
+
+def test_grading_nilpotent_shift_over_a_large_prime():
+    # R(x^n) = 2x^(n+1): lower triangular with zero diagonal, char poly t^4
+    table, field = _univariate_table(1000003, [(n, 2, n + 1) for n in range(1, 4)])
+    g = grading_decompose(table, field.zero())
+    assert g.spectrum == [field.zero()]
+    assert len(g.spaces[field.zero()]) == 4
+    assert g.products == [] and not g.violations()
+
+
+def test_grading_triangular_table_past_the_scan_cap():
+    # R(x) = 2x^2, R(x^3) = x^3 over the largest prime under the cap: no scan of its elements
+    table, field = _univariate_table(65521, [(1, 2, 2), (3, 1, 3)])
+    g = grading_decompose(table, field.zero())
+    assert [lam.value for lam in g.spectrum] == [0, 1]
+    assert [len(g.spaces[lam]) for lam in g.spectrum] == [3, 1]
+
+
+@pytest.mark.parametrize("p", [101, 1000003])
+def test_grading_swap_with_char_poly_t2_times_quadratic(p):
+    # R(x) = x^2, R(x^2) = 4x: not triangular, char poly t^2 (t^2 - 4), so
+    # t^2 is divided out and t^2 - 4 solved in closed form at any p
+    table, field = _univariate_table(p, [(1, 1, 2), (2, 4, 1)])
+    g = grading_decompose(table, field.zero())
+    assert [lam.value for lam in g.spectrum] == [0, 2, p - 2]
+    assert [len(g.spaces[lam]) for lam in g.spectrum] == [2, 1, 1]
+    assert [c.status for c in g.products] == [ProductStatus.VIOLATION] * 3
+
+
 @pytest.mark.parametrize("N", [12, 16, 24])
 def test_grading_dense_conjugate_with_large_spectrum_over_q(N):
     # psi^-1 R psi for R(x^n) = (2/3) x^n / n and psi(x) = x + x^2; the

@@ -245,6 +245,36 @@ def test_low_degree_roots_over_large_primes(case):
     assert linalg.roots([a, r], p) == [-r * pow(a, -1, p) % p]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SMALL_PRIMES + LARGE_PRIMES).flatmap(
+    lambda p: st.tuples(
+        st.just(p),
+        low_degree(st.integers(0, p - 1)).filter(lambda c: c[-1]),
+        st.integers(1, 4),
+    )
+))
+def test_roots_divide_out_the_power_of_t(case):
+    """t^k f with f(0) != 0 and f of degree 1 or 2 has the root 0 and then
+    f's roots, in every prime field, beyond the scan's cap too; for
+    p <= 101 against Horner evaluation at every element."""
+    p, rest, k = case
+    coeffs = rest + [0] * k
+    got = linalg.roots(coeffs, p)
+    assert got == [0] + linalg.roots(rest, p)
+    if p <= 101:
+        assert got == [v for v in range(p) if not sum(c * pow(v, len(coeffs) - 1 - i, p) for i, c in enumerate(coeffs)) % p]
+
+
+def test_roots_of_the_grading_repros_beyond_the_cap():
+    """The characteristic polynomials t^4 and t^2 (t^2 - 4) of two
+    gradings over GF(1000003); a cubic factor is still scanned."""
+    p = 1000003
+    assert linalg.roots([1, 0, 0, 0, 0], p) == [0]
+    assert linalg.roots([1, 0, p - 4, 0, 0], p) == [0, 2, p - 2]
+    with pytest.raises(SearchBudgetExceeded, match=r"GF\(1000003\) is beyond desk scale"):
+        linalg.roots([1, 0, 0, p - 8, 0], p)
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrices(fields=(QQ,), max_n=5))
 def test_rational_roots_match_divisor_enumeration(case):
@@ -315,14 +345,18 @@ def test_mat_pow_matches_repeated_products():
 
 @st.composite
 def operators(draw):
-    """Dense operators on k0[x]/(x^(N+1)): conjugates of family tables,
-    triangular ones with repeated eigenvalues, and unstructured ones."""
+    """Dense operators on k[x]/(x^(N+1)) or k0[x]/(x^(N+1)), N <= 6:
+    conjugates of family tables; lower-triangular ones (never lowering a
+    degree) and upper-triangular ones (never raising one: images into x^0
+    on a unital algebra), their diagonals drawn from {0, 1, 2} so that
+    eigenvalues repeat or drawn freely so that most are simple; and
+    unstructured ones."""
     field = draw(st.sampled_from(FIELDS))
-    N = draw(st.integers(1, 5))
-    algebra = AlgebraSpec(field, nvars=1, unital=False, truncation=N)
-    kind = draw(st.sampled_from(["conjugate", "triangular", "dense"]))
+    N = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["conjugate", "lower", "upper", "dense"]))
     weight = draw(st.sampled_from([field.zero(), field.one()]))
     if kind == "conjugate":
+        algebra = AlgebraSpec(field, nvars=1, unital=False, truncation=N)
         c = draw(small_elements(field))
         nonzero = small_elements(field, low=1)
         try:
@@ -334,19 +368,22 @@ def operators(draw):
         except RBAlgebraError:  # a family denominator vanishes mod p
             assume(False)
         return quadratic_shift_conjugate(table, c), weight
+    algebra = AlgebraSpec(field, nvars=1, unital=draw(st.booleans()), truncation=N)
+    basis = list(algebra.basis(N))
+    repeated = draw(st.booleans())
     images = {}
-    for i in range(1, N + 1):
+    for i, src in enumerate(basis):
         terms = {}
-        for j in range(1, N + 1):
-            if kind == "triangular" and j < i:
+        for j, dst in enumerate(basis):
+            if kind == "lower" and j < i or kind == "upper" and j > i:
                 continue
-            if kind == "triangular" and j == i:
-                value = field.from_int(draw(st.integers(0, 2)))
+            if kind != "dense" and j == i:
+                value = field.from_int(draw(st.integers(0, 2))) if repeated else draw(small_elements(field))
             else:
                 value = draw(st.one_of(st.just(field.zero()), small_elements(field)))
             if not value.is_zero():
-                terms[algebra.monomial(j)] = value
-        images[algebra.monomial(i)] = Polynomial(algebra, terms)
+                terms[dst] = value
+        images[src] = Polynomial(algebra, terms)
     return DenseOperator(algebra, weight, N, images), weight
 
 
@@ -367,7 +404,7 @@ def assert_same_grading(got, expected, field):
         assert all(type(v) is Fraction for v in values)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(operators())
 def test_grading_decompose_matches_reference(case):
     op, weight = case
@@ -382,6 +419,71 @@ def test_grading_decompose_matches_reference(case):
         assert str(got.value) == str(err)
         return
     assert_same_grading(grading_decompose(op, weight), expected, op.algebra.field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_n=7), st.booleans(), st.data())
+def test_triangular_eigenvector_is_the_kernel_vector(case, lower, data):
+    """Substitution gives kernel_basis(A - lam) exactly, term order
+    included, for every simple diagonal entry of a triangular matrix."""
+    field, mat = case
+    n = len(mat)
+    if not n:
+        return
+    p = field.p
+    raw = [[x if (j <= i if lower else j >= i) else field.zero().value for j, x in enumerate(row)]
+           for i, row in enumerate(raw_matrix(mat))]
+    if data.draw(st.booleans()):  # few distinct values, so that some repeat
+        for i in range(n):
+            raw[i][i] = field.from_int(data.draw(st.integers(0, 2))).value
+    diagonal = [raw[i][i] for i in range(n)]
+    for i, lam in enumerate(diagonal):
+        if diagonal.count(lam) > 1:
+            continue
+        shifted = [[x - lam if j == k else x for k, x in enumerate(row)] for j, row in enumerate(raw)]
+        if p is not None:
+            shifted = [[x % p for x in row] for row in shifted]
+        (want,) = linalg.kernel_basis(shifted, p)
+        got = linalg.triangular_eigenvector(raw, i, lower, p)
+        assert got[0] == want[0] and list(got[1].items()) == list(want[1].items())
+        if p is None:
+            assert all(type(x) is Fraction for x in got[1].values())
+
+
+def test_triangular_operators_skip_the_characteristic_polynomial(monkeypatch):
+    """A triangular operator with a distinct diagonal grades with no
+    characteristic polynomial, root search or kernel; a matrix that is
+    neither lower nor upper triangular still reaches char_poly."""
+    algebra = AlgebraSpec(QQ, nvars=1, unital=False, truncation=6)
+    lower = quadratic_shift_conjugate(construct_weight_one_univariate(QQ.one(), algebra, 6), QQ.element(-3, 2))
+    field = prime_field(101)
+    unital = AlgebraSpec(field, nvars=1, unital=True, truncation=3)
+    x = [unital.monomial(n) for n in range(4)]
+    # R(x^n) = (n + 1) x^n plus terms of lower degree: upper triangular
+    images = [{0: 1}, {0: 7, 1: 2}, {0: 5, 2: 3}, {0: 9, 2: 1, 3: 4}]
+    upper = DenseOperator(unital, field.zero(), 3, {
+        x[n]: Polynomial(unital, {x[k]: field.from_int(c) for k, c in image.items()})
+        for n, image in enumerate(images)
+    })
+    cases = [(lower, QQ.one()), (upper, field.zero())]
+    expected = [reference_grading_decompose(op, weight) for op, weight in cases]
+
+    def refuse(name):
+        def call(*args):
+            raise RuntimeError(f"linalg.{name} was called")
+        return call
+
+    for name in ("char_poly", "roots", "kernel_basis"):
+        monkeypatch.setattr(linalg, name, refuse(name))
+    for (op, weight), want in zip(cases, expected):
+        got = grading_decompose(op, weight)
+        assert len(got.spectrum) == got.dimension()
+        assert_same_grading(got, want, op.algebra.field)
+    swap = MonomialOperatorTable(unital, field.zero(), 3, {
+        x[1]: (field.one(), x[2]), x[2]: (field.one(), x[1]),
+    })
+    with pytest.raises(RuntimeError, match=r"linalg\.char_poly was called"):
+        grading_decompose(swap, field.zero())
 
 
 @st.composite
