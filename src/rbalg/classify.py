@@ -17,11 +17,37 @@ narrows the targets still admissible for that last source, and an option
 that leaves some later source no target is pruned at once; a pair whose
 last read is v is decided when v is assigned.  The weight's structure
 rule (class closure at weight zero, disjoint kernel and image at weight
-one) narrows the same targets.  Surviving shapes get
-their coefficients from exact propagation on watched equations: each
-per-degree constraint keeps a running split on raw values, fixing a
-coefficient marks only the constraints that mention it, and a marked one
-left with one unknown is solved exactly over the field (degree <= 2);
+one) narrows the same targets.
+
+At weight one the shapes are built bound by bound (``_deepened_shapes``):
+each shape at bound d is extended to d + 1, and only the pair rule prunes
+below the search's bound D.  This rests on the top lemma: a monomial
+Rota-Baxter operator R of any weight lam on k[x]/(x^(N+1)) or
+k0[x]/(x^(N+1)) maps x^N into k*x^N.  Suppose R(x^N) = c*x^j with c != 0
+and j < N, and take i = N - j >= 1 in the identity
+R(a)R(b) = R(R(a)b + aR(b) + lam*ab) for (x^N, x^i): x^N*x^i = 0 and
+R(x^N)*x^i = c*x^N, while x^N*R(x^i) is a*x^N when R(x^i) = a*1 and 0
+otherwise, so c*x^j*R(x^i) = (c + a)*c*x^j, with a = 0 unless R(x^i) is
+a constant.  If R(x^i) is 0 or a monomial of positive degree, the left
+side is 0 or of another degree than the nonzero right side; if
+R(x^i) = a*1, then c^2 = 0.  Either way this is a contradiction.  So the
+ideal (x^N) is R-invariant, and R induces a monomial Rota-Baxter
+operator on the quotient (Guo, An Introduction to Rota-Baxter Algebra,
+2012, ch. 1) whose shape is the restriction: x^N dropped as a source,
+and made absent as a target.  Its coefficients are nonzero, so that
+shape passes the pair rule at N - 1, and by induction every table at D
+has a shape whose restrictions pass the pair rule at every lower bound:
+deepening from bound 1 reaches it, and a source x^(d+1) needs only
+ABSENT or itself.  The structure rule does not survive restriction (a
+source that maps to x^(d+1) becomes absent at d while it may still be a
+target), so it runs at D alone.  Weight zero searches from scratch: its
+shapes are too many per level for deepening to pay.
+
+Surviving shapes get their coefficients from exact propagation on
+watched equations: each per-degree constraint keeps a running split on
+raw values, fixing a coefficient marks only the constraints that mention
+it, and a marked one left with one unknown is solved exactly over the
+field (degree <= 2);
 genuinely free coefficients (family parameters) are seeded from a finite
 strategy grid, each distinct value once; coefficients no constraint
 mentions -- truncation artifacts -- are set to 1, flagged under-constrained.
@@ -63,7 +89,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -688,12 +714,28 @@ class ClassificationReport:
 
 
 def _surviving_shapes(
-    index: BasisIndex, lam_one: bool, budget: int, stats: SearchStats
+    index: BasisIndex,
+    lam_one: bool,
+    budget: int,
+    stats: SearchStats,
+    size: Optional[int] = None,
+    below: Optional[List[Tuple[int, ...]]] = None,
 ) -> Iterator[Tuple[int, ...]]:
     """Depth-first, the shapes (t[n] the target of source n, or ABSENT)
     that pass pair pruning and the structure rule; fills the shape
-    counters of stats.  Sources and targets are the positions of index,
-    a truncated algebra's basis, and products are read from its rows.
+    counters of stats.  Sources and targets are the first size positions
+    of index (all of them by default), a truncated algebra's basis, and
+    products are read from its rows; a product at a position >= size
+    vanishes, so on a univariate basis the first size positions are the
+    basis at a lower bound.  The structure rule runs, and a complete shape
+    counts as enumerated, only at the index's own bound (size the whole
+    index): a restriction keeps the pair rule but not the structure rule.
+
+    With below, the shapes on the first size - 1 positions, the search
+    extends each of them by the new top position, with its domains seeded
+    from it (see ``_deepened_shapes``): a present target stays, an absent
+    source stays absent or takes the top, and the top takes ABSENT or
+    itself.  All extensions share one compiled-pair cache.
 
     Forward checking: dom[s] is the bitmask of targets still admissible
     for source s (bit x + 1 for target x).  Each pair of positions
@@ -701,19 +743,23 @@ def _surviving_shapes(
     pair whose last read is v is checked at once; any other pair narrows
     the mask of its last read as soon as its ready read is assigned (at
     once if that is v, else filed under ready), so an option is pruned the
-    moment some later source has no target left.  Options outside dom[k]
-    count as pruned where the plain check would have failed them.  The
-    weight's structure rule narrows the same masks, so every complete
-    shape obeys it.  Narrowings are undone through a log and filings
-    popped on backtrack.
+    moment some later source has no target left.  The options of a source
+    are those of its seeded domain; one outside dom[k] counts as pruned
+    where the plain check would have failed it.  The weight's structure
+    rule narrows the same masks, so every complete shape obeys it.
+    Narrowings are undone through a log and filings popped on backtrack.
     """
-    deg, size = index.degrees, len(index.degrees)
+    deg = index.degrees
+    size = len(deg) if size is None else size
+    at_bound = size == len(deg)
     sources = list(range(size))  # sliced in the hot loop: a list slices faster than a range
     options = [ABSENT, *sources]
     t = [ABSENT] * size  # entries above the current source are never read
     dom = [(2 << size) - 1] * size
+    choices = [options] * size  # the options of each source's seeded domain
     filed: List[list] = [[] for _ in sources]
-    mul = [index.mul[i] for i in sources]  # the index's rows, read faster as a list
+    # the index's rows up to size, read faster as lists
+    mul = [[p if p is not None and p < size else None for p in index.mul[i][:size]] for i in sources]
     unit = 0 if deg[0] == 0 else None  # x^0 heads a unital basis
     compiled = cache(partial(_compile_pair, lam_one=lam_one, mul=mul, unit=unit))
 
@@ -763,6 +809,8 @@ def _surviving_shapes(
         return True
 
     structure = kernel_image if lam_one else class_closure
+    if not at_bound:
+        structure = lambda *_: True  # below the bound the pair rule alone prunes
 
     def dfs(k: int, g: int):  # k: the source to assign
         stats.nodes_visited += 1
@@ -770,13 +818,13 @@ def _surviving_shapes(
             raise SearchBudgetExceeded(
                 f"shape budget of {budget} nodes exhausted", replace(stats)
             )
-        if k == len(sources):
-            stats.shapes_enumerated += 1
+        if k == size:
+            stats.shapes_enumerated += at_bound
             yield tuple(t)
             return
         allowed = dom[k]
         waiting = filed[k]
-        for option in options:
+        for option in choices[k]:
             if not allowed >> (option + 1) & 1:
                 stats.shapes_pruned += 1
                 continue
@@ -811,7 +859,33 @@ def _surviving_shapes(
                 dom[s] = old
             stats.shapes_pruned += not kept
 
-    yield from dfs(0, 0)
+    if below is None:
+        yield from dfs(0, 0)
+        return
+    top = size - 1
+    grow = 1 | 2 << top  # ABSENT or the top position
+    for shape in below:
+        dom[:] = [1 << (x + 1) if x >= 0 else grow for x in shape] + [grow]
+        choices[:] = [[x] if x >= 0 else [ABSENT, top] for x in shape] + [[ABSENT, top]]
+        yield from dfs(0, 0)
+
+
+def _deepened_shapes(index: BasisIndex, budget: int, stats: SearchStats) -> Iterator[Tuple[int, ...]]:
+    """Weight one on a univariate basis: the shapes of ``_surviving_shapes``
+    at the index's bound D, built bound by bound.  The shapes at bound 1
+    are searched from scratch; each level d < D is extended to d + 1 by
+    ``_surviving_shapes`` seeded with the shapes at d, and the structure
+    rule runs at D alone.  Every level reads the rows of the one index.
+    Sound by the top lemma of the module docstring: every table at d + 1
+    maps x^(d+1) to nothing or to itself, so it induces a table at d whose
+    shape is the restriction (x^(d+1) made absent), and that shape passes
+    the pair rule at d.  nodes_visited and shapes_pruned sum over the
+    levels, and the budget bounds that sum."""
+    deg = index.degrees
+    shapes = None
+    for d in range(1, deg[-1]):
+        shapes = list(_surviving_shapes(index, True, budget, stats, bisect_right(deg, d), shapes))
+    yield from _surviving_shapes(index, True, budget, stats, below=shapes)
 
 
 def _check_search(algebra: AlgebraSpec, weight: FieldElement, degree_bound: int, strategy) -> tuple:
@@ -881,8 +955,9 @@ def enumerate_monomial_rb(
         raise InvalidParams("the shape search is univariate")
     if degree_bound < 1:
         raise InvalidParams("degree bound must be >= 1")
-    if degree_bound > 10:
-        raise InvalidParams("degree bound capped at 10 (cost guard)")
+    cap = 16 if weight.is_one() else 10
+    if degree_bound > cap:
+        raise InvalidParams(f"degree bound capped at {cap} at weight {weight} (cost guard)")
     strategy, grid = _check_search(algebra, weight, degree_bound, strategy)
     field = algebra.field
     if field.kind is FieldKind.PRIME and field.p <= degree_bound:
@@ -909,8 +984,13 @@ def enumerate_monomial_rb(
             first.setdefault(deg[n] % m_star, n)
         return set(first.values())
 
+    budget = strategy.shape_budget
+    if weight.is_one():
+        shapes = _deepened_shapes(index, budget, stats)
+    else:
+        shapes = _surviving_shapes(index, False, budget, stats)
     solutions = []
-    for t in _surviving_shapes(index, weight.is_one(), strategy.shape_budget, stats):
+    for t in shapes:
         leaders = class_leaders(t, [n for n, target in enumerate(t) if target >= 0])
         for table, seeded, orphans in _verified_tables(
             t, index, search_algebra, weight, degree_bound, strategy, grid, stats

@@ -878,10 +878,10 @@ def _structure_admits(t, assigned, s: int, x: int, D: int, unital: bool, lam_one
     return True
 
 
-def _starved(t, sources, pos: int, options, lam_one: bool, D: int, unital: bool) -> bool:
-    """Whether some source after sources[pos] has no target x that the
-    structure rule admits and for which every pair whose only unassigned
-    read it is holds with t[s] = x."""
+def _starved(t, sources, pos: int, choices, lam_one: bool, D: int, unital: bool, rule: bool = True) -> bool:
+    """Whether some source s after sources[pos] has no target x among
+    choices[s] that the structure rule (when rule) admits and for which
+    every pair whose only unassigned read it is holds with t[s] = x."""
     k = sources[pos]
     assigned = sources[: pos + 1]
     watching: Dict[int, list] = {}
@@ -895,8 +895,8 @@ def _starved(t, sources, pos: int, options, lam_one: bool, D: int, unital: bool)
         pairs = watching.get(s, [])
         before = t[s]
         admissible = False
-        for x in options:
-            if not _structure_admits(t, assigned, s, x, D, unital, lam_one):
+        for x in choices[s]:
+            if rule and not _structure_admits(t, assigned, s, x, D, unital, lam_one):
                 continue
             t[s] = x
             if all(_pair_consistent(t, u, v, lam_one, D) for u, v in pairs):
@@ -909,38 +909,42 @@ def _starved(t, sources, pos: int, options, lam_one: bool, D: int, unital: bool)
     return False
 
 
-def reference_shapes(D, unital, lam_one, budget, stats, forward=False):
+def reference_shapes(D, unital, lam_one, budget, stats, forward=False, below=None, rule=True):
     """``classify._surviving_shapes`` as the old loop: at every node and
     option, rescan all earlier pairs for those whose last reference is the
     current source and re-derive each one's bookkeeping from ``t``, and
     filter complete shapes by the structure rule.  With forward, an option
     is pruned too when the assigned sources break the structure rule, or
     when ``_starved`` finds a later source with no admissible target; then
-    every complete shape passes the filter."""
+    every complete shape passes the filter.
+
+    With below, the shapes at bound D - 1 (indexed by exponent), each is
+    extended to D: a present target is the source's one option, an absent
+    source and x^D take ABSENT or D.  Without rule the structure rule is
+    not applied and complete shapes are not counted as enumerated."""
     min_src = 0 if unital else 1
     sources = list(range(min_src, D + 1))
     t = [ABSENT] * (D + 1)
-    for s in sources:
-        t[s] = UNASSIGNED
     options = [ABSENT] + list(range(min_src, D + 1))
+    choices = {}
 
     def dfs(pos: int):
         stats.nodes_visited += 1
         if stats.nodes_visited > budget:
             raise SearchBudgetExceeded(f"shape budget of {budget} nodes exhausted")
         if pos == len(sources):
-            stats.shapes_enumerated += 1
+            stats.shapes_enumerated += rule
             if lam_one:
                 structural_ok = _respects_kernel_image_structure(t, sources)
             else:
                 structural_ok = _respects_class_closure(t, sources, D, unital)
-            if not structural_ok:
+            if rule and not structural_ok:
                 stats.shapes_pruned += 1
                 return
             yield tuple(t)
             return
         k = sources[pos]
-        for option in options:
+        for option in choices[k]:
             t[k] = option
             ok = True
             # check pairs newly decided by this assignment
@@ -957,18 +961,25 @@ def reference_shapes(D, unital, lam_one, budget, stats, forward=False):
                     break
             if ok and forward:
                 assigned = sources[: pos + 1]
-                if lam_one:
+                if rule and lam_one:
                     ok = _respects_kernel_image_structure(t, assigned)
-                else:
+                elif rule:
                     ok = _respects_class_closure(t, assigned, D, unital)
-                ok = ok and not _starved(t, sources, pos, options, lam_one, D, unital)
+                ok = ok and not _starved(t, sources, pos, choices, lam_one, D, unital, rule)
             if ok:
                 yield from dfs(pos + 1)
             else:
                 stats.shapes_pruned += 1
         t[k] = UNASSIGNED
 
-    yield from dfs(0)
+    for seed in [None] if below is None else below:
+        for s in sources:
+            t[s] = UNASSIGNED
+            if seed is None:
+                choices[s] = options
+            else:
+                choices[s] = [seed[s]] if s < D and seed[s] >= 0 else [ABSENT, D]
+        yield from dfs(0)
 
 
 def load_benchmark_reference():
@@ -994,12 +1005,25 @@ def shape_exponents(index, shape):
     return tuple(t)
 
 
-def reference_forward_shapes(D, unital, lam_one, budget, stats):
+def reference_forward_shapes(D, unital, lam_one, budget, stats, below=None, rule=True):
     """``classify._surviving_shapes`` as a rescanning loop with forward
     checking: ``reference_shapes`` that also prunes an option breaking the
     structure rule among the assigned sources or leaving some later source
     no target.  It reads every product from exponents."""
-    return reference_shapes(D, unital, lam_one, budget, stats, forward=True)
+    return reference_shapes(D, unital, lam_one, budget, stats, True, below, rule)
+
+
+def reference_surviving_shapes(index, lam_one, budget, stats, size=None, below=None):
+    """``classify._surviving_shapes`` by ``reference_forward_shapes``, its
+    shapes moved between the positions of index and exponents: a drop-in
+    for it, so the deepening driver can run on the reference."""
+    size = len(index.degrees) if size is None else size
+    deg = index.degrees[:size]  # on k0[x], the exponent of each position
+    if below is not None:
+        below = [shape_exponents(index._replace(degrees=deg[:-1]), t) for t in below]
+    rule = size == len(index.degrees)
+    for t in reference_forward_shapes(deg[-1], deg[0] == 0, lam_one, budget, stats, below, rule):
+        yield tuple(ABSENT if t[d] == ABSENT else index.position[(t[d],)] for d in deg)
 
 
 def reference_grid_solve(equations, unknowns, field, strategy, grid):
@@ -1031,16 +1055,11 @@ def per_instance_enumerate_monomial_rb(algebra, weight, degree_bound, strategy=N
 
 
 def reference_enumerate_monomial_rb(algebra, weight, degree_bound, strategy=None):
-    """``enumerate_monomial_rb`` driven by ``reference_forward_shapes``, its
-    shapes moved to basis positions, and ``reference_grid_solve``."""
-
-    def shapes(index, lam_one, budget, stats):
-        deg = index.degrees
-        for t in reference_forward_shapes(deg[-1], deg[0] == 0, lam_one, budget, stats):
-            yield tuple(ABSENT if t[d] == ABSENT else index.position[(t[d],)] for d in deg)
-
+    """``enumerate_monomial_rb`` driven by ``reference_surviving_shapes``
+    (at weight one through the search's own deepening, level by level) and
+    ``reference_grid_solve``."""
     with (
-        mock.patch.object(classify, "_surviving_shapes", shapes),
+        mock.patch.object(classify, "_surviving_shapes", reference_surviving_shapes),
         mock.patch.object(classify, "_solve_coefficients", reference_grid_solve),
     ):
         return classify.enumerate_monomial_rb(algebra, weight, degree_bound, strategy)

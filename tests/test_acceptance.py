@@ -229,7 +229,7 @@ def test_criterion_4_weight_one_rediscovery():
 def test_criterion_4_weight_one_at_the_cost_guard():
     """Criterion 4 at the largest bound the search allows, unital or not."""
     timer = Timer(10.0)
-    D = 10
+    D = 16
     report_obj = enumerate_monomial_rb(NONUNITAL_Q, QQ.one(), D)
     allowed = {
         MatchKind.WEIGHT_ONE_FAMILY,
@@ -260,7 +260,7 @@ def test_criterion_4_weight_one_at_the_cost_guard():
         MatchKind.TRIVIAL_MINUS_LAMBDA,
         MatchKind.SPLITTING_CONJUGATE,
     }
-    report(4, f"weight-one searches at the cost guard D={D}", timer.check("criterion 4 at D=10"))
+    report(4, f"weight-one searches at the cost guard D={D}", timer.check(f"criterion 4 at D={D}"))
 
 
 def test_criterion_5_weight_zero_rediscovery():

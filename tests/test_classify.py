@@ -44,6 +44,7 @@ from helpers import (
     reference_rb_check,
     reference_shapes,
     reference_solve_coefficients,
+    reference_surviving_shapes,
     shape_exponents,
     solver_instances,
 )
@@ -166,8 +167,11 @@ def test_search_budget():
 def test_search_validation():
     with pytest.raises(InvalidParams):
         enumerate_monomial_rb(NONUNITAL, QQ.from_int(2), 6)
+    # the cost guard is per weight: 16 at weight one, 10 at weight zero
     with pytest.raises(InvalidParams):
-        enumerate_monomial_rb(NONUNITAL, QQ.one(), 11)
+        enumerate_monomial_rb(NONUNITAL, QQ.one(), 17)
+    with pytest.raises(InvalidParams):
+        enumerate_monomial_rb(NONUNITAL, QQ.zero(), 11)
     field = prime_field(5)
     algebra = AlgebraSpec(field, nvars=1, unital=False, truncation=None)
     with pytest.raises(InvalidParams):
@@ -222,6 +226,34 @@ def test_shape_search_matches_reference(lam_one, unital, degree):
     assert got == list(reference_shapes(degree, unital, lam_one, 10**7, plain))
     assert fast.shapes_enumerated == len(got) <= plain.shapes_enumerated
     assert fast.nodes_visited <= plain.nodes_visited
+
+
+@pytest.mark.parametrize("unital", [False, True])
+def test_deepening_matches_the_search_from_scratch(unital):
+    """Weight one, bounds 1..12: the shapes that ``_deepened_shapes``
+    builds bound by bound are the shapes ``_surviving_shapes`` finds from
+    scratch at the bound, and fewer nodes are visited from bound 9 on.  Up
+    to bound 7 the same driver on the reference loop
+    (``reference_surviving_shapes``, which reads exponents) gives the same
+    shapes in the same order and the same counters."""
+    from unittest import mock
+
+    from rbalg import classify
+    from rbalg.classify import SearchStats, _deepened_shapes, _surviving_shapes
+
+    for degree in range(1, 13):
+        index = AlgebraSpec(QQ, nvars=1, unital=unital, truncation=degree).basis_index
+        deep, scratch = SearchStats(), SearchStats()
+        got = list(_deepened_shapes(index, 10**7, deep))
+        assert sorted(got) == sorted(_surviving_shapes(index, True, 10**7, scratch)), degree
+        assert len(set(got)) == len(got) == deep.shapes_enumerated == scratch.shapes_enumerated
+        if degree >= 9:
+            assert deep.nodes_visited < scratch.nodes_visited, degree
+        if degree <= 7:
+            slow = SearchStats()
+            with mock.patch.object(classify, "_surviving_shapes", reference_surviving_shapes):
+                assert list(_deepened_shapes(index, 10**7, slow)) == got, degree
+            assert slow == deep, degree
 
 
 @pytest.mark.parametrize("weight", [0, 1])
@@ -514,8 +546,8 @@ def test_solver_matches_reference_on_search_systems(field):
 @pytest.mark.parametrize(
     "field,grid,weight,unital,degree,stats,count",
     [
-        (QQ, None, 1, False, 8, (151, 2, 1191, 2, 0), 7),
-        (QQ, None, 1, True, 8, (510, 8, 4511, 8, 0), 4),
+        (QQ, None, 1, False, 8, (236, 2, 149, 2, 0), 7),
+        (QQ, None, 1, True, 8, (404, 8, 173, 8, 0), 4),
         (QQ, None, 0, False, 6, (436, 146, 1595, 146, 0), 771),
         (prime_field(11), (1, 2, 3), 0, True, 5, (230, 63, 940, 63, 0), 89),
     ],
@@ -523,7 +555,9 @@ def test_solver_matches_reference_on_search_systems(field):
 def test_search_stats_pinned(field, grid, weight, unital, degree, stats, count):
     """Counters of fixed searches, so a change in pruning shows.  The
     structure rules prune in the domains, so every complete shape is
-    solved: shapes_enumerated equals systems_solved."""
+    solved: shapes_enumerated equals systems_solved.  At weight one the
+    nodes and pruned options are summed over the levels of the deepening,
+    and shapes are those at the bound."""
     strategy = None
     if grid is not None:
         strategy = CoefficientStrategy(tuple(field.from_int(v) for v in grid))
@@ -1100,13 +1134,22 @@ def test_search_against_exhaustive_ground_truth_gf5(weight_value, unital):
     The search must be sound (a subset of the ground truth) and complete
     on shapes respecting the structural filter it enforces.  The tables
     are raw tuples judged by ``perfbench/reference.rb_verdict``, which
-    shares no code with the search or its re-verification.
+    shares no code with the search or its re-verification.  The ground
+    truth also bears out the top lemma of ``classify``, on which the
+    weight-one deepening rests: every table maps x^D to nothing or to
+    x^D, and its restriction to the quotient by x^D passes the identity
+    at D - 1.
     """
     from rbalg.classify import ABSENT
 
     D = GF5_BOUND[unital]
-    passes = benchmark_verdict(load_benchmark_reference(), unital, D, weight_value)
+    ref = load_benchmark_reference()
+    passes = benchmark_verdict(ref, unital, D, weight_value)
     truth = {frozenset(entries) for entries in gf5_tables(unital, D) if passes(entries)}
+    restricted_passes = benchmark_verdict(ref, unital, D - 1, weight_value)
+    for sig in truth:
+        assert all(T == D for n, _, T in sig if n == D), sorted(sig)
+        assert restricted_passes(tuple((n, c, T) for n, c, T in sig if n < D and T < D)), sorted(sig)
     field = prime_field(5)
     algebra = AlgebraSpec(field, nvars=1, unital=unital, truncation=D)
     report = enumerate_monomial_rb(algebra, field.from_int(weight_value), D)

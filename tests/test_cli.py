@@ -345,6 +345,17 @@ def test_classify_search_reports_solutions(capsys):
     assert data["stats"]["shapes_enumerated"] >= 1
 
 
+@pytest.mark.parametrize("unital", ["false", "true"])
+def test_classify_weight_one_at_the_cost_guard(capsys, unital):
+    """The cost guard is per weight: weight one searches up to bound 16,
+    unital or not, and refuses 17 as a usage error."""
+    code, out, err = run_cli(capsys, "classify", "--weight", "1", "--unital", unital, "--degree", "16")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["solutions"]) == (4 if unital == "true" else 7)
+    code, out, err = run_cli(capsys, "classify", "--weight", "1", "--unital", unital, "--degree", "17")
+    assert (code, out) == (2, "") and "cost guard" in err
+
+
 def test_classify_unital_flag(capsys):
     code, out, _ = run_cli(
         capsys, "classify", "--weight", "0", "--unital", "true", "--degree", "4",
@@ -385,7 +396,7 @@ def test_classify_default_grid_over_a_large_prime_is_refused(capsys):
     [
         pytest.param(
             "--weight 1 --degree 8",
-            "16159c1d5adaf7efcf876c7cf0c40cd48f500f43e93d35260e1ffa4a4a09b5a8",
+            "8dd3857bcc9e03ec31bc795479015df1a7ae37224b8586f14236dd80c42279c9",
             "4fd9e122cb022b93c41336afb16c9b8a1383f8653d1fcbf23093575082d307c9",
             id="--weight 1 --degree 8",
         ),
@@ -416,7 +427,7 @@ def test_classify_default_grid_over_a_large_prime_is_refused(capsys):
         ),
         pytest.param(
             "--weight 1 --unital true --degree 7",
-            "df4a22c2ddf7fcb504e4c24badd3c93dc89f408cbd9293f20b366bda0dca5a5a",
+            "faff65aa8e0c8c08ca87af1fef69037d9d0afeafac1e4de1fdc8f4327fb701f6",
             "b936069ca15bfacb4434f0894d8c2b57606e3637ae48d296002504c145da6330",
             id="--weight 1 --unital true --degree 7",
         ),
