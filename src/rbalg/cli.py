@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verify the Rota-Baxter identity pairwise")
     p.add_argument("--operator", required=True)
     p.add_argument("--weight", required=True)
-    p.add_argument("--degree", type=int)
+    p.add_argument("--degree", type=int, help="degree of the pair window (defaults to the degree bound)")
     _add_common(p)
     p.set_defaults(func=_cmd_check)
 

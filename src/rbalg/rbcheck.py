@@ -7,9 +7,10 @@ of weight w when
 
 holds for all u, v.  Everything here evaluates that identity exactly:
 ``rb_residual`` computes the left-minus-right polynomial for one pair
-of monomials, ``rb_check`` sweeps all pairs within a degree budget on
-raw values, and ``rb_power_check`` /
-``rb_multi_residual`` evaluate the iterated weight-zero consequences
+of monomials, ``rb_check`` sweeps the pairs of a degree window whose
+arguments lie within the operator's bound on raw values, and
+``rb_power_check`` / ``rb_multi_residual`` evaluate the iterated
+weight-zero consequences
 
     (R(u))^k = k R(u (R(u))^{k-1})
     R(u_1)...R(u_k) = R( sum_i R(u_1)...u_i...R(u_k) ).
@@ -33,7 +34,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import MixedFieldSpecs, NonzeroWeight
@@ -165,22 +165,20 @@ def _index_verdicts(index: BasisIndex, size: int, span: int, bound: int, images:
 
 
 def _pair_verdicts(R: LinearOperator, weight: FieldElement, degree: int) -> Iterator[tuple]:
-    """(u, v, verdict) for each pair of ``rb_check``'s window in its order,
-    up to the first pair with an argument above the bound, which raises
-    ``DegreeBoundExceeded``.  R is read onto the algebra's ``basis_index``;
-    on an untruncated algebra onto a growing index that starts with the
-    basis up to the degree of the highest inner term R can apply to, at
-    most degree + lift, the most R raises a degree on the window."""
+    """(u, v, verdict) for each pair of ``rb_check``'s window in its order.
+    R is read onto the algebra's ``basis_index``; on an untruncated algebra
+    onto a growing index that starts with the basis up to the degree of the
+    highest inner term R can apply to, at most top + lift, the most R raises
+    a degree on the window."""
     algebra, bound = R.algebra, R.degree_bound
+    top = min(degree, bound)  # the window's arguments lie in R's domain
     if algebra.truncation is None:
-        top = span = degree
-        lift = max([0, *(R.apply_monomial(m).degree() - m.degree() for m in algebra.basis(min(top, bound)))])
-        index = BasisIndex.of(algebra.basis(max(top, min(bound, top + lift))), grow=True)
+        span = degree
+        lift = max([0, *(R.apply_monomial(m).degree() - m.degree() for m in algebra.basis(top))])
+        index = BasisIndex.of(algebra.basis(min(bound, top + lift)), grow=True)
     else:
-        top = min(degree, algebra.truncation)
         span, index = 2 * top, algebra.basis_index
-    deg = index.degrees
-    size, within = bisect_right(deg, top), bisect_right(deg, bound)  # before reading R appends to deg
+    size = bisect_right(index.degrees, top)  # before reading R appends to the index
     tgt, coef, more = on_positions(R, index.position)
     w, p = weight.value, algebra.field.p
     if p is None and not more:
@@ -189,28 +187,24 @@ def _pair_verdicts(R: LinearOperator, weight: FieldElement, degree: int) -> Iter
         w, coef = _on_integers(w, coef + [c for terms in more.values() for _, c in terms])
         rest = iter(coef[len(tgt):])
         more = {i: [(t, next(rest)) for t, _ in terms] for i, terms in more.items()}
-    pairs = _index_verdicts(index, size, span, bound, (tgt, coef, more), w, p)
-    if size > within and deg[0] + deg[within] <= span:
-        yield from islice(pairs, within)  # the pairs (0, j) before the first argument above the bound
-        R.apply_monomial(index.monomials[within])  # raises DegreeBoundExceeded
-    yield from pairs
+    return _index_verdicts(index, size, span, bound, (tgt, coef, more), w, p)
 
 
 def rb_check(R: LinearOperator, weight: FieldElement, degree: int) -> CheckReport:
     """Exhaustive pairwise verification within a degree budget.
 
-    On an untruncated algebra the pairs (u, v) with u <= v and
-    deg(u) + deg(v) <= degree are checked; on a truncated algebra all
-    basis pairs up to min(degree, truncation) are (the identity is then
-    verified in the quotient).  Pairs are visited in canonical order, so
+    The window holds the pairs u <= v of basis monomials within R's
+    degree bound: on an untruncated algebra those with
+    deg(u) + deg(v) <= degree, on a truncated one all of them up to
+    min(degree, bound) (the identity is then verified in the quotient).
+    Pairs are visited in canonical order, so
     the reported first violation is deterministic.
 
     Every operator on every algebra is decided by the one kernel on basis
     positions (``_index_verdicts``).  A pair on which ``rb_residual`` would
-    apply R above its bound is skipped (``skipped_pairs``); arguments above
-    the bound raise ``DegreeBoundExceeded`` after the pairs before the
-    first of them, a weight from another field raises ``MixedFieldSpecs``
-    and a degree below 0 ``ValueError``.  ``rb_residual`` stays the
+    apply R above its bound is skipped (``skipped_pairs``); a weight from
+    another field raises ``MixedFieldSpecs`` and a degree below 0
+    ``ValueError``.  ``rb_residual`` stays the
     reference: it reports the violation.
     """
     algebra = R.algebra

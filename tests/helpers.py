@@ -169,24 +169,22 @@ def reference_rb_check(R, weight, degree):
     """``rb_check`` evaluated pair by pair with ``rb_residual`` alone.
 
     The same pairs in the same order, but no raw-value kernel: an oracle
-    that stays independent of the fast path it judges.  A pair of
-    arguments within the bound whose residual applies R above it is
-    outside the domain and skipped.
+    that stays independent of the fast path it judges.  The window holds
+    the arguments within the bound; a pair whose residual applies R above
+    it is outside the domain and skipped.
     """
     algebra = R.algebra
     truncated = algebra.truncation is not None
     top = min(degree, algebra.truncation) if truncated else degree
-    basis = list(algebra.basis(top))
+    basis = [m for m in algebra.basis(top) if m.degree() <= R.degree_bound]
     checked = skipped = 0
     for i, u in enumerate(basis):
         for v in basis[i:]:
-            if not truncated and u.degree() + v.degree() > top:
+            if not truncated and u.degree() + v.degree() > degree:
                 continue
             try:
                 residual = rb_residual(R, u, v, weight)
             except DegreeBoundExceeded:
-                if max(u.degree(), v.degree()) > R.degree_bound:
-                    raise
                 skipped += 1
                 continue
             checked += 1

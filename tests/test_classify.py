@@ -8,6 +8,7 @@ from rbalg import (
     QQ,
     AlgebraSpec,
     CoefficientStrategy,
+    FamilyMatch,
     MatchKind,
     MonomialOperatorTable,
     WeightZeroFamilyParams,
@@ -23,6 +24,7 @@ from rbalg.errors import (
     CharacteristicObstruction,
     DenominatorVanishes,
     InvalidParams,
+    MixedAlgebras,
     MixedFieldSpecs,
     SearchBudgetExceeded,
 )
@@ -254,6 +256,40 @@ def test_deepening_matches_the_search_from_scratch(unital):
             with mock.patch.object(classify, "_surviving_shapes", reference_surviving_shapes):
                 assert list(_deepened_shapes(index, 10**7, slow)) == got, degree
             assert slow == deep, degree
+
+
+@pytest.mark.parametrize("unital", [False, True])
+def test_seeded_weight_zero_search_matches_the_reference(unital):
+    """Weight zero, bounds 2..7: ``_surviving_shapes`` seeded with the
+    shapes that pass the pair rule at the bound below gives the shapes in
+    the order and the counters of ``reference_surviving_shapes``."""
+    from rbalg.classify import SearchStats, _surviving_shapes
+
+    for degree in range(2, 8):
+        index = AlgebraSpec(QQ, nvars=1, unital=unital, truncation=degree).basis_index
+        seeds = list(_surviving_shapes(index, False, 10**7, SearchStats(), len(index.degrees) - 1))
+        got, want = SearchStats(), SearchStats()
+        shapes = list(_surviving_shapes(index, False, 10**7, got, below=seeds))
+        assert shapes == list(reference_surviving_shapes(index, False, 10**7, want, below=seeds)), degree
+        assert got == want, degree
+
+
+def test_class_closure_refuses_a_target_outside_a_seeded_domain():
+    """On k0[x] at bound 4, seeded with x -> x^3, x^2 absent, x^3 -> x^3:
+    the pair rule admits x^2 -> x^4, but then the gcd of the targets drops
+    from 3 to 1, one class of shift 2 holds every source, and x^3 must be
+    absent, which its seeded domain {x^3} refuses.  Unseeded weight-zero
+    searches (Q and GF(3) to GF(13), up to the cost guard) never reach that
+    refusal: there the pair rule always leaves the target the closure
+    forces."""
+    from rbalg.classify import ABSENT, SearchStats, _surviving_shapes
+
+    index = AlgebraSpec(QQ, nvars=1, unital=False, truncation=4).basis_index
+    seed = (2, ABSENT, 2)  # positions of x^3, -, x^3
+    below = [shape_exponents(index, seed)]
+    pair_rule_only = list(reference_shapes(4, False, False, 10**7, SearchStats(), below=below, rule=False))
+    assert (ABSENT, 3, 4, 3, ABSENT) in pair_rule_only  # exponents: x^2 -> x^4
+    assert list(_surviving_shapes(index, False, 10**7, SearchStats(), below=[seed])) == [(2, ABSENT, 2, ABSENT)]
 
 
 @pytest.mark.parametrize("weight", [0, 1])
@@ -630,6 +666,34 @@ def test_match_splitting_conjugate():
             assert match_family(table).kind is MatchKind.UNMATCHED
 
 
+def test_match_splitting_conjugate_refusals():
+    """Unital univariate tables of weight -1 outside the splitting
+    conjugates: one image off the constants; constant images without
+    R(x); constant images with R(1) other than 1.  Each is unmatched."""
+    one, x = UNITAL.one_monomial(), UNITAL.monomial
+    minus = -QQ.one()
+    for entries in (
+        {x(1): (QQ.one(), x(2))},
+        {one: (QQ.from_int(2), one)},
+        {one: (QQ.from_int(2), one), x(1): (QQ.one(), one)},
+    ):
+        table = MonomialOperatorTable(UNITAL, minus, 3, entries)
+        assert match_family(table) == FamilyMatch(MatchKind.UNMATCHED)
+
+
+def test_match_leaves_a_multivariate_table_unmatched():
+    """A bivariate family table, of weight zero or one, is reported
+    unmatched with the note that no family is matched in several
+    variables."""
+    from rbalg import MultivariateFamilyParams, MultivariateKind, construct_multivariate
+
+    algebra = AlgebraSpec(QQ, nvars=2, unital=False, truncation=None)
+    alphas = (QQ.one(), QQ.from_int(2))
+    for kind in (MultivariateKind.WEIGHT_ZERO, MultivariateKind.WEIGHT_ONE):
+        table = construct_multivariate(MultivariateFamilyParams(kind, alphas), algebra, 3)
+        assert match_family(table) == FamilyMatch(MatchKind.UNMATCHED, note="multivariate table")
+
+
 def test_match_unmatched():
     entries = {
         NONUNITAL.monomial(1): (QQ.one(), NONUNITAL.monomial(3)),
@@ -939,6 +1003,23 @@ def test_injective_diagonal_other_than_minus_id_fails():
         assert not rb_check(table, QQ.one(), 4).passed
 
 
+def test_search_refuses_several_variables():
+    algebra = AlgebraSpec(QQ, nvars=2, unital=False, truncation=None)
+    for weight in (QQ.zero(), QQ.one()):
+        with pytest.raises(InvalidParams, match="the shape search is univariate"):
+            enumerate_monomial_rb(algebra, weight, 2)
+
+
+def test_search_refuses_a_weight_from_another_field():
+    """A GF(5) weight on a Q algebra is refused by both searches, zero
+    or one, before any shape is built."""
+    for weight in (prime_field(5).zero(), prime_field(5).one()):
+        with pytest.raises(MixedAlgebras, match="weight from a different field"):
+            enumerate_monomial_rb(NONUNITAL, weight, 3)
+        with pytest.raises(MixedAlgebras, match="weight from a different field"):
+            enumerate_injective_diagonal(NONUNITAL, weight, 3)
+
+
 def test_injective_non_diagonal_fails_at_weight_one():
     # an injective monomial table moving a monomial cannot satisfy the
     # identity: the pair (w, w) forces a kernel element
@@ -965,7 +1046,14 @@ def reverify_searches():
                     yield algebra, field.from_int(weight), bound
 
 
-def test_search_solutions_reverify_independently():
+@pytest.fixture(scope="module")
+def reverified_reports():
+    """(algebra, weight, bound, report) for each of ``reverify_searches``,
+    searched once for the tests that judge the reports."""
+    return [(*search, enumerate_monomial_rb(*search)) for search in reverify_searches()]
+
+
+def test_search_solutions_reverify_independently(reverified_reports):
     """A table of a symbolic group is reported without a check of its own,
     so every reported table is checked here by ``rb_check`` and by
     ``perfbench/reference.rb_verdict``, which imports nothing from rbalg."""
@@ -973,10 +1061,10 @@ def test_search_solutions_reverify_independently():
 
     ref = load_benchmark_reference()
     checked = 0
-    for algebra, weight, bound in reverify_searches():
+    for algebra, weight, bound, report in reverified_reports:
         alg = ref.Algebra(1, algebra.unital, bound)
         F = ref.Field(algebra.field.p)
-        for sol in enumerate_monomial_rb(algebra, weight, bound).solutions:
+        for sol in report.solutions:
             assert rb_check(sol.table, weight, bound).passed, sol.table
             R = {src.exponents: {dst.exponents: c.value} for src, (c, dst) in sol.table.entries.items()}
             assert ref.rb_verdict(R, bound, weight.value, alg, F, bound)[1] is None, sol.table
@@ -984,13 +1072,13 @@ def test_search_solutions_reverify_independently():
     assert checked == 15_899  # as many as the per-instance path reports
 
 
-def test_search_matches_the_per_instance_path():
+def test_search_matches_the_per_instance_path(reverified_reports):
     """On the same searches, the report equals the one of the per-instance
     path (each grid instance solved and checked alone): the solutions with
     their seeded and under_constrained sources and matches, and the five
     counters."""
-    for algebra, weight, bound in reverify_searches():
-        got = enumerate_monomial_rb(algebra, weight, bound).to_json_dict()
+    for algebra, weight, bound, report in reverified_reports:
+        got = report.to_json_dict()
         want = per_instance_enumerate_monomial_rb(algebra, weight, bound).to_json_dict()
         assert got == want, (algebra, weight, bound)
 

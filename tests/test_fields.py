@@ -56,6 +56,23 @@ def test_division_by_zero():
         GF5.zero().inverse()
 
 
+def test_reflected_subtraction_and_division():
+    """An int on the left of - and / is read into the field: 3 - a and
+    1 / a, over Q and GF(5); a zero divisor still raises, and an operand
+    that is neither an int nor an element is refused."""
+    for field in (QQ, GF5):
+        a = field.from_int(2)
+        assert 3 - a == field.from_int(3) - a == field.one()
+        assert 1 / a == a.inverse()
+        assert 0 - a == -a
+        with pytest.raises(DivisionByZero):
+            1 / field.zero()
+        with pytest.raises(TypeError):
+            "3" - a
+        with pytest.raises(TypeError):
+            1.5 / a
+
+
 def test_mixed_specs_rejected():
     with pytest.raises(MixedFieldSpecs):
         QQ.one() + GF5.one()

@@ -115,6 +115,23 @@ def test_scale_rejects_a_scalar_from_another_field():
             Polynomial.zero(NONUNITAL).scale(c)
 
 
+def test_scalar_multiplication():
+    """A field element or an int on either side of * scales the
+    polynomial: the same as ``scale``; a zero scalar gives zero, a scalar
+    from another field is refused, and any other operand too."""
+    f = Polynomial(NONUNITAL, {NONUNITAL.monomial(1): QQ.one(), NONUNITAL.monomial(3): QQ.from_int(-2)})
+    three = QQ.from_int(3)
+    assert f * three == three * f == f * 3 == 3 * f == f.scale(three)
+    assert f * 3 == Polynomial(NONUNITAL, {NONUNITAL.monomial(1): three, NONUNITAL.monomial(3): QQ.from_int(-6)})
+    assert (f * 0).is_zero() and (QQ.zero() * f).is_zero()
+    with pytest.raises(MixedFieldSpecs):
+        f * prime_field(5).one()
+    with pytest.raises(TypeError):
+        "x" * f
+    with pytest.raises(TypeError):
+        1.5 * f
+
+
 def test_zero_coefficients_dropped():
     p = Polynomial(NONUNITAL, {NONUNITAL.monomial(1): QQ.zero()})
     assert p.is_zero()

@@ -348,8 +348,8 @@ def _table_entries(draw, algebra, bound, weight):
 
 
 def _window(draw, bound):
-    """A degree window, now and then one above the bound."""
-    return bound + 1 if draw(st.integers(0, 4)) == 0 else draw(st.integers(1, bound))
+    """A degree window, now and then one past the bound, up to twice it."""
+    return draw(st.integers(bound + 1, 2 * bound)) if draw(st.integers(0, 4)) == 0 else draw(st.integers(1, bound))
 
 
 @st.composite
@@ -513,24 +513,17 @@ def test_dense_kernel_matches_reference(case):
 
 
 def _verdicts(R, weight, degree):
-    """The kernel's (u, v, verdict) for the pairs of rb_check's window, then
-    its error, if any, as ("raised", type, message)."""
-    out = []
-    try:
-        out.extend(rbcheck_mod._pair_verdicts(R, weight, degree))
-    except DegreeBoundExceeded as exc:
-        out.append(("raised", type(exc), str(exc)))
-    return out
+    """The kernel's (u, v, verdict) for the pairs of rb_check's window."""
+    return list(rbcheck_mod._pair_verdicts(R, weight, degree))
 
 
 def _window_pairs(R, degree):
-    """The pairs of rb_check's window in order, as ``reference_rb_check``
-    visits them."""
+    """The pairs of rb_check's window in order: u <= v with both arguments
+    within the bound, and on an untruncated algebra deg u + deg v <= degree."""
     algebra = R.algebra
     truncated = algebra.truncation is not None
-    top = min(degree, algebra.truncation) if truncated else degree
-    basis = list(algebra.basis(top))
-    return [(u, v) for i, u in enumerate(basis) for v in basis[i:] if truncated or u.degree() + v.degree() <= top]
+    basis = list(algebra.basis(min(degree, R.degree_bound)))
+    return [(u, v) for i, u in enumerate(basis) for v in basis[i:] if truncated or u.degree() + v.degree() <= degree]
 
 
 @settings(max_examples=400, deadline=None)
@@ -539,31 +532,56 @@ def test_one_kernel_matches_rb_residual_pair_by_pair(case):
     """Tables and dense operators, truncated or not, over Q and GF(p): the
     kernel visits the window's pairs in order and decides each as
     ``rb_residual`` does, None where the residual leaves the domain, else
-    whether it vanishes; it raises at the first pair with an argument above
-    the bound the error ``rb_residual`` raises there.  ``rb_check`` then
-    reports what ``reference_rb_check`` reports."""
+    whether it vanishes.  ``rb_check`` then reports what
+    ``reference_rb_check`` reports."""
     R, weight, degree = case
     got = _verdicts(R, weight, degree)
-    raised = got.pop() if got and got[-1][0] == "raised" else None
-    window = _window_pairs(R, degree)
-    assert [(u, v) for u, v, _ in got] == window[: len(got)]
+    assert [(u, v) for u, v, _ in got] == _window_pairs(R, degree)
     for u, v, verdict in got:
-        assert max(u.degree(), v.degree()) <= R.degree_bound
         try:
             residual = rb_residual(R, u, v, weight)
         except DegreeBoundExceeded:
             assert verdict is None
         else:
             assert verdict is residual.is_zero()
-    if raised is None:
-        assert len(got) == len(window)
-    else:
-        u, v = window[len(got)]
-        assert max(u.degree(), v.degree()) > R.degree_bound
-        with pytest.raises(DegreeBoundExceeded) as exc:
-            rb_residual(R, u, v, weight)
-        assert raised == ("raised", DegreeBoundExceeded, str(exc.value))
     assert _outcome(rb_check, R, weight, degree) == _outcome(reference_rb_check, R, weight, degree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=checked_tables() | truncated_tables() | checked_dense_operators(), data=st.data())
+def test_windows_past_the_bound_match_the_reference(case, data):
+    """At degrees bound + 1 .. 2 bound, unital or not, tables and dense
+    operators: ``rb_check`` checks the pairs of arguments within the bound,
+    as ``reference_rb_check`` does, and raises nothing; on a truncated
+    algebra it reports what the bound reports."""
+    R, weight, _ = case
+    bound = R.degree_bound
+    degree = data.draw(st.integers(bound + 1, max(2 * bound, bound + 1)))
+    got = _outcome(rb_check, R, weight, degree)
+    assert got[0] != "raised"
+    assert got == _outcome(reference_rb_check, R, weight, degree)
+    if R.algebra.truncation is not None:
+        assert got == _outcome(rb_check, R, weight, bound)
+
+
+def test_untruncated_window_reaches_a_violation_past_the_bound():
+    """The weight-zero family over GF(7) with m = 1, p = 2, q = 1 on
+    untruncated k0[x], R(x^n) = x^(n+1)/(n+1), fails at (x^2, x^3): both
+    arguments lie within the bound 3, the inner term 7/12 x^6 vanishes
+    mod 7 and the left side 3 x^7 does not.  Only a window of degree 5 or
+    more holds the pair."""
+    F7 = prime_field(7)
+    algebra = AlgebraSpec(F7, nvars=1, unital=False, truncation=None)
+    R = construct_weight_zero(WeightZeroFamilyParams(1, {1: (2, F7.one())}), algebra, 3)
+    for degree in (3, 4):
+        assert rb_check(R, F7.zero(), degree).passed
+    x = algebra.monomial
+    for degree in (5, 6):
+        report = rb_check(R, F7.zero(), degree)
+        assert report == reference_rb_check(R, F7.zero(), degree)
+        assert (report.checked_pairs, report.skipped_pairs) == (2, 3)
+        assert (report.violation.u, report.violation.v) == (x(2), x(3))
+        assert report.violation.residual == Polynomial.monomial(algebra, x(7), F7.from_int(3))
 
 
 def test_one_kernel_decides_every_operator():
@@ -589,16 +607,19 @@ def test_one_kernel_decides_every_operator():
 
 def test_window_edges():
     """Where the window ends: untruncated k0[x] at degree bound + 1 has no
-    pair with x^(bound+1), as x * x^(bound+1) lies above the window;
-    untruncated k[x] there raises after the pairs (1, x^0..x^bound); a
-    window of no pair checks nothing."""
+    pair with x^(bound+1), as its arguments lie within the bound;
+    untruncated k[x] there checks the pairs within the bound whose degrees
+    sum to at most bound + 1, and from 2 bound on the window holds every
+    pair within the bound; a window of no pair checks nothing."""
     R = construct_weight_one_univariate(QQ.one(), NONUNITAL, 4)
     assert rb_check(R, QQ.one(), 5) == CheckReport(4, None, 2) == reference_rb_check(R, QQ.one(), 5)
     J = construct_integral(QQ.zero(), UNITAL, 4)
+    x = UNITAL.monomial
     got = _verdicts(J, QQ.zero(), 5)
-    assert [(u, v) for u, v, _ in got[:-1]] == [(UNITAL.monomial(0), UNITAL.monomial(n)) for n in range(5)]
-    assert got[-1] == ("raised", DegreeBoundExceeded, "operator defined up to degree 4, got Monomial(5,)")
-    assert _outcome(rb_check, J, QQ.zero(), 5) == got[-1] == _outcome(reference_rb_check, J, QQ.zero(), 5)
+    assert [(u, v) for u, v, _ in got] == [(x(a), x(b)) for a in range(3) for b in range(a, min(4, 5 - a) + 1)]
+    assert [verdict for _, _, verdict in got] == [True] * 4 + [None] + [True] * 2 + [None] * 4
+    assert rb_check(J, QQ.zero(), 5) == CheckReport(6, None, 5) == reference_rb_check(J, QQ.zero(), 5)
+    assert rb_check(J, QQ.zero(), 8) == rb_check(J, QQ.zero(), 100) == CheckReport(6, None, 9)
     truncated = AlgebraSpec(QQ, nvars=2, unital=False, truncation=3)
     empty = [(R, 0), (R, 1), (_dense_twin(R), 1), (identity_table(truncated, 3, QQ.one()), 0)]
     for op, degree in empty:
@@ -646,7 +667,7 @@ def test_untruncated_check_reads_the_product_entries_it_needs():
     # inner terms of the integral's window reach x^4; its images and products x^5
     assert shifted.monomials == tuple(UNITAL.basis(4))
     assert shifted.mul.exponents == [m.exponents for m in UNITAL.basis(5)]
-    assert jumped.monomials == tuple(algebra.basis(2))
+    assert jumped.monomials == tuple(algebra.basis(1))  # R's domain, which holds the window's arguments
     reached = {(45, 0, 0), (45, 0, 1), (45, 1, 0), (46, 0, 0), (90, 0, 0)}  # x1^45, its window products, its square
     assert set(jumped.mul.exponents[len(jumped.monomials) :]) == reached
 
@@ -773,8 +794,6 @@ def test_domain_errors_come_from_the_reference():
         assert report.to_json_dict() == {"status": "pass", "checked_pairs": checked, "skipped_pairs": skipped}
         assert _outcome(rb_check, R, QQ.zero(), 6) == _outcome(reference_rb_check, R, QQ.zero(), 6)
         assert REF.rb_verdict(_raw_operator(R), 6, F.norm(0), alg, F, 6, domain_only=True) == (checked, None)
-    # a window whose arguments lie above the bound still raises
+    # a window past the bound checks the pairs of arguments within it
     J = construct_integral(QQ.zero(), UNITAL, 6)
-    got = _outcome(rb_check, J, QQ.zero(), 7)
-    assert got == ("raised", DegreeBoundExceeded, "operator defined up to degree 6, got Monomial(7,)")
-    assert got == _outcome(reference_rb_check, J, QQ.zero(), 7)
+    assert rb_check(J, QQ.zero(), 7) == CheckReport(12, None, 7) == reference_rb_check(J, QQ.zero(), 7)
