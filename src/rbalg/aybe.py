@@ -18,7 +18,8 @@ from typing import Dict, List, Optional, Tuple
 from .errors import InvalidParams, MixedFieldSpecs, NonUnitalAlgebra, SearchBudgetExceeded
 from .fields import FieldElement
 from .operators import DenseOperator
-from .poly import AlgebraSpec, Monomial, Polynomial, _accumulate, _json_typed
+from .poly import AlgebraSpec, BasisIndex, Monomial, Polynomial, _accumulate, _json_entry, _json_typed
+from .rbcheck import _on_integers
 
 TensorKey = Tuple[Monomial, ...]
 MAX_CELLS = 256  # support cells aybe_grid_search takes: its plan grows with their square
@@ -175,7 +176,7 @@ class TensorElement:
         terms = {}
         for item in data["terms"]:
             key = tuple(algebra.monomial(*e) for e in item["exps"])
-            terms[key] = algebra.field.parse(item["coeff"])
+            _json_entry(terms, key, algebra.field.parse(item["coeff"]), item, "exps")
         return TensorElement(algebra, _json_typed(data["arity"], "arity"), terms)
 
 
@@ -227,6 +228,14 @@ def aybe_grid_search(
     touches it is assigned, and a partial assignment with a nonzero
     closed key is abandoned.  ``budget`` caps the search nodes, one per
     grid value tried at a cell, and ``MAX_CELLS`` the support cells.
+
+    Monomials are positions in the ``BasisIndex`` of basis(2 *
+    support_degree), the support basis first, multiplied through its
+    ``mul`` rows; a key (x, y, z) is the int (x * M + y) * M + z, M the
+    index size.  Over Q the grid and the weight are scaled to ints by L,
+    the lcm of their denominators (``rbcheck._on_integers``): the residual
+    is homogeneous of degree 2 in (r, w), so each key's sum scales by L^2
+    and no zero test moves.
     """
     if not algebra.unital:
         raise NonUnitalAlgebra("tensor computations require a unital algebra")
@@ -235,24 +244,29 @@ def aybe_grid_search(
     if any(c.spec != algebra.field for c in [weight, *grid]):
         raise MixedFieldSpecs("grid values and weight must lie in the algebra's field")
     basis = list(algebra.basis(support_degree))
-    cells = [(a, b) for a in basis for b in basis]
-    ncells = len(cells)
+    n = len(basis)
+    ncells = n * n
     if ncells > MAX_CELLS:
         raise SearchBudgetExceeded(f"{ncells} support cells exceed the cap of {MAX_CELLS}")
+    if algebra.truncation is not None:
+        raise ValueError("tensor computations are exact; use an untruncated algebra")
+    monomials, _, _, mul = BasisIndex.of(algebra.basis(2 * support_degree))
+    M = len(monomials)
+    cells = [divmod(k, n) for k in range(ncells)]  # cell k is basis[a] x basis[b]
     # plans[k]: (key id, i, c) with c * raw[i] * raw[k] the share in that key
     # of the ordered pairs with max(i, k) = k; raw[ncells] = -weight is the
-    # factor of cell k's linear term
-    key_ids: Dict[tuple, int] = {}
+    # factor of cell k's linear term, on the key (a, 1, b) with 1 at position 0
+    key_ids: Dict[int, int] = {}
     plans: List[List[Tuple[int, int, int]]] = []
-    one_exps = algebra.one_monomial().exponents
     for k, (a_k, b_k) in enumerate(cells):
-        pieces = [((a_k.exponents, one_exps, b_k.exponents), ncells, 1)]
-        for i, cell in enumerate(cells[: k + 1]):
-            for (a_s, b_s), (a_t, b_t) in dict.fromkeys([(cell, cells[k]), (cells[k], cell)]):
+        pieces = [(a_k * M * M + b_k, ncells, 1)]
+        for i in range(k + 1):
+            for s, t in dict.fromkeys([(i, k), (k, i)]):
+                (a_s, b_s), (a_t, b_t) = cells[s], cells[t]
                 pieces += [
-                    (((a_s * a_t).exponents, b_t.exponents, b_s.exponents), i, 1),
-                    ((a_s.exponents, (b_s * a_t).exponents, b_t.exponents), i, -1),
-                    ((a_t.exponents, a_s.exponents, (b_s * b_t).exponents), i, 1),
+                    ((mul[a_s][a_t] * M + b_t) * M + b_s, i, 1),
+                    ((a_s * M + mul[b_s][a_t]) * M + b_t, i, -1),
+                    ((a_t * M + a_s) * M + mul[b_s][b_t], i, 1),
                 ]
         terms: Dict[Tuple[int, int], int] = {}
         for key, i, sign in pieces:
@@ -269,18 +283,21 @@ def aybe_grid_search(
         closes[k].append(kid)
 
     p = algebra.field.p
-    raw_grid = [g.value for g in grid]
-    raw = [0] * ncells + [-weight.value]
-    acc: List[object] = [0] * len(key_ids)
+    w, raw_grid = weight.value, [g.value for g in grid]
+    if p is None:
+        w, raw_grid = _on_integers(w, raw_grid)
+    raw = [0] * ncells + [-w]
+    acc = [0] * len(key_ids)
     chosen = [0] * ncells
+    support = [(basis[a], basis[b]) for a, b in cells]
     solutions: List[TensorElement] = []
     nodes = 0
 
     def place(k: int) -> None:
         nonlocal nodes
-        if k == ncells:
-            terms = {cells[i]: grid[j] for i, j in enumerate(chosen) if raw_grid[j]}
-            solutions.append(TensorElement(algebra, 2, terms))
+        if k == ncells:  # distinct cells, nonzero grid values of the algebra's field
+            terms = {support[i]: grid[j] for i, j in enumerate(chosen) if raw_grid[j]}
+            solutions.append(TensorElement._trusted(algebra, 2, terms))
             return
         for g, v in enumerate(raw_grid):
             nodes += 1

@@ -28,7 +28,7 @@ from .errors import (
     ZeroWeight,
 )
 from .fields import FieldElement
-from .poly import AlgebraSpec, Monomial, Polynomial, _accumulate, _json_typed
+from .poly import AlgebraSpec, Monomial, Polynomial, _accumulate, _json_entry, _json_typed
 
 
 def _effective_bound(algebra: AlgebraSpec, degree_bound: Optional[int]) -> int:
@@ -183,7 +183,7 @@ class MonomialOperatorTable(LinearOperator):
         for item in data["entries"]:
             src = algebra.monomial(*item["src"])
             dst = algebra.monomial(*item["dst"])
-            entries[src] = (algebra.field.parse(item["coeff"]), dst)
+            _json_entry(entries, src, (algebra.field.parse(item["coeff"]), dst), item, "src")
         bound = _json_typed(data["degree_bound"], "degree_bound", nullable=True)
         return MonomialOperatorTable(algebra, weight, bound, entries)
 
@@ -238,7 +238,7 @@ class DenseOperator(LinearOperator):
         images = {}
         for item in data["images"]:
             src = algebra.monomial(*item["src"])
-            images[src] = Polynomial.from_json_terms(algebra, item["poly"])
+            _json_entry(images, src, Polynomial.from_json_terms(algebra, item["poly"]), item, "src")
         bound = _json_typed(data["degree_bound"], "degree_bound", nullable=True)
         return DenseOperator(algebra, weight, bound, images)
 

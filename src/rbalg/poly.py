@@ -124,6 +124,14 @@ def _json_typed(value, name: str, kind: type = int, nullable: bool = False):
     raise TypeError(f"{name} must be {kind.__name__}{' or null' if nullable else ''}, got {value!r}")
 
 
+def _json_entry(entries: dict, key, value, item: dict, name: str) -> None:
+    """entries[key] = value for a JSON document's item, whose field name
+    holds the key; a key already in entries is a TypeError naming it."""
+    if key in entries:
+        raise TypeError(f"{name} {item[name]!r} is repeated")
+    entries[key] = value
+
+
 def _accumulate(terms: dict, key, c: FieldElement) -> None:
     """terms[key] += c, keeping only nonzero coefficients: the one step
     that adds into a sparse term dict, keyed by monomial or tensor key."""
@@ -376,7 +384,7 @@ class Polynomial:
         terms = {}
         for item in data:
             mono = algebra.monomial(*item["exponents"])
-            terms[mono] = algebra.field.parse(item["coeff"])
+            _json_entry(terms, mono, algebra.field.parse(item["coeff"]), item, "exponents")
         return Polynomial(algebra, terms)
 
     def __repr__(self) -> str:

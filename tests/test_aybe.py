@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from helpers import (
     field_elements,
     load_benchmark_reference,
+    rational_elements,
     reference_aybe_grid_search,
     reference_aybe_nodes,
 )
@@ -304,6 +305,37 @@ def test_grid_search_matches_reference_on_drawn_grids(data):
     assert aybe_grid_search(algebra, 1, grid, weight) == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_grid_search_on_integers_matches_the_fraction_reference(data):
+    """Over Q the search runs on the grid and the weight times the lcm of
+    their denominators; it returns the reference's list, computed on
+    Fractions, in its order.  Values and weight carry different
+    denominators and signs, and the weight lies off the grid; at the
+    weight of the grid's last value c the search also finds c (1 x 1).
+    Grids of at most 2 values for the 9-cell cases, as in
+    CROSS_CHECK_CASES."""
+    nvars, degree, size = data.draw(st.sampled_from([(1, 1, 4), (1, 2, 2), (2, 1, 2)]))
+    algebra = AlgebraSpec(QQ, nvars=nvars, unital=True, truncation=None)
+    values = rational_elements(max_abs=9, max_den=12)
+    grid = data.draw(st.lists(values, min_size=1, max_size=size, unique=True))
+    weight = data.draw(values.filter(lambda w: w not in grid))
+    for w in (weight, grid[-1]):
+        expected = reference_aybe_grid_search(algebra, degree, grid, w)
+        assert aybe_grid_search(algebra, degree, grid, w) == expected
+
+
+def test_grid_search_on_pairwise_coprime_denominators():
+    """Grid {0, 1/7, -2/11, 3/13} scales by 1001 and, with the weight 5/17
+    off the grid, by 17017; at the weight 3/13 the search also finds
+    3/13 times the unit tensor."""
+    grid = [QQ.zero(), QQ.element(1, 7), QQ.element(-2, 11), QQ.element(3, 13)]
+    for weight, found in ((QQ.element(5, 17), []), (grid[3], [unit_tensor(grid[3])])):
+        solutions = aybe_grid_search(UNITAL, 1, grid, weight)
+        assert solutions == reference_aybe_grid_search(UNITAL, 1, grid, weight)
+        assert solutions == [TensorElement(UNITAL, 2, {}), *found]
+
+
 def test_grid_search_degree_three():
     grid = [QQ.zero(), QQ.one(), -QQ.one()]
     solutions = aybe_grid_search(UNITAL, 3, grid, QQ.one())  # 16 cells
@@ -325,6 +357,8 @@ def test_tensor_requires_unital_untruncated():
     truncated = AlgebraSpec(QQ, nvars=1, unital=True, truncation=4)
     with pytest.raises(ValueError):
         TensorElement(truncated, 2, {})
+    with pytest.raises(ValueError, match="untruncated"):
+        aybe_grid_search(truncated, 1, [QQ.zero(), QQ.one()], QQ.one())
 
 
 def test_tensor_keys_must_be_basis_monomials():
@@ -342,6 +376,14 @@ def test_tensor_json_round_trip():
     x = UNITAL.monomial(1)
     r = TensorElement(UNITAL, 2, {(x, x): QQ.element(2, 3), (ONE, x): -QQ.one()})
     assert TensorElement.from_json_dict(r.to_json_dict()) == r
+
+
+def test_tensor_json_refuses_a_repeated_key():
+    """A key given twice is refused, not overwritten by the second."""
+    document = TensorElement(UNITAL, 2, {(ONE, ONE): QQ.one()}).to_json_dict()
+    terms = document["terms"] + [{"exps": [[0], [0]], "coeff": "2"}]
+    with pytest.raises(TypeError, match=r"^exps \[\[0\], \[0\]\] is repeated$"):
+        TensorElement.from_json_dict(dict(document, terms=terms))
 
 
 def test_multivariate_unit_solution():

@@ -855,6 +855,47 @@ def test_aybe_output_is_pinned(tmp_path, capsys, solution, weight, exit_code, di
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        ("--degree 15 --weight 1", "c1ce93f3f7905727ff962ccc19547983d38bad05158e2f4394439585f81fee49"),
+        ("--degree 4 --nvars 2 --weight 1", "e153a11605f4d824153dfd699f3f0ae778e7f2e4995bb51a0d2651932132566b"),
+        (
+            "--degree 2 --weight 1/2 --grid 0,1/3,-1/2,2,1/2",
+            "b9a8a99b009c3961e3950d71b9b668dcd86356c42136abf36206a749c57fdfb0",
+        ),
+        ("--degree 2 --field Fp:7 --weight 3", "0896e3fff7c320ebd51de3944370ef72779f277feb144a25c01df8f67f984b53"),
+    ],
+    ids=["cell-cap", "bivariate-degree-4", "rational-grid", "gf7"],
+)
+def test_aybe_search_output_is_pinned(capsys, argv, digest):
+    """sha256 of the canonical stdout of ``rbalg aybe search``: at the
+    256-cell cap, on k[x, y], on a grid of fractions and over GF(7)."""
+    code, out, _ = run_cli(capsys, "aybe", "search", *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_check_refuses_a_repeated_entry(tmp_path, capsys, where):
+    """A table that gives x twice is malformed wherever the second entry
+    stands: if the last entry won, this table would pass the check with
+    the extra entry first and fail it with the entry last."""
+    code, out, _ = run_cli(
+        capsys, "construct", "--family", "weight-one", "--alpha", "1",
+        "--truncation", "4", "--degree", "4",
+    )
+    assert code == 0
+    table = json.loads(out)
+    extra = [{"src": [1], "dst": [1], "coeff": "5"}]
+    entries = extra + table["entries"] if where == "first" else table["entries"] + extra
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(dict(table, entries=entries)))
+    code, out, err = run_cli(capsys, "check", "--operator", str(path), "--weight", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path} is malformed: TypeError: src [1] is repeated\n"
+
+
 def test_construct_splitting_takes_1_based_variables(capsys):
     code, out, _ = run_cli(
         capsys, "construct", "--family", "splitting", "--nvars", "2", "--degree", "2",

@@ -346,6 +346,20 @@ def test_json_round_trip_monomial_and_dense():
     assert again_dense.weight == J.weight
 
 
+def test_operator_json_refuses_a_repeated_source():
+    """A source given twice is refused by either kind of operator, not
+    overwritten by the second."""
+    table = inverse_degree_table(4).to_json_dict()
+    extra = {"src": [2], "dst": [2], "coeff": "5"}
+    for entries in ([extra, *table["entries"]], [*table["entries"], extra]):
+        with pytest.raises(TypeError, match=r"^src \[2\] is repeated$"):
+            operator_from_json(dict(table, entries=entries))
+    dense = construct_integral(QQ.one(), UNITAL, 3).to_json_dict()
+    images = dense["images"] + [{"src": [1], "poly": []}]
+    with pytest.raises(TypeError, match=r"^src \[1\] is repeated$"):
+        operator_from_json(dict(dense, images=images))
+
+
 def cli_exit(document: dict, *argv: str) -> int:
     """The exit code of ``rbalg`` with document in a JSON file whose path
     stands for each DOC in argv; the output is dropped, and an exception

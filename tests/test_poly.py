@@ -176,6 +176,14 @@ def test_json_round_trip():
     assert Polynomial.from_json_terms(algebra, p.to_json_terms()) == p
 
 
+def test_json_terms_refuse_a_repeated_monomial():
+    """A monomial given twice is refused, not overwritten by the second."""
+    algebra = AlgebraSpec(QQ, nvars=2, unital=False, truncation=5)
+    terms = [{"exponents": [1, 1], "coeff": "3"}, {"exponents": [0, 2], "coeff": "1"}]
+    with pytest.raises(TypeError, match=r"^exponents \[1, 1\] is repeated$"):
+        Polynomial.from_json_terms(algebra, terms + [{"exponents": [1, 1], "coeff": "0"}])
+
+
 def test_basis_enumeration_order():
     degrees = [m.degree() for m in TRUNC3.basis(10)]
     assert degrees == [1, 2, 3]
