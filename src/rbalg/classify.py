@@ -59,30 +59,27 @@ c * s^e, c a nonzero constant.  Such a monomial is nonzero at every
 point of nonzero seeds, so each grid instance takes the same steps and
 its values are the monomials evaluated at its point; a step where that
 could fail (a coefficient of two monomials, or a quadratic) falls back
-to the grid loop.  The symbolic table is then checked once: each pair's
-residual is a Laurent polynomial in the seeds.  Substituting nonzero
-field values for the seeds is a ring homomorphism, and the checker uses
-only sums, products and zero tests that drop vanishing terms, so the
-residual of an instance is the substitution of the symbolic residual: a
-search table is truncated at its bound, so the checker skips no pair.  If
-every symbolic residual vanishes as a Laurent polynomial, every grid
-instance satisfies the identity exactly and needs no check of its own.
-If one does not, it may still vanish at some grid points, so each
-instance is checked as any other table.
+to the grid loop.  The group is then checked once: each pair's residual
+is a Laurent polynomial in the seeds.  Substituting nonzero field values
+for the seeds is a ring homomorphism, and the checker uses only sums,
+products and zero tests that drop vanishing terms, so on an algebra
+truncated at the bound, where the checker skips no pair, the residual of
+an instance is the substitution of the symbolic residual.  If every one
+vanishes as a Laurent polynomial, every grid instance satisfies the
+identity exactly; if one does not, each instance is checked alone.
 
 The shape search and the injective diagonal search (the identity shape
 on k0[x1..xn]) share one pipeline on a ``BasisIndex``, unknowns named by
 basis position until a report is built: ``_check_search`` validates and
-picks the seed grid, and ``_verified_tables`` builds a shape's
-equations, solves them, builds each candidate table and re-verifies it
-by the exhaustive pairwise identity check -- once per symbolic group, or
-else once per table -- so the output is sound by construction.  The
-candidates are built unchecked (``MonomialOperatorTable._trusted``):
-their entries map basis monomials within the bound to basis monomials
-with nonzero solved values, and the check, not the constructor, is what
-vouches for them.  Completeness is relative to the seeding grid: a
-family member appears in the output exactly when its free parameters
-lie on the grid.
+picks the seed grid, and ``_verified_tables`` solves a shape's
+equations and checks each candidate on raw values, in ``rb_check``'s
+window at twice the bound, the table's whole domain, before any table is
+built, so the output is sound by construction.  The passing candidates
+are built unchecked (``MonomialOperatorTable._trusted``): their entries
+map basis monomials within the bound to basis monomials with nonzero
+solved values.  Completeness is relative to the seeding grid: a family
+member appears in the output exactly when its free parameters lie on
+the grid.
 """
 
 from __future__ import annotations
@@ -100,11 +97,13 @@ from . import linalg
 from .construct import (
     SplittingSpec,
     WeightZeroFamilyParams,
+    _in_domain,
     construct_splitting,
     residue_class,
     residues,
 )
 from .errors import (
+    CharacteristicObstruction,
     InvalidParams,
     MixedAlgebras,
     MixedFieldSpecs,
@@ -115,7 +114,8 @@ from .fields import FieldElement, FieldKind, FieldSpec
 from .laurent import Fallback, Laurent, exponents, quotient
 from .operators import MonomialOperatorTable
 from .poly import AlgebraSpec, BasisIndex, Monomial
-from .rbcheck import _index_verdicts, _on_integers, rb_check
+from .rbcheck import _pair_verdicts
+from .rbcheck import rb_check  # unused here: perfbench/tracing.py wraps classify.rb_check by name
 
 ABSENT = -1
 
@@ -450,22 +450,6 @@ def _instances(values: dict, seeded: tuple, grid, p) -> Iterator[dict]:
         yield raw
 
 
-def _holds(t, values: dict, index: BasisIndex, D: int, w, p) -> bool:
-    """Whether the table of shape t with the raw values of a solver group
-    satisfies the identity on every pair of index, truncated at D: read by
-    ``rbcheck._index_verdicts``, on Laurent polynomials for a symbolic
-    group.  A table truncated at its bound has no inner term above it, so
-    no pair is skipped."""
-    coef = [values.get(n, 0) for n in range(len(t))]
-    if p is None:
-        w, coef = _on_integers(w, coef)
-    for _, _, verdict in _index_verdicts(index, len(t), 2 * D, D, (t, coef, {}), w, p):
-        assert verdict is not None, "a table truncated at its bound skips no pair"
-        if not verdict:
-            return False
-    return True
-
-
 # -- family matching ---------------------------------------------------------
 
 
@@ -497,6 +481,15 @@ class FamilyMatch:
         if self.note:
             out["note"] = self.note
         return out
+
+
+def _built(table: MonomialOperatorTable, match: FamilyMatch) -> Optional[FamilyMatch]:
+    """match, unless the constructor refuses the member (``construct._in_domain``)."""
+    try:
+        _in_domain(table)
+    except CharacteristicObstruction:
+        return None
+    return match
 
 
 def _match_weight_zero(table: MonomialOperatorTable) -> Optional[FamilyMatch]:
@@ -533,7 +526,7 @@ def _match_weight_zero(table: MonomialOperatorTable) -> Optional[FamilyMatch]:
             for b, (pb, q) in lead.items():
                 classes[b] = (pb, FieldElement(field, q))
             params = WeightZeroFamilyParams(m, classes)
-            return FamilyMatch(MatchKind.WEIGHT_ZERO_FAMILY, params=params)
+            return _built(table, FamilyMatch(MatchKind.WEIGHT_ZERO_FAMILY, params=params))
     return None
 
 
@@ -552,7 +545,7 @@ def _match_weight_one(table: MonomialOperatorTable) -> Optional[FamilyMatch]:
         miss = raw.get(n, 0) * (shifted - power) - power
         if miss if p is None else miss % p:
             return None
-    return FamilyMatch(MatchKind.WEIGHT_ONE_FAMILY, alpha=table.entries[algebra.monomial(1)][0])
+    return _built(table, FamilyMatch(MatchKind.WEIGHT_ONE_FAMILY, alpha=table.entries[algebra.monomial(1)][0]))
 
 
 def _match_splitting_conjugate(table: MonomialOperatorTable) -> Optional[FamilyMatch]:
@@ -913,27 +906,28 @@ def _check_search(algebra: AlgebraSpec, weight: FieldElement, degree_bound: int,
 def _verified_tables(t, index: BasisIndex, algebra, weight, D, strategy, grid, stats):
     """The tables of shape t (basis positions of index) that pass the
     identity, as (table, seeded, orphans) with unknowns named by position:
-    the shape's equations are solved, seeding from grid, and each instance
-    becomes a table on algebra up to degree D.  A symbolic group on an
-    algebra truncated at D is checked once by ``_holds``; its instances,
-    when it holds, need no ``rb_check`` (see the module docstring), and
-    every other instance is re-verified by ``rb_check``.
-    Counts systems solved and candidates rejected into stats."""
+    the shape's equations are solved, seeding from grid, and each candidate
+    is checked on raw values in ``rbcheck._pair_verdicts`` at degree 2 D,
+    its whole domain, once per symbolic group on an algebra truncated at D
+    (see the module docstring) or else once per instance; only one that
+    passes becomes a table on algebra.  Counts systems solved and
+    candidates rejected into stats."""
     monos, field = index.monomials, algebra.field
     defined = [n for n, target in enumerate(t) if target >= 0]
     equations = _shape_equations(t, weight.is_one(), index.mul)
     stats.systems_solved += 1
+
+    def holds(values: dict) -> bool:  # a skipped pair (None) leaves the table's domain
+        coef = [values.get(n, 0) for n in range(len(t))]
+        verdicts = _pair_verdicts(algebra, D, 2 * D, lambda _: (t, coef, {}), weight.value)
+        return False not in (verdict for _, _, verdict in verdicts)
+
     for values, seeded, orphans in _solve_coefficients(equations, defined, field, strategy, grid):
-        holds = (
-            algebra.truncation == D
-            and _symbols(values, seeded)
-            and _holds(t, values, index, D, weight.value, field.p)
-        )
+        group = algebra.truncation == D and _symbols(values, seeded) and holds(values)
         for raw in _instances(values, seeded, grid, field.p):
-            entries = {monos[n]: (FieldElement(field, raw[n]), monos[t[n]]) for n in defined}
-            table = MonomialOperatorTable._trusted(algebra, weight, D, entries)
-            if holds or rb_check(table, weight, D).passed:
-                yield table, seeded, orphans
+            if group or holds(raw):
+                entries = {monos[n]: (FieldElement(field, raw[n]), monos[t[n]]) for n in defined}
+                yield MonomialOperatorTable._trusted(algebra, weight, D, entries), seeded, orphans
             else:
                 stats.candidates_rejected += 1
 
@@ -944,12 +938,17 @@ def enumerate_monomial_rb(
     degree_bound: int,
     strategy: Optional[CoefficientStrategy] = None,
 ) -> ClassificationReport:
-    """All monomial Rota-Baxter tables on the truncated quotient at the
-    given bound, each re-verified and matched against the families.
+    """The monomial Rota-Baxter tables on the truncated quotient at the
+    given bound that obey the weight's structure rule, each verified and
+    matched against the families.
 
     The search runs in the quotient where monomials above the bound
     vanish, so reported tables are operators there; tables whose free
-    coefficients are pure truncation artifacts are flagged.
+    coefficients are pure truncation artifacts are flagged.  The rule drops
+    tables that exist only in the quotient: on k0[x]/(x^5), R(x) = -x^2,
+    R(x^2) = x^4 passes ``rb_check`` at weight 1, but x^4 lies in both
+    kernel and image.  Without it, Q at weight 1 and bound 8, non-unital,
+    would give 23 tables, not 7.
     """
     if algebra.nvars != 1:
         raise InvalidParams("the shape search is univariate")

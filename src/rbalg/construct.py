@@ -35,6 +35,7 @@ from .errors import (
 from .fields import FieldElement
 from .operators import DenseOperator, MonomialOperatorTable, _effective_bound
 from .poly import AlgebraSpec, Monomial, Polynomial
+from .rbcheck import rb_check
 
 
 def residues(m: int, unital: bool) -> range:
@@ -103,7 +104,7 @@ def construct_weight_zero(
                 index=n,
             )
         entries[src] = (q / denom, algebra.monomial(target_exp))
-    return MonomialOperatorTable(algebra, field.zero(), bound, entries)
+    return _in_domain(MonomialOperatorTable(algebra, field.zero(), bound, entries))
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ def construct_weight_one_univariate(
             raise DenominatorVanishes(f"(alpha+1)^{n} = alpha^{n} for alpha = {alpha}", where=n)
         if not coeff.is_zero():  # alpha = 0 gives the zero table
             entries[src] = (coeff, src)
-    return MonomialOperatorTable(algebra, algebra.field.one(), bound, entries)
+    return _in_domain(MonomialOperatorTable(algebra, algebra.field.one(), bound, entries))
 
 
 def _weight_one_coefficient(alphas: Tuple[FieldElement, ...], exponents: Tuple[int, ...]) -> Optional[FieldElement]:
@@ -195,7 +196,23 @@ def construct_multivariate(
         if not coeff.is_zero():
             entries[src] = (coeff, src)
     weight = field.one() if params.kind is MultivariateKind.WEIGHT_ONE else field.zero()
-    return MonomialOperatorTable(algebra, weight, bound, entries)
+    return _in_domain(MonomialOperatorTable(algebra, weight, bound, entries))
+
+
+def _in_domain(table: MonomialOperatorTable) -> MonomialOperatorTable:
+    """A family table, refused over GF(p) where it fails the identity past
+    its bound on an algebra that keeps those monomials: a family
+    denominator may vanish there mod p while a pair's left side does not.
+    ``rb_check`` at twice the bound reaches every pair of the domain."""
+    algebra, bound = table.algebra, table.degree_bound
+    if algebra.field.p is not None and algebra.truncation != bound:
+        v = rb_check(table, table.weight, 2 * bound).violation
+        if v is not None:
+            raise CharacteristicObstruction(
+                f"the pair ({v.u.to_text()}, {v.v.to_text()}) fails the identity mod {algebra.field.p}",
+                index=(v.u.exponents, v.v.exponents),
+            )
+    return table
 
 
 def construct_integral(

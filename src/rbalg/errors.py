@@ -48,8 +48,8 @@ class InvalidParams(RBAlgebraError):
 class CharacteristicObstruction(RBAlgebraError):
     """A required denominator vanishes in the prime field.
 
-    ``index`` identifies the offending source (an exponent or exponent tuple).
-    """
+    ``index`` identifies the offending source (an exponent or exponent
+    tuple), or the failing pair (two exponent tuples)."""
 
     def __init__(self, message: str, index=None):
         super().__init__(message)

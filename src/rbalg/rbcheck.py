@@ -15,14 +15,15 @@ weight-zero consequences
     (R(u))^k = k R(u (R(u))^{k-1})
     R(u_1)...R(u_k) = R( sum_i R(u_1)...u_i...R(u_k) ).
 
-``rb_check`` decides every pair with one kernel on basis positions,
-whatever the operator and the algebra: ``operators.on_positions`` reads a
-table or a dense operator onto the indices of a ``BasisIndex``, the
-algebra's ``basis_index`` or, untruncated, an index that grows by the
-monomials the window's products reach, and ``_index_verdicts`` tests each
-pair on raw values.  ``rb_residual`` reports the violation.  Over Q the kernel runs on
-ints: ``_on_integers`` clears the denominators of the coefficients and
-the weight, which scales each side of the identity by the same square.
+Every check runs in one window, ``_pair_verdicts``, on raw images on the
+indices of a ``BasisIndex``: the algebra's ``basis_index`` or, untruncated,
+an index that grows by the monomials the window's products reach.
+``rb_check`` reads R onto it (``operators.on_positions``); the searches
+pass a candidate's solved values before building its table.
+``_index_verdicts`` tests each pair, and ``rb_residual`` reports the
+violation.  Over Q the kernel runs on ints: ``_on_integers`` clears the
+denominators of the coefficients and the weight, which scales each side
+of the identity by the same square.
 
 Kernel/image extraction and the unit-image classification for unital
 algebras of nonzero weight round out the structural checks.
@@ -34,6 +35,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import MixedFieldSpecs, NonzeroWeight
@@ -164,26 +166,25 @@ def _index_verdicts(index: BasisIndex, size: int, span: int, bound: int, images:
             yield monos[i], monos[j], verdict and not any(map(nonzero, residual.values()))
 
 
-def _pair_verdicts(R: LinearOperator, weight: FieldElement, degree: int) -> Iterator[tuple]:
-    """(u, v, verdict) for each pair of ``rb_check``'s window in its order.
-    R is read onto the algebra's ``basis_index``; on an untruncated algebra
-    onto a growing index that starts with the basis up to the degree of the
-    highest inner term R can apply to, at most top + lift, the most R raises
-    a degree on the window."""
-    algebra, bound = R.algebra, R.degree_bound
-    top = min(degree, bound)  # the window's arguments lie in R's domain
+def _pair_verdicts(algebra, bound: int, degree: int, read, w, lift: int = 0) -> Iterator[tuple]:
+    """(u, v, verdict) for each pair of ``rb_check``'s window in its order,
+    for an operator on algebra with the given bound and raw weight w, whose
+    raw images (tgt, coef, more) read(position) puts on the window's index,
+    as ``operators.on_positions`` does.  The index is the algebra's
+    ``basis_index``; untruncated, a growing index that starts with the
+    basis up to the highest inner term the operator can apply to, at most
+    top + lift, lift the most it raises a degree on the window.  Positions of
+    ``BasisIndex.of(algebra.basis(bound))`` are a prefix of it, both lists
+    being in canonical degree order.  Over Q the values become ints here."""
+    top = min(degree, bound)  # the window's arguments lie in the domain
     if algebra.truncation is None:
-        span = degree
-        lift = max([0, *(R.apply_monomial(m).degree() - m.degree() for m in algebra.basis(top))])
-        index = BasisIndex.of(algebra.basis(min(bound, top + lift)), grow=True)
+        span, index = degree, BasisIndex.of(algebra.basis(min(bound, top + lift)), grow=True)
     else:
         span, index = 2 * top, algebra.basis_index
-    size = bisect_right(index.degrees, top)  # before reading R appends to the index
-    tgt, coef, more = on_positions(R, index.position)
-    w, p = weight.value, algebra.field.p
-    if p is None and not more:
-        w, coef = _on_integers(w, coef)
-    elif p is None:
+    size = bisect_right(index.degrees, top)  # before reading appends to the index
+    tgt, coef, more = read(index.position)
+    p = algebra.field.p
+    if p is None:  # the kernel reads coef only at positions of tgt, so the tail may stay
         w, coef = _on_integers(w, coef + [c for terms in more.values() for _, c in terms])
         rest = iter(coef[len(tgt):])
         more = {i: [(t, next(rest)) for t, _ in terms] for i, terms in more.items()}
@@ -197,23 +198,25 @@ def rb_check(R: LinearOperator, weight: FieldElement, degree: int) -> CheckRepor
     degree bound: on an untruncated algebra those with
     deg(u) + deg(v) <= degree, on a truncated one all of them up to
     min(degree, bound) (the identity is then verified in the quotient).
-    Pairs are visited in canonical order, so
-    the reported first violation is deterministic.
+    Pairs are visited in canonical order, so the reported first violation
+    is deterministic.
 
-    Every operator on every algebra is decided by the one kernel on basis
-    positions (``_index_verdicts``).  A pair on which ``rb_residual`` would
-    apply R above its bound is skipped (``skipped_pairs``); a weight from
-    another field raises ``MixedFieldSpecs`` and a degree below 0
-    ``ValueError``.  ``rb_residual`` stays the
-    reference: it reports the violation.
+    Every operator on every algebra is decided in the one window
+    (``_pair_verdicts``).  A pair on which ``rb_residual`` would apply R
+    above its bound is skipped (``skipped_pairs``); a weight from another
+    field raises ``MixedFieldSpecs`` and a degree below 0 ``ValueError``.
+    ``rb_residual``, the reference, reports the violation.
     """
     algebra = R.algebra
     if weight.spec != algebra.field:
         raise MixedFieldSpecs(f"cannot mix {algebra.field} with {weight.spec}")
     if degree < 0:
         raise ValueError(f"check degree must be >= 0, got {degree}")
+    bound, lift = R.degree_bound, 0
+    if algebra.truncation is None:
+        lift = max([0, *(R.apply_monomial(m).degree() - m.degree() for m in algebra.basis(min(degree, bound)))])
     checked = skipped = 0
-    for u, v, verdict in _pair_verdicts(R, weight, degree):
+    for u, v, verdict in _pair_verdicts(algebra, bound, degree, partial(on_positions, R), weight.value, lift):
         if verdict is None:
             skipped += 1
             continue

@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from pathlib import Path
@@ -45,6 +46,7 @@ from rbalg.errors import (
     SearchBudgetExceeded,
 )
 from rbalg.fields import FieldElement, FieldKind, FieldSpec
+from rbalg.laurent import Laurent
 from rbalg.poly import Monomial, _accumulate
 from rbalg.grading import (
     GradingDecomposition,
@@ -689,7 +691,7 @@ def reference_match_weight_one(table: MonomialOperatorTable):
     alpha = hit[0]
     try:
         rebuilt = construct_weight_one_univariate(alpha, algebra, table.degree_bound)
-    except DenominatorVanishes:
+    except (DenominatorVanishes, CharacteristicObstruction):
         return None
     if rebuilt.entries == table.entries:
         return FamilyMatch(MatchKind.WEIGHT_ONE_FAMILY, alpha=alpha)
@@ -1043,6 +1045,24 @@ def solver_instances(groups, field, grid):
         for values, seeded, orphans in groups
         for raw in classify._instances(values, seeded, grid, field.p)
     ]
+
+
+@contextmanager
+def search_checks():
+    """Within the block, (symbolic, held) for each check a search makes
+    through ``classify._pair_verdicts``: symbolic when the values checked
+    are a group's Laurent polynomials in its seeds, held when no pair of
+    the window fails."""
+    window, calls = classify._pair_verdicts, []
+
+    def spy(algebra, bound, degree, read, w, *rest):
+        verdicts = list(window(algebra, bound, degree, read, w, *rest))
+        symbolic = any(type(c) is Laurent for c in read(None)[1])  # a search's reader ignores the positions
+        calls.append((symbolic, False not in [verdict for _, _, verdict in verdicts]))
+        return iter(verdicts)
+
+    with mock.patch.object(classify, "_pair_verdicts", spy):
+        yield calls
 
 
 def per_instance_enumerate_monomial_rb(algebra, weight, degree_bound, strategy=None):

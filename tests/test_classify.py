@@ -19,6 +19,7 @@ from rbalg import (
     enumerate_monomial_rb,
     match_family,
     prime_field,
+    rb_check,
 )
 from rbalg.errors import (
     CharacteristicObstruction,
@@ -47,6 +48,7 @@ from helpers import (
     reference_shapes,
     reference_solve_coefficients,
     reference_surviving_shapes,
+    search_checks,
     shape_exponents,
     solver_instances,
 )
@@ -294,14 +296,14 @@ def test_class_closure_refuses_a_target_outside_a_seeded_domain():
 
 @pytest.mark.parametrize("weight", [0, 1])
 def test_search_builds_one_product_table(weight):
-    """The shape DFS, the equations and the re-verification of every
-    candidate read the product rows of one ``basis_index``, so a search
-    builds one ``ProductRows``, unital or not."""
+    """The shape DFS, the equations and the check of every candidate read
+    the product rows of one ``basis_index``, so a search builds one
+    ``ProductRows``, unital or not."""
     from unittest import mock
 
     from rbalg import classify, poly
 
-    check, product_rows = classify.rb_check, poly.ProductRows
+    window, product_rows = classify._pair_verdicts, poly.ProductRows
     for algebra in (NONUNITAL, UNITAL):
         built, read = [], []
 
@@ -309,11 +311,11 @@ def test_search_builds_one_product_table(weight):
             built.append(product_rows(*args, **kwargs))
             return built[-1]
 
-        def spy(table, *args):
-            read.append(table.algebra.basis_index.mul)
-            return check(table, *args)
+        def spy(algebra, *args):
+            read.append(algebra.basis_index.mul)
+            return window(algebra, *args)
 
-        with mock.patch.object(poly, "ProductRows", rows), mock.patch.object(classify, "rb_check", spy):
+        with mock.patch.object(poly, "ProductRows", rows), mock.patch.object(classify, "_pair_verdicts", spy):
             report = enumerate_monomial_rb(algebra, QQ.from_int(weight), 4)
         assert len(built) == 1 and report.solutions
         assert read and all(rows is built[0] for rows in read)
@@ -836,7 +838,8 @@ def test_match_refuses_members_whose_denominators_vanish():
     alpha = field.one()
     with pytest.raises(DenominatorVanishes):
         construct_weight_one_univariate(alpha, algebra, 3)
-    member = construct_weight_one_univariate(alpha, algebra, 2)
+    # the member at bound 2 fails at (x, x^2) on k0[x] and is refused there; its entries are the quotient's
+    member = construct_weight_one_univariate(alpha, AlgebraSpec(field, 1, False, 2), 2)
     for coeff in range(1, 7):
         entries = dict(member.entries)
         entries[algebra.monomial(3)] = (field.from_int(coeff), algebra.monomial(3))
@@ -890,13 +893,15 @@ def test_injective_diagonal_search_bivariate():
 @pytest.mark.parametrize(
     "weight,count,digest",
     [
-        (0, 26, "8dd5891473a522145427843315234305ccfd495a1bb22d11a71677bbc0bf5f6f"),
+        (0, 24, "d3b5a7f2c17c160572405127cf5bfaf391116064293cb20c47165462deaa6e00"),
         (1, 34, "f09846fbe889a75a5e0e379e08fda9c60d87fd4a3693ff151f2acf1e0146b474"),
     ],
 )
 def test_injective_diagonal_search_is_pinned(weight, count, digest):
     """sha256 of the tables the injective diagonal search reports on
-    k0[x, y] at bound 3 over Q, in order (``json.dumps`` with sorted keys)."""
+    k0[x, y] at bound 3 over Q, in order (``json.dumps`` with sorted keys).
+    Each holds on every pair of its domain: at weight 0 two tables that
+    fail past the bound are not reported."""
     import hashlib
     import json
 
@@ -944,7 +949,7 @@ def test_injective_diagonal_matches_the_reference_equations():
         for values, _, orphans in solver_instances(groups, field, classify._raw_grid(strategy)):
             entries = {m: (values[i], m) for i, m in enumerate(basis)}
             table = MonomialOperatorTable(algebra, weight, bound, entries)
-            if not orphans and reference_rb_check(table, weight, bound).passed:
+            if not orphans and reference_rb_check(table, weight, 2 * bound).passed:
                 want.append(table)
         assert tables == want, case
 
@@ -1083,15 +1088,137 @@ def test_search_matches_the_per_instance_path(reverified_reports):
         assert got == want, (algebra, weight, bound)
 
 
-def test_symbolic_groups_are_checked_once():
-    """``classify.rb_check`` runs once per table outside the symbolic
-    groups and never inside one, so the saving cannot quietly go."""
+def every_candidate(search, *args):
+    """(table, reported) for every candidate the solver yields in a search,
+    passing or rejected: each instance of each group of each shape built
+    into a table, and whether ``_verified_tables`` let it through, on the
+    search's own window verdict.  Also the search's result."""
+    from unittest import mock
+
+    from rbalg import classify
+    from rbalg.fields import FieldElement
+
+    verified, candidates = classify._verified_tables, []
+
+    def spy(t, index, algebra, weight, D, strategy, grid, stats):
+        passed = list(verified(t, index, algebra, weight, D, strategy, grid, stats))
+        tables = [table for table, _, _ in passed]
+        field, monos = algebra.field, index.monomials
+        defined = [n for n, target in enumerate(t) if target >= 0]
+        equations = classify._shape_equations(t, weight.is_one(), index.mul)
+        for values, seeded, _ in classify._solve_coefficients(equations, defined, field, strategy, grid):
+            for raw in classify._instances(values, seeded, grid, field.p):
+                entries = {monos[n]: (FieldElement(field, raw[n]), monos[t[n]]) for n in defined}
+                table = MonomialOperatorTable(algebra, weight, D, entries)
+                candidates.append((table, table in tables))
+        return iter(passed)
+
+    with mock.patch.object(classify, "_verified_tables", spy):
+        result = search(*args)
+    return candidates, result
+
+
+def reference_holds(ref, table, weight) -> bool:
+    """``perfbench/reference`` on every pair of the table's domain: its
+    ``rb_verdict`` when the algebra is truncated at the bound, where no pair
+    leaves the domain; else its ``rb_residual`` on the pairs of arguments
+    within the bound whose degrees sum to at most twice it, a pair whose
+    residual applies R above the bound skipped, as ``rb_check`` skips it."""
+    algebra, D = table.algebra, table.degree_bound
+    alg, F = ref.Algebra(algebra.nvars, algebra.unital, algebra.truncation), ref.Field(algebra.field.p)
+    R = {src.exponents: {dst.exponents: c.value} for src, (c, dst) in table.entries.items()}
+    if algebra.truncation == D:
+        return ref.rb_verdict(R, D, weight.value, alg, F, D)[1] is None
+    for u, v in ref.pairs(alg, 2 * D):
+        if max(sum(u), sum(v)) <= D:
+            try:
+                if ref.rb_residual(R, D, u, v, weight.value, alg, F):
+                    return False
+            except ref.OutsideDomain:
+                pass
+    return True
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(11), prime_field(13)], ids=str)
+def test_every_search_candidate_is_judged_as_the_references_judge_it(field):
+    """Every candidate the solver yields in the shape search, passing or
+    rejected, at weights 0 and 1, unital or not, at bounds 1-5 (1-4 over
+    GF(11) and GF(13) at weight 0, whose default grids seed 10 and 12
+    values): it is reported exactly when ``rb_check`` on its table passes
+    at twice the bound and ``perfbench/reference.rb_verdict`` passes it,
+    and the rejected ones are the search's ``candidates_rejected``.  The
+    searches as they are reject nothing, so each runs again with the last
+    equation of every shape dropped, which lets failing candidates
+    through the solver."""
     from unittest import mock
 
     from rbalg import classify
 
-    solve, check = classify._solve_coefficients, classify.rb_check
-    checks, symbolic = [], []
+    equations = classify._shape_equations
+    ref = load_benchmark_reference()
+    judged = rejected = 0
+    for unital, w, fewer in itertools.product((False, True), (0, 1), (False, True)):
+        algebra, weight = AlgebraSpec(field, 1, unital), field.from_int(w)
+        for D in range(1, 6 if w or field.p in (None, 7) else 5):
+            with mock.patch.object(classify, "_shape_equations", lambda *a: equations(*a)[: -1 if fewer else None]):
+                candidates, report = every_candidate(enumerate_monomial_rb, algebra, weight, D)
+            assert sum(not reported for _, reported in candidates) == report.stats.candidates_rejected
+            assert len(candidates) - report.stats.candidates_rejected == len(report.solutions)
+            for table, reported in candidates:
+                assert reported == rb_check(table, weight, 2 * D).passed == reference_holds(ref, table, weight)
+            judged += len(candidates)
+            rejected += report.stats.candidates_rejected
+    assert judged > rejected > 0
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(11), prime_field(13)], ids=str)
+def test_every_injective_candidate_is_judged_as_the_references_judge_it(field):
+    """The same for the injective diagonal search in one and two variables,
+    unital or not, at weights 0 and 1, on algebras untruncated, truncated
+    at the bound and truncated above it, at bounds 1-5 (1-2 in two
+    variables), on default grids: a candidate is reported exactly when its
+    table holds on every pair of its domain."""
+    ref = load_benchmark_reference()
+    judged = reported_count = 0
+    for nvars, unital, w in itertools.product((1, 2), (False, True), (0, 1)):
+        weight = field.from_int(w)
+        for D in range(1, 6 if nvars == 1 else 3):
+            for truncation in (None, D, D + 2):
+                algebra = AlgebraSpec(field, nvars, unital, truncation)
+                candidates, tables = every_candidate(enumerate_injective_diagonal, algebra, weight, D)
+                for table, reported in candidates:
+                    assert reported == rb_check(table, weight, 2 * D).passed == reference_holds(ref, table, weight)
+                assert all(table in [c for c, reported in candidates if reported] for table in tables)
+                judged += len(candidates)
+                reported_count += sum(reported for _, reported in candidates)
+    assert judged > reported_count > 0
+
+
+def test_injective_search_reports_only_tables_that_hold_in_their_domain():
+    """Over GF(3) at weight 0 on k0[x] at bound 2, R(x) = x, R(x^2) = 2x^2
+    and R(x) = 2x, R(x^2) = x^2 hold in the quotient by x^3, but past it
+    the pair (x, x^2) has the inner term 3x^3 = 0 and the left side
+    2x^3: on k0[x], untruncated or truncated at 5, the search reports
+    neither."""
+    F3 = prime_field(3)
+    for truncation, count in ((2, 2), (None, 0), (5, 0)):
+        algebra = AlgebraSpec(F3, 1, False, truncation)
+        tables = enumerate_injective_diagonal(algebra, F3.zero(), 2)
+        x = algebra.monomial
+        assert len(tables) == count
+        assert [{(1,): c.value for c, _ in [t.entries[x(1)]]} for t in tables] == [{(1,): 1}, {(1,): 2}][:count]
+
+
+def test_symbolic_groups_are_checked_once():
+    """The search checks a symbolic group once, on its Laurent values, and
+    each table outside the symbolic groups once, so the saving cannot
+    quietly go."""
+    from unittest import mock
+
+    from rbalg import classify
+
+    solve = classify._solve_coefficients
+    symbolic = []
 
     def spy_solve(*args):
         groups = solve(*args)
@@ -1100,22 +1227,17 @@ def test_symbolic_groups_are_checked_once():
                 symbolic.append(len(list(classify._instances(values, seeded, args[4], args[2].p))))
         return groups
 
-    def spy_check(*args):
-        checks.append(args[0])
-        return check(*args)
-
     counts = []
     for field, unital in ((QQ, False), (QQ, True), (prime_field(13), False)):
         algebra = AlgebraSpec(field, nvars=1, unital=unital, truncation=None)
-        checks.clear(), symbolic.clear()
-        with (
-            mock.patch.object(classify, "_solve_coefficients", spy_solve),
-            mock.patch.object(classify, "rb_check", spy_check),
-        ):
+        symbolic.clear()
+        with mock.patch.object(classify, "_solve_coefficients", spy_solve), search_checks() as checks:
             report = enumerate_monomial_rb(algebra, field.zero(), 6)
         assert report.stats.candidates_rejected == 0
-        assert len(checks) == len(report.solutions) - sum(symbolic)
-        counts.append((len(report.solutions), len(symbolic), sum(symbolic), len(checks)))
+        alone = [held for is_symbolic, held in checks if not is_symbolic]
+        assert len(checks) - len(alone) == len(symbolic) and all(held for _, held in checks)
+        assert len(alone) == len(report.solutions) - sum(symbolic)
+        counts.append((len(report.solutions), len(symbolic), sum(symbolic), len(alone)))
     assert counts == [(771, 28, 648, 123), (771, 28, 648, 123), (3369, 28, 3240, 129)]
 
 
@@ -1128,24 +1250,18 @@ def test_a_failing_symbolic_group_checks_each_instance():
 
     from rbalg import classify
 
-    equations, holds = classify._shape_equations, classify._holds
-    verdicts = []
-
-    def spy_holds(*args):
-        verdicts.append(holds(*args))
-        return verdicts[-1]
+    equations = classify._shape_equations
 
     def fewer(*args):
         return equations(*args)[:-1]
 
     for field, rejected in ((QQ, 6), (prime_field(7), 5)):
         algebra = AlgebraSpec(field, nvars=1, unital=False, truncation=None)
-        verdicts.clear()
         with mock.patch.object(classify, "_shape_equations", fewer):
-            with mock.patch.object(classify, "_holds", spy_holds):
+            with search_checks() as checks:
                 got = enumerate_monomial_rb(algebra, field.zero(), 3)
             want = per_instance_enumerate_monomial_rb(algebra, field.zero(), 3)
-        assert verdicts == [False]
+        assert [held for symbolic, held in checks if symbolic] == [False]
         assert got.stats.candidates_rejected == rejected  # of the group's 6 instances
         assert got.to_json_dict() == want.to_json_dict()
 

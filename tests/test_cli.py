@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from helpers import quadratic_shift_conjugate, scaled_inverse_degree_conjugate
+from helpers import quadratic_shift_conjugate, scaled_inverse_degree_conjugate, search_checks
 from rbalg import (
     QQ,
     AlgebraSpec,
@@ -275,22 +275,12 @@ def test_classify_tables_load_back(tmp_path, capsys, argv):
     gives the report's match wherever the search pinned every coefficient.
     The weight-zero reports hold tables of symbolic groups, which the
     search reported without a check of their own."""
-    from unittest import mock
-
-    from rbalg import classify
-
-    holds, symbolic = classify._holds, []
-
-    def spy(*args):
-        symbolic.append(holds(*args))
-        return symbolic[-1]
-
-    with mock.patch.object(classify, "_holds", spy):
+    with search_checks() as checks:
         code, out, _ = run_cli(capsys, "classify", *argv.split())
     assert code == 0
     solutions = json.loads(out)["solutions"]
     assert solutions
-    assert any(symbolic) == ("--weight 0" in argv)
+    assert any(held for symbolic, held in checks if symbolic) == ("--weight 0" in argv)
     path = tmp_path / "op.json"
     for sol in solutions:
         path.write_text(json.dumps(sol["table"]))
@@ -689,6 +679,40 @@ def test_construct_refuses_integrals_that_fail_the_identity(capsys, flags, messa
     exit 2 with one error line."""
     code, out, err = run_cli(capsys, "construct", "--family", "integral", *flags.split())
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        ("--family weight-one --alpha 1 --field Fp:5 --degree 3", "the pair (x1, x1^3) fails the identity mod 5"),
+        (
+            "--family weight-one --alpha 1 --field Fp:5 --truncation 5 --degree 3",
+            "the pair (x1, x1^3) fails the identity mod 5",
+        ),
+        (
+            "--family multivariate-one --nvars 3 --alphas 1,2,3 --field Fp:101 --degree 3",
+            "the pair (x3, x1*x3^2) fails the identity mod 101",
+        ),
+        ("--family weight-zero --m 1 --pq 1:1 --field Fp:7 --degree 6", "the pair (x1, x1^6) fails the identity mod 7"),
+    ],
+)
+def test_construct_refuses_family_tables_that_fail_past_their_bound(tmp_path, capsys, flags, message):
+    """Over GF(p), on an algebra not truncated at the bound, a family table
+    that fails the identity past its bound exits 2 naming the first failing
+    pair.  Truncated at its bound the same family is built, and its table
+    passes ``rbalg check`` at twice the bound."""
+    code, out, err = run_cli(capsys, "construct", *flags.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    args = flags.split()
+    if "--truncation" in args:
+        del args[args.index("--truncation") : args.index("--truncation") + 2]
+    degree = int(args[args.index("--degree") + 1])
+    path = tmp_path / "op.json"
+    code, _, err = run_cli(capsys, "construct", *args, "--truncation", str(degree), "--output", str(path))
+    assert (code, err) == (0, "")
+    weight = json.loads(path.read_text())["weight"]
+    code, out, _ = run_cli(capsys, "check", "--operator", str(path), "--weight", weight, "--degree", str(2 * degree))
+    assert (code, json.loads(out)["status"]) == (0, "pass")
 
 
 def test_construct_integral_with_base_point_zero_on_a_truncated_algebra(tmp_path, capsys):

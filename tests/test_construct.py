@@ -274,8 +274,10 @@ def test_integral_with_a_base_point_needs_an_untruncated_algebra():
 @pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(13)])
 def test_weight_one_families_share_one_formula(field):
     """The univariate weight-one table is the one-variable multivariate one,
-    and both refuse the same alphas, naming the exponent as an int and as
-    a tuple."""
+    and both refuse the same alphas: where a denominator vanishes within
+    the bound, naming the exponent as an int and as a tuple, and over
+    GF(p) where the table fails the identity past it, naming the same
+    pair."""
     algebra = AlgebraSpec(field, nvars=1, unital=False, truncation=None)
     alphas = [field.from_int(k) for k in range(1, 7)] + [field.one() / field.from_int(k) for k in (-2, 3, 5)]
     for alpha in alphas:
@@ -289,7 +291,56 @@ def test_weight_one_families_share_one_formula(field):
             assert str(err) == f"(alpha+1)^{n} = alpha^{n} for alpha = {alpha}"
             assert again.value.where == (n,)
             continue
+        except CharacteristicObstruction as err:
+            with pytest.raises(CharacteristicObstruction) as again:
+                construct_multivariate(params, algebra, 8)
+            assert (str(again.value), again.value.index) == (str(err), err.index)
+            continue
         assert table == construct_multivariate(params, algebra, 8)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_family_tables_over_gf_p_hold_in_their_whole_domain(p):
+    """Over GF(p), on k0[x] untruncated or truncated above the bound and on
+    k0[x, y] untruncated: every table the weight-zero, weight-one and
+    multivariate constructors hand out passes ``rb_check`` at twice its
+    bound, and every refusal names the first pair at which the table,
+    built without the refusal, fails there."""
+    from itertools import product
+    from unittest import mock
+
+    from rbalg import construct
+
+    field = prime_field(p)
+    builds = []
+    for truncation, bound in product((None, 8), range(1, 6)):
+        algebra = AlgebraSpec(field, 1, False, truncation)
+        for a in range(1, p):
+            builds.append((construct_weight_one_univariate, field.from_int(a), algebra, bound))
+        for shift, q in product((1, 2), range(1, p)):
+            builds.append((construct_weight_zero, WeightZeroFamilyParams(1, {1: (shift, field.from_int(q))}), algebra, bound))
+    plane = AlgebraSpec(field, 2, False, None)
+    for kind, a, b, bound in product(MultivariateKind, range(1, p), range(1, p), range(1, 4)):
+        builds.append((construct_multivariate, MultivariateFamilyParams(kind, (field.from_int(a), field.from_int(b))), plane, bound))
+    built = refused = 0
+    for build, *args in builds:
+        try:
+            table = build(*args)
+        except DenominatorVanishes:
+            continue
+        except CharacteristicObstruction as err:
+            with mock.patch.object(construct, "_in_domain", lambda table: table):
+                try:
+                    table = build(*args)
+                except CharacteristicObstruction:
+                    continue  # a denominator vanishes within the bound
+            v = rb_check(table, table.weight, 2 * table.degree_bound).violation
+            assert err.index == (v.u.exponents, v.v.exponents)
+            refused += 1
+            continue
+        assert rb_check(table, table.weight, 2 * table.degree_bound).passed
+        built += 1
+    assert built > 0 and refused > 0
 
 
 def test_splitting_operator_examples():

@@ -33,6 +33,7 @@ from rbalg import (
     split_by_variables,
     split_positive_degree,
 )
+from rbalg import construct as construct_mod
 from rbalg import rbcheck as rbcheck_mod
 from rbalg.errors import (
     CharacteristicObstruction,
@@ -296,6 +297,14 @@ def _nonzero(field):
     return field_elements(field).filter(lambda c: not c.is_zero())
 
 
+def _unchecked(construct, *args):
+    """A family table as the constructor builds it, without its refusal of
+    a GF(p) table that fails the identity past its bound: such tables are
+    what the check must catch."""
+    with mock.patch.object(construct_mod, "_in_domain", lambda table: table):
+        return construct(*args)
+
+
 def _table_entries(draw, algebra, bound, weight):
     """Entries of a random table, of -weight * id, or of a family table of
     weight ``weight`` (empty where the family does not exist)."""
@@ -322,13 +331,13 @@ def _table_entries(draw, algebra, bound, weight):
             random.Random(draw(st.integers(0, 999))), field, m_max=3, p_max=2
         )
         try:
-            entries = dict(construct_weight_zero(params, algebra, bound).entries)
+            entries = dict(_unchecked(construct_weight_zero, params, algebra, bound).entries)
         except (CharacteristicObstruction, InvalidParams):
             pass
     elif nvars == 1 and not algebra.unital and not weight.is_zero():
         # weight * (the weight-one family) has weight `weight`
         try:
-            family = construct_weight_one_univariate(draw(_nonzero(field)), algebra, bound)
+            family = _unchecked(construct_weight_one_univariate, draw(_nonzero(field)), algebra, bound)
         except DenominatorVanishes:
             family = None
         if family is not None:
@@ -338,7 +347,7 @@ def _table_entries(draw, algebra, bound, weight):
         family_kind = MultivariateKind.WEIGHT_ZERO if weight.is_zero() else MultivariateKind.WEIGHT_ONE
         params = MultivariateFamilyParams(family_kind, (draw(_nonzero(field)), draw(_nonzero(field))))
         try:
-            family = construct_multivariate(params, algebra, bound)
+            family = _unchecked(construct_multivariate, params, algebra, bound)
         except (DenominatorVanishes, InvalidParams):
             family = None
         if family is not None:
@@ -513,8 +522,18 @@ def test_dense_kernel_matches_reference(case):
 
 
 def _verdicts(R, weight, degree):
-    """The kernel's (u, v, verdict) for the pairs of rb_check's window."""
-    return list(rbcheck_mod._pair_verdicts(R, weight, degree))
+    """The kernel's (u, v, verdict) for the pairs of rb_check's window: the
+    window read in full with the arguments rb_check gives it."""
+    window, calls = rbcheck_mod._pair_verdicts, []
+
+    def spy(*args):
+        calls.append(args)
+        return window(*args)
+
+    with mock.patch.object(rbcheck_mod, "_pair_verdicts", spy):
+        rb_check(R, weight, degree)
+    (args,) = calls
+    return list(window(*args))
 
 
 def _window_pairs(R, degree):
@@ -569,10 +588,14 @@ def test_untruncated_window_reaches_a_violation_past_the_bound():
     untruncated k0[x], R(x^n) = x^(n+1)/(n+1), fails at (x^2, x^3): both
     arguments lie within the bound 3, the inner term 7/12 x^6 vanishes
     mod 7 and the left side 3 x^7 does not.  Only a window of degree 5 or
-    more holds the pair."""
+    more holds the pair, and the constructor, which checks at twice the
+    bound, refuses the table naming it."""
     F7 = prime_field(7)
     algebra = AlgebraSpec(F7, nvars=1, unital=False, truncation=None)
-    R = construct_weight_zero(WeightZeroFamilyParams(1, {1: (2, F7.one())}), algebra, 3)
+    params = WeightZeroFamilyParams(1, {1: (2, F7.one())})
+    with pytest.raises(CharacteristicObstruction, match=r"the pair \(x1\^2, x1\^3\) fails the identity mod 7"):
+        construct_weight_zero(params, algebra, 3)
+    R = _unchecked(construct_weight_zero, params, algebra, 3)
     for degree in (3, 4):
         assert rb_check(R, F7.zero(), degree).passed
     x = algebra.monomial
