@@ -43,6 +43,13 @@ source that maps to x^(d+1) becomes absent at d while it may still be a
 target), so it runs at D alone.  Weight zero searches from scratch: its
 shapes are too many per level for deepening to pay.
 
+The unit lemma: at weight one on k[x]/(x^(N+1)), R(1) is 0 or c*1.  If
+R(1) = c*x^j, c != 0, j >= 1, the pair (1, 1) gives c^2*x^(2j) =
+2c*R(x^j) + c*x^j, so R(x^j) = a*x^j, 2a + 1 = 0 and 2j > N (which
+characteristic 2 already refutes), and then the pair (1, x^j) gives
+0 = (a + 1)*a*x^j = -x^j/4.  Each level of the deepening is such a
+quotient, so at weight one x^0 takes ABSENT or itself at every level.
+
 Surviving shapes get their coefficients from exact propagation on
 watched equations: each per-degree constraint keeps a running split on
 raw values, fixing a coefficient marks only the constraints that mention
@@ -90,7 +97,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cache, partial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -713,6 +719,7 @@ def _surviving_shapes(
     stats: SearchStats,
     size: Optional[int] = None,
     below: Optional[List[Tuple[int, ...]]] = None,
+    pairs: Optional[dict] = None,
 ) -> Iterator[Tuple[int, ...]]:
     """Depth-first, the shapes (t[n] the target of source n, or ABSENT)
     that pass pair pruning and the structure rule; fills the shape
@@ -728,15 +735,20 @@ def _surviving_shapes(
     extends each of them by the new top position, with its domains seeded
     from it (see ``_deepened_shapes``): a present target stays, an absent
     source stays absent or takes the top, and the top takes ABSENT or
-    itself.  All extensions share one compiled-pair cache.
+    itself.  At weight one on a unital basis x^0 takes ABSENT or itself,
+    and an absent x^0 stays absent (the unit lemma).
 
     Forward checking: dom[s] is the bitmask of targets still admissible
     for source s (bit x + 1 for target x).  Each pair of positions
-    u <= v is compiled once per (u, v, t[u], t[v]) when v is assigned.  A
-    pair whose last read is v is checked at once; any other pair narrows
-    the mask of its last read as soon as its ready read is assigned (at
-    once if that is v, else filed under ready), so an option is pruned the
-    moment some later source has no target left.  The options of a source
+    u <= v is compiled once per (u, v, t[u], t[v]) when v is assigned,
+    into the dict pairs.  The deepening passes one pairs to every level:
+    the rows one position shorter differ from this level's only at
+    products equal to the top, so an entry compiled there is dropped
+    exactly when its compile reads one.  A pair whose
+    last read is v is checked at once; any other pair narrows the mask
+    of its last read as soon as its ready read is assigned (at once if
+    that is v, else filed under ready), so an option is pruned the moment
+    some later source has no target left.  The options of a source
     are those of its seeded domain; one outside dom[k] counts as pruned
     where the plain check would have failed it.  The weight's structure
     rule narrows the same masks, so every complete shape obeys it.
@@ -754,7 +766,15 @@ def _surviving_shapes(
     # the index's rows up to size, read faster as lists
     mul = [[p if p is not None and p < size else None for p in index.mul[i][:size]] for i in sources]
     unit = 0 if deg[0] == 0 else None  # x^0 heads a unital basis
-    compiled = cache(partial(_compile_pair, lam_one=lam_one, mul=mul, unit=unit))
+    unit_rule = lam_one and unit is not None
+    if unit_rule:
+        dom[0], choices[0] = 3, [ABSENT, 0]
+    top = size - 1
+    pairs = {} if pairs is None else pairs
+    for u, v, tu, tv in list(pairs):  # the products _compile_pair reads: u*v, u*tv, tu*v, tu*tv
+        rows = [mul[u], mul[tu]] if tu >= 0 else [mul[u]]
+        if top in {row[w] for row in rows for w in (v, tv) if w >= 0}:
+            del pairs[u, v, tu, tv]
 
     def restrict(s: int, mask: int, undo: list) -> bool:
         """Intersect mask into dom[s], logging the old mask; False if empty."""
@@ -830,7 +850,8 @@ def _surviving_shapes(
             else:  # the filed pairs leave targets; now the pairs (u, k)
                 later = []
                 for u in sources[: k + 1]:
-                    entry = compiled(u, k, t[u], option)
+                    key = (u, k, t[u], option)
+                    entry = pairs.get(key) or pairs.setdefault(key, _compile_pair(*key, lam_one, mul, unit))
                     last, ready, check = entry
                     if last == k:
                         if _domain(t, *check) != -1:
@@ -855,11 +876,12 @@ def _surviving_shapes(
     if below is None:
         yield from dfs(0, 0)
         return
-    top = size - 1
     grow = 1 | 2 << top  # ABSENT or the top position
     for shape in below:
         dom[:] = [1 << (x + 1) if x >= 0 else grow for x in shape] + [grow]
         choices[:] = [[x] if x >= 0 else [ABSENT, top] for x in shape] + [[ABSENT, top]]
+        if unit_rule and shape[0] == ABSENT:
+            dom[0], choices[0] = 1, [ABSENT]
         yield from dfs(0, 0)
 
 
@@ -868,17 +890,18 @@ def _deepened_shapes(index: BasisIndex, budget: int, stats: SearchStats) -> Iter
     at the index's bound D, built bound by bound.  The shapes at bound 1
     are searched from scratch; each level d < D is extended to d + 1 by
     ``_surviving_shapes`` seeded with the shapes at d, and the structure
-    rule runs at D alone.  Every level reads the rows of the one index.
+    rule runs at D alone.  Every level reads the rows of the one index,
+    and they share one dict of compiled pairs.
     Sound by the top lemma of the module docstring: every table at d + 1
     maps x^(d+1) to nothing or to itself, so it induces a table at d whose
     shape is the restriction (x^(d+1) made absent), and that shape passes
     the pair rule at d.  nodes_visited and shapes_pruned sum over the
     levels, and the budget bounds that sum."""
     deg = index.degrees
-    shapes = None
+    shapes, pairs = None, {}
     for d in range(1, deg[-1]):
-        shapes = list(_surviving_shapes(index, True, budget, stats, bisect_right(deg, d), shapes))
-    yield from _surviving_shapes(index, True, budget, stats, below=shapes)
+        shapes = list(_surviving_shapes(index, True, budget, stats, bisect_right(deg, d), shapes, pairs))
+    yield from _surviving_shapes(index, True, budget, stats, below=shapes, pairs=pairs)
 
 
 def _check_search(algebra: AlgebraSpec, weight: FieldElement, degree_bound: int, strategy) -> tuple:

@@ -909,7 +909,7 @@ def _starved(t, sources, pos: int, choices, lam_one: bool, D: int, unital: bool,
     return False
 
 
-def reference_shapes(D, unital, lam_one, budget, stats, forward=False, below=None, rule=True):
+def reference_shapes(D, unital, lam_one, budget, stats, forward=False, below=None, rule=True, unit=True):
     """``classify._surviving_shapes`` as the old loop: at every node and
     option, rescan all earlier pairs for those whose last reference is the
     current source and re-derive each one's bookkeeping from ``t``, and
@@ -921,7 +921,9 @@ def reference_shapes(D, unital, lam_one, budget, stats, forward=False, below=Non
     With below, the shapes at bound D - 1 (indexed by exponent), each is
     extended to D: a present target is the source's one option, an absent
     source and x^D take ABSENT or D.  Without rule the structure rule is
-    not applied and complete shapes are not counted as enumerated."""
+    not applied and complete shapes are not counted as enumerated.  With
+    unit, at weight one on k[x], x^0 takes no option but ABSENT and 0 (the
+    unit lemma of ``classify``), at every bound."""
     min_src = 0 if unital else 1
     sources = list(range(min_src, D + 1))
     t = [ABSENT] * (D + 1)
@@ -979,6 +981,8 @@ def reference_shapes(D, unital, lam_one, budget, stats, forward=False, below=Non
                 choices[s] = options
             else:
                 choices[s] = [seed[s]] if s < D and seed[s] >= 0 else [ABSENT, D]
+            if unit and lam_one and s == 0:
+                choices[s] = [x for x in choices[s] if x in (ABSENT, 0)]
         yield from dfs(0)
 
 
@@ -1005,18 +1009,19 @@ def shape_exponents(index, shape):
     return tuple(t)
 
 
-def reference_forward_shapes(D, unital, lam_one, budget, stats, below=None, rule=True):
+def reference_forward_shapes(D, unital, lam_one, budget, stats, below=None, rule=True, unit=True):
     """``classify._surviving_shapes`` as a rescanning loop with forward
     checking: ``reference_shapes`` that also prunes an option breaking the
     structure rule among the assigned sources or leaving some later source
     no target.  It reads every product from exponents."""
-    return reference_shapes(D, unital, lam_one, budget, stats, True, below, rule)
+    return reference_shapes(D, unital, lam_one, budget, stats, True, below, rule, unit)
 
 
-def reference_surviving_shapes(index, lam_one, budget, stats, size=None, below=None):
+def reference_surviving_shapes(index, lam_one, budget, stats, size=None, below=None, pairs=None):
     """``classify._surviving_shapes`` by ``reference_forward_shapes``, its
     shapes moved between the positions of index and exponents: a drop-in
-    for it, so the deepening driver can run on the reference."""
+    for it, so the deepening driver can run on the reference.  It compiles
+    no pairs, so the deepening's cache, pairs, is ignored."""
     size = len(index.degrees) if size is None else size
     deg = index.degrees[:size]  # on k0[x], the exponent of each position
     if below is not None:

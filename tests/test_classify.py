@@ -411,8 +411,9 @@ def test_pair_domain_is_exact():
 
 def test_merged_twins_drop_only_shapes_without_solutions():
     """Unital, both weights, bounds 1..6: the DFS, which sums each pair's
-    twins into its left side, keeps a subset of the shapes that the
-    unmerged pair rule admits, and every shape it drops has no nonzero
+    twins into its left side and at weight one keeps R(1) in k*1 (the unit
+    lemma), keeps a subset of the shapes that the unmerged pair rule admits
+    without the unit lemma, and every shape it drops has no nonzero
     coefficients over Q or GF(7) by the reference solver.  On a unital
     basis a position is its exponent, so the shapes compare as they are."""
     from functools import partial
@@ -429,7 +430,7 @@ def test_merged_twins_drop_only_shapes_without_solutions():
         for lam_one in (False, True):
             kept = set(_surviving_shapes(index, lam_one, 10**7, SearchStats()))
             with mock.patch.object(helpers, "_pair_consistent", unmerged):
-                admitted = list(reference_forward_shapes(degree, True, lam_one, 10**7, SearchStats()))
+                admitted = list(reference_forward_shapes(degree, True, lam_one, 10**7, SearchStats(), unit=False))
             assert kept <= set(admitted), (degree, lam_one)
             for t in admitted:
                 if t in kept:
@@ -442,7 +443,64 @@ def test_merged_twins_drop_only_shapes_without_solutions():
                     assert not reference_solve_coefficients(equations, defined, field, strategy), (
                         degree, lam_one, t, field,
                     )
-    assert dropped == 1578  # the systems solved unmerged less those solved merged, summed
+    assert dropped == 1590  # the systems solved unmerged less those solved merged, summed
+
+
+def test_unit_lemma_drops_only_shapes_without_solutions():
+    """Unital, weight one, bounds 1..8: every shape that passes the pair
+    rule with R(1) = x^j, j >= 1, has no nonzero coefficients over Q or
+    GF(7) by the reference solver, as the unit lemma of ``classify`` says.
+    These are the shapes the unit lemma keeps out of the search, at the
+    bound and at every level of the deepening below it."""
+    from rbalg.classify import ABSENT, SearchStats, _shape_equations, default_strategy
+
+    dropped = 0
+    for degree in range(1, 9):
+        index = AlgebraSpec(QQ, nvars=1, unital=True, truncation=degree).basis_index
+        for t in reference_forward_shapes(degree, True, True, 10**7, SearchStats(), rule=False, unit=False):
+            if t[0] in (ABSENT, 0):
+                continue
+            dropped += 1
+            equations = _shape_equations(t, True, index.mul)
+            defined = [n for n, target in enumerate(t) if target >= 0]
+            for field in (QQ, prime_field(7)):
+                assert not reference_solve_coefficients(equations, defined, field, default_strategy(field)), (
+                    degree, t, field,
+                )
+    assert dropped == 20
+
+
+@pytest.mark.parametrize("unital", [False, True])
+def test_deepening_inherits_only_pairs_that_compile_the_same(unital):
+    """Weight one, bounds 1..16: after each level of ``_deepened_shapes``,
+    every entry of the compiled-pair cache, those carried from the level
+    below included, is ``_compile_pair`` run again on that level's rows,
+    and some entries are carried."""
+    from unittest import mock
+
+    from rbalg import classify
+    from rbalg.classify import SearchStats, _compile_pair, _deepened_shapes
+
+    search = classify._surviving_shapes
+    carried = 0
+
+    def level(index, lam_one, budget, stats, size=None, below=None, pairs=None):
+        nonlocal carried
+        before = dict(pairs)
+        shapes = list(search(index, lam_one, budget, stats, size, below, pairs))
+        size = len(index.degrees) if size is None else size
+        mul = [[p if p is not None and p < size else None for p in index.mul[i][:size]] for i in range(size)]
+        unit = 0 if index.degrees[0] == 0 else None
+        for key, entry in pairs.items():
+            assert entry == _compile_pair(*key, True, mul, unit), (size, key)
+            carried += key in before and before[key] is entry
+        return iter(shapes)
+
+    for degree in range(1, 17):
+        index = AlgebraSpec(QQ, nvars=1, unital=unital, truncation=degree).basis_index
+        with mock.patch.object(classify, "_surviving_shapes", level):
+            list(_deepened_shapes(index, 10**7, SearchStats()))
+    assert carried > 0
 
 
 @pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(11)], ids=str)
@@ -585,7 +643,7 @@ def test_solver_matches_reference_on_search_systems(field):
     "field,grid,weight,unital,degree,stats,count",
     [
         (QQ, None, 1, False, 8, (236, 2, 149, 2, 0), 7),
-        (QQ, None, 1, True, 8, (404, 8, 173, 8, 0), 4),
+        (QQ, None, 1, True, 8, (227, 4, 110, 4, 0), 4),
         (QQ, None, 0, False, 6, (436, 146, 1595, 146, 0), 771),
         (prime_field(11), (1, 2, 3), 0, True, 5, (230, 63, 940, 63, 0), 89),
     ],
@@ -1342,7 +1400,8 @@ def test_search_against_exhaustive_ground_truth_gf5(weight_value, unital):
     truth also bears out the top lemma of ``classify``, on which the
     weight-one deepening rests: every table maps x^D to nothing or to
     x^D, and its restriction to the quotient by x^D passes the identity
-    at D - 1.
+    at D - 1; and its unit lemma: at weight one every unital table maps 1
+    to nothing or to c*1.
     """
     from rbalg.classify import ABSENT
 
@@ -1353,6 +1412,8 @@ def test_search_against_exhaustive_ground_truth_gf5(weight_value, unital):
     restricted_passes = benchmark_verdict(ref, unital, D - 1, weight_value)
     for sig in truth:
         assert all(T == D for n, _, T in sig if n == D), sorted(sig)
+        if unital and weight_value:  # the unit lemma
+            assert all(T == 0 for n, _, T in sig if n == 0), sorted(sig)
         assert restricted_passes(tuple((n, c, T) for n, c, T in sig if n < D and T < D)), sorted(sig)
     field = prime_field(5)
     algebra = AlgebraSpec(field, nvars=1, unital=unital, truncation=D)

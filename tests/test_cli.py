@@ -417,7 +417,7 @@ def test_classify_default_grid_over_a_large_prime_is_refused(capsys):
         ),
         pytest.param(
             "--weight 1 --unital true --degree 7",
-            "faff65aa8e0c8c08ca87af1fef69037d9d0afeafac1e4de1fdc8f4327fb701f6",
+            "9c649631f70c6320896fd53b5abaef8a2b52f3cc0dcb200e540ca00e6284f3ed",
             "b936069ca15bfacb4434f0894d8c2b57606e3637ae48d296002504c145da6330",
             id="--weight 1 --unital true --degree 7",
         ),
