@@ -744,11 +744,11 @@ def _surviving_shapes(
     into the dict pairs.  The deepening passes one pairs to every level:
     the rows one position shorter differ from this level's only at
     products equal to the top, so an entry compiled there is dropped
-    exactly when its compile reads one.  A pair whose
-    last read is v is checked at once; any other pair narrows the mask
-    of its last read as soon as its ready read is assigned (at once if
-    that is v, else filed under ready), so an option is pruned the moment
-    some later source has no target left.  The options of a source
+    exactly when its compile reads one.  A pair whose last read is v is
+    checked at once; any other pair narrows the mask of its last read as
+    soon as its ready read is assigned (at once if that is v, else filed
+    under ready), so an option is pruned the moment some later source has
+    no target left.  The options of a source
     are those of its seeded domain; one outside dom[k] counts as pruned
     where the plain check would have failed it.  The weight's structure
     rule narrows the same masks, so every complete shape obeys it.
