@@ -110,6 +110,7 @@ from .construct import (
 )
 from .errors import (
     CharacteristicObstruction,
+    DenominatorVanishes,
     InvalidParams,
     MixedAlgebras,
     MixedFieldSpecs,
@@ -493,7 +494,7 @@ def _built(table: MonomialOperatorTable, match: FamilyMatch) -> Optional[FamilyM
     """match, unless the constructor refuses the member (``construct._in_domain``)."""
     try:
         _in_domain(table)
-    except CharacteristicObstruction:
+    except (CharacteristicObstruction, DenominatorVanishes):
         return None
     return match
 

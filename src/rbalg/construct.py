@@ -200,18 +200,20 @@ def construct_multivariate(
 
 
 def _in_domain(table: MonomialOperatorTable) -> MonomialOperatorTable:
-    """A family table, refused over GF(p) where it fails the identity past
-    its bound on an algebra that keeps those monomials: a family
-    denominator may vanish there mod p while a pair's left side does not.
-    ``rb_check`` at twice the bound reaches every pair of the domain."""
+    """A family table, refused where it fails the identity past its bound
+    on an algebra that keeps those monomials: a family denominator may
+    vanish there, over Q (weight one at alpha = -1/2, multivariate weight
+    zero at alphas of both signs) as mod p, while a pair's left side does
+    not.  ``rb_check`` at twice the bound reaches every pair of the domain."""
     algebra, bound = table.algebra, table.degree_bound
-    if algebra.field.p is not None and algebra.truncation != bound:
+    if algebra.truncation != bound:
         v = rb_check(table, table.weight, 2 * bound).violation
         if v is not None:
-            raise CharacteristicObstruction(
-                f"the pair ({v.u.to_text()}, {v.v.to_text()}) fails the identity mod {algebra.field.p}",
-                index=(v.u.exponents, v.v.exponents),
-            )
+            pair, p = (v.u.exponents, v.v.exponents), algebra.field.p
+            message = f"the pair ({v.u.to_text()}, {v.v.to_text()}) fails the identity"
+            if p is None:
+                raise DenominatorVanishes(f"{message} over Q past the degree bound {bound}", where=pair)
+            raise CharacteristicObstruction(f"{message} mod {p}", index=pair)
     return table
 
 

@@ -57,7 +57,8 @@ class CharacteristicObstruction(RBAlgebraError):
 
 
 class DenominatorVanishes(RBAlgebraError):
-    """A family denominator is zero for some exponent; ``where`` names it."""
+    """A family denominator is zero for some exponent; ``where`` names it,
+    or the failing pair (two exponent tuples) when it vanishes past a bound."""
 
     def __init__(self, message: str, where=None):
         super().__init__(message)

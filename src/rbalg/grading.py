@@ -17,6 +17,10 @@ The decomposition takes one of three routes: a diagonal table's basis
 monomials are its eigenvectors; a triangular matrix has its diagonal
 for spectrum and its simple eigenvectors by substitution; any other
 matrix has its spectrum as the roots of its characteristic polynomial.
+The products are then classified a row at a time on raw keys (residues
+mod p, reduced pairs (num, den) over Q): one modular inversion per row
+over GF(p), no Fraction over Q unless a product leaves the spectrum, the
+spectrum's own elements reused and each record built trusted.
 
 Both partially defined operations are commutative and associative where
 defined; on positive rationals they are honest semigroups, isomorphic
@@ -27,11 +31,11 @@ those isomorphisms exactly on sample points.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -58,16 +62,30 @@ class PartialProductKind(Enum):
     STAR = "star"  # weight-0 composition law
 
 
-def _raw_partial_product(kind: PartialProductKind, lam, mu, p):
-    """``partial_product`` on raw values (``p`` None for Q); None when the
-    denominator vanishes.  Over Q, lam = a/b and mu = c/d give ac over
-    ad + bc + bd (o) or ad + bc (*): one normalization."""
+def _partial_products(kind: PartialProductKind, lam, row, p) -> list:
+    """lam o mu or lam * mu for each mu of ``row`` (raw values, ``p`` None
+    for Q), None where the denominator vanishes.  Over GF(p) the row costs
+    one inversion (Montgomery's simultaneous inversion): prefix products of
+    its nonzero denominators, one inverse of their product, then three
+    multiplications per inverse and one for lam * mu.  Over Q, lam = a/b
+    and mu = c/d give ac over ad + bc + bd (o) or ad + bc (*), reduced by
+    one gcd to the key (num, den > 0) and built into no Fraction."""
+    circ = kind is PartialProductKind.CIRC  # counts as 1 in lam + mu + 1
     if p is None:
-        a, b, c, d = lam.numerator, lam.denominator, mu.numerator, mu.denominator
-        denom = a * d + b * c + b * d if kind is PartialProductKind.CIRC else a * d + b * c
-        return Fraction(a * c, denom) if denom else None
-    denom = (lam + mu + 1 if kind is PartialProductKind.CIRC else lam + mu) % p
-    return lam * mu * pow(denom, -1, p) % p if denom else None
+        a, b, out = lam.numerator, lam.denominator, []
+        for mu in row:
+            c, d = mu.numerator, mu.denominator
+            num, den = a * c, a * d + b * c + circ * b * d
+            g = gcd(num, den) if den > 0 else -gcd(num, den)
+            out.append((num // g, den // g) if den else None)
+        return out
+    dens = [(lam + mu + circ) % p for mu in row]
+    prefix = list(itertools.accumulate(dens, lambda acc, d: acc * d % p if d else acc, initial=1))
+    inv, out = lam * pow(prefix[-1], -1, p) % p, [None] * len(row)  # lam over the denominators up to i
+    for i in reversed(range(len(row))):
+        if dens[i]:
+            out[i], inv = inv * prefix[i] % p * row[i] % p, inv * dens[i] % p
+    return out
 
 
 def partial_product(
@@ -78,8 +96,9 @@ def partial_product(
         raise MixedFieldSpecs(f"cannot mix {lam.spec} with {mu.spec}")
     if lam.is_zero() or mu.is_zero():
         raise ZeroArgument("partial products take nonzero arguments")
-    nu = _raw_partial_product(kind, lam.value, mu.value, lam.spec.p)
-    return None if nu is None else FieldElement(lam.spec, nu)
+    p = lam.spec.p
+    (nu,) = _partial_products(kind, lam.value, [mu.value], p)
+    return None if nu is None else FieldElement(lam.spec, nu if p else Fraction(*nu))
 
 
 @dataclass(frozen=True)
@@ -103,29 +122,23 @@ def semigroup_iso_check(
     if any(v <= 0 for v in values):
         raise ValueError("sample values must be positive")
 
-    prod = functools.partial(_raw_partial_product, kind, p=None)
+    def prod(x: Fraction, y: Fraction) -> Optional[Fraction]:
+        (nu,) = _partial_products(kind, x, [y], None)
+        return None if nu is None else Fraction(*nu)
 
     def phi(x: Fraction) -> Fraction:
         return 1 + Fraction(1, 1) / x if kind is PartialProductKind.CIRC else 1 / x
 
     for x, y in itertools.product(values, repeat=2):
-        combined = prod(x, y)
-        if combined is None:
-            continue
-        lhs = phi(combined)
-        rhs = phi(x) * phi(y) if kind is PartialProductKind.CIRC else phi(x) + phi(y)
-        if lhs != rhs:
-            return IsoCounterexample(kind, (x, y), lhs, rhs)
+        if (combined := prod(x, y)) is not None:
+            lhs, rhs = phi(combined), phi(x) * phi(y) if kind is PartialProductKind.CIRC else phi(x) + phi(y)
+            if lhs != rhs:
+                return IsoCounterexample(kind, (x, y), lhs, rhs)
     for x, y, z in itertools.product(values, repeat=3):
-        xy = prod(x, y)
-        yz = prod(y, z)
-        if xy is None or yz is None:
-            continue
-        left = prod(xy, z)
-        right = prod(x, yz)
-        if left is None or right is None:
-            continue
-        if left != right:
+        xy, yz = prod(x, y), prod(y, z)
+        left = None if xy is None else prod(xy, z)
+        right = None if yz is None else prod(x, yz)
+        if left is not None and right is not None and left != right:
             return IsoCounterexample(kind, (x, y, z), left, right)
     return None
 
@@ -144,22 +157,21 @@ class ProductCheck:
     product_eigenvalue: Optional[FieldElement] = None
     witness: Optional[Tuple[Polynomial, Polynomial, Polynomial]] = None
 
+    @classmethod
+    def _trusted(cls, left, right, status, product_eigenvalue, witness):
+        """A record of fields the grading built valid, set past the frozen dataclass's checks."""
+        check = object.__new__(cls)
+        d = check.__dict__
+        d["left"], d["right"], d["status"] = left, right, status
+        d["product_eigenvalue"], d["witness"] = product_eigenvalue, witness
+        return check
+
     def to_json_dict(self) -> dict:
-        out = {
-            "left": self.left.short_str(),
-            "right": self.right.short_str(),
-            "status": self.status.value,
-            "product": None
-            if self.product_eigenvalue is None
-            else self.product_eigenvalue.short_str(),
-        }
+        nu = self.product_eigenvalue
+        out = {"left": self.left.short_str(), "right": self.right.short_str(), "status": self.status.value,
+               "product": None if nu is None else nu.short_str()}
         if self.witness is not None:
-            u, v, w = self.witness
-            out["witness"] = {
-                "u": u.to_json_terms(),
-                "v": v.to_json_terms(),
-                "uv": w.to_json_terms(),
-            }
+            out["witness"] = {name: f.to_json_terms() for name, f in zip(("u", "v", "uv"), self.witness)}
         return out
 
 
@@ -178,13 +190,8 @@ class GradingDecomposition:
     def to_json_dict(self) -> dict:
         return {
             "spectrum": [lam.short_str() for lam in self.spectrum],
-            "spaces": [
-                {
-                    "eigenvalue": lam.short_str(),
-                    "basis": [p.to_json_terms() for p in self.spaces[lam]],
-                }
-                for lam in self.spectrum
-            ],
+            "spaces": [{"eigenvalue": lam.short_str(), "basis": [p.to_json_terms() for p in self.spaces[lam]]}
+                       for lam in self.spectrum],
             "products": [p.to_json_dict() for p in self.products],
             "violations": len(self.violations()),
         }
@@ -221,9 +228,7 @@ def _matrix_decomposition(R: LinearOperator):
         multiplicities = [linalg.root_multiplicity(coeffs, lam, p) for lam in roots]
         covered = sum(multiplicities)
         if covered != size:
-            raise NonSplitSpectrum(
-                f"generalized eigenspaces cover {covered} of {size} dimensions"
-            )
+            raise NonSplitSpectrum(f"generalized eigenspaces cover {covered} of {size} dimensions")
     # ker (A - lam)^m is the whole generalized eigenspace when m is the
     # root's multiplicity: that space has dimension m
     spaces = []
@@ -249,27 +254,25 @@ def grading_decompose(R: LinearOperator, weight: FieldElement) -> GradingDecompo
     eigenvalues, products of basis elements must vanish when the law is
     undefined or leaves the spectrum, and must land in the indicated
     eigenspace otherwise.  Everything runs on raw values and on the
-    spectrum's indices, eigenspace bases in ``linalg.kernel_basis`` form;
-    FieldElements and Polynomials are built for the result only.
+    spectrum's numbers, eigenspace bases in ``linalg.kernel_basis`` form,
+    one row of pairs per nonzero eigenvalue (``_partial_products``); a pair
+    of one-monomial eigenspaces of a diagonal table takes one read of the
+    product table.  FieldElements and Polynomials are built for the result only.
     """
     algebra = R.algebra
     if algebra.truncation is None:
         raise ValueError("grading needs a finite-dimensional (truncated) algebra")
     if weight.spec != algebra.field:
         raise MixedFieldSpecs(f"cannot mix {algebra.field} with {weight.spec}")
-    if weight.is_one():
-        kind = PartialProductKind.CIRC
-    elif weight.is_zero():
-        kind = PartialProductKind.STAR
-    else:
+    if not (weight.is_one() or weight.is_zero()):
         raise ValueError("grade at weight 0 or 1 (rescale other weights first)")
+    kind = PartialProductKind.CIRC if weight.is_one() else PartialProductKind.STAR
     index = algebra.basis_index
     basis, mul = index.monomials, index.mul  # mul[i][j]: the product's index, None above the truncation
     beyond = [m for m in basis if m.degree() > R.degree_bound]
     if beyond:
         raise DegreeBoundExceeded(f"operator defined up to degree {R.degree_bound}, got {beyond[0]!r}")
-    spec = algebra.field
-    p = spec.p
+    spec, p = algebra.field, algebra.field.p
 
     if isinstance(R, MonomialOperatorTable) and R.is_diagonal():
         # each basis monomial is an eigenvector: owner[i] numbers the eigenvalue of monomial i
@@ -281,8 +284,11 @@ def grading_decompose(R: LinearOperator, weight: FieldElement) -> GradingDecompo
         bases = [[(i, {i: one}) for i, o in enumerate(owner) if o == e] for e in range(len(spectrum))]
     else:
         spectrum, bases = _matrix_decomposition(R)
-        at, owner = {lam: e for e, lam in enumerate(spectrum)}, None
+        owner = None
     elements = [FieldElement(spec, lam) for lam in spectrum]
+    number = {lam if p else (lam.numerator, lam.denominator): e for e, lam in enumerate(spectrum)}  # by raw key
+    # lone[e]: the one monomial of a diagonal table's one-dimensional eigenspace e, else None
+    lone = [space[0][0] if owner is not None and len(space) == 1 else None for space in bases]
 
     def product(u, v):
         w = {}
@@ -297,33 +303,40 @@ def grading_decompose(R: LinearOperator, weight: FieldElement) -> GradingDecompo
     def polynomial(vec):
         return Polynomial._trusted(algebra, {basis[k]: FieldElement(spec, c) for k, c in vec.items()})
 
+    def pair_status(e, f, target):
+        """The status of A_e * A_f and its first violating pair of basis vectors."""
+        status = ProductStatus.ZERO
+        pairs = (itertools.combinations_with_replacement(bases[e], 2) if e == f
+                 else itertools.product(bases[e], bases[f]))
+        for (i, u), (j, v) in pairs:
+            if owner is None:
+                w = product(u, v)
+            else:  # u, v are the monomials i, j; their product k lies in A_nu iff owner[k] is nu's number
+                k = mul[i][j]
+                w = None if k is None else {k: one}
+            if not w:
+                continue
+            if target is None or not (
+                linalg.in_span(bases[target], w, p) if owner is None else owner[k] == target
+            ):
+                return ProductStatus.VIOLATION, (polynomial(u), polynomial(v), polynomial(w))
+            status = ProductStatus.CONTAINED
+        return status, None
+
     products: List[ProductCheck] = []
     nonzero = [e for e, lam in enumerate(spectrum) if lam]
     for n, e in enumerate(nonzero):
-        for f in nonzero[n:]:
-            nu = _raw_partial_product(kind, spectrum[e], spectrum[f], p)
-            status, witness, target = ProductStatus.ZERO, None, -1
-            pairs = (itertools.combinations_with_replacement(bases[e], 2) if e == f
-                     else itertools.product(bases[e], bases[f]))
-            for (i, u), (j, v) in pairs:
-                if owner is None:
-                    w = product(u, v)
-                else:  # u, v are the monomials i, j; their product k lies in A_nu iff owner[k] is nu's number
-                    k = mul[i][j]
-                    w = None if k is None else {k: one}
-                if not w:
-                    continue
-                if target == -1:  # nu's number, looked up once a product is nonzero
-                    target = None if nu is None else at.get(nu)
-                if target is None or not (
-                    linalg.in_span(bases[target], w, p) if owner is None else owner[k] == target
-                ):
-                    status = ProductStatus.VIOLATION
-                    witness = (polynomial(u), polynomial(v), polynomial(w))
-                    break
-                status = ProductStatus.CONTAINED
-            nu = None if nu is None else FieldElement(spec, nu)
-            products.append(ProductCheck(elements[e], elements[f], status, nu, witness))
+        later = nonzero[n:]
+        row = None if lone[e] is None else mul[lone[e]]
+        for f, nu in zip(later, _partial_products(kind, spectrum[e], [spectrum[f] for f in later], p)):
+            target = None if nu is None else number.get(nu)
+            if row is not None and lone[f] is not None and ((k := row[lone[f]]) is None or owner[k] == target):
+                status, witness = ProductStatus.ZERO if k is None else ProductStatus.CONTAINED, None  # one read
+            else:
+                status, witness = pair_status(e, f, target)
+            if nu is not None:  # the spectrum's own element when nu lies in it
+                nu = elements[target] if target is not None else FieldElement(spec, nu if p else Fraction(*nu))
+            products.append(ProductCheck._trusted(elements[e], elements[f], status, nu, witness))
     spaces = {lam: [polynomial(vec) for _, vec in space] for lam, space in zip(elements, bases)}
     return GradingDecomposition(elements, spaces, products)
 
@@ -352,6 +365,4 @@ def quotient_rb_from_family(
         return construct_weight_one_univariate(field.one(), algebra, N)
     except DenominatorVanishes as exc:
         i = exc.where
-        raise CharacteristicObstruction(
-            f"2^{i} - 1 = {2**i - 1} is divisible by {p}", index=i
-        ) from exc
+        raise CharacteristicObstruction(f"2^{i} - 1 = {2**i - 1} is divisible by {p}", index=i) from exc

@@ -1100,9 +1100,14 @@ def reference_aybe_grid_search(
     solve the equation exactly.  A falsification-style witness over a
     finite grid, not a symbolic solution of the equation.
 
-    The residual is quadratic in the cell coefficients, so the arity-3
-    key contributions of every cell pair are precomputed once and each
-    grid assignment is evaluated on raw coefficient values.
+    The residual is quadratic in the cell coefficients: cells i, j add
+    c_i c_j at (a_i a_j, b_j, b_i) and at (a_j, a_i, b_i b_j), subtract it
+    at (a_i, b_i a_j, b_j), and each cell adds -weight c_i at (a_i, 1, b_i).
+    The grid is walked in reflected Gray-code order, one cell moving one
+    grid step at a time, on raw values (Fractions over Q): each step adds
+    only the moved cell's linear, square and cross terms to the residual
+    and keeps count of its nonzero keys.  The solutions are returned in the
+    order of ``itertools.product`` over the cells' grid indices.
     """
     if not algebra.unital:
         raise NonUnitalAlgebra("tensor computations require a unital algebra")
@@ -1113,57 +1118,86 @@ def reference_aybe_grid_search(
         raise SearchBudgetExceeded(
             f"{ncells} support cells exceed the cap of {max_cells}"
         )
-    total = len(grid) ** ncells
+    size = len(grid)
+    total = size ** ncells
     if total > budget:
         raise SearchBudgetExceeded(
             f"{total} candidate tensors exceed the budget of {budget}"
         )
-    # quadratic structure: contribution keys of each ordered cell pair
-    pair_keys = []
-    for a_i, b_i in cells:
-        row = []
-        for a_j, b_j in cells:
-            row.append(
-                (
-                    ((a_i * a_j).exponents, b_j.exponents, b_i.exponents),
-                    (a_i.exponents, (b_i * a_j).exponents, b_j.exponents),
-                    (a_j.exponents, a_i.exponents, (b_i * b_j).exponents),
-                )
-            )
-        pair_keys.append(row)
-    one_exps = algebra.one_monomial().exponents
-    linear_keys = [
-        (a.exponents, one_exps, b.exponents) for a, b in cells
+    # quad[i, j], i <= j: the integer coefficient of c_i c_j at each key
+    quad: Dict[Tuple[int, int], Dict[tuple, int]] = {}
+    for i, (a_i, b_i) in enumerate(cells):
+        for j, (a_j, b_j) in enumerate(cells):
+            terms = quad.setdefault((min(i, j), max(i, j)), {})
+            for key, sign in (
+                (((a_i * a_j).exponents, b_j.exponents, b_i.exponents), 1),
+                ((a_i.exponents, (b_i * a_j).exponents, b_j.exponents), -1),
+                ((a_j.exponents, a_i.exponents, (b_i * b_j).exponents), 1),
+            ):
+                terms[key] = terms.get(key, 0) + sign
+    square = [[(k, c) for k, c in quad[i, i].items() if c] for i in range(ncells)]
+    cross = [
+        [(j, [(k, c) for k, c in quad[min(i, j), max(i, j)].items() if c]) for j in range(ncells) if j != i]
+        for i in range(ncells)
     ]
+    one_exps = algebra.one_monomial().exponents
+    linear = [(a.exponents, one_exps, b.exponents) for a, b in cells]
     p = algebra.field.p
-    raw_grid = [g.value for g in grid]
-    solutions = []
+    values = [g.value for g in grid]
     raw_weight = weight.value
-    for indices in itertools.product(range(len(grid)), repeat=ncells):
-        live = [(i, raw_grid[g]) for i, g in enumerate(indices) if raw_grid[g] != 0]
-        acc: Dict[tuple, object] = {}
-        for i, ci in live:
-            row = pair_keys[i]
-            lin = linear_keys[i]
-            acc[lin] = acc.get(lin, 0) - raw_weight * ci
-            for j, cj in live:
-                prod = ci * cj
-                k1, k2, k3 = row[j]
-                acc[k1] = acc.get(k1, 0) + prod
-                acc[k2] = acc.get(k2, 0) - prod
-                acc[k3] = acc.get(k3, 0) + prod
-        if p is None:
-            ok = all(v == 0 for v in acc.values())
-        else:
-            ok = all(v % p == 0 for v in acc.values())
-        if ok:
-            terms = {
-                cells[i]: grid[g]
-                for i, g in enumerate(indices)
-                if not grid[g].is_zero()
-            }
-            solutions.append(TensorElement(algebra, 2, terms))
-    return solutions
+    residual: Dict[tuple, object] = {}
+    nonzero = 0
+
+    def add(key, delta):
+        nonlocal nonzero
+        old = residual.get(key, 0)
+        new = old + delta if p is None else (old + delta) % p
+        nonzero += (new != 0) - (old != 0)
+        residual[key] = new
+
+    start = values[0]  # every cell starts at the grid's first value
+    for terms in quad.values():
+        for key, c in terms.items():
+            add(key, c * start * start)
+    for key in linear:
+        add(key, -raw_weight * start)
+    # a move of one cell from grid value x to y changes its square term by
+    # y^2 - x^2, its cross term with a cell at grid value e by (y - x) e and
+    # its linear term by -weight (y - x): each product computed once
+    moves: Dict[tuple, object] = {}
+
+    def move(c, x, y, e):
+        if (c, x, y, e) not in moves:
+            vx, vy = values[x], values[y]
+            m = vy * vy - vx * vx if e == "square" else -raw_weight * (vy - vx) if e == "linear" else (vy - vx) * values[e]
+            moves[c, x, y, e] = c * m
+        return moves[c, x, y, e]
+
+    digits, steps = [0] * ncells, [1] * ncells
+    found = [] if nonzero else [tuple(digits)]
+    for t in range(1, total):
+        i = ncells - 1  # the cell that moves: the lowest nonzero base-size digit of t
+        while t % size == 0:
+            t //= size
+            i -= 1
+        x = digits[i]
+        y = digits[i] = x + steps[i]
+        if y in (0, size - 1):
+            steps[i] = -steps[i]
+        if values[x] != values[y]:
+            for key, c in square[i]:
+                add(key, move(c, x, y, "square"))
+            for j, terms in cross[i]:
+                if values[digits[j]]:
+                    for key, c in terms:
+                        add(key, move(c, x, y, digits[j]))
+            add(linear[i], move(1, x, y, "linear"))
+        if not nonzero:
+            found.append(tuple(digits))
+    return [
+        TensorElement(algebra, 2, {cells[i]: grid[g] for i, g in enumerate(indices) if not grid[g].is_zero()})
+        for indices in sorted(found)
+    ]
 
 
 def reference_aybe_nodes(algebra, support_degree, grid, weight) -> int:

@@ -906,6 +906,19 @@ def test_match_refuses_members_whose_denominators_vanish():
         assert match_family(table).kind is MatchKind.UNMATCHED
 
 
+def test_match_refuses_rational_members_that_fail_past_their_bound():
+    """Over Q the weight-one formula at alpha = -1/2 gives R(x) = -x/2 at
+    bound 1, which fails the identity at (x, x) on k0[x]: the constructor
+    refuses it there, so it is no member, while on k0[x]/(x^2) it is one."""
+    half = QQ.element(-1, 2)
+    table = MonomialOperatorTable(NONUNITAL, QQ.one(), 1, {NONUNITAL.monomial(1): (half, NONUNITAL.monomial(1))})
+    assert match_family(table) == reference_match_family(table)
+    assert match_family(table).kind is MatchKind.UNMATCHED
+    quotient = AlgebraSpec(QQ, 1, False, 1)
+    member = MonomialOperatorTable(quotient, QQ.one(), 1, {quotient.monomial(1): (half, quotient.monomial(1))})
+    assert match_family(member) == reference_match_family(member)
+    assert match_family(member).kind is MatchKind.WEIGHT_ONE_FAMILY
+
 def test_kernel_obstructions():
     table = construct_weight_one_univariate(QQ.one(), NONUNITAL, 8)
     assert check_kernel_obstructions(table) is None

@@ -694,12 +694,17 @@ def test_construct_refuses_integrals_that_fail_the_identity(capsys, flags, messa
             "the pair (x3, x1*x3^2) fails the identity mod 101",
         ),
         ("--family weight-zero --m 1 --pq 1:1 --field Fp:7 --degree 6", "the pair (x1, x1^6) fails the identity mod 7"),
+        ("--family weight-one --alpha=-1/2 --degree 1", "the pair (x1, x1) fails the identity over Q past the degree bound 1"),
+        (
+            "--family multivariate-zero --nvars 2 --alphas=1,-1 --degree 1",
+            "the pair (x2, x1) fails the identity over Q past the degree bound 1",
+        ),
     ],
 )
 def test_construct_refuses_family_tables_that_fail_past_their_bound(tmp_path, capsys, flags, message):
-    """Over GF(p), on an algebra not truncated at the bound, a family table
-    that fails the identity past its bound exits 2 naming the first failing
-    pair.  Truncated at its bound the same family is built, and its table
+    """Over GF(p) or Q, on an algebra not truncated at the bound, a family
+    table that fails the identity past its bound exits 2 naming the first
+    failing pair.  Truncated at its bound the same family is built, and its table
     passes ``rbalg check`` at twice the bound."""
     code, out, err = run_cli(capsys, "construct", *flags.split())
     assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rbalg import (
     QQ,
@@ -341,6 +343,62 @@ def test_family_tables_over_gf_p_hold_in_their_whole_domain(p):
         assert rb_check(table, table.weight, 2 * table.degree_bound).passed
         built += 1
     assert built > 0 and refused > 0
+
+
+@st.composite
+def rational_family_builds(draw):
+    """A family constructor with its arguments over Q: the univariate
+    weight-zero and weight-one families and both multivariate ones in 1-3
+    variables, on an algebra untruncated, truncated at the bound or above
+    it.  Parameters are small rationals of both signs, -1/2 among them."""
+    values = st.builds(QQ.element, st.integers(-3, 3).filter(bool), st.integers(1, 2))
+    family = draw(st.sampled_from(["weight-zero", "weight-one", *MultivariateKind]))
+    nvars = 1 if family in ("weight-zero", "weight-one") else draw(st.integers(1, 3))
+    bound = draw(st.integers(1, (6, 3, 2)[nvars - 1]))
+    truncation = draw(st.sampled_from([None, bound, bound + 1, 2 * bound]))
+    algebra = AlgebraSpec(QQ, nvars, family == "weight-zero" and draw(st.booleans()), truncation)
+    if family == "weight-zero":
+        m = draw(st.integers(1, 3))
+        classes = {}
+        for b in range(0, m) if algebra.unital else range(1, m + 1):
+            shift = draw(st.integers(0, 3))
+            classes[b] = (shift, draw(values) if shift else QQ.zero())
+        return construct_weight_zero, WeightZeroFamilyParams(m, classes), algebra, bound
+    if family == "weight-one":
+        return construct_weight_one_univariate, draw(values), algebra, bound
+    alphas = tuple(draw(values) for _ in range(nvars))
+    return construct_multivariate, MultivariateFamilyParams(family, alphas), algebra, bound
+
+
+_PLANE = AlgebraSpec(QQ, 2, False, None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_family_builds())
+@example((construct_weight_one_univariate, QQ.element(-1, 2), NONUNITAL, 1))
+@example((construct_multivariate, MultivariateFamilyParams(MultivariateKind.WEIGHT_ZERO, (QQ.one(), -QQ.one())), _PLANE, 1))
+@example((construct_multivariate, MultivariateFamilyParams(MultivariateKind.WEIGHT_ONE, (QQ.one(), QQ.from_int(-2))), _PLANE, 1))
+def test_family_tables_over_q_hold_in_their_whole_domain(case):
+    """Over Q every table a family constructor hands out passes ``rb_check``
+    at twice its bound, and a table refused past its bound names the first
+    pair at which the same table, built without the refusal, fails there."""
+    from unittest import mock
+
+    from rbalg import construct
+
+    build, *args = case
+    try:
+        table = build(*args)
+    except DenominatorVanishes as err:
+        with mock.patch.object(construct, "_in_domain", lambda table: table):
+            try:
+                table = build(*args)
+            except DenominatorVanishes:
+                return  # a denominator vanishes within the bound
+        v = rb_check(table, table.weight, 2 * table.degree_bound).violation
+        assert err.where == (v.u.exponents, v.v.exponents)
+        return
+    assert rb_check(table, table.weight, 2 * table.degree_bound).passed
 
 
 def test_splitting_operator_examples():

@@ -30,8 +30,7 @@ from rbalg.errors import (
     ZeroArgument,
 )
 
-from rbalg.fields import FieldElement
-from rbalg.grading import _raw_partial_product
+from rbalg.grading import _partial_products
 
 from helpers import reference_partial_product, scaled_inverse_degree_conjugate
 
@@ -68,18 +67,65 @@ def partial_product_args(draw):
 @example((PartialProductKind.CIRC, GF5.from_int(1), GF5.from_int(3)))
 @example((PartialProductKind.STAR, GF5.from_int(3), GF5.from_int(2)))
 def test_raw_partial_product_matches_the_field_form(case):
-    """One normalization over Q, one inverse mod p: the same value as
-    lam*mu / (lam + mu + 1) or lam*mu / (lam + mu) on FieldElements, and
-    None exactly where that denominator vanishes."""
+    """A row of one: the same value as lam*mu / (lam + mu + 1) or
+    lam*mu / (lam + mu) on FieldElements, as a residue mod p or as the
+    reduced pair (num, den > 0) over Q, and None exactly where that
+    denominator vanishes."""
     kind, lam, mu = case
     want = reference_partial_product(kind, lam, mu)
-    got = _raw_partial_product(kind, lam.value, mu.value, lam.spec.p)
+    (got,) = _partial_products(kind, lam.value, [mu.value], lam.spec.p)
     if want is None:
-        assert got is None
+        assert got is None and partial_product(kind, lam, mu) is None
         return
-    assert FieldElement(lam.spec, got) == want
-    assert type(got) is (Fraction if lam.spec.p is None else int)
+    if lam.spec.p is None:
+        assert got == (want.value.numerator, want.value.denominator)
+    else:
+        assert type(got) is int and got == want.value
     assert partial_product(kind, lam, mu) == want
+
+
+ROW_FIELDS = [QQ, *(prime_field(p) for p in (2, 3, 5, 7, 10007, 65521, 2**31 - 1))]
+_F65521, _M31 = ROW_FIELDS[-2:]
+
+
+@st.composite
+def partial_product_rows(draw):
+    """A law, a nonzero lam and a row of nonzero values over Q or GF(p) with
+    a zero denominator placed first, mid-row or last (where one exists:
+    over GF(2) o is never undefined)."""
+    field = draw(st.sampled_from(ROW_FIELDS))
+    if field.p is None:
+        values = st.builds(QQ.element, st.integers(-9, 9).filter(bool), st.integers(1, 5))
+    else:
+        values = st.integers(1, field.p - 1).map(field.from_int)
+    kind, lam = draw(st.sampled_from(PartialProductKind)), draw(values)
+    row = draw(st.lists(values, min_size=2, max_size=8))
+    pole = -lam - 1 if kind is PartialProductKind.CIRC else -lam  # mu whose denominator vanishes
+    if not pole.is_zero():
+        at = draw(st.sampled_from([0, len(row) // 2, len(row)]))
+        row = [*row[:at], pole, *row[at:]]
+    return kind, lam, row
+
+
+@settings(max_examples=400, deadline=None)
+@given(partial_product_rows())
+@example((PartialProductKind.CIRC, QQ.element(1, 2), [QQ.element(-3, 2), QQ.one(), QQ.element(-1, 2)]))
+@example((PartialProductKind.STAR, _M31.from_int(5), [*map(_M31.from_int, (-5, 7, 2**30, 3))]))
+@example((PartialProductKind.STAR, _F65521.from_int(9), [*map(_F65521.from_int, (1, 65520, 2, -9))]))
+def test_row_of_partial_products_matches_the_reference(case):
+    """The row pass, one inversion for the whole row over GF(p), equals
+    ``reference_partial_product`` pair by pair, None at the zero
+    denominator wherever it sits in the row."""
+    kind, lam, row = case
+    p = lam.spec.p
+    got = _partial_products(kind, lam.value, [mu.value for mu in row], p)
+    assert len(got) == len(row)
+    for mu, nu in zip(row, got):
+        want = reference_partial_product(kind, lam, mu)
+        if want is None:
+            assert nu is None
+        else:
+            assert nu == (want.value if p else (want.value.numerator, want.value.denominator))
 
 
 def test_partial_product_zero_argument():

@@ -299,8 +299,8 @@ def _nonzero(field):
 
 def _unchecked(construct, *args):
     """A family table as the constructor builds it, without its refusal of
-    a GF(p) table that fails the identity past its bound: such tables are
-    what the check must catch."""
+    a table that fails the identity past its bound: such tables are what
+    the check must catch."""
     with mock.patch.object(construct_mod, "_in_domain", lambda table: table):
         return construct(*args)
 
