@@ -54,7 +54,7 @@ Surviving shapes get their coefficients from exact propagation on
 watched equations: each per-degree constraint keeps a running split on
 raw values, fixing a coefficient marks only the constraints that mention
 it, and a marked one left with one unknown is solved exactly over the
-field (degree <= 2);
+field by ``linalg.roots`` (degree <= 2);
 genuinely free coefficients (family parameters) are seeded from a finite
 strategy grid, each distinct value once; coefficients no constraint
 mentions -- truncation artifacts -- are set to 1, flagged under-constrained.
@@ -379,7 +379,7 @@ def _solve_coefficients(equations, unknowns: Sequence, field: FieldSpec, strateg
                 (x,) = varset
                 a2, a1, a0 = (split.get(key, 0) for key in ((x, x), (x,), ()))
                 if not symbolic:
-                    roots = [r for r in linalg.quadratic_roots(a2, a1, a0, p) if r]
+                    roots = [r for r in linalg.roots([a2, a1, a0], p) if r]
                 elif a2:
                     raise Fallback
                 else:

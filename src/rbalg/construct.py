@@ -1,23 +1,34 @@
 """Constructors for the classified Rota-Baxter operator families.
 
-Univariate weight zero (residue classes mod m):
+Univariate weight zero, with residues b in 1..m on the non-unital
+algebra and 0..m-1 on the unital one (``residues``, ``residue_class``),
+and q_b = 0 exactly when p_b = 0 (those classes are killed):
 
-    R(x^(m*a+b)) = q_b * x^(m*(a+p_b)) / (m*(a+p_b)),
+    R(x^(m*a+b)) = q_b * x^(m*(a+p_b)) / (m*(a+p_b)).
 
-with residues 1..m on the non-unital algebra and 0..m-1 on the unital
-one (``residues``, ``residue_class``), and q_b = 0 exactly when p_b = 0
-(those classes are killed).
-
-Univariate weight one, and its multivariate counterpart:
-
-    R(x^n)           = a^n / ((a+1)^n - a^n) * x^n
-    R(x1^i1...xn^in) = prod a_j^ij / (prod (a_j+1)^ij - prod a_j^ij) * (same monomial)
-
-plus the multivariate weight-zero family R(w) = w / (sum i_j / a_j).
-
-Also here: the formal integration operator x^n -> (x^(n+1) - a^(n+1))/(n+1),
-and splitting operators (zero on one subalgebra, -weight * id on a
+Weight one (univariate, or one a_j per variable) and multivariate weight
+zero are diagonal, R(w) = phi(w) * w at w = x1^e1...xn^en, with
+phi = X/(Y - X), X = prod a_j^e_j, Y = prod (a_j+1)^e_j at weight one
+and phi = 1/sigma, sigma = sum e_j/a_j at weight zero.  Also here: the
+formal integration operator x^n -> (x^(n+1) - a^(n+1))/(n+1), and
+splitting operators (zero on one subalgebra, -weight * id on a
 complementary one).
+
+A family table meets the identity at (u, v) exactly when no denominator
+vanishes at the inner term; a vanishing one zeroes it, not R(u)R(v):
+- weight one: X and Y are multiplicative, and since
+  X_u(Y_v - X_v) + X_v(Y_u - X_u) + (Y_u - X_u)(Y_v - X_v) = Y_uv - X_uv,
+  phi(u) + phi(v) + 1 = (Y_uv - X_uv)/((Y_u - X_u)(Y_v - X_v)), which
+  phi(uv) takes to phi(u)phi(v) unless Y_uv = X_uv;
+- multivariate weight zero: sigma is additive, so phi(uv) takes
+  phi(u) + phi(v) = sigma(uv)phi(u)phi(v) to phi(u)phi(v) unless sigma(uv) = 0;
+- univariate weight zero: at u = x^(ma+b), v = x^(ma'+b') both inner
+  monomials map to x^(m*S), S = a+p_b+a'+p_b', with
+  1/(a+p_b) + 1/(a'+p_b') = S/((a+p_b)(a'+p_b')); every denominator
+  m(a+p_b) is a positive integer (m >= 1, a >= 0, p_b >= 1 on a live
+  class), so over Q none vanishes.
+So a table at bound D fails on the untruncated algebra exactly when a
+denominator vanishes in degrees (D, 2D], the window ``_in_domain`` checks.
 """
 
 from __future__ import annotations
@@ -200,11 +211,9 @@ def construct_multivariate(
 
 
 def _in_domain(table: MonomialOperatorTable) -> MonomialOperatorTable:
-    """A family table, refused where it fails the identity past its bound
-    on an algebra that keeps those monomials: a family denominator may
-    vanish there, over Q (weight one at alpha = -1/2, multivariate weight
-    zero at alphas of both signs) as mod p, while a pair's left side does
-    not.  ``rb_check`` at twice the bound reaches every pair of the domain."""
+    """A family table, refused where a denominator vanishes past its bound,
+    mod p or over Q (weight one at alpha = -1/2, multivariate weight zero at
+    alphas of both signs): ``rb_check`` at twice the bound sees every pair."""
     algebra, bound = table.algebra, table.degree_bound
     if algebra.truncation != bound:
         v = rb_check(table, table.weight, 2 * bound).violation

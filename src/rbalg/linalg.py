@@ -12,12 +12,13 @@ form that makes span membership a matter of clearing leads, and the
 eigenvector of a simple diagonal entry of a triangular matrix comes in
 the same form by substitution; the characteristic polynomial from a
 Hessenberg reduction, in every characteristic; determinants, kept as an
-independent check of it, from Gaussian elimination.  Polynomial roots
-of degree at most 2 come in closed form (a square root of the
-discriminant), over GF(p) also once the factor t^k is divided out;
-higher degrees are found by Horner evaluation over GF(p) and by p-adic
-lifting plus rational reconstruction over Q.  ``roots`` serves both the
-grading of spectra and the coefficient solver of the shape search.
+independent check of it, from Gaussian elimination.
+
+``roots``, the one root routine, serves the grading and the coefficient
+solver alike: t^k and a linear rest in closed form in both fields, a
+longer rest by gcd(f, t^p - t) and equal-degree splitting over GF(p),
+for primes of any size, and over Q by the same splitting mod a small
+prime, p-adic lifting and rational reconstruction.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Dict, List, Optional, Tuple
-
-from .errors import SearchBudgetExceeded
-
-_ROOT_SCAN_CAP = 65536  # largest p whose elements ``roots`` tries one by one
 
 Matrix = List[list]
 # kernel vectors as (lead, {column: raw value}), zero entries left out
@@ -358,101 +355,95 @@ def _reconstruct(a: int, modulus: int, num_bound: int) -> Optional[Fraction]:
 def rational_roots(coeffs: list) -> List[Fraction]:
     """All rational roots of a polynomial over Q, ascending.
 
-    The factor t^k gives the root 0.  The rest is replaced by g, its
-    squarefree part with denominators cleared: a primitive integer
-    polynomial with the same nonzero roots, each simple.  For the least
-    prime p dividing neither lead(g) nor disc(g), g mod p keeps its
-    degree and has only simple roots.  Each root mod p, found by Horner
-    evaluation, is Hensel-lifted to a root mod p^k > 2 |lead(g)| |g(0)|
-    by Newton steps, and rational reconstruction turns that into the
-    only candidate r/s with |r| <= |g(0)| and |s| <= |lead(g)| in that
-    residue class.  A candidate is kept only if it is an exact root.
+    A factor t^k or a rest of degree 1 goes to ``roots``.  Any other
+    polynomial is replaced by g, its squarefree part with denominators
+    cleared: a primitive integer polynomial with the same roots, each
+    simple.  For the least prime p dividing neither lead(g) nor disc(g),
+    g mod p keeps its degree and has only simple roots.  Each root mod p,
+    from ``_prime_roots``, is Hensel-lifted to a root mod
+    p^k > 2 |lead(g)| |g(0)| by Newton steps, and rational reconstruction
+    turns that into the only candidate r/s with |r| <= |g(0)| and
+    |s| <= |lead(g)| in that residue class.  A candidate is kept only if
+    it is an exact root.
 
     Complete: a rational root r/s in lowest terms has r | g(0) and
     s | lead(g), so s is a unit mod p and r/s reduces to a root of g mod
     p.  That root is simple, so it lifts uniquely, the lift is r/s mod
     p^k, and reconstruction returns r/s.
     """
-    work = list(coeffs)
-    roots = []
-    if len(work) > 1 and work[-1] == 0:
-        roots.append(Fraction(0))
-        while work[-1] == 0:
-            work.pop()
-    if len(work) > 1:
-        g = _squarefree_integer(work)
-        dg = _derivative(g, None)
-        p = _separable_prime(g)
-        bound = 2 * abs(g[0]) * abs(g[-1])
-        for a in range(p):
-            if _horner(g, a, p):
-                continue
-            modulus = p
-            while modulus <= bound:
-                modulus *= modulus
-                a = (a - _horner(g, a, modulus) * pow(_horner(dg, a, modulus), -1, modulus)) % modulus
-            cand = _reconstruct(a, modulus, abs(g[-1]))
-            if cand is not None and _horner(work, cand, None) == 0:
-                roots.append(cand)
-    return sorted(roots)
+    if len(coeffs) < 3 or not coeffs[-1]:
+        return roots(coeffs, None)  # t^k and a linear rest in closed form
+    g = _squarefree_integer(coeffs)
+    dg = _derivative(g, None)
+    p = _separable_prime(g)
+    bound = 2 * abs(g[0]) * abs(g[-1])
+    found = []
+    for a in _prime_roots([c % p for c in g], p):
+        modulus = p
+        while modulus <= bound:
+            modulus *= modulus
+            a = (a - _horner(g, a, modulus) * pow(_horner(dg, a, modulus), -1, modulus)) % modulus
+        cand = _reconstruct(a, modulus, abs(g[-1]))
+        if cand is not None and _horner(coeffs, cand, None) == 0:
+            found.append(cand)
+    return sorted(found)
 
 
-def quadratic_roots(a2, a1, a0, p) -> list:
-    """All roots in the field of a2 t^2 + a1 t + a0, a2 or a1 nonzero,
-    ascending, 0 included.  Over Q the coefficients (ints or Fractions)
-    are scaled to integers, whose discriminant must be a square
-    (``math.isqrt``), and the roots are Fractions.  Over GF(p), p odd, a
-    square root of the discriminant comes from Euler's criterion and
-    Tonelli-Shanks with the least non-residue (Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 1.5.1); GF(2) has no 1/2,
-    so both of its elements are tried."""
-    if p is None:
-        den = lcm(a2.denominator, a1.denominator, a0.denominator)
-        c2, c1, c0 = (a.numerator * (den // a.denominator) for a in (a2, a1, a0))
-        if not c2:
-            return [Fraction(-c0, c1)]
-        disc = c1 * c1 - 4 * c2 * c0
-        if disc < 0 or (s := isqrt(disc)) * s != disc:
-            return []
-        low, high = Fraction(-c1 - s, 2 * c2), Fraction(-c1 + s, 2 * c2)
-        return [low] if not s else [low, high] if c2 > 0 else [high, low]
-    a2, a1, a0 = a2 % p, a1 % p, a0 % p
-    if not a2:
-        return [-a0 * pow(a1, -1, p) % p]
+def _power_mod(s: int, e: int, k: int, f: list, p: int) -> list:
+    """(t + s)^e - t^k mod f over GF(p), squaring from the top bit of e."""
+    r = [1]
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * len(r) - 1)
+        for i, x in enumerate(r):
+            for j, y in enumerate(r):
+                sq[i + j] += x * y
+        if bit == "1":  # times t + s
+            sq = [a + s * b for a, b in zip(sq + [0], [0] + sq)]
+        r = _divmod_poly([c % p for c in sq], f, p)[1]
+    r = [0] * (k + 1 - len(r)) + r
+    r[-1 - k] -= 1
+    return _divmod_poly([c % p for c in r], f, p)[1]
+
+
+def _prime_roots(f: list, p: int, s: Optional[int] = None) -> List[int]:
+    """The distinct roots in GF(p) of f, reduced with a nonzero lead.
+
+    GF(2) has its two elements tried.  For p odd, g = gcd(f, t^p - t) is
+    the product of t - r over the distinct roots r.  Equal-degree
+    splitting (Cantor-Zassenhaus; von zur Gathen & Gerhard, Modern
+    Computer Algebra, ch. 14) takes gcd(g, (t + s)^((p-1)/2) - 1), the
+    t - r with r + s a nonzero square, for the shifts s = 0, 1, ... in
+    turn, not at random.  Some s < p separates any r != r', or the nonzero
+    squares would be closed under adding r - r'; the shifts before s
+    separate no two roots of a factor, so each factor goes on from s + 1.
+    """
     if p == 2:
-        return [v for v in (0, 1) if not (a2 * v + a1) * v + a0 & 1]
-    disc, half = (a1 * a1 - 4 * a2 * a0) % p, (p - 1) // 2
-    if pow(disc, half, p) > 1:
-        return []  # a non-residue
-    e = (half & -half).bit_length()  # p - 1 = 2^e q with q odd
-    q = (p - 1) >> e
-    z = next(z for z in range(2, p) if pow(z, half, p) == p - 1)
-    y, s, b = pow(z, q, p), pow(disc, (q + 1) // 2, p), pow(disc, q, p)
-    while b > 1:  # s^2 = disc * b, and the order of b halves each round
-        m, c = 0, b
-        while c != 1:
-            m, c = m + 1, c * c % p
-        w = pow(y, 1 << (e - m - 1), p)
-        y, e, s, b = w * w % p, m, s * w % p, b * w * w % p
-    inv = pow(2 * a2, -1, p)
-    return sorted({(-a1 - s) * inv % p, (-a1 + s) * inv % p})
+        return [v for v in (0, 1) if not _horner(f, v, 2)]
+    if s is None:
+        f, s = _gcd_poly(f, _power_mod(0, p, 1, f, p), p), 0
+    while len(f) > 2:
+        h = _gcd_poly(f, _power_mod(s, p // 2, 0, f, p), p)
+        s += 1
+        if 1 < len(h) < len(f):
+            return _prime_roots(h, p, s) + _prime_roots(_divmod_poly(f, h, p)[0], p, s)
+    return [-f[1] * pow(f[0], -1, p) % p] if len(f) == 2 else []
 
 
 def roots(coeffs: list, p) -> list:
-    """All roots in the field, ascending: ``quadratic_roots`` up to degree
-    2; above it ``rational_roots`` over Q.  Over GF(p) the factor t^k
-    gives the root 0 and the rest is solved alone, so that only a rest of
-    degree 3 or more is found by Horner evaluation at every element, for
-    p up to the cap."""
-    if p is not None and len(coeffs) > 3 and not coeffs[-1]:
-        rest = list(coeffs)
-        while len(rest) > 1 and not rest[-1]:
-            rest.pop()
-        return [0] + (roots(rest, p) if len(rest) > 1 else [])
-    if 2 <= len(coeffs) <= 3:
-        return quadratic_roots(*[0] * (3 - len(coeffs)), *coeffs, p)
-    if p is None:
-        return rational_roots(coeffs)
-    if p > _ROOT_SCAN_CAP:
-        raise SearchBudgetExceeded(f"root enumeration over GF({p}) is beyond desk scale")
-    return [v for v in range(p) if not _horner(coeffs, v, p)]
+    """All roots in the field, ascending, of a nonzero polynomial: in both
+    fields t^k gives the root 0 and a linear rest is solved in closed form;
+    a longer rest goes to ``rational_roots`` over Q, to ``_prime_roots``
+    over GF(p), p of any size."""
+    work = list(coeffs) if p is None else [c % p for c in coeffs]
+    while work and not work[0]:
+        work.pop(0)
+    found = []
+    if len(work) > 1 and not work[-1]:
+        found.append(_zero_one(p)[0])
+        while not work[-1]:
+            work.pop()
+    if len(work) == 2:
+        found.append(Fraction(-work[1]) / work[0] if p is None else -work[1] * pow(work[0], -1, p) % p)
+    elif len(work) > 2:
+        found += rational_roots(work) if p is None else _prime_roots(work, p)
+    return sorted(found)

@@ -317,6 +317,19 @@ def reference_prime_field_roots(mat, spec):
     ]
 
 
+def reference_scan_roots(coeffs, p):
+    """The roots in GF(p) of a polynomial, leading coefficient first, by
+    Horner evaluation at every element, ascending."""
+    roots = []
+    for v in range(p):
+        acc = 0
+        for c in coeffs:
+            acc = (acc * v + c) % p
+        if not acc:
+            roots.append(v)
+    return roots
+
+
 def _divisors(n, cap=200_000):
     n = abs(n)
     out = []

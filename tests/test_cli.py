@@ -533,6 +533,45 @@ def test_grade_non_split_spectrum_is_a_usage_error(tmp_path, capsys):
     assert err == "error: generalized eigenspaces cover 0 of 2 dimensions\n"
 
 
+def _three_cycle_table(p):
+    # x -> x^2 -> x^3 -> 8x on k0[x]/(x^4): characteristic polynomial t^3 - 8
+    return {
+        "kind": "monomial",
+        "algebra": {"field": f"Fp:{p}", "nvars": 1, "unital": False, "truncation": 3},
+        "weight": "1",
+        "degree_bound": 3,
+        "entries": [
+            {"src": [1], "coeff": "1", "dst": [2]},
+            {"src": [2], "coeff": "1", "dst": [3]},
+            {"src": [3], "coeff": "8", "dst": [1]},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "p, code, spectrum, err",
+    [
+        (65539, 1, ["2", "255", "65282"], ""),  # 3 divides p - 1: three cube roots of 8
+        (65537, 2, None, "error: generalized eigenspaces cover 1 of 3 dimensions\n"),
+    ],
+)
+def test_grade_a_cubic_spectrum_above_2_16(tmp_path, capsys, p, code, spectrum, err):
+    """A cubic factor of the characteristic polynomial is split over
+    primes above 65536 too: it grades where t^3 - 8 splits and is a
+    non-split spectrum where only its root 2 lies in GF(p)."""
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(_three_cycle_table(p)))
+    got, out, stderr = run_cli(capsys, "grade", "--operator", str(path), "--weight", "1")
+    assert (got, stderr) == (code, err)
+    if spectrum is None:
+        assert out == ""
+    else:
+        data = json.loads(out)
+        assert data["spectrum"] == spectrum
+        assert [len(space["basis"]) for space in data["spaces"]] == [1, 1, 1]
+        assert data["violations"] > 0
+
+
 def _non_diagonal_gf5_table():
     # R(x) = 2x^2, R(x^3) = x^3 on k0[x]/(x^5): spectrum {0, 1}, not diagonal
     field = prime_field(5)

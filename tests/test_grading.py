@@ -319,7 +319,7 @@ def test_grading_nilpotent_shift_over_a_large_prime():
 
 
 def test_grading_triangular_table_past_the_scan_cap():
-    # R(x) = 2x^2, R(x^3) = x^3 over the largest prime under the cap: no scan of its elements
+    # R(x) = 2x^2, R(x^3) = x^3 over GF(65521): triangular, so no root is searched for
     table, field = _univariate_table(65521, [(1, 2, 2), (3, 1, 3)])
     g = grading_decompose(table, field.zero())
     assert [lam.value for lam in g.spectrum] == [0, 1]

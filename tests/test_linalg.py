@@ -3,8 +3,9 @@
 The references in ``helpers`` are the trace-recurrence characteristic
 polynomial, one determinant per element of GF(p), divisor enumeration
 of rational roots and eigenspaces as kernels of (A - lam)^n, all on
-FieldElements; linalg works on raw values, so its inputs are converted
-to raw values and its results back to FieldElements.
+FieldElements, and Horner evaluation at every element of GF(p) for the
+roots of a polynomial; linalg works on raw values, so its inputs are
+converted to raw values and its results back to FieldElements.
 """
 
 from fractions import Fraction
@@ -25,6 +26,7 @@ from helpers import (
     reference_kernel_basis,
     reference_prime_field_roots,
     reference_rational_roots,
+    reference_scan_roots,
 )
 from helpers import _reference_nonzero_roots
 from rbalg import (
@@ -43,7 +45,7 @@ from rbalg import (
     linalg,
     prime_field,
 )
-from rbalg.errors import NonSplitSpectrum, RBAlgebraError, SearchBudgetExceeded
+from rbalg.errors import NonSplitSpectrum, RBAlgebraError
 from rbalg.fields import FieldElement
 
 PRIMES = (2, 3, 5, 7, 53)
@@ -148,14 +150,14 @@ def test_rational_roots_of_linear_and_constant_polynomials():
     assert linalg.rational_roots([Fraction(5)]) == []
 
 
-def test_roots_scan_prime_fields_up_to_the_cap():
-    """Degree 3 and up is scanned, up to the cap; degree 2 and below is
-    solved in closed form in every prime field."""
-    big = 65521  # the largest prime below the cap of 65536
-    assert linalg.roots([1, 0, 0, big - 8], big) == [2, 32173, 33346]
-    assert linalg.roots([1, 0, big - 4], big) == [2, 65519]
-    with pytest.raises(SearchBudgetExceeded, match=r"GF\(65537\) is beyond desk scale"):
-        linalg.roots([1, 0, 0, 65537 - 8], 65537)
+def test_roots_of_a_cubic_in_prime_fields_of_any_size():
+    """t^3 - 8 has the three cube roots of 8 where 3 divides p - 1 and the
+    root 2 alone where it does not, below 2^16 and above it; degree 2 and
+    below on both sides too."""
+    assert linalg.roots([1, 0, 0, 65521 - 8], 65521) == [2, 32173, 33346]
+    assert linalg.roots([1, 0, 65521 - 4], 65521) == [2, 65519]
+    assert linalg.roots([1, 0, 0, 65537 - 8], 65537) == [2]
+    assert linalg.roots([1, 0, 0, 65539 - 8], 65539) == [2, 255, 65282]
     assert linalg.roots([1, 1], 65537) == [65536]
 
 
@@ -184,9 +186,7 @@ def test_low_degree_roots_match_the_scan(case):
     """Degree 1 and 2 in closed form against Horner evaluation at every
     element of GF(p), p <= 101, GF(2) and GF(3) included."""
     p, coeffs = case
-    degree = len(coeffs) - 1
-    scan = [v for v in range(p) if sum(c * v ** (degree - i) for i, c in enumerate(coeffs)) % p == 0]
-    assert linalg.roots(coeffs, p) == scan
+    assert linalg.roots(coeffs, p) == reference_scan_roots(coeffs, p)
 
 
 @settings(max_examples=300, deadline=None)
@@ -255,24 +255,71 @@ def test_low_degree_roots_over_large_primes(case):
 ))
 def test_roots_divide_out_the_power_of_t(case):
     """t^k f with f(0) != 0 and f of degree 1 or 2 has the root 0 and then
-    f's roots, in every prime field, beyond the scan's cap too; for
-    p <= 101 against Horner evaluation at every element."""
+    f's roots, in every prime field up to 2^31 - 1; for p <= 101 against
+    Horner evaluation at every element."""
     p, rest, k = case
     coeffs = rest + [0] * k
     got = linalg.roots(coeffs, p)
     assert got == [0] + linalg.roots(rest, p)
     if p <= 101:
-        assert got == [v for v in range(p) if not sum(c * pow(v, len(coeffs) - 1 - i, p) for i, c in enumerate(coeffs)) % p]
+        assert got == reference_scan_roots(coeffs, p)
 
 
-def test_roots_of_the_grading_repros_beyond_the_cap():
-    """The characteristic polynomials t^4 and t^2 (t^2 - 4) of two
-    gradings over GF(1000003); a cubic factor is still scanned."""
+def test_roots_of_the_grading_repros_over_a_large_prime():
+    """The characteristic polynomials t^4, t^2 (t^2 - 4) and t (t^3 - 8)
+    of gradings over GF(1000003), where 3 divides p - 1."""
     p = 1000003
     assert linalg.roots([1, 0, 0, 0, 0], p) == [0]
     assert linalg.roots([1, 0, p - 4, 0, 0], p) == [0, 2, p - 2]
-    with pytest.raises(SearchBudgetExceeded, match=r"GF\(1000003\) is beyond desk scale"):
-        linalg.roots([1, 0, 0, p - 8, 0], p)
+    assert linalg.roots([1, 0, 0, p - 8, 0], p) == [0, 2, 999, 999002]
+
+
+def with_planted_roots(p, factors, cofactor):
+    """cofactor times the product of (t - r)^e over the (r, e) in factors,
+    coefficients mod p, leading first."""
+    poly = list(cofactor)
+    for r, e in factors:
+        for _ in range(e):
+            poly = [(a - r * b) % p for a, b in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+@settings(max_examples=300, deadline=None)
+@example((2, [(1, 2)], [1, 1, 1]))
+@example((2, [(0, 1), (1, 3)], [1]))
+@example((3, [(2, 2)], [1, 0, 1]))
+@example((3, [(0, 1), (1, 1), (2, 1)], [2, 1]))
+@given(st.sampled_from(SMALL_PRIMES).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.lists(st.tuples(st.integers(0, p - 1), st.integers(1, 3)), max_size=3),
+    st.lists(st.integers(0, p - 1), max_size=4).flatmap(
+        lambda rest: st.integers(1, p - 1).map(lambda lead: [lead] + rest)
+    ),
+)).filter(lambda c: sum(e for _, e in c[1]) + len(c[2]) - 1 <= 6))
+def test_roots_match_the_scan_up_to_degree_six(case):
+    """Linear factors planted with repeats times a random cofactor, up to
+    degree 6, in every GF(p) with p <= 101: the roots are the elements
+    where Horner evaluation gives 0."""
+    p, factors, cofactor = case
+    coeffs = with_planted_roots(p, factors, cofactor)
+    assert linalg.roots(coeffs, p) == reference_scan_roots(coeffs, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(LARGE_PRIMES).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.lists(st.tuples(st.integers(0, p - 1), st.integers(1, 3)), max_size=4),
+    st.integers(2, p - 1).filter(lambda n: pow(n, (p - 1) // 2, p) == p - 1),
+)))
+def test_roots_with_multiplicities_over_large_primes(case):
+    """Planted roots with multiplicities times t^2 - n, n a non-residue, in
+    prime fields up to 2^31 - 1: exactly the planted roots are reported,
+    and their multiplicities sum to the planted degree."""
+    p, factors, n = case
+    coeffs = with_planted_roots(p, factors, [1, 0, -n % p])
+    got = linalg.roots(coeffs, p)
+    assert got == sorted({r for r, _ in factors})
+    assert sum(linalg.root_multiplicity(coeffs, r, p) for r in got) == sum(e for _, e in factors)
 
 
 @settings(max_examples=60, deadline=None)
